@@ -3,8 +3,8 @@
 Every command validates its configuration up front (exit 2 on config
 errors, exit 3 on data errors), writes artifacts atomically, and finishes
 with a manifest listing each artifact's sha256. Reruns with the same config
-and inputs produce identical digests regardless of thread count. Undefined
-metrics are written as explicit ``undefined`` markers, not errors.
+and inputs produce identical digests. Undefined metrics are written as
+explicit ``undefined`` markers, not errors.
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ def _scored_instance_sets(cfg):
     out = {}
     for pred in cfg.predictors:
         out[pred.name] = score_instances(feature, instances, pred,
-                                         policy=cfg.policy, query_mode=query,
-                                         threads=cfg.threads)
+                                         policy=cfg.policy, query_mode=query)
     return out, digest, feature
 
 
@@ -315,7 +314,7 @@ def cmd_temporal(cfg):
         report = temporal_eval(log, cfg.windows, spec, pred, policy=cfg.policy,
                                l_max=cfg.lmax, include_beyond=cfg.include_beyond,
                                include_disconnected=cfg.include_disconnected,
-                               weight_rule=cfg.weight_rule, threads=cfg.threads)
+                               weight_rule=cfg.weight_rule)
         path = os.path.join(cfg.out_dir, f"temporal_{pred.name}.csv")
         _write_csv(path, ["slice", "begin", "end", "n_pos", "n_neg", "auroc",
                           "aupr", "valid"],
@@ -371,7 +370,6 @@ def build_parser():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="key=value config file (INI sections)")
         p.add_argument("--seed", type=int, help="override run.seed")
-        p.add_argument("--threads", type=int, help="override run.threads")
         p.add_argument("--out", help="override run.out output directory")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override any config key (repeatable)")
@@ -382,8 +380,6 @@ def load_config(args):
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"run.seed={args.seed}")
-    if args.threads is not None:
-        overrides.append(f"run.threads={args.threads}")
     if args.out is not None:
         overrides.append(f"run.out={args.out}")
     if args.config:

@@ -1,9 +1,7 @@
 """Run configuration: a declarative key=value file plus flag overrides.
 
 The effective configuration is validated before any computation and echoed
-verbatim into every artifact, with one deliberate exception: the thread
-count is a runtime knob that cannot affect results, so it is excluded from
-the echo to keep artifact digests identical across thread counts.
+verbatim into every artifact.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ _DEFAULTS = {
                   "scale": "1000"},
     "kaggle": {"repeats": "10", "rate": "0.1"},
     "temporal": {"slices": "5", "slice_mode": "disjoint"},
-    "run": {"seed": "0", "out": "out", "threads": "1", "svg": "false"},
+    "run": {"seed": "0", "out": "out", "svg": "false"},
 }
 
 
@@ -201,9 +199,6 @@ class RunConfig:
 
         self.seed = _to_int(s["run"]["seed"], "run.seed")
         self.out_dir = s["run"]["out"]
-        self.threads = _to_int(s["run"]["threads"], "run.threads")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1", field="run.threads")
         self.svg = _to_bool(s["run"]["svg"], "run.svg")
 
     def require_dataset(self):
@@ -216,7 +211,5 @@ class RunConfig:
                               field="windows")
 
     def echo(self):
-        """Config as written, minus runtime-only knobs (run.threads)."""
-        out = {name: dict(values) for name, values in self.sections.items()}
-        out["run"] = {k: v for k, v in out["run"].items() if k != "threads"}
-        return out
+        """Config as written, defaults filled in."""
+        return {name: dict(values) for name, values in self.sections.items()}

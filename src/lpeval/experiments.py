@@ -25,7 +25,7 @@ from .graphstore import build_snapshot
 from .metrics import Ranking, aupr, auroc
 from .predictors import score_instances
 from .rng import substream
-from .stratify import geodesic_bucket_enumerate, label_instances
+from .stratify import BEYOND, geodesic_bucket_enumerate, label_instances
 
 DEFAULT_RATES = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
@@ -231,9 +231,12 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
                 continue
             vals.append(auroc(scores[idx], sub_labels))
         if vals:
+            # Deviations from the first value: equal values give exactly
+            # that value as the mean and exactly 0 as the variance.
             arr = np.asarray(vals)
-            var = float(arr.var(ddof=1)) if arr.size > 1 else 0.0
-            row = VarianceRateRow(p, float(arr.mean()), float(arr.min()),
+            dev = arr - arr[0]
+            var = float(dev.var(ddof=1)) if arr.size > 1 else 0.0
+            row = VarianceRateRow(p, float(arr[0] + dev.mean()), float(arr.min()),
                                   float(arr.max()), var, arr.size, invalid,
                                   analytic_sampling_variance(n_neg, c_est, p)
                                   if p < 1 else 0.0)
@@ -452,7 +455,7 @@ def filtered_negative_eval(instances, scores, cuts=None):
     dist = instances.distance
     n_neg = int((~labels).sum())
     if cuts is None:
-        finite = np.unique(dist[dist < 1_000_000_000])
+        finite = np.unique(dist[dist < BEYOND])
         cuts = [int(d) for d in finite] + [int(finite.max()) + 1] if finite.size else []
     rows = [FilteredNegativeRow(None, 0, n_neg,
                                 auroc(scores, labels) if n_neg and labels.any()
@@ -565,7 +568,7 @@ class TemporalReport:
 
 def temporal_eval(log, window, slice_spec, predictor, policy="mean", l_max=4,
                   include_beyond=True, include_disconnected=True,
-                  weight_rule="1/(k-1)", threads=1):
+                  weight_rule="1/(k-1)"):
     """Per-slice AUROC/AUPR with a fixed candidate set.
 
     Candidates and scores come once from the test-feature snapshot; each
@@ -577,8 +580,7 @@ def temporal_eval(log, window, slice_spec, predictor, policy="mean", l_max=4,
     candidates = geodesic_bucket_enumerate(
         feature, l_max, include_beyond=include_beyond,
         include_disconnected=include_disconnected)
-    scored = score_instances(feature, candidates, predictor, policy=policy,
-                             threads=threads)
+    scored = score_instances(feature, candidates, predictor, policy=policy)
     score_col = scored.scores[predictor.name]
     slices, remainder = slice_intervals(window.test_label, slice_spec.slices)
     rows = []

@@ -6,13 +6,17 @@ outward-moving flow propagation over edge weights). PropFlow is directional:
 ``propflow(s, u, v, l)`` and ``propflow(s, v, u, l)`` may differ, so pair
 scoring resolves the two orderings through a direction policy.
 
-All predictors are pure functions of an immutable Snapshot; batch scoring is
-embarrassingly parallel over pairs with output order restored by pair index.
+All graph work goes through one kernel, :func:`_walk`, which expands a
+block of sources one BFS level at a time over the snapshot's CSR arrays
+with whole-block numpy calls. CN and AA are the row block of A·A reached at
+the second level, PropFlow pushes flow along each level's forward edges,
+and stratification reads the hop levels. Pairs are scored grouped by
+source, and a pair's score depends only on its own source row, so scoring
+any permutation or split of a pair list gives bit-identical scores.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,11 @@ _ALIASES = {
     "pf": "propflow",
 }
 _KINDS = ("common-neighbors", "adamic-adar", "preferential-attachment", "propflow")
+
+# Cells of one block of sources: each source owns a dense row over the
+# universe plus room for one level's expansion (at most every CSR entry), so
+# this bounds the memory of every block-at-a-time walk below.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -87,32 +96,224 @@ def _check_known(s, u, query_mode):
             "(enable query mode to score unknown nodes)")
 
 
+def _validate_known(s, u_arr, v_arr):
+    for arr in (u_arr, v_arr):
+        bad = arr[(arr < 0) | (arr >= s.n_universe)]
+        if bad.size:
+            _check_known(s, int(bad[0]), False)
+
+
+# ---------------------------------------------------------------------------
+# The block kernel
+
+
+def _blocks(s, sources):
+    """Consecutive runs of ``sources``, _BLOCK_CELLS cells at most."""
+    size = max(1, _BLOCK_CELLS // (s.n_universe + s.indices.size))
+    for lo in range(0, sources.size, size):
+        yield sources[lo:lo + size]
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One BFS level of a block walk.
+
+    The frontier holds the cells ``(rows[k], nodes[k])`` first reached at
+    ``depth``, sorted by (row, node). ``pos`` lists the CSR positions of the
+    frontier's neighbor slices, concatenated in frontier order; ``entry``
+    maps each position to its frontier cell and ``fwd`` marks the edges into
+    nodes first reached at ``depth + 1``. ``levels`` is the walk's (block x
+    universe) hop matrix, -1 where not yet reached.
+    """
+
+    depth: int
+    levels: np.ndarray
+    rows: np.ndarray
+    nodes: np.ndarray
+    entry: np.ndarray
+    pos: np.ndarray
+    fwd: np.ndarray
+
+
+def _walk(s, sources, depth_limit=None):
+    """Walk a block of sources one BFS level at a time; yield each _Level.
+
+    Every level is expanded with whole-block numpy calls: the frontier's
+    neighbor slices are gathered with ``np.repeat`` on ``indptr``, masked
+    against the hop matrix, and deduplicated with ``np.unique``. The level
+    at ``depth_limit`` is yielded with an empty expansion, and the walk ends
+    after a level with no forward edge. Sources outside the universe reach
+    nothing.
+    """
+    n = s.n_universe
+    levels = np.full((sources.size, n), -1, dtype=np.int64)
+    rows = np.flatnonzero((sources >= 0) & (sources < n))
+    nodes = sources[rows]
+    levels[rows, nodes] = 0
+    depth = 0
+    while True:
+        expand = nodes[:0] if depth == depth_limit else nodes
+        starts = s.indptr[expand]
+        counts = s.indptr[expand + 1] - starts
+        entry = np.repeat(np.arange(expand.size), counts)
+        pos = np.arange(entry.size) + np.repeat(starts - np.cumsum(counts) + counts,
+                                                counts)
+        nbr = s.indices[pos]
+        fwd = levels[rows[entry], nbr] < 0
+        yield _Level(depth, levels, rows, nodes, entry, pos, fwd)
+        if not fwd.any():
+            return
+        cells = np.unique(rows[entry[fwd]] * n + nbr[fwd])
+        rows, nodes = np.divmod(cells, n)
+        depth += 1
+        levels.flat[cells] = depth
+
+
+def bfs_level_blocks(s, sources, depth_limit=None):
+    """Yield ``(block, levels)`` over consecutive blocks of ``sources``.
+
+    ``levels[i, x]`` is the hop distance from ``block[i]`` to node ``x``,
+    -1 where unreached within ``depth_limit`` hops.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    for block in _blocks(s, sources):
+        for level in _walk(s, block, depth_limit):
+            pass
+        yield block, level.levels
+
+
+def bfs_levels(s, source, depth_limit=None):
+    """Hop distance from ``source`` to every node; -1 where unreached."""
+    return next(bfs_level_blocks(s, [source], depth_limit))[1][0]
+
+
+def _two_hop(s, block, weighted):
+    """Row block of A·A (CN) or, ``weighted``, of A·diag(1/ln deg)·A (AA).
+
+    The walk's second level expands every neighbor of every source, so each
+    cell sums one term per common neighbor. AA adds its terms in ascending
+    degree order, one at a time: pairs whose common neighbors have the same
+    degree multiset get bit-equal scores, whatever their node ids.
+    """
+    n = s.n_universe
+    for level in _walk(s, block, depth_limit=2):
+        if level.depth == 1:
+            break
+    else:
+        return np.zeros((block.size, n))
+    mid = level.nodes[level.entry]
+    row = level.rows[level.entry]
+    tgt = s.indices[level.pos]
+    cells = row * n + tgt
+    if not weighted:
+        return np.bincount(cells, minlength=block.size * n).reshape(
+            block.size, n).astype(np.float64)
+    deg = np.diff(s.indptr)
+    # A true common neighbor touches both ends, so it has degree >= 2; a
+    # degree-1 middle node on a walk that does not return to its source
+    # means the snapshot is corrupt.
+    if np.any((deg[mid] < 2) & (tgt != block[row])):
+        raise DataCorruptionError("common neighbor with degree < 2")
+    inv_log = np.zeros(n)
+    many = deg >= 2
+    inv_log[many] = 1.0 / np.log(deg[many])
+    order = np.argsort(deg[mid], kind="stable")
+    return np.bincount(cells[order], weights=inv_log[mid[order]],
+                       minlength=block.size * n).reshape(block.size, n)
+
+
+def _propflow_block(s, block, l_max, targets=None):
+    """Level-synchronous PropFlow from every source of a block.
+
+    Returns ``(levels, inflow, dead_ended)``: the walk's hop matrix, the
+    inflow each node accumulates, and per source the flow stuck at nodes
+    below ``l_max`` without a forward edge. With ``targets``, row i's target
+    absorbs: it passes nothing on. Forward edges are visited by (source,
+    node id), so each node adds its inflow in the order of its
+    predecessors' ids, one term at a time.
+    """
+    n = s.n_universe
+    inflow = np.zeros((block.size, n))
+    dead = np.zeros(block.size)
+    for level in _walk(s, block, l_max):
+        if level.depth == 0:
+            inflow[level.rows, level.nodes] = 1.0
+        if level.depth == l_max:
+            break
+        flow = inflow[level.rows, level.nodes]
+        if targets is not None:
+            flow[level.nodes == targets[level.rows]] = 0.0
+        e = level.entry[level.fwd]
+        pos = level.pos[level.fwd]
+        total = np.bincount(e, weights=s.weights[pos], minlength=level.nodes.size)
+        stuck = total == 0.0
+        dead += np.bincount(level.rows[stuck], weights=flow[stuck],
+                            minlength=block.size)
+        share = flow[e] * (s.weights[pos] / total[e])
+        inflow += np.bincount(level.rows[e] * n + s.indices[pos], weights=share,
+                              minlength=inflow.size).reshape(inflow.shape)
+    return level.levels, inflow, dead
+
+
+def _by_source(s, src, dst, kernel):
+    """``out[i] = kernel(block)[row of src[i], dst[i]]``, 0 off the universe.
+
+    Pairs are grouped by distinct source, and the kernel runs once per
+    block of sources.
+    """
+    n = s.n_universe
+    out = np.zeros(src.size)
+    idx = np.flatnonzero((src >= 0) & (src < n) & (dst >= 0) & (dst < n))
+    sources, inverse = np.unique(src[idx], return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    idx, inverse = idx[order], inverse[order]
+    first = 0
+    for block in _blocks(s, sources):
+        lo, hi = np.searchsorted(inverse, [first, first + block.size])
+        pairs = idx[lo:hi]
+        out[pairs] = kernel(block)[inverse[lo:hi] - first, dst[pairs]]
+        first += block.size
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Predictors
+
+
+def _two_hop_pairs(s, u_arr, v_arr, weighted):
+    return _by_source(s, u_arr, v_arr, lambda b: _two_hop(s, b, weighted))
+
+
+def _propflow_pairs(s, src, dst, l_max):
+    return _by_source(s, src, dst, lambda b: _propflow_block(s, b, l_max)[1])
+
+
+def _single(fn, s, u, v, *args):
+    return float(fn(s, np.array([u], dtype=np.int64),
+                    np.array([v], dtype=np.int64), *args)[0])
+
+
 def common_neighbors(s, u, v, query_mode=False):
     """|Γ(u) ∩ Γ(v)| as a float."""
     _check_pair(u, v)
     _check_known(s, u, query_mode)
     _check_known(s, v, query_mode)
-    return float(np.intersect1d(s.neighbors(u), s.neighbors(v),
-                                assume_unique=True).size)
+    return _single(_two_hop_pairs, s, u, v, False)
 
 
 def adamic_adar(s, u, v, query_mode=False):
     """Sum of 1/ln(deg(n)) over common neighbors n of u and v.
 
-    A true common neighbor has degree >= 2 (it touches both u and v), so
-    ln(deg) is never zero; a degree-1 common neighbor means the snapshot is
-    corrupt and raises rather than returning infinity.
+    Terms are added in ascending degree order, so equal degree multisets
+    give bit-equal scores. A true common neighbor has degree >= 2 (it
+    touches both u and v), so ln(deg) is never zero; a degree-1 common
+    neighbor means the snapshot is corrupt and raises rather than returning
+    infinity.
     """
     _check_pair(u, v)
     _check_known(s, u, query_mode)
     _check_known(s, v, query_mode)
-    common = np.intersect1d(s.neighbors(u), s.neighbors(v), assume_unique=True)
-    if common.size == 0:
-        return 0.0
-    degs = s.indptr[common + 1] - s.indptr[common]
-    if np.any(degs < 2):
-        raise DataCorruptionError("common neighbor with degree < 2")
-    return float(np.sum(1.0 / np.log(degs)))
+    return _single(_two_hop_pairs, s, u, v, True)
 
 
 def preferential_attachment(s, u, v, query_mode=False):
@@ -124,25 +325,6 @@ def preferential_attachment(s, u, v, query_mode=False):
     if query_mode:
         du, dv = max(du, 1), max(dv, 1)
     return float(du * dv)
-
-
-def bfs_levels(s, source, depth_limit=None):
-    """Hop distance from ``source`` to every node; -1 where unreached."""
-    levels = np.full(s.n_universe, -1, dtype=np.int64)
-    if not 0 <= source < s.n_universe:
-        return levels
-    levels[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while frontier.size and (depth_limit is None or depth < depth_limit):
-        nxt = []
-        for u in frontier:
-            nbrs = s.neighbors(u)
-            nxt.append(nbrs[levels[nbrs] < 0])
-            levels[nxt[-1]] = depth + 1
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, np.int64)
-        depth += 1
-    return levels
 
 
 @dataclass(frozen=True)
@@ -158,6 +340,11 @@ class FlowAccounting:
         return self.absorbed + self.remaining + self.dead_ended
 
 
+def _check_l_max(l_max):
+    if l_max < 1:
+        raise ConfigError("l_max must be >= 1", field="propflow.l_max")
+
+
 def propflow_accounting(s, source, target, l_max):
     """PropFlow with full conservation bookkeeping.
 
@@ -169,37 +356,20 @@ def propflow_accounting(s, source, target, l_max):
     is exactly 1.
     """
     _check_pair(source, target)
-    if l_max < 1:
-        raise ConfigError("l_max must be >= 1", field="propflow.l_max")
+    _check_l_max(l_max)
     if not s.contains(source):
         return FlowAccounting(0.0, 0.0, 1.0)
-    levels = bfs_levels(s, source, depth_limit=l_max)
-    inflow = np.zeros(s.n_universe, dtype=np.float64)
-    inflow[source] = 1.0
+    levels, inflow, dead = _propflow_block(
+        s, np.array([source], dtype=np.int64), l_max,
+        targets=np.array([target], dtype=np.int64))
+    levels, inflow = levels[0], inflow[0]
+    parked = levels == l_max
     absorbed = 0.0
-    dead_ended = 0.0
-    order = np.argsort(levels, kind="stable")
-    reached = order[levels[order] >= 0]  # by (level, node id): deterministic
-    for u in reached:
-        u = int(u)
-        if u == target:
-            absorbed = inflow[u]
-            continue
-        flow = inflow[u]
-        if flow == 0.0 or levels[u] >= l_max:
-            continue
-        nbrs = s.neighbors(u)
-        wts = s.neighbor_weights(u)
-        fwd = levels[nbrs] == levels[u] + 1
-        total = wts[fwd].sum()
-        if total > 0.0:
-            inflow[nbrs[fwd]] += flow * (wts[fwd] / total)
-        else:
-            dead_ended += flow
-    remaining = float(inflow[(levels == l_max) & (np.arange(s.n_universe) != target)].sum())
-    # Flow parked strictly below l_max at nodes with no outward edge was
-    # already counted; unreached-target case leaves absorbed at 0.
-    return FlowAccounting(float(absorbed), remaining, float(dead_ended))
+    if 0 <= target < s.n_universe:
+        absorbed = inflow[target]
+        parked[target] = False
+    return FlowAccounting(float(absorbed), float(inflow[parked].sum()),
+                          float(dead[0]))
 
 
 def propflow(s, source, target, l_max, query_mode=False):
@@ -211,9 +381,8 @@ def propflow(s, source, target, l_max, query_mode=False):
     _check_pair(source, target)
     _check_known(s, source, query_mode)
     _check_known(s, target, query_mode)
-    if not (0 <= source < s.n_universe and 0 <= target < s.n_universe):
-        return 0.0
-    return propflow_accounting(s, source, target, l_max).absorbed
+    _check_l_max(l_max)
+    return _single(_propflow_pairs, s, source, target, l_max)
 
 
 def propflow_all(s, source, l_max):
@@ -223,27 +392,10 @@ def propflow_all(s, source, l_max):
     accumulates is identical whether or not any other node absorbs, so one
     sweep yields ``propflow(s, source, t, l_max)`` for every target t.
     """
-    inflow = np.zeros(s.n_universe, dtype=np.float64)
-    if not s.contains(source):
-        return inflow
-    levels = bfs_levels(s, source, depth_limit=l_max)
-    inflow[source] = 1.0
-    order = np.argsort(levels, kind="stable")
-    reached = order[levels[order] >= 0]
-    for u in reached:
-        u = int(u)
-        flow = inflow[u]
-        if flow == 0.0 or levels[u] >= l_max:
-            continue
-        nbrs = s.neighbors(u)
-        wts = s.neighbor_weights(u)
-        fwd = levels[nbrs] == levels[u] + 1
-        total = wts[fwd].sum()
-        if total > 0.0:
-            inflow[nbrs[fwd]] += flow * (wts[fwd] / total)
-    out = inflow.copy()
-    out[source] = 0.0
-    return out
+    inflow = _propflow_block(s, np.array([source], dtype=np.int64), l_max)[1][0]
+    if 0 <= source < s.n_universe:
+        inflow[source] = 0.0
+    return inflow
 
 
 def aggregate_directional(forward, reverse, policy):
@@ -263,65 +415,26 @@ def aggregate_directional(forward, reverse, policy):
     raise ConfigError(f"unknown direction policy {policy!r}", field="policy")
 
 
-def _score_symmetric(s, u_arr, v_arr, predictor, query_mode):
-    n = u_arr.size
-    out = np.empty(n, dtype=np.float64)
-    if predictor.kind == "preferential-attachment":
-        degs = np.zeros(s.n_universe + 1, dtype=np.int64)
-        degs[:s.n_universe] = s.degrees()
-        in_universe = lambda a: np.where((a >= 0) & (a < s.n_universe), a,
-                                         s.n_universe)
-        du = degs[in_universe(u_arr)]
-        dv = degs[in_universe(v_arr)]
-        if query_mode:
-            du, dv = np.maximum(du, 1), np.maximum(dv, 1)
-        else:
-            _validate_known(s, u_arr, v_arr)
-        return (du * dv).astype(np.float64)
-    fn = common_neighbors if predictor.kind == "common-neighbors" else adamic_adar
-    for i in range(n):
-        out[i] = fn(s, int(u_arr[i]), int(v_arr[i]), query_mode=query_mode)
-    return out
+def _preferential_attachment_pairs(s, u_arr, v_arr, query_mode):
+    degs = np.zeros(s.n_universe + 1, dtype=np.int64)
+    degs[:s.n_universe] = s.degrees()
+    in_universe = lambda a: np.where((a >= 0) & (a < s.n_universe), a,
+                                     s.n_universe)
+    du = degs[in_universe(u_arr)]
+    dv = degs[in_universe(v_arr)]
+    if query_mode:
+        du, dv = np.maximum(du, 1), np.maximum(dv, 1)
+    return (du * dv).astype(np.float64)
 
 
-def _validate_known(s, u_arr, v_arr):
-    for arr in (u_arr, v_arr):
-        for x in arr:
-            _check_known(s, int(x), False)
-
-
-def _propflow_directional(s, u_arr, v_arr, l_max, query_mode):
-    """(forward, reverse) PropFlow for each pair, one sweep per distinct source."""
-    if not query_mode:
-        _validate_known(s, u_arr, v_arr)
-    fwd = np.zeros(u_arr.size, dtype=np.float64)
-    rev = np.zeros(u_arr.size, dtype=np.float64)
-    for src_arr, dst_arr, out in ((u_arr, v_arr, fwd), (v_arr, u_arr, rev)):
-        order = np.argsort(src_arr, kind="stable")
-        i = 0
-        while i < order.size:
-            j = i
-            src = int(src_arr[order[i]])
-            while j < order.size and src_arr[order[j]] == src:
-                j += 1
-            inflow = propflow_all(s, src, l_max)
-            idx = order[i:j]
-            dst = dst_arr[idx]
-            valid = (dst >= 0) & (dst < s.n_universe)
-            out[idx[valid]] = inflow[dst[valid]]
-            i = j
-    return fwd, rev
-
-
-def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False,
-                threads=1):
+def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False):
     """Score unordered candidate pairs with one predictor.
 
     Returns ``(index, scores)`` where ``index`` maps each output row to its
     input pair. For symmetric predictors (and any policy other than
     list-both) index is 0..n-1; for a directional predictor under list-both
-    each pair yields two rows, forward then reverse. Output is deterministic
-    for a given (snapshot, predictor, policy) regardless of ``threads``.
+    each pair yields two rows, forward then reverse. A pair's score does not
+    depend on the other pairs scored with it.
     """
     u_arr = np.asarray(u_arr, dtype=np.int64)
     v_arr = np.asarray(v_arr, dtype=np.int64)
@@ -329,26 +442,19 @@ def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False,
         raise InvalidPairError("candidate pair with u == v")
     if policy not in DIRECTION_POLICIES:
         raise ConfigError(f"unknown direction policy {policy!r}", field="policy")
+    if not query_mode:
+        _validate_known(s, u_arr, v_arr)
 
-    def kernel(lo, hi):
-        uu, vv = u_arr[lo:hi], v_arr[lo:hi]
-        if predictor.kind == "propflow":
-            return _propflow_directional(s, uu, vv, predictor.l_max, query_mode)
-        sc = _score_symmetric(s, uu, vv, predictor, query_mode)
-        return sc, sc
+    if predictor.kind == "propflow":
+        fwd = _propflow_pairs(s, u_arr, v_arr, predictor.l_max)
+        rev = _propflow_pairs(s, v_arr, u_arr, predictor.l_max)
+    elif predictor.kind == "preferential-attachment":
+        fwd = rev = _preferential_attachment_pairs(s, u_arr, v_arr, query_mode)
+    else:
+        fwd = rev = _two_hop_pairs(s, u_arr, v_arr,
+                                   predictor.kind == "adamic-adar")
 
     n = u_arr.size
-    workers = max(1, int(threads))
-    if workers == 1 or n < 2 * workers:
-        fwd, rev = kernel(0, n)
-    else:
-        bounds = np.linspace(0, n, workers + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda k: kernel(bounds[k], bounds[k + 1]),
-                                  range(workers)))
-        fwd = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-        rev = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
-
     if policy == "list-both":
         index = np.repeat(np.arange(n, dtype=np.int64), 2)
         scores = np.empty(2 * n, dtype=np.float64)
@@ -364,16 +470,14 @@ def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False,
     return np.arange(n, dtype=np.int64), scores
 
 
-def score_instances(s, instances, predictor, policy="mean", query_mode=False,
-                    threads=1):
+def score_instances(s, instances, predictor, policy="mean", query_mode=False):
     """Attach a score column (named after the predictor) to an instance set.
 
     Under list-both with a directional predictor the instance rows are
     duplicated, one per ordering.
     """
     index, scores = score_pairs(s, instances.u, instances.v, predictor,
-                                policy=policy, query_mode=query_mode,
-                                threads=threads)
+                                policy=policy, query_mode=query_mode)
     expanded = instances.take(index)
     expanded.scores[predictor.name] = scores
     return expanded

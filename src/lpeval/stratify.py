@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IngestError
-from .predictors import bfs_levels
+# bfs_levels is re-exported: callers look the per-source walk up here.
+from .predictors import bfs_level_blocks, bfs_levels  # noqa: F401
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
@@ -91,38 +92,29 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
                               include_disconnected=False):
     """Enumerate candidate pairs grouped by geodesic distance.
 
-    Per-source breadth-first expansion bounded at ``l_max`` (unbounded when
-    the beyond bucket is requested) emits each unordered non-adjacent pair
-    exactly once, ordered by (distance, u, v). Cross-component pairs go to
-    the disconnected bucket on request.
+    Breadth-first expansion from blocks of sources, bounded at ``l_max``
+    (unbounded when the beyond bucket is requested), emits each unordered
+    non-adjacent pair exactly once, ordered by (distance, u, v).
+    Cross-component pairs go to the disconnected bucket on request.
     """
     if l_max < 2:
         raise ConfigError("l_max must be >= 2", field="lmax")
     nodes = s.node_ids
     us, vs, ds = [], [], []
     depth_limit = None if include_beyond else l_max
-    for u in nodes:
-        u = int(u)
-        levels = bfs_levels(s, u, depth_limit=depth_limit)
-        candidates = nodes[nodes > u]
-        lv = levels[candidates]
-        finite = (lv >= 2) & (lv <= l_max)
-        if np.any(finite):
-            us.append(np.full(int(finite.sum()), u, dtype=np.int64))
-            vs.append(candidates[finite])
-            ds.append(lv[finite])
+    for block, levels in bfs_level_blocks(s, nodes, depth_limit):
+        lv = levels[:, nodes]
+        keep = (lv >= 2) & (lv <= l_max)
         if include_beyond:
-            far = lv > l_max
-            if np.any(far):
-                us.append(np.full(int(far.sum()), u, dtype=np.int64))
-                vs.append(candidates[far])
-                ds.append(np.full(int(far.sum()), BEYOND, dtype=np.int64))
+            keep |= lv > l_max
         if include_disconnected:
-            missing = lv < 0
-            if np.any(missing):
-                us.append(np.full(int(missing.sum()), u, dtype=np.int64))
-                vs.append(candidates[missing])
-                ds.append(np.full(int(missing.sum()), DISCONNECTED, dtype=np.int64))
+            keep |= lv < 0
+        keep &= nodes[None, :] > block[:, None]
+        rows, cols = np.nonzero(keep)
+        d = lv[rows, cols]
+        us.append(block[rows])
+        vs.append(nodes[cols])
+        ds.append(np.where(d < 0, DISCONNECTED, np.where(d > l_max, BEYOND, d)))
     if not us:
         empty = np.empty(0, dtype=np.int64)
         return InstanceSet(empty, empty, empty)
@@ -192,22 +184,24 @@ def new_link_distance_distribution(feature, label):
     no such edge exists.
     """
     eu, ev, _ = label.edge_arrays()
-    counts = {}
-    cache = {}
-    feature_edges = feature.edge_key_set()
     n = feature.n_universe
-    for a, b in zip(eu.tolist(), ev.tolist()):
-        if not (feature.contains(a) and feature.contains(b)):
-            continue
-        if a * n + b in feature_edges:
-            continue
-        if a not in cache:
-            cache[a] = bfs_levels(feature, a)
-        d = int(cache[a][b])
-        d = DISCONNECTED if d < 0 else d
-        counts[d] = counts.get(d, 0) + 1
-    total = sum(counts.values())
-    return {d: c / total for d, c in sorted(counts.items())}
+    inside = (eu < n) & (ev < n)
+    eu, ev = eu[inside], ev[inside]
+    deg = feature.degrees()
+    fu, fv, _ = feature.edge_arrays()
+    new = (deg[eu] > 0) & (deg[ev] > 0) & ~np.isin(eu * n + ev, fu * n + fv)
+    eu, ev = eu[new], ev[new]
+    sources, inverse = np.unique(eu, return_inverse=True)
+    dist = np.empty(eu.size, dtype=np.int64)
+    first = 0
+    for block, levels in bfs_level_blocks(feature, sources):
+        sel = (inverse >= first) & (inverse < first + block.size)
+        dist[sel] = levels[inverse[sel] - first, ev[sel]]
+        first += block.size
+    dist[dist < 0] = DISCONNECTED
+    values, counts = np.unique(dist, return_counts=True)
+    total = int(counts.sum())
+    return {d: c / total for d, c in zip(values.tolist(), counts.tolist())}
 
 
 def write_instances_csv(path_or_file, instances, id_labels=None, score_keys=None):

@@ -5,6 +5,7 @@ scipy, broadcasting) rather than through the library's own code paths, so a
 disagreement always points at the implementation.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -133,6 +134,22 @@ def bfs_hops(adj, source):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def common_neighbor_sets(n, edges):
+    """For every pair (u, v), the set of common neighbors, from adjacency sets;
+    and every node's degree."""
+    adj = [set() for _ in range(n)]
+    for e in edges:
+        adj[e[0]].add(e[1])
+        adj[e[1]].add(e[0])
+    common = {(u, v): adj[u] & adj[v] for u in range(n) for v in range(n) if u != v}
+    return common, [len(a) for a in adj]
+
+
+def adamic_adar_fsum(common, degree):
+    """Adamic/Adar as a correctly rounded sum (math.fsum) of 1/ln(deg)."""
+    return math.fsum(1.0 / math.log(degree[m]) for m in common)
 
 
 def propflow_path_sum(n, weighted_edges, source, target, l_max):

@@ -134,6 +134,22 @@ class TestVarianceExperiment:
         assert row.mean == report.full_auroc
         assert row.minimum == row.maximum == row.mean
 
+    def test_rate_one_row_exact_on_random_score_sets(self):
+        # At rate 1 every repeat sees the full set, so the row must report
+        # the full AUROC and a variance of exactly 0, whatever the scores.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            inst = make_instances(rng, int(rng.integers(5, 60)),
+                                  int(rng.integers(50, 800)))
+            repeats = int(rng.integers(3, 12))
+            report = variance_experiment(inst, "s", rates=[1.0], repeats=repeats,
+                                         seed=seed)
+            row = report.rows[0]
+            assert row.n_valid == repeats
+            assert row.mean == report.full_auroc
+            assert row.variance == 0.0
+            assert row.minimum == row.maximum == row.mean
+
     def test_variance_scales_like_inverse_rate(self, rng):
         inst = make_instances(rng, 100, 10_000)
         report = variance_experiment(inst, "s", rates=[0.01, 0.1], repeats=100,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lpeval import predictors
 from lpeval import (DataCorruptionError, InvalidPairError, PredictorId, Snapshot,
                     UnknownNodeError, adamic_adar, aggregate_directional,
                     common_neighbors, preferential_attachment, propflow,
@@ -81,6 +82,7 @@ class TestAdamicAdar:
         class Corrupt:
             n_universe = 3
             indptr = np.array([0, 1, 2, 3])  # degree 1 everywhere: impossible
+            indices = np.array([2, 2, 2])     # the CSR slices neighbors() returns
 
             def neighbors(self, u):
                 return np.array([2])
@@ -241,7 +243,10 @@ class TestScorePairs:
                         _, r = score_pairs(s, np.array([v]), np.array([u]), pred)
                         assert f[0] == r[0]
 
-    def test_thread_count_does_not_change_output(self, rng):
+    def test_permutation_or_split_does_not_change_scores(self, rng, monkeypatch):
+        # A pair's score depends on nothing but the pair: scoring the list in
+        # any order, in any pieces, or in several kernel blocks gives
+        # bit-identical scores.
         s, _, n = random_graph(rng, n=25, p=0.2)
         us, vs = [], []
         for u in range(n):
@@ -250,10 +255,25 @@ class TestScorePairs:
                     us.append(u)
                     vs.append(v)
         u_arr, v_arr = np.array(us), np.array(vs)
-        for pred in (PredictorId.parse("pf:3"), PredictorId.parse("aa")):
-            base = score_pairs(s, u_arr, v_arr, pred, threads=1)
-            multi = score_pairs(s, u_arr, v_arr, pred, threads=8)
-            assert np.array_equal(base[1], multi[1])
+        for pred in (PredictorId.parse("pf:3"), PredictorId.parse("aa"),
+                     PredictorId.parse("cn")):
+            base = score_pairs(s, u_arr, v_arr, pred, policy="list-both")[1]
+            for _ in range(5):
+                perm = rng.permutation(u_arr.size)
+                got = score_pairs(s, u_arr[perm], v_arr[perm], pred,
+                                  policy="list-both")[1]
+                assert np.array_equal(got.reshape(-1, 2),
+                                      base.reshape(-1, 2)[perm])
+                cuts = np.sort(rng.choice(np.arange(1, u_arr.size), size=3,
+                                          replace=False))
+                pieces = [score_pairs(s, uu, vv, pred, policy="list-both")[1]
+                          for uu, vv in zip(np.split(u_arr, cuts),
+                                            np.split(v_arr, cuts))]
+                assert np.array_equal(np.concatenate(pieces), base)
+            monkeypatch.setattr(predictors, "_BLOCK_CELLS", 1)
+            blocked = score_pairs(s, u_arr, v_arr, pred, policy="list-both")[1]
+            monkeypatch.undo()
+            assert np.array_equal(blocked, base)
 
     def test_invalid_pair_propagates(self):
         s = Snapshot.from_edges([(0, 1)])
