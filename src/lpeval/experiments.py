@@ -421,12 +421,6 @@ def surrogate_grid(alphas, betas, p_sub, n_sub, p_full, n_full,
     return results
 
 
-def scaled_counts(counts, factor):
-    """Scale instance counts down by ``factor``, preserving prevalence;
-    every count stays at least 1."""
-    return tuple(max(1, round(c / factor)) for c in counts)
-
-
 # Full-problem / 2-hop sub-problem instance counts of the Condmat corpus,
 # used as the documented stand-in when no corpus is available.
 CONDMAT_STANDIN_COUNTS = {"p_sub": 1196, "n_sub": 214_616,

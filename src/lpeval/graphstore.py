@@ -408,16 +408,36 @@ def build_snapshot(log, interval, weight_rule="1/(k-1)"):
                     id_labels=log.id_labels)
 
 
+# Characters that force a CSV field into quotes.
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def csv_field(value):
+    """``str(value)`` as one CSV field, quoted only when it must be.
+
+    Node ids come from tab-separated event files and may hold ``,`` or
+    ``"``: such a field is wrapped in quotes with inner quotes doubled, as
+    :mod:`csv` reads it back. Any other text is returned unchanged.
+    """
+    text = str(value)
+    if not _CSV_SPECIAL.isdisjoint(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_snapshot_csv(snapshot, path_or_file):
     """Export edges as ``u,v,weight`` rows, u < v in interned order, rows
-    sorted lexicographically by label. Bit-exact for identical inputs."""
+    sorted lexicographically by label. Ids are quoted where CSV needs it
+    (:func:`csv_field`). Bit-exact for identical inputs."""
     u, v, w = snapshot.edge_arrays()
     labels = snapshot.id_labels
     name = (lambda i: labels[i]) if labels is not None else str
-    rows = sorted(
-        (name(int(a)), name(int(b)), repr(float(x))) for a, b, x in zip(u, v, w)
-    )
-    text = "u,v,weight\n" + "".join(f"{a},{b},{x}\n" for a, b, x in rows)
+    label = {i: name(i) for i in snapshot.node_ids.tolist()}
+    field = {i: csv_field(x) for i, x in label.items()}
+    rows = sorted((label[a], label[b], a, b, repr(x))
+                  for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()))
+    text = "u,v,weight\n" + "".join(f"{field[a]},{field[b]},{x}\n"
+                                     for _, _, a, b, x in rows)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

@@ -48,8 +48,3 @@ def curve_svg(curve):
 <polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="2"/>
 </svg>
 """
-
-
-def write_curve_svg(curve, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(curve_svg(curve))

@@ -16,13 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IngestError
-# bfs_levels is re-exported: callers look the per-source walk up here.
-from .predictors import bfs_level_blocks, bfs_levels  # noqa: F401
+from .graphstore import csv_field
+from .predictors import bfs_level_blocks, bfs_levels
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
 
 GENERATION_MODES = ("recommendation", "query")
+
+# Rows joined into one string per write of the instance CSV writer: large
+# enough that the per-chunk calls cost nothing, small enough that no
+# whole-file list of row strings is held.
+_CHUNK_ROWS = 8192
 
 
 def distance_str(d):
@@ -88,6 +93,15 @@ class InstanceSet:
         return self.u * np.int64(n_universe) + self.v
 
 
+def _components(s):
+    """Component label of every node: the lowest node id it can reach."""
+    component = np.full(s.n_universe, -1, dtype=np.int64)
+    for root in s.node_ids.tolist():
+        if component[root] < 0:
+            component[bfs_levels(s, root) >= 0] = root
+    return component
+
+
 def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
                               include_disconnected=False):
     """Enumerate candidate pairs grouped by geodesic distance.
@@ -102,13 +116,20 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
     nodes = s.node_ids
     us, vs, ds = [], [], []
     depth_limit = None if include_beyond else l_max
+    # A walk cut at l_max also leaves far same-component nodes unreached;
+    # component labels tell those apart from other components' nodes.
+    component = (_components(s) if include_disconnected and not include_beyond
+                 else None)
     for block, levels in bfs_level_blocks(s, nodes, depth_limit):
         lv = levels[:, nodes]
         keep = (lv >= 2) & (lv <= l_max)
         if include_beyond:
             keep |= lv > l_max
         if include_disconnected:
-            keep |= lv < 0
+            apart = lv < 0
+            if component is not None:
+                apart &= component[block][:, None] != component[nodes][None, :]
+            keep |= apart
         keep &= nodes[None, :] > block[:, None]
         rows, cols = np.nonzero(keep)
         d = lv[rows, cols]
@@ -204,31 +225,54 @@ def new_link_distance_distribution(feature, label):
     return {d: c / total for d, c in zip(values.tolist(), counts.tolist())}
 
 
+def _column(values, fmt, key=None):
+    """One CSV column as ``(cells, index)``: row i reads ``cells[index[i]]``.
+
+    ``fmt`` runs once per distinct ``key`` (default: the values), on the
+    first value that carries it.
+    """
+    key = values if key is None else key
+    _, first, index = np.unique(key, return_index=True, return_inverse=True)
+    return np.array([fmt(x) for x in values[first].tolist()], dtype=object), index
+
+
 def write_instances_csv(path_or_file, instances, id_labels=None, score_keys=None):
     """Write ``u,v,distance,label[,score...]`` rows.
 
     Distance uses the bucket names for sentinels; the label column is empty
     for unlabeled candidates. Score columns follow in the given key order.
+    Ids are CSV-quoted where needed (:func:`~lpeval.graphstore.csv_field`).
+    Each column is formatted once per distinct value, scores keyed by their
+    bit pattern so ``-0.0`` and ``0.0`` keep their own text, and rows are
+    joined and written _CHUNK_ROWS at a time.
     """
     keys = list(score_keys if score_keys is not None else instances.scores)
-    name = (lambda i: id_labels[i]) if id_labels is not None else str
+    name = ((lambda i: csv_field(id_labels[i])) if id_labels is not None
+            else str)
     header = ["u", "v", "distance", "label"] + (["score"] if len(keys) == 1
                                                 else [f"score_{k}" for k in keys])
+    n = len(instances)
+    if instances.label is None:
+        label = (np.array([""], dtype=object), np.zeros(n, dtype=np.uint8))
+    else:
+        label = (np.array(["0", "1"], dtype=object), instances.label.view(np.uint8))
+    columns = [_column(instances.u, name), _column(instances.v, name),
+               _column(instances.distance, distance_str), label]
+    for k in keys:
+        s = np.ascontiguousarray(instances.scores[k], dtype=np.float64)
+        columns.append(_column(s, repr, s.view(np.uint64)))
 
-    def rows():
+    def chunks():
         yield ",".join(header) + "\n"
-        for i in range(len(instances)):
-            cells = [name(int(instances.u[i])), name(int(instances.v[i])),
-                     distance_str(int(instances.distance[i])),
-                     "" if instances.label is None else str(int(instances.label[i]))]
-            cells += [repr(float(instances.scores[k][i])) for k in keys]
-            yield ",".join(cells) + "\n"
+        for lo in range(0, n, _CHUNK_ROWS):
+            cells = [c[i[lo:lo + _CHUNK_ROWS]].tolist() for c, i in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     if hasattr(path_or_file, "write"):
-        path_or_file.writelines(rows())
+        path_or_file.writelines(chunks())
     else:
         with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.writelines(rows())
+            fh.writelines(chunks())
 
 
 def read_instances_csv(path_or_file, id_index=None):

@@ -12,6 +12,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from lpeval.stratify import BEYOND, DISCONNECTED
+
 
 def auroc_pair_count(scores, labels):
     """P(random positive above random negative), ties half credit, exact.
@@ -205,3 +207,34 @@ def random_ranking(rng, max_size=2000, tie_fraction=0.5):
     if rng.random() < tie_fraction:
         scores = np.round(scores * rng.uniform(0.5, 4.0)) / 2.0
     return scores, labels
+
+
+def instances_csv_text(instances, id_labels=None, score_keys=None):
+    """The instance CSV built one row and one cell at a time.
+
+    Ids that hold ``,``, ``"``, CR or LF are quoted with inner quotes
+    doubled; every other cell is written as is.
+    """
+    keys = list(score_keys if score_keys is not None else instances.scores)
+
+    def quote(text):
+        if set(text) & set(',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    def name(i):
+        return quote(str(id_labels[i])) if id_labels is not None else str(i)
+
+    def distance(d):
+        return {BEYOND: "beyond", DISCONNECTED: "disconnected"}.get(d, str(d))
+
+    header = ["u", "v", "distance", "label"] + (["score"] if len(keys) == 1
+                                                else [f"score_{k}" for k in keys])
+    out = [",".join(header) + "\n"]
+    for i in range(len(instances)):
+        cells = [name(int(instances.u[i])), name(int(instances.v[i])),
+                 distance(int(instances.distance[i])),
+                 "" if instances.label is None else str(int(instances.label[i]))]
+        cells += [repr(float(instances.scores[k][i])) for k in keys]
+        out.append(",".join(cells) + "\n")
+    return "".join(out)

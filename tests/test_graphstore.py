@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -201,6 +202,14 @@ class TestExportAndDeterminism:
         # rows then sort lexicographically by label
         assert lines[1] == "a,c,1.0"
         assert lines[2] == "b,a,1.0"
+
+    def test_ids_needing_quotes_are_quoted(self):
+        s = build_snapshot(ingest_text('a,b\tz\t1\nq"x\tz\t2\n'), (0, 10))
+        buf = io.StringIO()
+        write_snapshot_csv(s, buf)
+        assert buf.getvalue().splitlines()[1:] == ['"a,b",z,1.0', 'z,"q""x",1.0']
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert rows[1:] == [["a,b", "z", "1.0"], ["z", 'q"x', "1.0"]]
 
     def test_identical_bytes_identical_snapshot(self):
         text = "a\tb\t1\nb\tc\t2\na\tc\t2\na\tb\t3\n"

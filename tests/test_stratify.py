@@ -1,16 +1,21 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpeval import (BEYOND, DISCONNECTED, ConfigError, Snapshot, build_snapshot,
-                    distance_str, generate_test_set, geodesic_bucket_enumerate,
+from lpeval import (BEYOND, DISCONNECTED, ConfigError, InstanceSet, Snapshot,
+                    build_snapshot, distance_str, generate_test_set,
+                    geodesic_bucket_enumerate,
                     label_instances, new_link_distance_distribution,
                     parse_distance, read_instances_csv, synthetic_event_log,
                     write_instances_csv)
+from lpeval import stratify
 
 from conftest import random_graph
-from oracles import hop_distances
+from oracles import hop_distances, instances_csv_text
 
 
 def pair_set(inst):
@@ -20,6 +25,39 @@ def pair_set(inst):
 def bucket_map(inst):
     return {(int(u), int(v)): int(d)
             for u, v, d in zip(inst.u, inst.v, inst.distance)}
+
+
+SPECIAL_SCORES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1 + 0.2]
+
+
+@st.composite
+def instance_sets(draw):
+    """A random InstanceSet with its id labels (or None) and score keys."""
+    n = draw(st.integers(0, 20))
+    n_ids = draw(st.integers(1, 12))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    ids = st.integers(0, n_ids - 1)
+    label = draw(st.none() | st.just(column(st.booleans())))
+    keys = draw(st.lists(st.sampled_from(["cn", "aa", "pa", "propflow4"]),
+                         unique=True, max_size=3))
+    score = st.sampled_from(SPECIAL_SCORES) | st.floats() | \
+        st.integers(-3, 3).map(float)
+    inst = InstanceSet(column(ids), column(ids),
+                       column(st.sampled_from([2, 3, 7, BEYOND, DISCONNECTED])),
+                       label,
+                       {k: np.array(column(score), dtype=float) for k in keys})
+    id_labels = draw(st.none() | st.lists(
+        st.text(st.sampled_from(list('ab ,"\r\n\xe9')), max_size=4),
+        min_size=n_ids, max_size=n_ids, unique=True))
+    return inst, id_labels, keys
+
+
+def score_bits(a):
+    """Bit patterns of a float array, every NaN as the one NaN repr reads."""
+    return np.where(np.isnan(a), np.float64(np.nan), a).view(np.uint64)
 
 
 class TestEnumeration:
@@ -58,12 +96,22 @@ class TestEnumeration:
         rows = list(zip(inst.distance.tolist(), inst.u.tolist(), inst.v.tolist()))
         assert rows == sorted(rows)
 
+    def test_far_same_component_pairs_are_not_disconnected(self):
+        s = Snapshot.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+        got = bucket_map(geodesic_bucket_enumerate(s, 2,
+                                                   include_disconnected=True))
+        assert {p for p, d in got.items() if d == 2} == {(0, 2), (1, 3), (2, 4)}
+        assert {p for p, d in got.items() if d == DISCONNECTED} == \
+            {(a, b) for a in range(5) for b in (5, 6)}
+        assert not {(0, 3), (0, 4), (1, 4)} & got.keys()
+
     def test_buckets_match_allpairs_bfs_oracle(self, rng):
         for _ in range(20):
             s, edges, n = random_graph(rng, n=int(rng.integers(8, 40)))
             l_max = int(rng.integers(2, 6))
-            inst = geodesic_bucket_enumerate(s, l_max, include_beyond=True,
-                                             include_disconnected=True)
+            beyond, disconnected = rng.random(2) < 0.5
+            inst = geodesic_bucket_enumerate(s, l_max, include_beyond=beyond,
+                                             include_disconnected=disconnected)
             got = bucket_map(inst)
             dist = hop_distances(n, [(u, v) for u, v, _ in edges])
             nodes = s.node_ids.tolist()
@@ -74,9 +122,11 @@ class TestEnumeration:
                     if d == 1:
                         continue
                     if np.isinf(d):
-                        want[(u, v)] = DISCONNECTED
+                        if disconnected:
+                            want[(u, v)] = DISCONNECTED
                     elif d > l_max:
-                        want[(u, v)] = BEYOND
+                        if beyond:
+                            want[(u, v)] = BEYOND
                     else:
                         want[(u, v)] = int(d)
             assert got == want
@@ -229,6 +279,50 @@ class TestInstanceCsv:
         assert back.distance.tolist() == inst.distance.tolist()
         assert back.label.tolist() == inst.label.tolist()
         assert np.array_equal(back.scores["score"], inst.scores["demo"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance_sets(), st.sampled_from([1, 3, 8192]))
+    def test_matches_row_oracle_and_reads_back(self, case, chunk_rows):
+        inst, id_labels, keys = case
+        buf = io.StringIO()
+        with mock.patch.object(stratify, "_CHUNK_ROWS", chunk_rows):
+            write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
+        text = buf.getvalue()
+        assert text == instances_csv_text(inst, id_labels, keys)
+
+        index = None if id_labels is None else \
+            {name: i for i, name in enumerate(id_labels)}
+        back = read_instances_csv(io.StringIO(text), id_index=index)
+        assert np.array_equal(back.u, inst.u)
+        assert np.array_equal(back.v, inst.v)
+        assert np.array_equal(back.distance, inst.distance)
+        if inst.label is None or not len(inst):
+            assert back.label is None
+        else:
+            assert np.array_equal(back.label, inst.label)
+        names = ["score"] if len(keys) == 1 else keys
+        assert list(back.scores) == names
+        for name, k in zip(names, keys):
+            assert np.array_equal(score_bits(back.scores[name]),
+                                  score_bits(inst.scores[k]))
+
+    def test_negative_zero_keeps_its_sign(self):
+        inst = InstanceSet([0, 0], [2, 3], [2, 2], None,
+                           {"s": np.array([0.0, -0.0])})
+        buf = io.StringIO()
+        write_instances_csv(buf, inst)
+        assert buf.getvalue().splitlines()[1:] == ["0,2,2,,0.0", "0,3,2,,-0.0"]
+
+    def test_ids_needing_quotes_round_trip(self):
+        ids = ["a,b", "z", 'q"x']
+        inst = InstanceSet([0, 1], [2, 2], [2, 3], [True, False])
+        buf = io.StringIO()
+        write_instances_csv(buf, inst, id_labels=ids)
+        assert buf.getvalue().splitlines()[1] == '"a,b","q""x",2,1'
+        back = read_instances_csv(io.StringIO(buf.getvalue()),
+                                  id_index={name: i for i, name in enumerate(ids)})
+        assert back.u.tolist() == [0, 1]
+        assert back.v.tolist() == [2, 2]
 
     def test_distance_string_round_trip(self):
         for d in (2, 7, BEYOND, DISCONNECTED):
