@@ -1,4 +1,5 @@
 import io
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -8,10 +9,9 @@ from hypothesis import strategies as st
 
 from lpeval import (BEYOND, DISCONNECTED, ConfigError, InstanceSet, Snapshot,
                     build_snapshot, distance_str, generate_test_set,
-                    geodesic_bucket_enumerate,
-                    label_instances, new_link_distance_distribution,
-                    parse_distance, read_instances_csv, synthetic_event_log,
-                    write_instances_csv)
+                    geodesic_bucket_enumerate, label_instances,
+                    new_link_distance_distribution, parse_distance,
+                    read_instances_csv, synthetic_event_log, write_instances_csv)
 from lpeval import stratify
 
 from conftest import random_graph
@@ -109,27 +109,26 @@ class TestEnumeration:
         for _ in range(20):
             s, edges, n = random_graph(rng, n=int(rng.integers(8, 40)))
             l_max = int(rng.integers(2, 6))
-            beyond, disconnected = rng.random(2) < 0.5
-            inst = geodesic_bucket_enumerate(s, l_max, include_beyond=beyond,
-                                             include_disconnected=disconnected)
-            got = bucket_map(inst)
             dist = hop_distances(n, [(u, v) for u, v, _ in edges])
             nodes = s.node_ids.tolist()
-            want = {}
-            for i, u in enumerate(nodes):
-                for v in nodes[i + 1:]:
-                    d = dist[u, v]
-                    if d == 1:
-                        continue
-                    if np.isinf(d):
-                        if disconnected:
-                            want[(u, v)] = DISCONNECTED
-                    elif d > l_max:
-                        if beyond:
-                            want[(u, v)] = BEYOND
-                    else:
-                        want[(u, v)] = int(d)
-            assert got == want
+            for beyond, disconnected in itertools.product((True, False), repeat=2):
+                inst = geodesic_bucket_enumerate(s, l_max, include_beyond=beyond,
+                                                 include_disconnected=disconnected)
+                want = {}
+                for i, u in enumerate(nodes):
+                    for v in nodes[i + 1:]:
+                        d = dist[u, v]
+                        if d == 1:
+                            continue
+                        if np.isinf(d):
+                            if disconnected:
+                                want[(u, v)] = DISCONNECTED
+                        elif d > l_max:
+                            if beyond:
+                                want[(u, v)] = BEYOND
+                        else:
+                            want[(u, v)] = int(d)
+                assert bucket_map(inst) == want
 
 
 class TestLabeling:
