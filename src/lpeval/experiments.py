@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import ConfigError, UndefinedMetricError
 from .graphstore import build_snapshot
-from .metrics import Ranking, aupr, auroc
+from .metrics import Ranking, aupr, auroc, auroc_from_counts, tie_groups
 from .predictors import score_instances
 from .rng import substream
 from .stratify import BEYOND, geodesic_bucket_enumerate, label_instances
@@ -60,17 +60,16 @@ class SamplingSpec:
             raise ConfigError(f"{self.mode} takes no rate", field="sampling.rate")
 
 
-def _fair_keep_indices(labels, rate, rng, exact_counts):
-    neg_idx = np.flatnonzero(~labels)
+def _kept_negatives(negatives, rate, rng, exact_counts):
+    """The entries of ``negatives`` (one per negative row, in row order) that
+    a fair draw keeps. The draw depends only on how many there are."""
     if rate == 1.0:
-        kept = neg_idx
-    elif exact_counts:
-        size = int(round(neg_idx.size * rate))
-        kept = rng.choice(neg_idx, size=size, replace=False) if size else neg_idx[:0]
-    else:
-        kept = neg_idx[rng.random(neg_idx.size) < rate]
-    keep = np.flatnonzero(labels)
-    return np.sort(np.concatenate([keep, kept]))
+        return negatives
+    if exact_counts:
+        size = int(round(negatives.size * rate))
+        return (rng.choice(negatives, size=size, replace=False) if size
+                else negatives[:0])
+    return negatives[rng.random(negatives.size) < rate]
 
 
 def sample_fair(instances, spec):
@@ -81,8 +80,10 @@ def sample_fair(instances, spec):
     if instances.label is None:
         raise ConfigError("sampling needs labeled instances")
     rng = substream(spec.seed, rng_mod.STREAM_FAIR_SAMPLE)
-    return instances.take(_fair_keep_indices(instances.label, spec.rate, rng,
-                                             spec.exact_counts))
+    labels = instances.label
+    kept = _kept_negatives(np.flatnonzero(~labels), spec.rate, rng,
+                           spec.exact_counts)
+    return instances.take(np.sort(np.concatenate([np.flatnonzero(labels), kept])))
 
 
 def sample_kaggle(instances, seed=0):
@@ -205,6 +206,10 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     substreams; a repeat that retains zero negatives is excluded and counted.
     The report carries mean/min/max/sample-variance per rate, the analytic
     variance at the estimated C, and the fitted slope of variance vs. 1/rate.
+
+    The scores are ranked once (:func:`~lpeval.metrics.tie_groups`); each
+    repeat counts its kept negatives per tie group, which gives the AUROC
+    of re-ranking the sample exactly.
     """
     if isinstance(scores, str):
         scores = instances.scores[scores]
@@ -212,9 +217,11 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     labels = instances.label
     if labels is None:
         raise ConfigError("variance experiment needs labeled instances")
-    full = auroc(scores, labels)
+    groups, pos = tie_groups(scores, labels)
+    neg_groups = groups[~labels]
+    full = auroc_from_counts(pos, np.bincount(neg_groups, minlength=pos.size))
     c_est = estimate_classifiable(scores, labels)
-    n_neg = int((~labels).sum())
+    n_neg = int(neg_groups.size)
 
     rows = []
     for ri, p in enumerate(rates):
@@ -224,12 +231,12 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
         invalid = 0
         for rep in range(repeats):
             rng = substream(seed, rng_mod.STREAM_VARIANCE, ri, rep)
-            idx = _fair_keep_indices(labels, p, rng, exact_counts)
-            sub_labels = labels[idx]
-            if not np.any(~sub_labels):
+            kept = _kept_negatives(neg_groups, p, rng, exact_counts)
+            if kept.size == 0:
                 invalid += 1
                 continue
-            vals.append(auroc(scores[idx], sub_labels))
+            vals.append(auroc_from_counts(pos, np.bincount(kept,
+                                                           minlength=pos.size)))
         if vals:
             # Deviations from the first value: equal values give exactly
             # that value as the mean and exactly 0 as the variance.
@@ -440,26 +447,30 @@ def filtered_negative_eval(instances, scores, cuts=None):
 
     Positives are always retained. The default cut list is the baseline plus
     each finite distance present; sentinel-bucket negatives are never closer
-    than a finite cut, so they survive every filter.
+    than a finite cut, so they survive every filter. The scores are ranked
+    once; each cut counts its kept negatives per tie group.
     """
     if isinstance(scores, str):
         scores = instances.scores[scores]
-    scores = np.asarray(scores, dtype=np.float64)
     labels = instances.label
     dist = instances.distance
-    n_neg = int((~labels).sum())
+    groups, pos = tie_groups(scores, labels)
+    negative = ~labels
+    n_neg = int(negative.sum())
+
+    def area(kept):
+        return auroc_from_counts(pos, np.bincount(groups[kept], minlength=pos.size))
+
     if cuts is None:
         finite = np.unique(dist[dist < BEYOND])
         cuts = [int(d) for d in finite] + [int(finite.max()) + 1] if finite.size else []
     rows = [FilteredNegativeRow(None, 0, n_neg,
-                                auroc(scores, labels) if n_neg and labels.any()
-                                else None)]
+                                area(negative) if n_neg and labels.any() else None)]
     for cut in cuts:
-        keep = labels | (dist >= cut)
-        kept_neg = int((keep & ~labels).sum())
-        rows.append(FilteredNegativeRow(
-            int(cut), n_neg - kept_neg, kept_neg,
-            auroc(scores[keep], labels[keep]) if kept_neg else None))
+        kept = negative & (dist >= cut)
+        kept_neg = int(kept.sum())
+        rows.append(FilteredNegativeRow(int(cut), n_neg - kept_neg, kept_neg,
+                                        area(kept) if kept_neg else None))
     return rows
 
 

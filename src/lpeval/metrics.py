@@ -166,16 +166,42 @@ class ThresholdCurve:
                 "n_neg": self.n_neg, "tie_policy": self.tie_policy}
 
 
+def tie_groups(scores, labels):
+    """Rank labeled scores once: each row's tie group and the positives per group.
+
+    Groups are numbered from the highest score down, so for any subset of
+    the rows, its positive and negative counts per group (``np.bincount``
+    of its rows' groups) are the ranking :func:`auroc_from_counts` reads,
+    without sorting the subset again. ``-0.0`` and ``0.0`` share a group.
+    Returns ``(group of each row, positive count of each group)``.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    if scores.shape != labels.shape:
+        raise ConfigError("scores and labels must have equal length")
+    if np.any(np.isnan(scores)):
+        raise ConfigError("NaN scores are forbidden")
+    distinct, groups = np.unique(-scores, return_inverse=True)
+    return groups, np.bincount(groups[labels], minlength=distinct.size)
+
+
+def auroc_from_counts(pos, neg):
+    """AUROC from positive and negative counts per tie group, groups in
+    descending score order. Empty groups add nothing."""
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("AUROC needs at least one positive and one negative")
+    # Trapezoid over tie groups, exact in int64: group g adds
+    # neg_g * (TP before g + TP after g) = neg_g * (2 * TP before g + pos_g),
+    # and the groups sum to 2 * P * N * area.
+    tp_before = np.cumsum(pos) - pos
+    return float(np.sum(neg * (2 * tp_before + pos))) / (2.0 * n_pos * n_neg)
+
+
 def auroc(scores, labels=None):
     """Area under the ROC curve (accepts a Ranking or score/label arrays)."""
     rank = scores if isinstance(scores, Ranking) else Ranking(scores, labels)
-    if rank.n_pos == 0 or rank.n_neg == 0:
-        raise UndefinedMetricError("AUROC needs at least one positive and one negative")
-    # Trapezoid over tie boundaries, exact in int64:
-    # sum of dFP * (TP_i + TP_{i+1}) = 2 * P * N * area.
-    dfp = np.diff(rank.fp)
-    twice = rank.tp[:-1] + rank.tp[1:]
-    return float(np.sum(dfp * twice)) / (2.0 * rank.n_pos * rank.n_neg)
+    return auroc_from_counts(np.diff(rank.tp), np.diff(rank.fp))
 
 
 def roc_curve(rank):

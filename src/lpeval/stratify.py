@@ -11,6 +11,9 @@ distance sorts and compares below them.
 from __future__ import annotations
 
 import csv
+import functools
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,6 +278,56 @@ def write_instances_csv(path_or_file, instances, id_labels=None, score_keys=None
             fh.writelines(chunks())
 
 
+def _label_cell(text):
+    """1 or 0 for a label cell, -1 for an empty (unlabeled) one."""
+    return -1 if text == "" else int(int(text) != 0)
+
+
+def _record_line(fh, body, record):
+    """1-based line on which data record ``record`` starts.
+
+    Records count from 0 after the header line and skip blank lines, as
+    ``np.loadtxt`` counts them. The body is re-read from offset ``body``;
+    without one (a stream that cannot seek) the line is the one the record
+    would have in a file without blank lines.
+    """
+    if body is not None:
+        fh.seek(body)
+        reader = csv.reader(fh)
+        start, seen = 0, 0
+        try:
+            for row in reader:
+                if row:
+                    if seen == record:
+                        return start + 2
+                    seen += 1
+                start = reader.line_num
+        except csv.Error:
+            pass
+    return record + 2
+
+
+# How np.loadtxt names the row a ValueError is about: a data record (blank
+# lines not counted), from 0 for a cell it cannot convert and from 1 for a
+# wrong field count.
+_CELL_ERROR = re.compile(r" at row (\d+), ")
+_WIDTH_ERROR = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
+
+
+def _loadtxt_error(exc, fh, body):
+    """The IngestError for a ValueError of ``np.loadtxt``, at its row's line."""
+    text = str(exc)
+    width = _WIDTH_ERROR.search(text)
+    if width is not None:
+        return IngestError(f"expected {width[1]} fields, found {width[2]}",
+                           line=_record_line(fh, body, int(width[3]) - 1))
+    cell = _CELL_ERROR.search(text)
+    if cell is not None:
+        return IngestError(text[:cell.start()] + " at " + text[cell.end():],
+                           line=_record_line(fh, body, int(cell[1])))
+    return IngestError(text)
+
+
 def read_instances_csv(path_or_file, id_index=None):
     """Read instances written by :func:`write_instances_csv`.
 
@@ -282,49 +335,56 @@ def read_instances_csv(path_or_file, id_index=None):
     externally produced (e.g. supervised) predictors enter the evaluation
     pipeline. ``id_index`` maps external id strings to interned ints; without
     it ids must already be integers.
+
+    The body is parsed by one ``np.loadtxt`` call into int64 and float64
+    columns; only the distance sentinels, the empty label and ``id_index``
+    go through Python converters. A malformed row raises
+    :class:`~lpeval.errors.IngestError` with its line number, and so does a
+    label column that is empty on some rows but not all.
     """
-    close = False
-    if hasattr(path_or_file, "read"):
-        fh = path_or_file
-    else:
-        fh = open(path_or_file, "r", encoding="utf-8", newline="")
-        close = True
+    close = not hasattr(path_or_file, "read")
+    fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
+          else path_or_file)
     try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:  # a decoded chunk may reach the body
+            raise IngestError(str(exc)) from None
+        header = next(csv.reader([first]), None)
         if header is None or header[:4] != ["u", "v", "distance", "label"]:
             raise IngestError("expected header u,v,distance,label[,score...]", line=1)
         score_names = [h[6:] if h.startswith("score_") else "score"
                        for h in header[4:]]
-        us, vs, ds, ls = [], [], [], []
-        score_cols = [[] for _ in score_names]
-        have_labels = True
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise IngestError(f"expected {len(header)} fields", line=line_no)
-            try:
-                u = int(row[0]) if id_index is None else id_index[row[0]]
-                v = int(row[1]) if id_index is None else id_index[row[1]]
-                d = parse_distance(row[2])
-                if row[3] == "":
-                    have_labels = False
-                else:
-                    ls.append(bool(int(row[3])))
-                for col, cell in zip(score_cols, row[4:]):
-                    col.append(float(cell))
-            except (KeyError, ValueError) as exc:
-                raise IngestError(str(exc), line=line_no) from None
-            us.append(u)
-            vs.append(v)
-            ds.append(d)
-        label = np.asarray(ls, dtype=bool) if have_labels and us else None
-        inst = InstanceSet(np.asarray(us, dtype=np.int64),
-                           np.asarray(vs, dtype=np.int64),
-                           np.asarray(ds, dtype=np.int64), label)
-        for nm, col in zip(score_names, score_cols):
-            inst.scores[nm] = np.asarray(col, dtype=np.float64)
+        body = fh.tell() if fh.seekable() else None
+        dtype = ([("u", np.int64), ("v", np.int64), ("distance", np.int64),
+                  ("label", np.int64)]
+                 + [(f"score{i}", np.float64) for i in range(len(score_names))])
+        converters = {2: functools.cache(parse_distance),
+                      3: functools.cache(_label_cell)}
+        if id_index is not None:
+            converters[0] = converters[1] = id_index.__getitem__
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1, converters=converters)
+        except ValueError as exc:
+            raise _loadtxt_error(exc, fh, body) from None
+        label = rows["label"]
+        unlabeled = label < 0
+        if unlabeled.all():
+            label = None
+        elif unlabeled.any():
+            raise IngestError("empty label in a labeled score file",
+                              line=_record_line(fh, body, int(np.argmax(unlabeled))))
+        else:
+            label = label != 0
+        inst = InstanceSet(np.ascontiguousarray(rows["u"]),
+                           np.ascontiguousarray(rows["v"]),
+                           np.ascontiguousarray(rows["distance"]), label)
+        for i, name in enumerate(score_names):
+            inst.scores[name] = np.ascontiguousarray(rows[f"score{i}"])
         return inst
     finally:
         if close:

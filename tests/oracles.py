@@ -5,6 +5,7 @@ scipy, broadcasting) rather than through the library's own code paths, so a
 disagreement always points at the implementation.
 """
 
+import csv
 import math
 from collections import deque
 
@@ -12,7 +13,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from lpeval.stratify import BEYOND, DISCONNECTED
+from lpeval import rng as rng_mod
+from lpeval.errors import IngestError
+from lpeval.experiments import (FilteredNegativeRow, VarianceRateRow,
+                                VarianceReport, analytic_sampling_variance,
+                                estimate_classifiable, variance_slope)
+from lpeval.metrics import auroc
+from lpeval.rng import substream
+from lpeval.stratify import BEYOND, DISCONNECTED, InstanceSet, parse_distance
 
 
 def auroc_pair_count(scores, labels):
@@ -238,3 +246,130 @@ def instances_csv_text(instances, id_labels=None, score_keys=None):
         cells += [repr(float(instances.scores[k][i])) for k in keys]
         out.append(",".join(cells) + "\n")
     return "".join(out)
+
+
+def read_instances_rows(path_or_file, id_index=None):
+    """The instance CSV read one row and one cell at a time (``csv.reader``,
+    then ``int``, ``float`` and ``parse_distance`` per cell).
+
+    Python's ``int`` and ``float`` also accept ``1_0``; a label column that
+    is empty on some rows only reads as unlabeled.
+    """
+    close = False
+    if hasattr(path_or_file, "read"):
+        fh = path_or_file
+    else:
+        fh = open(path_or_file, "r", encoding="utf-8", newline="")
+        close = True
+    try:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:4] != ["u", "v", "distance", "label"]:
+            raise IngestError("expected header u,v,distance,label[,score...]", line=1)
+        score_names = [h[6:] if h.startswith("score_") else "score"
+                       for h in header[4:]]
+        us, vs, ds, ls = [], [], [], []
+        score_cols = [[] for _ in score_names]
+        have_labels = True
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise IngestError(f"expected {len(header)} fields", line=line_no)
+            try:
+                u = int(row[0]) if id_index is None else id_index[row[0]]
+                v = int(row[1]) if id_index is None else id_index[row[1]]
+                d = parse_distance(row[2])
+                if row[3] == "":
+                    have_labels = False
+                else:
+                    ls.append(bool(int(row[3])))
+                for col, cell in zip(score_cols, row[4:]):
+                    col.append(float(cell))
+            except (KeyError, ValueError) as exc:
+                raise IngestError(str(exc), line=line_no) from None
+            us.append(u)
+            vs.append(v)
+            ds.append(d)
+        label = np.asarray(ls, dtype=bool) if have_labels and us else None
+        inst = InstanceSet(np.asarray(us, dtype=np.int64),
+                           np.asarray(vs, dtype=np.int64),
+                           np.asarray(ds, dtype=np.int64), label)
+        for nm, col in zip(score_names, score_cols):
+            inst.scores[nm] = np.asarray(col, dtype=np.float64)
+        return inst
+    finally:
+        if close:
+            fh.close()
+
+
+def fair_sample_indices(labels, rate, rng, exact_counts):
+    """Rows a fair draw keeps: every positive, and each negative with
+    probability ``rate`` (exactly round(N * rate) of them under
+    ``exact_counts``), drawn over the negatives in row order."""
+    neg_idx = np.flatnonzero(~labels)
+    if rate == 1.0:
+        kept = neg_idx
+    elif exact_counts:
+        size = int(round(neg_idx.size * rate))
+        kept = rng.choice(neg_idx, size=size, replace=False) if size else neg_idx[:0]
+    else:
+        kept = neg_idx[rng.random(neg_idx.size) < rate]
+    return np.sort(np.concatenate([np.flatnonzero(labels), kept]))
+
+
+def variance_report_resorted(instances, scores, rates, repeats, seed,
+                             exact_counts=False):
+    """``variance_experiment`` with every repeat's sample ranked again:
+    ``auroc(scores[idx], labels[idx])`` per repeat."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = instances.label
+    full = auroc(scores, labels)
+    c_est = estimate_classifiable(scores, labels)
+    n_neg = int((~labels).sum())
+    rows = []
+    for ri, p in enumerate(rates):
+        vals = []
+        invalid = 0
+        for rep in range(repeats):
+            rng = substream(seed, rng_mod.STREAM_VARIANCE, ri, rep)
+            idx = fair_sample_indices(labels, p, rng, exact_counts)
+            if labels[idx].all():
+                invalid += 1
+                continue
+            vals.append(auroc(scores[idx], labels[idx]))
+        analytic = analytic_sampling_variance(n_neg, c_est, p) if p < 1 else 0.0
+        if vals:
+            arr = np.asarray(vals)
+            dev = arr - arr[0]
+            var = float(dev.var(ddof=1)) if arr.size > 1 else 0.0
+            rows.append(VarianceRateRow(p, float(arr[0] + dev.mean()),
+                                        float(arr.min()), float(arr.max()), var,
+                                        arr.size, invalid, analytic))
+        else:
+            rows.append(VarianceRateRow(p, None, None, None, None, 0, invalid,
+                                        analytic))
+    fitted = [(r.rate, r.variance) for r in rows if r.variance is not None]
+    slope, r2 = variance_slope([f[0] for f in fitted], [f[1] for f in fitted])
+    return VarianceReport(tuple(rows), repeats, seed, full, c_est, slope, r2)
+
+
+def filtered_rows_resorted(instances, scores, cuts=None):
+    """``filtered_negative_eval`` with each cut's kept rows ranked again."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = instances.label
+    dist = instances.distance
+    n_neg = int((~labels).sum())
+    if cuts is None:
+        finite = np.unique(dist[dist < BEYOND])
+        cuts = [int(d) for d in finite] + [int(finite.max()) + 1] if finite.size else []
+    rows = [FilteredNegativeRow(None, 0, n_neg,
+                                auroc(scores, labels) if n_neg and labels.any()
+                                else None)]
+    for cut in cuts:
+        keep = labels | (dist >= cut)
+        kept_neg = int((keep & ~labels).sum())
+        rows.append(FilteredNegativeRow(
+            int(cut), n_neg - kept_neg, kept_neg,
+            auroc(scores[keep], labels[keep]) if kept_neg else None))
+    return rows

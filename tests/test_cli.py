@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lpeval import (PredictorId, build_snapshot, cli, generate_test_set,
-                    ingest_events, read_instances_csv, score_instances,
-                    synthetic_event_log, write_event_file)
+from lpeval import (BEYOND, DISCONNECTED, InstanceSet, PredictorId,
+                    build_snapshot, cli, generate_test_set, ingest_events,
+                    read_instances_csv, score_instances, synthetic_event_log,
+                    write_event_file, write_instances_csv)
 
 
 def test_threads_setting_is_a_config_error(capsys):
@@ -53,3 +54,43 @@ def test_evaluate_and_score_rerun_identically(tmp_path):
         assert np.array_equal(back.label, want.label)
         assert np.array_equal(back.scores["score"].view(np.uint64),
                               want.scores[pred.name].view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore:N\\*p")
+def test_sampling_commands_rerun_identically(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 400
+    label = rng.random(n) < 0.1
+    dist = rng.choice([2, 3, 4, BEYOND, DISCONNECTED], size=n)
+    inst = InstanceSet(np.arange(n), np.arange(n) + n, dist, label,
+                       {"cn": np.round(rng.random(n) + label * 0.3, 1)})
+    scores = tmp_path / "scores.csv"
+    with open(scores, "w", encoding="utf-8") as fh:
+        write_instances_csv(fh, inst)
+    out = tmp_path / "out"
+    args = ["--out", str(out), "--set", f"dataset.scores={scores}",
+            "--set", "variance.rates=0.01,0.2,1", "--set", "variance.repeats=5",
+            "--set", "kaggle.repeats=3"]
+    manifests = {"variance": [], "kaggle-compare": []}
+    for _ in range(2):
+        for command, texts in manifests.items():
+            assert cli.main([command] + args) == 0
+            texts.append((out / "manifest.json").read_text())
+    for first, second in manifests.values():
+        assert first == second
+    rows = (out / "variance_score.csv").read_text().splitlines()
+    assert rows[-1].startswith("1.0,")
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0,1,2,1,0.5\n0,2,far,0,0.5\n", 3),
+    ("99999999999999999999,2,2,1,0.5\n", 2),
+    ("0,1,2,1,0.5\n0,2,2,,0.5\n", 3),
+])
+@pytest.mark.parametrize("command", ["variance", "kaggle-compare"])
+def test_malformed_score_file_exits_3(tmp_path, capsys, command, body, line):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("u,v,distance,label,score\n" + body, encoding="utf-8")
+    assert cli.main([command, "--out", str(tmp_path / "out"),
+                     "--set", f"dataset.scores={scores}"]) == 3
+    assert f"line {line}:" in capsys.readouterr().err

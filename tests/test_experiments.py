@@ -8,9 +8,11 @@ from lpeval import (ConfigError, InstanceSet, PredictorId, SamplingSpec, Snapsho
                     generate_test_set, per_distance_eval, sample_fair,
                     sample_kaggle, score_instances, surrogate_simulation,
                     synthetic_event_log, temporal_eval, variance_experiment)
+from lpeval import BEYOND, DISCONNECTED
 from lpeval.experiments import slice_intervals, variance_slope
 
-from oracles import auroc_pair_count, bucket_mixture_auroc
+from oracles import (auroc_pair_count, bucket_mixture_auroc,
+                     filtered_rows_resorted, variance_report_resorted)
 
 
 def make_instances(rng, n_pos, n_neg, distances=(2, 3, 4)):
@@ -184,6 +186,54 @@ class TestVarianceExperiment:
         slope, r2 = variance_slope([0.1, 0.5, 1.0], [10.0, 2.0, 1.0])
         assert slope > 0
         assert r2 > 0.99
+
+
+def tie_heavy_instances(seed, n=300):
+    """Scores from seven values (signed zeros and infinities among them),
+    about 10% positives, every distance bucket."""
+    rng = np.random.default_rng(seed)
+    scores = rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf], size=n)
+    label = rng.random(n) < 0.1
+    label[:2] = [True, False]
+    dist = rng.choice([2, 3, 4, BEYOND, DISCONNECTED], size=n)
+    return InstanceSet(np.arange(n), np.arange(n) + n, dist, label), scores
+
+
+class TestTieGroupCounts:
+    """Ranked once and counted per tie group, the sampling experiments must
+    report exactly what re-ranking every sample reports."""
+
+    @pytest.mark.parametrize("exact_counts", [False, True])
+    def test_variance_matches_resorting_oracle(self, exact_counts):
+        rates = [1e-3, 0.01, 0.3, 1.0]
+        invalid = 0
+        for seed in range(6):
+            inst, scores = tie_heavy_instances(seed)
+            with pytest.warns(UserWarning, match="N\\*p"):
+                got = variance_experiment(inst, scores, rates=rates, repeats=8,
+                                          seed=seed, exact_counts=exact_counts)
+                want = variance_report_resorted(inst, scores, rates, 8, seed,
+                                                exact_counts)
+            assert got == want
+            invalid += sum(r.n_invalid for r in got.rows)
+        assert invalid > 0  # repeats that keep no negative are covered
+
+    def test_filtered_matches_resorting_oracle(self):
+        for seed in range(6):
+            inst, scores = tie_heavy_instances(seed)
+            assert filtered_negative_eval(inst, scores) == \
+                filtered_rows_resorted(inst, scores)
+            cuts = [2, 5, BEYOND + 1]
+            assert filtered_negative_eval(inst, scores, cuts) == \
+                filtered_rows_resorted(inst, scores, cuts)
+
+    def test_nan_scores_are_a_config_error(self):
+        inst, scores = tie_heavy_instances(0)
+        scores[5] = np.nan
+        with pytest.raises(ConfigError):
+            variance_experiment(inst, scores, rates=[0.5], repeats=2)
+        with pytest.raises(ConfigError):
+            filtered_negative_eval(inst, scores)
 
 
 class TestSurrogate:

@@ -6,6 +6,7 @@ import pytest
 from lpeval import (ConfigError, ConfusionCounts, Ranking, UndefinedMetricError,
                     aupr, auroc, average_precision, confusion_at, pr_curve,
                     rates, roc_curve, score_distribution, tpr_k)
+from lpeval.metrics import auroc_from_counts, tie_groups
 
 from oracles import (aupr_oracle, auroc_pair_count, confusion_by_counting,
                      random_ranking)
@@ -169,6 +170,32 @@ class TestRocCurve:
             scores, labels = random_ranking(rng, max_size=400)
             assert auroc(scores, labels) == pytest.approx(
                 auroc_pair_count(scores, labels), abs=1e-12)
+
+    def test_subset_counts_equal_pair_count_oracle(self, rng):
+        # Ranked once, any subset's AUROC comes from its per-group counts;
+        # both sides divide the same integer 2*wins + ties by 2*P*N.
+        for _ in range(40):
+            scores, labels = random_ranking(rng, max_size=400)
+            scores = np.where(rng.random(scores.size) < 0.1, -scores, scores)
+            groups, pos = tie_groups(scores, labels)
+            for _ in range(5):
+                neg = ~labels & (rng.random(scores.size) < rng.uniform(0.05, 1))
+                if not neg.any():
+                    continue
+                keep = labels | neg
+                area = auroc_from_counts(pos, np.bincount(groups[neg],
+                                                          minlength=pos.size))
+                assert area == auroc_pair_count(scores[keep], labels[keep])
+
+    def test_tie_groups_merge_signed_zeros(self):
+        groups, pos = tie_groups([0.0, -0.0, np.inf, -np.inf],
+                                 [True, False, False, True])
+        assert groups.tolist() == [1, 1, 0, 2]
+        assert pos.tolist() == [0, 1, 1]
+        with pytest.raises(ConfigError):
+            tie_groups([0.5, np.nan], [True, False])
+        with pytest.raises(ConfigError):
+            tie_groups([0.5, 0.2], [True])
 
     def test_monotone_curve_invariants(self, rng):
         for _ in range(20):

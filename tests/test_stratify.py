@@ -1,5 +1,8 @@
 import io
 import itertools
+import os
+import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpeval import (BEYOND, DISCONNECTED, ConfigError, InstanceSet, Snapshot,
-                    build_snapshot, distance_str, generate_test_set,
+from lpeval import (BEYOND, DISCONNECTED, ConfigError, IngestError, InstanceSet,
+                    Snapshot, build_snapshot, distance_str, generate_test_set,
                     geodesic_bucket_enumerate, label_instances,
                     new_link_distance_distribution, parse_distance,
                     read_instances_csv, synthetic_event_log, write_instances_csv)
 from lpeval import stratify
 
 from conftest import random_graph
-from oracles import hop_distances, instances_csv_text
+from oracles import hop_distances, instances_csv_text, read_instances_rows
 
 
 def pair_set(inst):
@@ -58,6 +61,21 @@ def instance_sets(draw):
 def score_bits(a):
     """Bit patterns of a float array, every NaN as the one NaN repr reads."""
     return np.where(np.isnan(a), np.float64(np.nan), a).view(np.uint64)
+
+
+def with_line_ends(text, ends):
+    """``text`` with each record-ending newline (one outside quotes) replaced
+    by the next string of ``ends``."""
+    out, quoted = [], False
+    for ch in text:
+        if ch == '"':
+            quoted = not quoted
+        out.append(next(ends) if ch == "\n" and not quoted else ch)
+    return "".join(out)
+
+
+LINE_ENDS = ["\n", "\r\n", "\n\n", "\r\n\r\n", "\n\r\n"]
+HEADER = "u,v,distance,label,score\n"
 
 
 class TestEnumeration:
@@ -304,6 +322,106 @@ class TestInstanceCsv:
         for name, k in zip(names, keys):
             assert np.array_equal(score_bits(back.scores[name]),
                                   score_bits(inst.scores[k]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance_sets(), st.data())
+    def test_reader_matches_row_reader(self, case, data):
+        # CRLF line ends and blank lines, quoted ids (CR, LF, ',' and '"')
+        # through id_index, 0 to 3 score columns; from a stream or a file.
+        inst, id_labels, keys = case
+        buf = io.StringIO()
+        write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
+        ends = data.draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(inst) + 1,
+                                  max_size=len(inst) + 1))
+        text = with_line_ends(buf.getvalue(), iter(ends))
+        index = None if id_labels is None else \
+            {name: i for i, name in enumerate(id_labels)}
+        want = read_instances_rows(io.StringIO(text), id_index=index)
+        if data.draw(st.booleans()):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "scores.csv")
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                got = read_instances_csv(path, id_index=index)
+        else:
+            got = read_instances_csv(io.StringIO(text), id_index=index)
+        for name in ("u", "v", "distance"):
+            assert getattr(got, name).dtype == np.int64
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        if want.label is None:
+            assert got.label is None
+        else:
+            assert got.label.dtype == bool
+            assert np.array_equal(got.label, want.label)
+        assert list(got.scores) == list(want.scores)
+        for name in want.scores:
+            assert np.array_equal(score_bits(got.scores[name]),
+                                  score_bits(want.scores[name]))
+
+    def test_underscore_digits_are_rejected(self):
+        # Python's int() and float() read "1_0" as 10; the typed reader,
+        # like the writer, knows only plain digits.
+        for row, col, value in (("1_0,2,2,1,0.5", "u", 10),
+                                ("1,2,2,1,1_0.5", "score", 10.5)):
+            text = HEADER + "0,1,2,0,0.5\n" + row + "\n"
+            back = read_instances_rows(io.StringIO(text))
+            assert (back.u if col == "u" else back.scores["score"])[1] == value
+            with pytest.raises(IngestError) as exc:
+                read_instances_csv(io.StringIO(text))
+            assert exc.value.line == 3
+
+    @pytest.mark.parametrize("body, line", [
+        ("99999999999999999999,2,2,1,0.5\n", 2),        # id outside int64
+        ("0,1,2,1,0.5\n0,2,far,0,0.5\n", 3),            # bad distance token
+        ("0,1,2,1,0.5\n0,2,99999999999999999999,0,0.5\n", 3),
+        ("0,1,2,1,0.5\n\n\n0,2,2,0\n", 5),              # too few fields
+        ("0,1,2,1,0.5\r\n0,2,2,0,0.5,1\r\n", 3),        # too many fields
+        ("0,1,2,1,0.5\r\n\r\n0,2,2,0,high\r\n", 4),    # unparseable score
+        ("0,1,2,yes,0.5\n", 2),                         # unparseable label
+        ("0,1,2,1,0.5\n0,2,2,,0.5\n", 3),               # partly empty labels
+        ("0,1,2,,0.5\n\n0,2,2,1,0.5\n", 2),
+    ])
+    def test_malformed_row_names_its_line(self, body, line):
+        with pytest.raises(IngestError) as exc:
+            read_instances_csv(io.StringIO(HEADER + body))
+        assert exc.value.line == line
+
+    def test_unknown_id_names_its_line(self):
+        # The first record spans lines 2 and 3.
+        text = HEADER + '"a\nb",c,2,1,0.5\n"a\nb",zz,2,0,0.5\n'
+        with pytest.raises(IngestError) as exc:
+            read_instances_csv(io.StringIO(text), id_index={"a\nb": 0, "c": 1})
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("rows", [1, 5000])
+    def test_bytes_that_are_not_utf8(self, tmp_path, rows):
+        # The first chunk decoded holds the header and, in a short file,
+        # the bad byte too; in a long one loadtxt meets it.
+        path = tmp_path / "scores.csv"
+        path.write_bytes((HEADER + "0,1,2,1,0.5\n" * rows).encode()
+                         + b"0,2,2,0,\xff\n")
+        with pytest.raises(IngestError, match="utf-8"):
+            read_instances_csv(str(path))
+
+    def test_stream_that_cannot_seek(self):
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+        back = read_instances_csv(Pipe(HEADER + "0,1,2,1,0.5\n"))
+        assert back.label.tolist() == [True]
+        with pytest.raises(IngestError) as exc:
+            read_instances_csv(Pipe(HEADER + "0,1,2,1,0.5\n0,2,far,0,0.5\n"))
+        assert exc.value.line == 3
+
+    def test_empty_body_and_unlabeled_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = read_instances_csv(io.StringIO(HEADER))
+            unlabeled = read_instances_csv(io.StringIO(HEADER + "0,1,2,,0.5\n"))
+        assert len(empty) == 0 and empty.label is None
+        assert empty.scores["score"].shape == (0,)
+        assert unlabeled.label is None and unlabeled.u.tolist() == [0]
 
     def test_negative_zero_keeps_its_sign(self):
         inst = InstanceSet([0, 0], [2, 3], [2, 2], None,
