@@ -12,14 +12,15 @@ from .errors import (ConfigError, DataCorruptionError, IngestError,
                      UnknownNodeError)
 from .experiments import (SamplingSpec, SurrogateParams, TemporalSliceSpec,
                           analytic_sampling_variance, estimate_classifiable,
-                          filtered_negative_eval, per_distance_eval, sample_fair,
-                          sample_kaggle, surrogate_grid, surrogate_simulation,
-                          temporal_eval, variance_experiment)
+                          filtered_negative_eval, kaggle_compare,
+                          per_distance_eval, sample_fair, sample_kaggle,
+                          surrogate_grid, surrogate_simulation, temporal_eval,
+                          variance_experiment)
 from .graphstore import (EventLog, Snapshot, WindowConfig, build_snapshot,
                          ingest_events, write_snapshot_csv)
-from .metrics import (ConfusionCounts, Ranking, ThresholdCurve, aupr, auroc,
-                      average_precision, confusion_at, pr_curve, rates,
-                      roc_curve, score_distribution, tpr_k)
+from .metrics import (ConfusionCounts, GroupedRanking, Ranking, ThresholdCurve,
+                      aupr, auroc, average_precision, confusion_at, pr_curve,
+                      rates, roc_curve, score_distribution, tpr_k)
 from .predictors import (PredictorId, adamic_adar, aggregate_directional,
                          bfs_levels, common_neighbors, preferential_attachment,
                          propflow, propflow_accounting, propflow_all,

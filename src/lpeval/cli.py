@@ -14,20 +14,18 @@ import io
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import rng as rng_mod
 from .config import RunConfig
 from .errors import ConfigError, LpevalError
 from .experiments import (SamplingSpec, SurrogateParams, TemporalSliceSpec,
-                          filtered_negative_eval, per_distance_eval, sample_fair,
-                          sample_kaggle, surrogate_simulation, temporal_eval,
+                          filtered_negative_eval, kaggle_compare,
+                          per_distance_eval, sample_fair, sample_kaggle,
+                          surrogate_simulation, temporal_eval,
                           variance_experiment)
 from .graphstore import build_snapshot, ingest_events, write_snapshot_csv
 from .manifest import atomic_write_text, sha256_file, write_json, write_manifest
-from .metrics import (Ranking, auroc, pr_curve, roc_curve, write_curve_csv,
-                      write_curve_json)
+from .metrics import Ranking, pr_curve, roc_curve, write_curve_csv, write_curve_json
 from .predictors import score_instances
 from .render import curve_svg
 from .rng import substream
@@ -276,23 +274,10 @@ def cmd_kaggle_compare(cfg):
     rows = []
     detail = {}
     for name in sorted(sets):
-        inst = sets[name]
-        full = auroc(inst.scores[name], inst.label) if inst.n_pos and inst.n_neg \
-            else None
-        fair_vals, kaggle_vals = [], []
-        for rs in repeat_seeds:
-            spec = SamplingSpec("fair-random", cfg.kaggle_rate, int(rs))
-            f = sample_fair(inst, spec)
-            k = sample_kaggle(inst, seed=int(rs))
-            if f.n_pos and f.n_neg:
-                fair_vals.append(auroc(f.scores[name], f.label))
-            if k.n_pos and k.n_neg:
-                kaggle_vals.append(auroc(k.scores[name], k.label))
-        fair = float(np.mean(fair_vals)) if fair_vals else None
-        kag = float(np.mean(kaggle_vals)) if kaggle_vals else None
-        rows.append((name, full, fair, kag, len(fair_vals), len(kaggle_vals)))
-        detail[name] = {"full_auroc": full, "fair_mean": fair, "kaggle_mean": kag,
-                        "fair_values": fair_vals, "kaggle_values": kaggle_vals}
+        report = kaggle_compare(sets[name], name, cfg.kaggle_rate, repeat_seeds)
+        rows.append((name, report.full_auroc, report.fair_mean, report.kaggle_mean,
+                     len(report.fair_values), len(report.kaggle_values)))
+        detail[name] = report.as_dict()
     path = os.path.join(cfg.out_dir, "kaggle_compare.csv")
     _write_csv(path, ["predictor", "full_auroc", "fair_auroc", "kaggle_auroc",
                       "fair_repeats", "kaggle_repeats"], rows)

@@ -43,6 +43,13 @@ def _to_int(raw, path):
         raise ConfigError(f"expected integer, got {raw!r}", field=path) from None
 
 
+def _to_positive_int(raw, path):
+    value = _to_int(raw, path)
+    if value < 1:
+        raise ConfigError(f"must be >= 1, got {value}", field=path)
+    return value
+
+
 def _to_float(raw, path):
     try:
         return float(raw)
@@ -167,10 +174,13 @@ class RunConfig:
 
         self.variance_rates = [_to_float(tok, "variance.rates")
                                for tok in _split_list(s["variance"]["rates"])]
+        if not self.variance_rates:
+            raise ConfigError("need at least one rate", field="variance.rates")
         for p in self.variance_rates:
             if not 0 < p <= 1:
                 raise ConfigError(f"rate {p} outside (0, 1]", field="variance.rates")
-        self.variance_repeats = _to_int(s["variance"]["repeats"], "variance.repeats")
+        self.variance_repeats = _to_positive_int(s["variance"]["repeats"],
+                                                 "variance.repeats")
 
         self.surrogate_alphas = [_to_float(t, "surrogate.alphas")
                                  for t in _split_list(s["surrogate"]["alphas"])]
@@ -186,7 +196,8 @@ class RunConfig:
                                  for k, v in counts.items()}
         self.surrogate_scale = scale
 
-        self.kaggle_repeats = _to_int(s["kaggle"]["repeats"], "kaggle.repeats")
+        self.kaggle_repeats = _to_positive_int(s["kaggle"]["repeats"],
+                                               "kaggle.repeats")
         self.kaggle_rate = _to_float(s["kaggle"]["rate"], "kaggle.rate")
         if not 0 < self.kaggle_rate <= 1:
             raise ConfigError("rate must be in (0, 1]", field="kaggle.rate")
@@ -198,6 +209,8 @@ class RunConfig:
                               field="temporal.slice_mode")
 
         self.seed = _to_int(s["run"]["seed"], "run.seed")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", field="run.seed")
         self.out_dir = s["run"]["out"]
         self.svg = _to_bool(s["run"]["svg"], "run.svg")
 

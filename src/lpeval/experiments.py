@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import ConfigError, UndefinedMetricError
 from .graphstore import build_snapshot
-from .metrics import Ranking, aupr, auroc, auroc_from_counts, tie_groups
+from .metrics import GroupedRanking, Ranking, aupr, auroc, auroc_from_counts
 from .predictors import score_instances
 from .rng import substream
 from .stratify import BEYOND, geodesic_bucket_enumerate, label_instances
@@ -62,7 +62,11 @@ class SamplingSpec:
 
 def _kept_negatives(negatives, rate, rng, exact_counts):
     """The entries of ``negatives`` (one per negative row, in row order) that
-    a fair draw keeps. The draw depends only on how many there are."""
+    a fair draw keeps. The draw depends only on how many there are.
+
+    Only ``sampling.mode`` of ``evaluate`` draws rows; the sampling
+    experiments draw counts (:func:`_kept_counts`), which for the same seed
+    keep a different sample."""
     if rate == 1.0:
         return negatives
     if exact_counts:
@@ -72,9 +76,43 @@ def _kept_negatives(negatives, rate, rng, exact_counts):
     return negatives[rng.random(negatives.size) < rate]
 
 
+def _kept_counts(neg, rate, rng, exact_counts):
+    """Negatives per tie group that a fair draw keeps from ``neg``.
+
+    Keeping each negative row with probability ``rate`` keeps a binomial
+    count of each group, independently; keeping exactly round(N * rate)
+    rows without replacement keeps a multivariate hypergeometric count.
+    Both have exactly the distribution of :func:`_kept_negatives`' draw.
+    """
+    if rate == 1.0:
+        return neg
+    if exact_counts:
+        return rng.multivariate_hypergeometric(neg, int(round(neg.sum() * rate)))
+    return rng.binomial(neg, rate)
+
+
+def _balanced_counts(pos, neg, rng):
+    """Negatives per (distance bucket, tie group) that a per-distance-bucket
+    balanced draw keeps: the bucket's positive count of them, drawn without
+    replacement, or all of them if there are no more; none from a bucket
+    without positives. The distribution of :func:`sample_kaggle`'s draw."""
+    kept = np.zeros_like(neg)
+    for d, n_pos in enumerate(pos.sum(axis=1)):
+        if n_pos == 0:
+            continue
+        kept[d] = (neg[d] if neg[d].sum() <= n_pos
+                   else rng.multivariate_hypergeometric(neg[d], n_pos))
+    return kept
+
+
 def sample_fair(instances, spec):
     """Uniform random retention of negatives; the test distribution's shape
-    (class-conditional score and distance mix) is preserved in expectation."""
+    (class-conditional score and distance mix) is preserved in expectation.
+
+    This row sampler serves ``sampling.mode`` of ``evaluate``, which needs
+    rows. The sampling experiments (:func:`variance_experiment`,
+    :func:`kaggle_compare`) draw per-tie-group counts with the same
+    distribution, but for the same seed not the same sample."""
     if spec.mode != "fair-random":
         raise ConfigError("sample_fair needs mode 'fair-random'", field="sampling.mode")
     if instances.label is None:
@@ -103,6 +141,10 @@ def sample_kaggle(instances, seed=0):
     negatives' scores vary with distance: not at all in expectation if they
     do not, and downwards if, as for preferential attachment on local
     networks, close negatives score higher than far ones.
+
+    This row sampler serves ``sampling.mode`` of ``evaluate``, which needs
+    rows. :func:`kaggle_compare` draws per-tie-group counts with the same
+    distribution, but for the same seed not the same sample.
     """
     if instances.label is None:
         raise ConfigError("sampling needs labeled instances")
@@ -207,9 +249,10 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     The report carries mean/min/max/sample-variance per rate, the analytic
     variance at the estimated C, and the fitted slope of variance vs. 1/rate.
 
-    The scores are ranked once (:func:`~lpeval.metrics.tie_groups`); each
-    repeat counts its kept negatives per tie group, which gives the AUROC
-    of re-ranking the sample exactly.
+    The scores are ranked once (:class:`~lpeval.metrics.GroupedRanking`);
+    each repeat draws how many negatives it keeps of each tie group
+    (:func:`_kept_counts`), which gives the AUROC of re-ranking a fair row
+    sample exactly.
     """
     if isinstance(scores, str):
         scores = instances.scores[scores]
@@ -217,11 +260,11 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     labels = instances.label
     if labels is None:
         raise ConfigError("variance experiment needs labeled instances")
-    groups, pos = tie_groups(scores, labels)
-    neg_groups = groups[~labels]
-    full = auroc_from_counts(pos, np.bincount(neg_groups, minlength=pos.size))
+    ranking = GroupedRanking.from_rows(scores, labels, instances.distance)
+    pos, neg = ranking.pos.sum(axis=0), ranking.neg.sum(axis=0)
+    full = auroc_from_counts(pos, neg)
     c_est = estimate_classifiable(scores, labels)
-    n_neg = int(neg_groups.size)
+    n_neg = int(neg.sum())
 
     rows = []
     for ri, p in enumerate(rates):
@@ -231,12 +274,11 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
         invalid = 0
         for rep in range(repeats):
             rng = substream(seed, rng_mod.STREAM_VARIANCE, ri, rep)
-            kept = _kept_negatives(neg_groups, p, rng, exact_counts)
-            if kept.size == 0:
+            kept = _kept_counts(neg, p, rng, exact_counts)
+            if not kept.any():
                 invalid += 1
                 continue
-            vals.append(auroc_from_counts(pos, np.bincount(kept,
-                                                           minlength=pos.size)))
+            vals.append(auroc_from_counts(pos, kept))
         if vals:
             # Deviations from the first value: equal values give exactly
             # that value as the mean and exactly 0 as the variance.
@@ -256,6 +298,64 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     fitted = [(r.rate, r.variance) for r in rows if r.variance is not None]
     slope, r2 = variance_slope([f[0] for f in fitted], [f[1] for f in fitted])
     return VarianceReport(tuple(rows), repeats, seed, full, c_est, slope, r2)
+
+
+@dataclass(frozen=True)
+class KaggleCompareReport:
+    """AUROC of the full set and of each valid fair and balanced draw."""
+
+    full_auroc: float | None
+    fair_values: tuple
+    kaggle_values: tuple
+
+    @property
+    def fair_mean(self):
+        return float(np.mean(self.fair_values)) if self.fair_values else None
+
+    @property
+    def kaggle_mean(self):
+        return float(np.mean(self.kaggle_values)) if self.kaggle_values else None
+
+    def as_dict(self):
+        return {"full_auroc": self.full_auroc, "fair_mean": self.fair_mean,
+                "kaggle_mean": self.kaggle_mean,
+                "fair_values": list(self.fair_values),
+                "kaggle_values": list(self.kaggle_values)}
+
+
+def kaggle_compare(instances, scores, rate, repeat_seeds):
+    """Fair sampling at ``rate`` vs. per-distance-bucket balanced sampling.
+
+    Each repeat seed ``rs`` draws one fair sample from the
+    ``(rs, STREAM_FAIR_SAMPLE)`` substream and one balanced sample from
+    ``(rs, STREAM_KAGGLE_SAMPLE)``, both as kept negatives per tie group
+    (:func:`_kept_counts`, :func:`_balanced_counts`) over one
+    :class:`~lpeval.metrics.GroupedRanking`; a draw without a positive or a
+    negative gives no value. The draws have the distributions of
+    :func:`sample_fair` and :func:`sample_kaggle`.
+    """
+    if not 0 < rate <= 1:
+        raise ConfigError(f"rate {rate} outside (0, 1]", field="kaggle.rate")
+    if isinstance(scores, str):
+        scores = instances.scores[scores]
+    if instances.label is None:
+        raise ConfigError("sampling needs labeled instances")
+    ranking = GroupedRanking.from_rows(scores, instances.label, instances.distance)
+    pos, neg = ranking.pos.sum(axis=0), ranking.neg.sum(axis=0)
+    if not pos.any() or not neg.any():
+        return KaggleCompareReport(None, (), ())
+    fair, kaggle = [], []
+    for rs in repeat_seeds:
+        kept = _kept_counts(neg, rate, substream(int(rs), rng_mod.STREAM_FAIR_SAMPLE),
+                            False)
+        if kept.any():
+            fair.append(auroc_from_counts(pos, kept))
+        kept = _balanced_counts(ranking.pos, ranking.neg,
+                                substream(int(rs), rng_mod.STREAM_KAGGLE_SAMPLE))
+        if kept.any():
+            kaggle.append(auroc_from_counts(pos, kept.sum(axis=0)))
+    return KaggleCompareReport(auroc_from_counts(pos, neg), tuple(fair),
+                               tuple(kaggle))
 
 
 @dataclass(frozen=True)
@@ -448,30 +548,27 @@ def filtered_negative_eval(instances, scores, cuts=None):
     Positives are always retained. The default cut list is the baseline plus
     each finite distance present; sentinel-bucket negatives are never closer
     than a finite cut, so they survive every filter. The scores are ranked
-    once; each cut counts its kept negatives per tie group.
+    once (:class:`~lpeval.metrics.GroupedRanking`); each cut sums the
+    negatives of the buckets at or beyond it.
     """
     if isinstance(scores, str):
         scores = instances.scores[scores]
-    labels = instances.label
-    dist = instances.distance
-    groups, pos = tie_groups(scores, labels)
-    negative = ~labels
-    n_neg = int(negative.sum())
+    ranking = GroupedRanking.from_rows(scores, instances.label, instances.distance)
+    dist = ranking.distances
+    pos = ranking.pos.sum(axis=0)
+    n_neg = int(ranking.neg.sum())
 
-    def area(kept):
-        return auroc_from_counts(pos, np.bincount(groups[kept], minlength=pos.size))
+    def row(cut, kept):
+        kept_neg = int(kept.sum())
+        return FilteredNegativeRow(cut, n_neg - kept_neg, kept_neg,
+                                   auroc_from_counts(pos, kept)
+                                   if kept_neg and pos.any() else None)
 
     if cuts is None:
-        finite = np.unique(dist[dist < BEYOND])
+        finite = dist[dist < BEYOND]
         cuts = [int(d) for d in finite] + [int(finite.max()) + 1] if finite.size else []
-    rows = [FilteredNegativeRow(None, 0, n_neg,
-                                area(negative) if n_neg and labels.any() else None)]
-    for cut in cuts:
-        kept = negative & (dist >= cut)
-        kept_neg = int(kept.sum())
-        rows.append(FilteredNegativeRow(int(cut), n_neg - kept_neg, kept_neg,
-                                        area(kept) if kept_neg else None))
-    return rows
+    return [row(None, ranking.neg.sum(axis=0))] + \
+        [row(int(cut), ranking.neg[dist >= cut].sum(axis=0)) for cut in cuts]
 
 
 @dataclass(frozen=True)

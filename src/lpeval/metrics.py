@@ -185,6 +185,37 @@ def tie_groups(scores, labels):
     return groups, np.bincount(groups[labels], minlength=distinct.size)
 
 
+@dataclass(frozen=True, eq=False)
+class GroupedRanking:
+    """A score column ranked once into counts per (distance bucket, tie group).
+
+    ``distances`` holds the sorted distinct buckets; ``pos`` and ``neg`` are
+    int64 arrays of shape (buckets, groups), groups numbered as
+    :func:`tie_groups` numbers them, highest score first. Any draw that
+    keeps whole rows is a count table of the same shape, and its AUROC is
+    :func:`auroc_from_counts` of the column sums.
+    """
+
+    distances: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+    @classmethod
+    def from_rows(cls, scores, labels, distance):
+        groups, pos_by_group = tie_groups(scores, labels)
+        distances, bucket = np.unique(np.asarray(distance, dtype=np.int64),
+                                      return_inverse=True)
+        shape = (distances.size, pos_by_group.size)
+        cells = bucket * shape[1] + groups
+        labels = np.asarray(labels, dtype=bool)
+
+        def count(rows):
+            return np.bincount(cells[rows], minlength=shape[0] * shape[1]) \
+                .astype(np.int64).reshape(shape)
+
+        return cls(distances, count(labels), count(~labels))
+
+
 def auroc_from_counts(pos, neg):
     """AUROC from positive and negative counts per tie group, groups in
     descending score order. Empty groups add nothing."""

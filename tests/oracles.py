@@ -318,10 +318,85 @@ def fair_sample_indices(labels, rate, rng, exact_counts):
     return np.sort(np.concatenate([np.flatnonzero(labels), kept]))
 
 
+def _negatives_by_group(scores, labels, rows):
+    """The negative rows among ``rows``, in row order, listed per tie group:
+    one list per distinct score of the whole column, highest first (Python
+    equality, so -0.0 and 0.0 are one score)."""
+    distinct = sorted(set(scores.tolist()), reverse=True)
+    group = {s: g for g, s in enumerate(distinct)}
+    by_group = [[] for _ in distinct]
+    for i in rows:
+        if not labels[i]:
+            by_group[group[float(scores[i])]].append(int(i))
+    return by_group
+
+
+def _first_kept(by_group, kept):
+    """The first ``kept[g]`` rows of each group's list."""
+    return [i for rows, k in zip(by_group, kept) for i in rows[:k]]
+
+
+def count_sample_indices(scores, labels, rate, rng, exact_counts):
+    """Rows a fair per-group count draw keeps: every positive, and the first
+    kept_g negatives in row order of each tie group g. kept_g is drawn per
+    group, binomial(neg_g, rate), or multivariate hypergeometric with
+    round(N * rate) draws under ``exact_counts``; no draw at rate 1."""
+    by_group = _negatives_by_group(scores, labels, range(labels.size))
+    neg = np.array([len(rows) for rows in by_group], dtype=np.int64)
+    if rate == 1.0:
+        kept = neg
+    elif exact_counts:
+        kept = rng.multivariate_hypergeometric(neg, int(round(neg.sum() * rate)))
+    else:
+        kept = rng.binomial(neg, rate)
+    return np.sort(np.array(list(np.flatnonzero(labels)) + _first_kept(by_group, kept),
+                            dtype=np.int64))
+
+
+def balanced_count_sample_indices(scores, labels, distance, rng):
+    """Rows a per-distance-bucket balanced count draw keeps: in each bucket
+    with positives, every positive and, when the bucket holds more
+    negatives than positives, the first kept_g negatives in row order of
+    each tie group, kept drawn multivariate hypergeometric with the
+    bucket's positive count of draws; otherwise every negative."""
+    idx = []
+    for d in sorted(set(distance.tolist())):
+        rows = np.flatnonzero(distance == d)
+        n_pos = int(labels[rows].sum())
+        if n_pos == 0:
+            continue
+        by_group = _negatives_by_group(scores, labels, rows)
+        neg = np.array([len(r) for r in by_group], dtype=np.int64)
+        kept = neg if neg.sum() <= n_pos else rng.multivariate_hypergeometric(neg, n_pos)
+        idx += [int(i) for i in rows if labels[i]] + _first_kept(by_group, kept)
+    return np.sort(np.array(idx, dtype=np.int64))
+
+
+def kaggle_compare_resorted(instances, scores, rate, repeat_seeds):
+    """``kaggle_compare`` with every draw's rows ranked again:
+    ``(full AUROC, fair values, balanced values)``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = instances.label
+    two_classes = labels.any() and not labels.all()
+    fair, kaggle = [], []
+    for rs in repeat_seeds:
+        for values, idx in (
+                (fair, count_sample_indices(
+                    scores, labels, rate,
+                    substream(int(rs), rng_mod.STREAM_FAIR_SAMPLE), False)),
+                (kaggle, balanced_count_sample_indices(
+                    scores, labels, instances.distance,
+                    substream(int(rs), rng_mod.STREAM_KAGGLE_SAMPLE)))):
+            if labels[idx].any() and not labels[idx].all():
+                values.append(auroc(scores[idx], labels[idx]))
+    return (auroc(scores, labels) if two_classes else None), fair, kaggle
+
+
 def variance_report_resorted(instances, scores, rates, repeats, seed,
                              exact_counts=False):
     """``variance_experiment`` with every repeat's sample ranked again:
-    ``auroc(scores[idx], labels[idx])`` per repeat."""
+    ``auroc(scores[idx], labels[idx])`` per repeat, the rows drawn by
+    :func:`count_sample_indices` from the repeat's substream."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = instances.label
     full = auroc(scores, labels)
@@ -333,7 +408,7 @@ def variance_report_resorted(instances, scores, rates, repeats, seed,
         invalid = 0
         for rep in range(repeats):
             rng = substream(seed, rng_mod.STREAM_VARIANCE, ri, rep)
-            idx = fair_sample_indices(labels, p, rng, exact_counts)
+            idx = count_sample_indices(scores, labels, p, rng, exact_counts)
             if labels[idx].all():
                 invalid += 1
                 continue

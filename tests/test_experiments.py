@@ -3,16 +3,19 @@ import pytest
 
 from lpeval import (ConfigError, InstanceSet, PredictorId, SamplingSpec, Snapshot,
                     SurrogateParams, TemporalSliceSpec, UndefinedMetricError,
-                    WindowConfig, analytic_sampling_variance, build_snapshot,
-                    estimate_classifiable, filtered_negative_eval,
-                    generate_test_set, per_distance_eval, sample_fair,
-                    sample_kaggle, score_instances, surrogate_simulation,
-                    synthetic_event_log, temporal_eval, variance_experiment)
+                    WindowConfig, analytic_sampling_variance, auroc,
+                    build_snapshot, estimate_classifiable,
+                    filtered_negative_eval, generate_test_set, kaggle_compare,
+                    per_distance_eval, sample_fair, sample_kaggle,
+                    score_instances, surrogate_simulation, synthetic_event_log,
+                    temporal_eval, variance_experiment)
 from lpeval import BEYOND, DISCONNECTED
-from lpeval.experiments import slice_intervals, variance_slope
+from lpeval.experiments import (_balanced_counts, _kept_counts, slice_intervals,
+                                variance_slope)
 
-from oracles import (auroc_pair_count, bucket_mixture_auroc,
-                     filtered_rows_resorted, variance_report_resorted)
+from oracles import (auroc_pair_count, bucket_mixture_auroc, fair_sample_indices,
+                     filtered_rows_resorted, kaggle_compare_resorted,
+                     variance_report_resorted)
 
 
 def make_instances(rng, n_pos, n_neg, distances=(2, 3, 4)):
@@ -227,6 +230,19 @@ class TestTieGroupCounts:
             assert filtered_negative_eval(inst, scores, cuts) == \
                 filtered_rows_resorted(inst, scores, cuts)
 
+    def test_kaggle_compare_matches_resorting_oracle(self):
+        for seed in range(6):
+            inst, scores = tie_heavy_instances(seed)
+            for rate in (0.01, 0.3, 1.0):
+                seeds = range(100 * seed, 100 * seed + 8)
+                got = kaggle_compare(inst, scores, rate, seeds)
+                full, fair, kaggle = kaggle_compare_resorted(inst, scores, rate,
+                                                             seeds)
+                assert got.full_auroc == full
+                assert list(got.fair_values) == fair
+                assert list(got.kaggle_values) == kaggle
+                assert len(kaggle) == 8
+
     def test_nan_scores_are_a_config_error(self):
         inst, scores = tie_heavy_instances(0)
         scores[5] = np.nan
@@ -234,6 +250,90 @@ class TestTieGroupCounts:
             variance_experiment(inst, scores, rates=[0.5], repeats=2)
         with pytest.raises(ConfigError):
             filtered_negative_eval(inst, scores)
+        with pytest.raises(ConfigError):
+            kaggle_compare(inst, scores, 0.5, [1])
+
+
+def distance_tied_instances(seed, n=400):
+    """About ten integer scores (0 written as -0.0) that fall with distance
+    and rise with the label; positives are commonest at distance 2, so a
+    balanced draw that ignored distance would move the mean AUROC."""
+    rng = np.random.default_rng(seed)
+    bucket = rng.integers(0, 5, n)
+    dist = np.array([2, 3, 4, BEYOND, DISCONNECTED])[bucket]
+    label = rng.random(n) < np.array([0.3, 0.15, 0.08, 0.05, 0.03])[bucket]
+    label[:2] = [True, False]
+    scores = np.round(1.5 * label - 0.8 * bucket + rng.normal(size=n))
+    scores[scores == 0] = -0.0
+    return InstanceSet(np.arange(n), np.arange(n) + n, dist, label), scores
+
+
+class TestCountDraws:
+    """The experiments draw kept negatives per tie group; each draw must
+    have the distribution of the per-row draw it replaces."""
+
+    REPEATS = 2000
+
+    def assert_same_distribution(self, mean, var, n, rows):
+        rows = np.asarray(rows)
+        assert min(n, rows.size) >= 0.95 * self.REPEATS
+        se = np.sqrt(var / n + rows.var(ddof=1) / rows.size)
+        assert abs(mean - rows.mean()) <= 4 * se
+        # The variance ratio of two samples of 2,000 near-normal draws has a
+        # standard error of about sqrt(2/2000 + 2/2000) = 0.045, so the band
+        # 0.8-1.25 is about five standard errors either way.
+        assert 0.8 <= var / rows.var(ddof=1) <= 1.25
+
+    @pytest.mark.filterwarnings("ignore:N\\*p")
+    @pytest.mark.parametrize("exact_counts", [False, True])
+    def test_fair_counts_match_row_draws(self, exact_counts):
+        inst, scores = distance_tied_instances(0)
+        labels = inst.label
+        row = variance_experiment(inst, scores, rates=[0.3], repeats=self.REPEATS,
+                                  seed=11, exact_counts=exact_counts).rows[0]
+        rows = []
+        for rep in range(self.REPEATS):
+            idx = fair_sample_indices(labels, 0.3, np.random.default_rng([17, rep]),
+                                      exact_counts)
+            rows.append(auroc(scores[idx], labels[idx]))
+        self.assert_same_distribution(row.mean, row.variance, row.n_valid, rows)
+
+    def test_balanced_counts_match_row_draws(self):
+        inst, scores = distance_tied_instances(0)
+        inst.scores["s"] = scores
+        counted = kaggle_compare(inst, scores, 0.3, range(self.REPEATS)).kaggle_values
+        rows = []
+        for s in range(self.REPEATS, 2 * self.REPEATS):
+            k = sample_kaggle(inst, seed=s)
+            rows.append(auroc(k.scores["s"], k.label))
+        self.assert_same_distribution(np.mean(counted), np.var(counted, ddof=1),
+                                      len(counted), rows)
+
+    def test_count_draw_invariants(self):
+        gen = np.random.default_rng(23)
+        for _ in range(200):
+            neg = gen.integers(0, 6, size=int(gen.integers(1, 9)))
+            neg[gen.random(neg.size) < 0.3] = 0
+            rate = float(gen.choice([1e-3, 0.1, 0.5, 0.77, 1.0]))
+            rng = np.random.default_rng(int(gen.integers(1 << 30)))
+            for exact in (False, True):
+                kept = _kept_counts(neg, rate, rng, exact)
+                assert np.all((0 <= kept) & (kept <= neg))
+                if exact or rate == 1.0:
+                    assert kept.sum() == round(neg.sum() * rate)
+            state = rng.bit_generator.state
+            assert _kept_counts(neg, 1.0, rng, False) is neg
+            assert _kept_counts(neg, 1.0, rng, True) is neg
+            assert rng.bit_generator.state == state  # rate 1 draws nothing
+
+            pos = gen.integers(0, 4, size=(4, neg.size))
+            pos[gen.random(4) < 0.3] = 0
+            table = gen.integers(0, 5, size=(4, neg.size))
+            kept = _balanced_counts(pos, table, rng)
+            assert np.all((0 <= kept) & (kept <= table))
+            assert kept.sum(axis=1).tolist() == [
+                min(p, n) if p else 0
+                for p, n in zip(pos.sum(axis=1), table.sum(axis=1))]
 
 
 class TestSurrogate:

@@ -6,7 +6,7 @@ import pytest
 from lpeval import (ConfigError, ConfusionCounts, Ranking, UndefinedMetricError,
                     aupr, auroc, average_precision, confusion_at, pr_curve,
                     rates, roc_curve, score_distribution, tpr_k)
-from lpeval.metrics import auroc_from_counts, tie_groups
+from lpeval.metrics import GroupedRanking, auroc_from_counts, tie_groups
 
 from oracles import (aupr_oracle, auroc_pair_count, confusion_by_counting,
                      random_ranking)
@@ -196,6 +196,26 @@ class TestRocCurve:
             tie_groups([0.5, np.nan], [True, False])
         with pytest.raises(ConfigError):
             tie_groups([0.5, 0.2], [True])
+
+    def test_grouped_ranking_counts_rows(self, rng):
+        for _ in range(20):
+            scores, labels = random_ranking(rng, max_size=200)
+            scores = np.where(scores == 0.0, rng.choice([-0.0, 0.0], scores.size),
+                              scores)
+            distance = rng.choice([2, 3, 7, 1_000_000_000], size=scores.size)
+            table = GroupedRanking.from_rows(scores, labels, distance)
+            assert table.distances.tolist() == sorted(set(distance.tolist()))
+            distinct = sorted(set(scores.tolist()), reverse=True)
+            want = np.zeros((2,) + table.pos.shape, dtype=np.int64)
+            for s, d, lab in zip(scores.tolist(), distance.tolist(), labels):
+                want[int(not lab), table.distances.tolist().index(d),
+                     distinct.index(s)] += 1
+            assert table.pos.dtype == table.neg.dtype == np.int64
+            assert np.array_equal(table.pos, want[0])
+            assert np.array_equal(table.neg, want[1])
+            assert auroc_from_counts(table.pos.sum(axis=0),
+                                     table.neg.sum(axis=0)) == \
+                auroc_pair_count(scores, labels)
 
     def test_monotone_curve_invariants(self, rng):
         for _ in range(20):
