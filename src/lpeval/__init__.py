@@ -18,9 +18,9 @@ from .experiments import (SamplingSpec, SurrogateParams, TemporalSliceSpec,
                           variance_experiment)
 from .graphstore import (EventLog, Snapshot, WindowConfig, build_snapshot,
                          ingest_events, write_snapshot_csv)
-from .metrics import (ConfusionCounts, GroupedRanking, Ranking, ThresholdCurve,
-                      aupr, auroc, average_precision, confusion_at, pr_curve,
-                      rates, roc_curve, score_distribution, tpr_k)
+from .metrics import (ConfusionCounts, Ranking, ThresholdCurve, aupr, auroc,
+                      average_precision, confusion_at, pr_curve, rates,
+                      roc_curve, score_distribution, tpr_k)
 from .predictors import (PredictorId, adamic_adar, aggregate_directional,
                          bfs_levels, common_neighbors, preferential_attachment,
                          propflow, propflow_accounting, propflow_all,

@@ -18,11 +18,10 @@ from . import __version__
 from . import rng as rng_mod
 from .config import RunConfig
 from .errors import ConfigError, LpevalError
-from .experiments import (SamplingSpec, SurrogateParams, TemporalSliceSpec,
+from .experiments import (SamplingSpec, TemporalSliceSpec,
                           filtered_negative_eval, kaggle_compare,
                           per_distance_eval, sample_fair, sample_kaggle,
-                          surrogate_simulation, temporal_eval,
-                          variance_experiment)
+                          surrogate_grid, temporal_eval, variance_experiment)
 from .graphstore import build_snapshot, ingest_events, write_snapshot_csv
 from .manifest import atomic_write_text, sha256_file, write_json, write_manifest
 from .metrics import Ranking, pr_curve, roc_curve, write_curve_csv, write_curve_json
@@ -31,8 +30,6 @@ from .render import curve_svg
 from .rng import substream
 from .stratify import (distance_str, generate_test_set, new_link_distance_distribution,
                        read_instances_csv, write_instances_csv)
-
-
 
 
 def _fmt(value):
@@ -47,6 +44,14 @@ def _write_csv(path, header, rows):
     text = ",".join(header) + "\n"
     text += "".join(",".join(_fmt(c) for c in row) + "\n" for row in rows)
     atomic_write_text(path, text)
+
+
+def _write_artifact(path, write):
+    """Render an artifact with ``write(buffer)`` and write it atomically."""
+    buf = io.StringIO()
+    write(buf)
+    atomic_write_text(path, buf.getvalue())
+    return path
 
 
 def _load_log(cfg):
@@ -77,7 +82,10 @@ def _scored_instance_sets(cfg):
     the same pipeline).
     """
     if cfg.scores_path:
-        inst = read_instances_csv(cfg.scores_path)
+        try:
+            inst = read_instances_csv(cfg.scores_path)
+        except OSError as exc:
+            raise LpevalError(f"cannot read score file: {exc}") from None
         if inst.label is None:
             raise LpevalError("external score file has no labels")
         if not inst.scores:
@@ -121,10 +129,8 @@ def cmd_snapshot(cfg):
         snap = build_snapshot(log, getattr(cfg.windows, name),
                               weight_rule=cfg.weight_rule)
         path = os.path.join(cfg.out_dir, f"snapshot_{name}.csv")
-        buf = io.StringIO()
-        write_snapshot_csv(snap, buf)
-        atomic_write_text(path, buf.getvalue())
-        artifacts.append(path)
+        artifacts.append(_write_artifact(
+            path, lambda fh: write_snapshot_csv(snap, fh)))
         stats[name] = {"interval": list(snap.interval), "nodes": snap.n_nodes,
                        "edges": snap.n_edges, "density": snap.density(),
                        "total_weight": snap.total_weight}
@@ -142,12 +148,9 @@ def cmd_score(cfg):
     artifacts = []
     labels = feature.id_labels if feature is not None else None
     for name in sorted(sets):
-        inst = sets[name]
         path = os.path.join(cfg.out_dir, f"scores_{name}.csv")
-        buf = io.StringIO()
-        write_instances_csv(buf, inst, id_labels=labels, score_keys=[name])
-        atomic_write_text(path, buf.getvalue())
-        artifacts.append(path)
+        artifacts.append(_write_artifact(path, lambda fh: write_instances_csv(
+            fh, sets[name], id_labels=labels, score_keys=[name])))
     return _finish(cfg, "score", artifacts, digest)
 
 
@@ -162,10 +165,8 @@ def cmd_evaluate(cfg):
         inst = _apply_sampling(cfg, sets[name])
         scores = inst.scores[name]
         path = os.path.join(cfg.out_dir, f"instances_{name}.csv")
-        buf = io.StringIO()
-        write_instances_csv(buf, inst, id_labels=labels, score_keys=[name])
-        atomic_write_text(path, buf.getvalue())
-        artifacts.append(path)
+        artifacts.append(_write_artifact(path, lambda fh: write_instances_csv(
+            fh, inst, id_labels=labels, score_keys=[name])))
 
         entry = {"n_pos": inst.n_pos, "n_neg": inst.n_neg,
                  "sampling_mode": cfg.sampling_mode,
@@ -177,20 +178,14 @@ def cmd_evaluate(cfg):
             for curve, tag in ((roc_curve(rank), "roc"), (pr_curve(rank), "pr")):
                 entry["tie_policy"] = curve.tie_policy
                 entry["auroc" if tag == "roc" else "aupr"] = curve.area
-                cpath = os.path.join(cfg.out_dir, f"{tag}_{name}.csv")
-                buf = io.StringIO()
-                write_curve_csv(curve, buf)
-                atomic_write_text(cpath, buf.getvalue())
-                artifacts.append(cpath)
-                jpath = os.path.join(cfg.out_dir, f"{tag}_{name}.json")
-                buf = io.StringIO()
-                write_curve_json(curve, buf)
-                atomic_write_text(jpath, buf.getvalue())
-                artifacts.append(jpath)
+                base = os.path.join(cfg.out_dir, f"{tag}_{name}")
+                artifacts.append(_write_artifact(
+                    base + ".csv", lambda fh: write_curve_csv(curve, fh)))
+                artifacts.append(_write_artifact(
+                    base + ".json", lambda fh: write_curve_json(curve, fh)))
                 if cfg.svg:
-                    spath = os.path.join(cfg.out_dir, f"{tag}_{name}.svg")
-                    atomic_write_text(spath, curve_svg(curve))
-                    artifacts.append(spath)
+                    atomic_write_text(base + ".svg", curve_svg(curve))
+                    artifacts.append(base + ".svg")
         rows = per_distance_eval(inst, scores)
         dpath = os.path.join(cfg.out_dir, f"per_distance_{name}.csv")
         _write_csv(dpath, ["distance", "n_pos", "n_neg", "auroc", "aupr",
@@ -242,14 +237,9 @@ def cmd_variance(cfg):
 def cmd_surrogate(cfg):
     """Sigma-separation grid of the sub-problem vs. full-problem simulation."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    counts = cfg.surrogate_counts
-    cells = []
-    for alpha in cfg.surrogate_alphas:
-        for beta in cfg.surrogate_betas:
-            params = SurrogateParams(counts["p_sub"], counts["n_sub"],
-                                     counts["p_full"], counts["n_full"],
-                                     alpha, beta, cfg.surrogate_trials)
-            cells.append(surrogate_simulation(params, seed=cfg.seed))
+    cells = surrogate_grid(cfg.surrogate_alphas, cfg.surrogate_betas,
+                           **cfg.surrogate_counts, trials=cfg.surrogate_trials,
+                           seed=cfg.seed)
     grid_path = os.path.join(cfg.out_dir, "surrogate_grid.csv")
     header = ["alpha"] + [f"beta={b:g}" for b in cfg.surrogate_betas]
     rows = []

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import ConfigError, UndefinedMetricError
 from .graphstore import build_snapshot
-from .metrics import GroupedRanking, Ranking, aupr, auroc, auroc_from_counts
+from .metrics import Ranking, aupr, auroc, auroc_from_counts
 from .predictors import score_instances
 from .rng import substream
 from .stratify import BEYOND, geodesic_bucket_enumerate, label_instances
@@ -249,8 +249,8 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     The report carries mean/min/max/sample-variance per rate, the analytic
     variance at the estimated C, and the fitted slope of variance vs. 1/rate.
 
-    The scores are ranked once (:class:`~lpeval.metrics.GroupedRanking`);
-    each repeat draws how many negatives it keeps of each tie group
+    The scores are ranked once (:class:`~lpeval.metrics.Ranking`); each
+    repeat draws how many negatives it keeps of each tie group
     (:func:`_kept_counts`), which gives the AUROC of re-ranking a fair row
     sample exactly.
     """
@@ -260,7 +260,7 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     labels = instances.label
     if labels is None:
         raise ConfigError("variance experiment needs labeled instances")
-    ranking = GroupedRanking.from_rows(scores, labels, instances.distance)
+    ranking = Ranking(scores, labels, instances.distance)
     pos, neg = ranking.pos.sum(axis=0), ranking.neg.sum(axis=0)
     full = auroc_from_counts(pos, neg)
     c_est = estimate_classifiable(scores, labels)
@@ -330,7 +330,7 @@ def kaggle_compare(instances, scores, rate, repeat_seeds):
     ``(rs, STREAM_FAIR_SAMPLE)`` substream and one balanced sample from
     ``(rs, STREAM_KAGGLE_SAMPLE)``, both as kept negatives per tie group
     (:func:`_kept_counts`, :func:`_balanced_counts`) over one
-    :class:`~lpeval.metrics.GroupedRanking`; a draw without a positive or a
+    :class:`~lpeval.metrics.Ranking`; a draw without a positive or a
     negative gives no value. The draws have the distributions of
     :func:`sample_fair` and :func:`sample_kaggle`.
     """
@@ -340,7 +340,9 @@ def kaggle_compare(instances, scores, rate, repeat_seeds):
         scores = instances.scores[scores]
     if instances.label is None:
         raise ConfigError("sampling needs labeled instances")
-    ranking = GroupedRanking.from_rows(scores, instances.label, instances.distance)
+    if not instances.label.size:
+        return KaggleCompareReport(None, (), ())
+    ranking = Ranking(scores, instances.label, instances.distance)
     pos, neg = ranking.pos.sum(axis=0), ranking.neg.sum(axis=0)
     if not pos.any() or not neg.any():
         return KaggleCompareReport(None, (), ())
@@ -548,12 +550,15 @@ def filtered_negative_eval(instances, scores, cuts=None):
     Positives are always retained. The default cut list is the baseline plus
     each finite distance present; sentinel-bucket negatives are never closer
     than a finite cut, so they survive every filter. The scores are ranked
-    once (:class:`~lpeval.metrics.GroupedRanking`); each cut sums the
-    negatives of the buckets at or beyond it.
+    once (:class:`~lpeval.metrics.Ranking`); each cut sums the negatives
+    of the buckets at or beyond it.
     """
     if isinstance(scores, str):
         scores = instances.scores[scores]
-    ranking = GroupedRanking.from_rows(scores, instances.label, instances.distance)
+    if not instances.label.size:
+        return [FilteredNegativeRow(cut, 0, 0, None)
+                for cut in [None] + [int(c) for c in cuts or ()]]
+    ranking = Ranking(scores, instances.label, instances.distance)
     dist = ranking.distances
     pos = ranking.pos.sum(axis=0)
     n_neg = int(ranking.neg.sum())
@@ -586,31 +591,23 @@ def per_distance_eval(instances, scores):
 
     Buckets lacking a positive or a negative are flagged insufficient rather
     than reported with undefined areas. The overall row pools every
-    instance, sentinel buckets included.
+    instance, sentinel buckets included. The scores are ranked once; each
+    bucket's row reads :meth:`~lpeval.metrics.Ranking.bucket`.
     """
     if isinstance(scores, str):
         scores = instances.scores[scores]
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = instances.label
-    rows = []
-    for d in np.unique(instances.distance):
-        mask = instances.distance == d
-        n_pos = int(labels[mask].sum())
-        n_neg = int(mask.sum()) - n_pos
-        if n_pos and n_neg:
-            rank = Ranking(scores[mask], labels[mask])
-            rows.append(DistanceRow(int(d), n_pos, n_neg, auroc(rank),
-                                    aupr(rank), True))
-        else:
-            rows.append(DistanceRow(int(d), n_pos, n_neg, None, None, False))
-    n_pos = int(labels.sum())
-    n_neg = int(labels.size) - n_pos
-    if n_pos and n_neg:
-        rank = Ranking(scores, labels)
-        rows.append(DistanceRow(None, n_pos, n_neg, auroc(rank), aupr(rank), True))
-    else:
-        rows.append(DistanceRow(None, n_pos, n_neg, None, None, False))
-    return rows
+    if not instances.label.size:
+        return [DistanceRow(None, 0, 0, None, None, False)]
+    rank = Ranking(scores, instances.label, instances.distance)
+    return [_distance_row(int(d), rank.bucket(i))
+            for i, d in enumerate(rank.distances)] + [_distance_row(None, rank)]
+
+
+def _distance_row(distance, rank):
+    if rank.n_pos and rank.n_neg:
+        return DistanceRow(distance, rank.n_pos, rank.n_neg, auroc(rank),
+                           aupr(rank), True)
+    return DistanceRow(distance, rank.n_pos, rank.n_neg, None, None, False)
 
 
 @dataclass(frozen=True)

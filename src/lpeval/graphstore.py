@@ -425,7 +425,7 @@ def csv_field(value):
     return text
 
 
-def write_snapshot_csv(snapshot, path_or_file):
+def write_snapshot_csv(snapshot, fh):
     """Export edges as ``u,v,weight`` rows, u < v in interned order, rows
     sorted lexicographically by label. Ids are quoted where CSV needs it
     (:func:`csv_field`). Bit-exact for identical inputs."""
@@ -436,10 +436,5 @@ def write_snapshot_csv(snapshot, path_or_file):
     field = {i: csv_field(x) for i, x in label.items()}
     rows = sorted((label[a], label[b], a, b, repr(x))
                   for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()))
-    text = "u,v,weight\n" + "".join(f"{field[a]},{field[b]},{x}\n"
-                                     for _, _, a, b, x in rows)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    fh.write("u,v,weight\n" + "".join(f"{field[a]},{field[b]},{x}\n"
+                                       for _, _, a, b, x in rows))

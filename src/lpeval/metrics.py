@@ -28,33 +28,72 @@ RATE_NAMES = ("sensitivity", "specificity", "precision", "recall", "fallout",
               "accuracy")
 
 
-class Ranking:
-    """Scored labeled instances sorted by score descending.
+def _rank_rows(scores, labels):
+    """Validated labels, each row's tie group and each group's score.
 
-    ``bounds`` holds the rank cuts at tie-group boundaries (0, ..., n);
-    ``tp``/``fp`` the cumulative positive/negative counts at those cuts.
+    One ``np.unique`` numbers the groups from the highest score down;
+    ``-0.0`` and ``0.0`` share a group.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    if scores.shape != labels.shape:
+        raise ConfigError("scores and labels must have equal length")
+    if np.any(np.isnan(scores)):
+        raise ConfigError("NaN scores are forbidden")
+    negated, groups = np.unique(-scores, return_inverse=True)
+    return labels, groups, -negated
+
+
+class Ranking:
+    """Scored labeled instances ranked once into tie-group counts.
+
+    ``scores`` holds one score per tie group, highest first. ``pos`` and
+    ``neg`` are int64 arrays of shape (buckets, groups): the positives and
+    negatives of each (distance bucket, tie group), buckets the sorted
+    distinct ``distances``, or one bucket and ``distances`` None without
+    ``distance``. Any draw that keeps whole rows is a count table of the
+    same shape. ``bounds`` holds the rank cuts at tie-group boundaries
+    (0, ..., n); ``tp``/``fp`` the cumulative positive/negative counts at
+    those cuts.
     """
 
-    def __init__(self, scores, labels):
-        scores = np.asarray(scores, dtype=np.float64)
-        labels = np.asarray(labels, dtype=bool)
-        if scores.size == 0:
+    def __init__(self, scores, labels, distance=None):
+        if np.size(scores) == 0:
             raise UndefinedMetricError("empty ranking")
-        if scores.shape != labels.shape:
-            raise ConfigError("scores and labels must have equal length")
-        if np.any(np.isnan(scores)):
-            raise ConfigError("NaN scores are forbidden")
-        order = np.argsort(-scores, kind="stable")
-        self.scores = scores[order]
-        self.labels = labels[order]
-        change = np.flatnonzero(self.scores[1:] != self.scores[:-1]) + 1
-        self.bounds = np.concatenate([[0], change, [scores.size]]).astype(np.int64)
-        ctp = np.cumsum(self.labels.astype(np.int64))
-        self.tp = np.concatenate([[0], ctp[self.bounds[1:] - 1]]).astype(np.int64)
-        self.fp = self.bounds - self.tp
+        labels, groups, group_scores = _rank_rows(scores, labels)
+        if distance is None:
+            distances, cells, buckets = None, groups, 1
+        else:
+            distances, bucket = np.unique(np.asarray(distance, dtype=np.int64),
+                                          return_inverse=True)
+            cells, buckets = bucket * group_scores.size + groups, distances.size
+        shape = (buckets, group_scores.size)
+
+        def count(rows):
+            return np.bincount(cells[rows], minlength=shape[0] * shape[1]) \
+                .astype(np.int64, copy=False).reshape(shape)
+
+        self._set(group_scores, distances, count(labels), count(~labels))
+
+    def _set(self, scores, distances, pos, neg):
+        self.scores, self.distances, self.pos, self.neg = scores, distances, pos, neg
+        zero = np.zeros(1, dtype=np.int64)
+        self.tp = np.concatenate([zero, np.cumsum(pos.sum(axis=0))])
+        self.fp = np.concatenate([zero, np.cumsum(neg.sum(axis=0))])
+        self.bounds = self.tp + self.fp
+
+    def bucket(self, i):
+        """The ranking of bucket ``i`` alone, its empty tie groups dropped."""
+        pos, neg = self.pos[i:i + 1], self.neg[i:i + 1]
+        keep = pos[0] + neg[0] > 0
+        rank = object.__new__(Ranking)
+        rank._set(self.scores[keep],
+                  None if self.distances is None else self.distances[i:i + 1],
+                  pos[:, keep], neg[:, keep])
+        return rank
 
     def __len__(self):
-        return int(self.scores.size)
+        return int(self.bounds[-1])
 
     @property
     def n_pos(self):
@@ -63,10 +102,6 @@ class Ranking:
     @property
     def n_neg(self):
         return int(self.fp[-1])
-
-    def threshold_scores(self):
-        """Score at the top of each tie group, one per non-origin boundary."""
-        return self.scores[self.bounds[:-1]]
 
 
 @dataclass(frozen=True)
@@ -175,45 +210,8 @@ def tie_groups(scores, labels):
     without sorting the subset again. ``-0.0`` and ``0.0`` share a group.
     Returns ``(group of each row, positive count of each group)``.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    if scores.shape != labels.shape:
-        raise ConfigError("scores and labels must have equal length")
-    if np.any(np.isnan(scores)):
-        raise ConfigError("NaN scores are forbidden")
-    distinct, groups = np.unique(-scores, return_inverse=True)
-    return groups, np.bincount(groups[labels], minlength=distinct.size)
-
-
-@dataclass(frozen=True, eq=False)
-class GroupedRanking:
-    """A score column ranked once into counts per (distance bucket, tie group).
-
-    ``distances`` holds the sorted distinct buckets; ``pos`` and ``neg`` are
-    int64 arrays of shape (buckets, groups), groups numbered as
-    :func:`tie_groups` numbers them, highest score first. Any draw that
-    keeps whole rows is a count table of the same shape, and its AUROC is
-    :func:`auroc_from_counts` of the column sums.
-    """
-
-    distances: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
-
-    @classmethod
-    def from_rows(cls, scores, labels, distance):
-        groups, pos_by_group = tie_groups(scores, labels)
-        distances, bucket = np.unique(np.asarray(distance, dtype=np.int64),
-                                      return_inverse=True)
-        shape = (distances.size, pos_by_group.size)
-        cells = bucket * shape[1] + groups
-        labels = np.asarray(labels, dtype=bool)
-
-        def count(rows):
-            return np.bincount(cells[rows], minlength=shape[0] * shape[1]) \
-                .astype(np.int64).reshape(shape)
-
-        return cls(distances, count(labels), count(~labels))
+    labels, groups, group_scores = _rank_rows(scores, labels)
+    return groups, np.bincount(groups[labels], minlength=group_scores.size)
 
 
 def auroc_from_counts(pos, neg):
@@ -369,20 +367,10 @@ def score_distribution(scores, bins=100):
     return ScoreDistribution(edges, counts, srt)
 
 
-def write_curve_csv(curve, path_or_file):
-    text = "x,y\n" + "".join(f"{repr(float(x))},{repr(float(y))}\n"
-                             for x, y in curve.points)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def write_curve_csv(curve, fh):
+    fh.write("x,y\n" + "".join(f"{repr(float(x))},{repr(float(y))}\n"
+                               for x, y in curve.points))
 
 
-def write_curve_json(curve, path_or_file):
-    text = json.dumps(curve.summary(), sort_keys=True, indent=2) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def write_curve_json(curve, fh):
+    fh.write(json.dumps(curve.summary(), sort_keys=True, indent=2) + "\n")

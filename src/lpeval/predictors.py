@@ -401,15 +401,16 @@ def propflow_all(s, source, l_max):
 def aggregate_directional(forward, reverse, policy):
     """Resolve the two orderings of a directional score to one ranking entry.
 
-    ``mean``/``max``/``min`` return a single score; ``list-both`` returns the
+    Scores are scalars or arrays, resolved elementwise. ``mean``/``max``/``min``
+    return a single score; ``list-both`` returns the
     (forward, reverse) pair so each ordering ranks separately.
     """
     if policy == "mean":
         return (forward + reverse) / 2.0
     if policy == "max":
-        return max(forward, reverse)
+        return np.maximum(forward, reverse)
     if policy == "min":
-        return min(forward, reverse)
+        return np.minimum(forward, reverse)
     if policy == "list-both":
         return (forward, reverse)
     raise ConfigError(f"unknown direction policy {policy!r}", field="policy")
@@ -461,13 +462,7 @@ def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False):
         scores[0::2] = fwd
         scores[1::2] = rev
         return index, scores
-    if policy == "mean":
-        scores = (fwd + rev) / 2.0
-    elif policy == "max":
-        scores = np.maximum(fwd, rev)
-    else:
-        scores = np.minimum(fwd, rev)
-    return np.arange(n, dtype=np.int64), scores
+    return np.arange(n, dtype=np.int64), aggregate_directional(fwd, rev, policy)
 
 
 def score_instances(s, instances, predictor, policy="mean", query_mode=False):

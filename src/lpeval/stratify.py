@@ -239,7 +239,7 @@ def _column(values, fmt, key=None):
     return np.array([fmt(x) for x in values[first].tolist()], dtype=object), index
 
 
-def write_instances_csv(path_or_file, instances, id_labels=None, score_keys=None):
+def write_instances_csv(fh, instances, id_labels=None, score_keys=None):
     """Write ``u,v,distance,label[,score...]`` rows.
 
     Distance uses the bucket names for sentinels; the label column is empty
@@ -271,11 +271,7 @@ def write_instances_csv(path_or_file, instances, id_labels=None, score_keys=None
             cells = [c[i[lo:lo + _CHUNK_ROWS]].tolist() for c, i in columns]
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
-    if hasattr(path_or_file, "write"):
-        path_or_file.writelines(chunks())
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks())
+    fh.writelines(chunks())
 
 
 def _label_cell(text):

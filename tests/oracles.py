@@ -15,10 +15,11 @@ from scipy.sparse.csgraph import shortest_path
 
 from lpeval import rng as rng_mod
 from lpeval.errors import IngestError
-from lpeval.experiments import (FilteredNegativeRow, VarianceRateRow,
-                                VarianceReport, analytic_sampling_variance,
+from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
+                                VarianceRateRow, VarianceReport,
+                                analytic_sampling_variance,
                                 estimate_classifiable, variance_slope)
-from lpeval.metrics import auroc
+from lpeval.metrics import _pr_segment_areas, auroc, auroc_from_counts
 from lpeval.rng import substream
 from lpeval.stratify import BEYOND, DISCONNECTED, InstanceSet, parse_distance
 
@@ -191,6 +192,67 @@ def propflow_path_sum(n, weighted_edges, source, target, l_max):
 
     walk(source, 1.0)
     return total
+
+
+class SortedRanking:
+    """The row-sorting ranking: rows sorted by score descending (stable),
+    a tie-group cut wherever the sorted score changes.
+
+    ``scores``/``labels`` are the sorted rows; ``bounds``, ``tp`` and ``fp``
+    mean what they mean on :class:`lpeval.metrics.Ranking`, which counts
+    the same cuts per tie group without sorting rows.
+    """
+
+    def __init__(self, scores, labels):
+        scores = np.asarray(scores, dtype=np.float64)
+        labels = np.asarray(labels, dtype=bool)
+        order = np.argsort(-scores, kind="stable")
+        self.scores = scores[order]
+        self.labels = labels[order]
+        change = np.flatnonzero(self.scores[1:] != self.scores[:-1]) + 1
+        self.bounds = np.concatenate([[0], change, [scores.size]]).astype(np.int64)
+        ctp = np.cumsum(self.labels.astype(np.int64))
+        self.tp = np.concatenate([[0], ctp[self.bounds[1:] - 1]]).astype(np.int64)
+        self.fp = self.bounds - self.tp
+        self.n_pos, self.n_neg = int(self.tp[-1]), int(self.fp[-1])
+
+
+def aupr_segments(tp, fp):
+    """Achievable-point PR area from cumulative counts at the tie-group cuts,
+    integrated one segment at a time in Python floats: along a segment fp
+    grows linearly in tp, so precision is t / (a t + c)."""
+    total = 0.0
+    for ta, fa, tb, fb in zip(*(map(float, x) for x in (tp[:-1], fp[:-1],
+                                                        tp[1:], fp[1:]))):
+        if tb == ta:
+            continue
+        slope = (fb - fa) / (tb - ta)
+        a, c = 1.0 + slope, fa - slope * ta
+        total += (tb - ta) / a
+        if c != 0.0:
+            total -= c / a ** 2 * math.log((tb + fb) / (ta + fa))
+    return total / float(tp[-1])
+
+
+def per_distance_rows_resorted(instances, scores):
+    """``per_distance_eval`` with each bucket's rows, then all rows, sorted
+    again (:class:`SortedRanking`). The areas apply the library's closed
+    forms to the sorted counts, so equal counts give equal rows."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = instances.label
+
+    def row(distance, mask):
+        rank = SortedRanking(scores[mask], labels[mask])
+        if not (rank.n_pos and rank.n_neg):
+            return DistanceRow(distance, rank.n_pos, rank.n_neg, None, None, False)
+        return DistanceRow(
+            distance, rank.n_pos, rank.n_neg,
+            auroc_from_counts(np.diff(rank.tp), np.diff(rank.fp)),
+            float(np.sum(_pr_segment_areas(rank.tp, rank.fp))) / rank.n_pos, True)
+
+    return [row(int(d), instances.distance == d)
+            for d in np.unique(instances.distance)] + \
+        [row(None, np.ones(labels.size, dtype=bool))]
 
 
 def confusion_by_counting(sorted_labels, cut):

@@ -123,6 +123,16 @@ def test_malformed_score_file_exits_3(tmp_path, capsys, command, body, line):
     assert f"line {line}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "score", "variance",
+                                     "kaggle-compare"])
+def test_missing_score_file_exits_3(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out),
+                     "--set", f"dataset.scores={tmp_path / 'absent.csv'}"]) == 3
+    assert "data error: cannot read score file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, artifacts", [
     ("snapshot", ["snapshot_report.json", "snapshot_test_feature.csv",
                   "snapshot_test_label.csv", "snapshot_train_feature.csv",

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lpeval import (ConfigError, InstanceSet, PredictorId, SamplingSpec, Snapshot,
-                    SurrogateParams, TemporalSliceSpec, UndefinedMetricError,
+from lpeval import (ConfigError, InstanceSet, PredictorId, Ranking, SamplingSpec,
+                    Snapshot, SurrogateParams, TemporalSliceSpec, UndefinedMetricError,
                     WindowConfig, analytic_sampling_variance, auroc,
                     build_snapshot, estimate_classifiable,
                     filtered_negative_eval, generate_test_set, kaggle_compare,
@@ -10,8 +10,9 @@ from lpeval import (ConfigError, InstanceSet, PredictorId, SamplingSpec, Snapsho
                     score_instances, surrogate_simulation, synthetic_event_log,
                     temporal_eval, variance_experiment)
 from lpeval import BEYOND, DISCONNECTED
-from lpeval.experiments import (_balanced_counts, _kept_counts, slice_intervals,
-                                variance_slope)
+from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
+                                KaggleCompareReport, _balanced_counts,
+                                _kept_counts, slice_intervals, variance_slope)
 
 from oracles import (auroc_pair_count, bucket_mixture_auroc, fair_sample_indices,
                      filtered_rows_resorted, kaggle_compare_resorted,
@@ -479,6 +480,33 @@ class TestPerDistance:
         rows = per_distance_eval(inst, np.array([1.0, 2.0, 3.0]))
         assert rows[0].sufficient is False
         assert rows[0].auroc is None
+
+
+class TestEmptySet:
+    """An instance set without rows gives undefined results, not errors,
+    although it has no ranking."""
+
+    def empty(self):
+        none = np.zeros(0, dtype=np.int64)
+        return InstanceSet(none, none, none, np.zeros(0, dtype=bool),
+                           {"s": np.zeros(0)})
+
+    def test_experiments_report_undefined(self):
+        inst = self.empty()
+        assert kaggle_compare(inst, "s", 0.5, [1, 2]) == \
+            KaggleCompareReport(None, (), ())
+        assert filtered_negative_eval(inst, "s") == \
+            [FilteredNegativeRow(None, 0, 0, None)]
+        assert filtered_negative_eval(inst, "s", cuts=[3]) == \
+            [FilteredNegativeRow(None, 0, 0, None), FilteredNegativeRow(3, 0, 0, None)]
+        assert per_distance_eval(inst, "s") == \
+            [DistanceRow(None, 0, 0, None, None, False)]
+
+    def test_ranking_needs_rows(self):
+        with pytest.raises(UndefinedMetricError):
+            Ranking([], [])
+        with pytest.raises(UndefinedMetricError):
+            variance_experiment(self.empty(), "s", repeats=2)
 
 
 class TestTemporal:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lpeval import (ConfigError, ConfusionCounts, Ranking, UndefinedMetricError,
-                    aupr, auroc, average_precision, confusion_at, pr_curve,
-                    rates, roc_curve, score_distribution, tpr_k)
-from lpeval.metrics import GroupedRanking, auroc_from_counts, tie_groups
+from lpeval import (BEYOND, DISCONNECTED, ConfigError, ConfusionCounts,
+                    InstanceSet, Ranking, UndefinedMetricError, aupr, auroc,
+                    average_precision, confusion_at, per_distance_eval,
+                    pr_curve, rates, roc_curve, score_distribution, tpr_k)
+from lpeval.metrics import auroc_from_counts, tie_groups
 
-from oracles import (aupr_oracle, auroc_pair_count, confusion_by_counting,
+from oracles import (SortedRanking, aupr_oracle, aupr_segments, auroc_pair_count,
+                     confusion_by_counting, per_distance_rows_resorted,
                      random_ranking)
 
 
@@ -22,7 +24,7 @@ def ranking_from_labels(labels, descending_scores=None):
 class TestRanking:
     def test_sorted_and_grouped(self):
         r = Ranking([0.1, 0.9, 0.9, 0.5], [True, False, True, False])
-        assert r.scores.tolist() == [0.9, 0.9, 0.5, 0.1]
+        assert r.scores.tolist() == [0.9, 0.5, 0.1]
         assert r.bounds.tolist() == [0, 2, 3, 4]
         assert (r.n_pos, r.n_neg) == (2, 2)
 
@@ -33,6 +35,64 @@ class TestRanking:
     def test_empty_forbidden(self):
         with pytest.raises(UndefinedMetricError):
             Ranking([], [])
+
+
+def tie_heavy_case(rng):
+    """Scores drawn from a few values, signed zeros and infinities among
+    them, over distance buckets that include both sentinels."""
+    n = int(rng.integers(1, 150))
+    pool = np.array([-np.inf, -2.0, -0.0, 0.0, 0.5, 1.25, 4.0, np.inf])
+    if rng.random() < 0.5:
+        pool = rng.choice(pool, size=int(rng.integers(1, pool.size + 1)),
+                          replace=False)
+    scores = rng.choice(pool, size=n)
+    labels = rng.random(n) < rng.uniform(0.0, 0.6)
+    buckets = np.array([1, 2, 3, 4, BEYOND, DISCONNECTED])
+    distance = rng.choice(buckets[:int(rng.integers(1, buckets.size + 1))], size=n)
+    return scores, labels, distance
+
+
+class TestRankingMatchesRowOracle:
+    """The tie-group counts against the row-sorting ranking, for the whole
+    set and for every distance bucket."""
+
+    def test_counts_areas_and_curves(self, rng):
+        for _ in range(300):
+            scores, labels, distance = tie_heavy_case(rng)
+            rank = Ranking(scores, labels, distance)
+            assert rank.distances.tolist() == sorted(set(distance.tolist()))
+            cases = [(rank, np.ones(scores.size, dtype=bool))] + \
+                [(rank.bucket(i), distance == d) for i, d in enumerate(rank.distances)]
+            for got, rows in cases:
+                want = SortedRanking(scores[rows], labels[rows])
+                for attr in ("bounds", "tp", "fp"):
+                    assert getattr(got, attr).dtype == np.int64
+                    assert np.array_equal(getattr(got, attr), getattr(want, attr))
+                # one score per group; == holds -0.0 and 0.0 equal
+                assert got.scores.tolist() == want.scores[want.bounds[:-1]].tolist()
+                assert (len(got), got.n_pos, got.n_neg) == \
+                    (int(rows.sum()), want.n_pos, want.n_neg)
+                if not (got.n_pos and got.n_neg):
+                    continue
+                assert auroc(got) == auroc_pair_count(scores[rows], labels[rows])
+                assert aupr(got) == pytest.approx(aupr_segments(want.tp, want.fp),
+                                                  abs=1e-12)
+                roc = np.column_stack([want.fp / want.n_neg, want.tp / want.n_pos])
+                assert np.array_equal(roc_curve(got).points, roc)
+                fresh = Ranking(scores[rows], labels[rows])
+                assert np.array_equal(pr_curve(got).points, pr_curve(fresh).points)
+            inst = InstanceSet(np.arange(scores.size), np.arange(scores.size) + 1,
+                               distance, labels)
+            assert per_distance_eval(inst, scores) == \
+                per_distance_rows_resorted(inst, scores)
+
+    def test_without_distance_one_bucket(self):
+        r = Ranking([0.0, -0.0, 0.3], [True, False, False])
+        assert r.distances is None
+        assert r.pos.tolist() == [[0, 1]] and r.neg.tolist() == [[1, 1]]
+        b = r.bucket(0)
+        assert b.distances is None
+        assert np.array_equal(b.bounds, r.bounds)
 
 
 class TestConfusionAt:
@@ -54,7 +114,8 @@ class TestConfusionAt:
             r = Ranking(scores, labels)
             cut = int(rng.integers(0, len(r) + 1))
             c = confusion_at(r, cut)
-            want = confusion_by_counting(r.labels.tolist(), cut)
+            sorted_labels = labels[np.argsort(-scores, kind="stable")]
+            want = confusion_by_counting(sorted_labels.tolist(), cut)
             assert (c.tp, c.fp, c.tn, c.fn) == want
 
     def test_tie_group_cut_moved_to_boundary(self):
@@ -203,7 +264,7 @@ class TestRocCurve:
             scores = np.where(scores == 0.0, rng.choice([-0.0, 0.0], scores.size),
                               scores)
             distance = rng.choice([2, 3, 7, 1_000_000_000], size=scores.size)
-            table = GroupedRanking.from_rows(scores, labels, distance)
+            table = Ranking(scores, labels, distance)
             assert table.distances.tolist() == sorted(set(distance.tolist()))
             distinct = sorted(set(scores.tolist()), reverse=True)
             want = np.zeros((2,) + table.pos.shape, dtype=np.int64)

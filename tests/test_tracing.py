@@ -1,0 +1,40 @@
+"""The benchmark's tracer (``lpbench/tracing.py``) reads library names:
+a traced pass over the program must still run and count what it records."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from lpeval import synthetic_event_log, write_event_file
+from lpeval.config import RunConfig
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "lpbench"))
+    return importlib.import_module("tracing")
+
+
+@pytest.mark.filterwarnings("ignore:N\\*p")
+def test_traced_pass_counts_tie_groups(tmp_path, tracing):
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    settings = [f"dataset.path={events}", "windows.train_feature=0:59",
+                "windows.train_label=60:69", "windows.test_feature=0:79",
+                "windows.test_label=80:100", "prediction.predictors=cn",
+                "prediction.lmax=3", "variance.rates=0.5,1", "variance.repeats=3"]
+
+    def traced(*commands):
+        tracer = tracing.Tracer()
+        tracing.run_pass(tracer, [
+            (name, RunConfig.from_overrides(
+                settings + [f"run.out={tmp_path / 'out' / name}"]))
+            for name in commands])
+        return tracer.reduce()
+
+    both = traced("evaluate", "variance")
+    assert both["metrics.tie_groups"] > 0
+    assert both["experiments.per_distance_s"] > 0
+    # the sampling experiments rank through the same traced Ranking
+    assert traced("variance")["metrics.tie_groups"] > 0
