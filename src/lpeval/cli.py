@@ -18,8 +18,7 @@ from . import __version__
 from . import rng as rng_mod
 from .config import RunConfig
 from .errors import ConfigError, LpevalError
-from .experiments import (SamplingSpec, TemporalSliceSpec,
-                          filtered_negative_eval, kaggle_compare,
+from .experiments import (filtered_negative_eval, kaggle_compare,
                           per_distance_eval, sample_fair, sample_kaggle,
                           surrogate_grid, temporal_eval, variance_experiment)
 from .graphstore import build_snapshot, ingest_events, write_snapshot_csv
@@ -102,11 +101,9 @@ def _scored_instance_sets(cfg):
 
 
 def _apply_sampling(cfg, inst):
-    if cfg.sampling_mode == "fair-random":
-        spec = SamplingSpec("fair-random", cfg.sampling_rate, cfg.seed,
-                            cfg.exact_counts)
-        return sample_fair(inst, spec)
-    if cfg.sampling_mode == "kaggle-balanced":
+    if cfg.sampling.mode == "fair-random":
+        return sample_fair(inst, cfg.sampling)
+    if cfg.sampling.mode == "kaggle-balanced":
         return sample_kaggle(inst, seed=cfg.seed)
     return inst
 
@@ -169,8 +166,8 @@ def cmd_evaluate(cfg):
             fh, inst, id_labels=labels, score_keys=[name])))
 
         entry = {"n_pos": inst.n_pos, "n_neg": inst.n_neg,
-                 "sampling_mode": cfg.sampling_mode,
-                 "sampling_rate": cfg.sampling_rate,
+                 "sampling_mode": cfg.sampling.mode,
+                 "sampling_rate": cfg.sampling.rate,
                  "direction_policy": cfg.policy, "generation_mode": cfg.mode,
                  "auroc": None, "aupr": None}
         if inst.n_pos and inst.n_neg:
@@ -212,7 +209,7 @@ def cmd_variance(cfg):
         inst = sets[name]
         report = variance_experiment(inst, name, rates=cfg.variance_rates,
                                      repeats=cfg.variance_repeats, seed=cfg.seed,
-                                     exact_counts=cfg.exact_counts)
+                                     exact_counts=cfg.sampling.exact_counts)
         path = os.path.join(cfg.out_dir, f"variance_{name}.csv")
         _write_csv(path, ["rate", "mean", "min", "max", "variance", "n_valid",
                           "n_invalid", "analytic"],
@@ -282,12 +279,12 @@ def cmd_temporal(cfg):
     log, digest = _load_log(cfg)
     cfg.require_windows()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    spec = TemporalSliceSpec(cfg.temporal_slices, cfg.temporal_mode)
     artifacts = []
     reports = {}
     for pred in cfg.predictors:
-        report = temporal_eval(log, cfg.windows, spec, pred, policy=cfg.policy,
-                               l_max=cfg.lmax, include_beyond=cfg.include_beyond,
+        report = temporal_eval(log, cfg.windows, cfg.temporal, pred,
+                               policy=cfg.policy, l_max=cfg.lmax,
+                               include_beyond=cfg.include_beyond,
                                include_disconnected=cfg.include_disconnected,
                                weight_rule=cfg.weight_rule)
         path = os.path.join(cfg.out_dir, f"temporal_{pred.name}.csv")

@@ -9,7 +9,8 @@ from __future__ import annotations
 import configparser
 
 from .errors import ConfigError
-from .experiments import CONDMAT_STANDIN_COUNTS
+from .experiments import (CONDMAT_STANDIN_COUNTS, SamplingSpec,
+                          TemporalSliceSpec)
 from .graphstore import WindowConfig
 from .predictors import DIRECTION_POLICIES, PredictorId
 from .stratify import GENERATION_MODES
@@ -159,18 +160,14 @@ class RunConfig:
         self.include_disconnected = _to_bool(s["prediction"]["include_disconnected"],
                                              "prediction.include_disconnected")
 
-        self.sampling_mode = s["sampling"]["mode"]
-        if self.sampling_mode not in ("none", "fair-random", "kaggle-balanced"):
-            raise ConfigError(f"unknown sampling mode {self.sampling_mode!r}",
-                              field="sampling.mode")
+        self.seed = _to_int(s["run"]["seed"], "run.seed")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", field="run.seed")
         raw_rate = s["sampling"]["rate"]
-        self.sampling_rate = _to_float(raw_rate, "sampling.rate") if raw_rate else None
-        if self.sampling_mode == "fair-random":
-            if self.sampling_rate is None or not 0 < self.sampling_rate <= 1:
-                raise ConfigError("fair-random needs rate in (0, 1]",
-                                  field="sampling.rate")
-        self.exact_counts = _to_bool(s["sampling"]["exact_counts"],
-                                     "sampling.exact_counts")
+        self.sampling = SamplingSpec(
+            s["sampling"]["mode"],
+            _to_float(raw_rate, "sampling.rate") if raw_rate else None, self.seed,
+            _to_bool(s["sampling"]["exact_counts"], "sampling.exact_counts"))
 
         self.variance_rates = [_to_float(tok, "variance.rates")
                                for tok in _split_list(s["variance"]["rates"])]
@@ -202,15 +199,10 @@ class RunConfig:
         if not 0 < self.kaggle_rate <= 1:
             raise ConfigError("rate must be in (0, 1]", field="kaggle.rate")
 
-        self.temporal_slices = _to_int(s["temporal"]["slices"], "temporal.slices")
-        self.temporal_mode = s["temporal"]["slice_mode"]
-        if self.temporal_mode not in ("disjoint", "cumulative"):
-            raise ConfigError(f"unknown slice mode {self.temporal_mode!r}",
-                              field="temporal.slice_mode")
+        self.temporal = TemporalSliceSpec(
+            _to_int(s["temporal"]["slices"], "temporal.slices"),
+            s["temporal"]["slice_mode"])
 
-        self.seed = _to_int(s["run"]["seed"], "run.seed")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0", field="run.seed")
         self.out_dir = s["run"]["out"]
         self.svg = _to_bool(s["run"]["svg"], "run.svg")
 

@@ -104,11 +104,6 @@ class EventLog:
     def participants(self, i):
         return self.event_nodes[self.event_offsets[i]:self.event_offsets[i + 1]]
 
-    def time_range(self):
-        if self.n_events == 0:
-            return None
-        return int(self.timestamps[0]), int(self.timestamps[-1])
-
     @classmethod
     def from_tuples(cls, events, id_labels=None):
         """Build a log from ``(timestamp, participants, weight_override)`` tuples.

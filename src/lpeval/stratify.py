@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, IngestError
 from .graphstore import csv_field
+# lpbench/tracing.py counts BFS sources by swapping ``stratify.bfs_levels``,
+# so the name stays importable here although enumeration walks in blocks.
 from .predictors import bfs_level_blocks, bfs_levels
 
 BEYOND = 1_000_000_000
@@ -89,56 +91,61 @@ class InstanceSet:
             None if self.label is None else self.label[index],
             {k: s[index] for k, s in self.scores.items()})
 
-    def subset(self, mask):
-        return self.take(np.flatnonzero(mask))
-
-    def pair_keys(self, n_universe):
-        return self.u * np.int64(n_universe) + self.v
-
 
 def _components(s):
-    """Component label of every node: the lowest node id it can reach."""
-    component = np.full(s.n_universe, -1, dtype=np.int64)
-    for root in s.node_ids.tolist():
-        if component[root] < 0:
-            component[bfs_levels(s, root) >= 0] = root
-    return component
+    """Component label of every node: the lowest node id it can reach.
+
+    Hook-and-compress over the CSR arrays: each round hooks every root to
+    the lowest root across its edges, then jumps every node to its root's
+    root until nothing changes. A round that changes nothing ends it.
+    """
+    root = np.arange(s.n_universe, dtype=np.int64)
+    src = np.repeat(root, np.diff(s.indptr))
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[src], root[s.indices])
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, root):
+            return root
+        root = hooked
 
 
 def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
                               include_disconnected=False):
     """Enumerate candidate pairs grouped by geodesic distance.
 
-    Breadth-first expansion from blocks of sources, bounded at ``l_max``
-    (unbounded when the beyond bucket is requested), emits each unordered
-    non-adjacent pair exactly once, ordered by (distance, u, v).
-    Cross-component pairs go to the disconnected bucket on request.
+    Breadth-first expansion from blocks of sources, bounded at ``l_max``,
+    emits each unordered non-adjacent pair exactly once, ordered by
+    (distance, u, v). A pair still unreached at ``l_max`` is in the beyond
+    bucket if its ends share a component and in the disconnected bucket if
+    not; each sentinel bucket is emitted on request.
     """
     if l_max < 2:
         raise ConfigError("l_max must be >= 2", field="lmax")
     nodes = s.node_ids
     us, vs, ds = [], [], []
-    depth_limit = None if include_beyond else l_max
-    # A walk cut at l_max also leaves far same-component nodes unreached;
-    # component labels tell those apart from other components' nodes.
-    component = (_components(s) if include_disconnected and not include_beyond
+    component = (_components(s) if include_beyond or include_disconnected
                  else None)
-    for block, levels in bfs_level_blocks(s, nodes, depth_limit):
+    for block, levels in bfs_level_blocks(s, nodes, l_max):
         lv = levels[:, nodes]
-        keep = (lv >= 2) & (lv <= l_max)
-        if include_beyond:
-            keep |= lv > l_max
-        if include_disconnected:
-            apart = lv < 0
-            if component is not None:
-                apart &= component[block][:, None] != component[nodes][None, :]
-            keep |= apart
+        keep = lv >= 2
+        if include_beyond and include_disconnected:
+            keep |= lv < 0
+        elif component is not None:
+            same = component[block][:, None] == component[nodes][None, :]
+            keep |= (lv < 0) & (same if include_beyond else ~same)
         keep &= nodes[None, :] > block[:, None]
         rows, cols = np.nonzero(keep)
         d = lv[rows, cols]
+        if component is not None:
+            far = d < 0
+            d[far] = np.where(component[block[rows[far]]]
+                              == component[nodes[cols[far]]], BEYOND, DISCONNECTED)
         us.append(block[rows])
         vs.append(nodes[cols])
-        ds.append(np.where(d < 0, DISCONNECTED, np.where(d > l_max, BEYOND, d)))
+        ds.append(d)
     if not us:
         empty = np.empty(0, dtype=np.int64)
         return InstanceSet(empty, empty, empty)

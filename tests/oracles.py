@@ -118,19 +118,36 @@ def aupr_oracle(scores, labels):
     return fine + (fine - coarse) / 3.0
 
 
+def _adjacency(n, edges):
+    """Symmetric 0/1 scipy CSR adjacency of an ``(u, v, ...)`` edge list."""
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    ones = np.ones(2 * u.size)
+    return csr_matrix((ones, (np.concatenate([u, v]), np.concatenate([v, u]))),
+                      shape=(n, n))
+
+
 def hop_distances(n, edges):
     """All-pairs unweighted shortest path matrix via scipy (inf = unreachable)."""
-    if not edges:
-        d = np.full((n, n), np.inf)
-        np.fill_diagonal(d, 0.0)
-        return d
-    u = np.array([e[0] for e in edges])
-    v = np.array([e[1] for e in edges])
-    ones = np.ones(u.size)
-    m = csr_matrix((np.concatenate([ones, ones]),
-                    (np.concatenate([u, v]), np.concatenate([v, u]))),
-                   shape=(n, n))
-    return shortest_path(m, method="D", unweighted=True, directed=False)
+    return shortest_path(_adjacency(n, edges), method="D", unweighted=True,
+                         directed=False)
+
+
+def lowest_reachable(n, edges):
+    """Each node's lowest reachable node id (its own when it is isolated).
+
+    Nodes are visited in id order; an unlabeled one is the lowest node of
+    its component, and the nodes its :func:`hop_distances` row reaches get
+    its id. Only that row is computed.
+    """
+    m = _adjacency(n, edges)
+    label = np.full(n, -1, dtype=np.int64)
+    for root in range(n):
+        if label[root] < 0:
+            reach = shortest_path(m, method="D", unweighted=True, directed=False,
+                                  indices=root)
+            label[np.isfinite(reach)] = root
+    return label
 
 
 def bfs_hops(adj, source):

@@ -109,6 +109,73 @@ def test_sampling_commands_rerun_identically(tmp_path):
     assert rows[-1].startswith("1.0,")
 
 
+def sampling_score_file(tmp_path):
+    """A labeled score file over sentinel and finite buckets, and its rows."""
+    rng = np.random.default_rng(9)
+    n = 600
+    label = rng.random(n) < 0.15
+    dist = rng.choice([2, 3, 4, BEYOND, DISCONNECTED], size=n)
+    inst = InstanceSet(np.arange(n), np.arange(n) + n, dist, label,
+                       {"cn": np.round(rng.random(n) + label * 0.3, 1)})
+    path = tmp_path / "scores.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_instances_csv(fh, inst)
+    return path, inst
+
+
+def evaluation_entry(out):
+    return json.loads((out / "evaluation.json").read_text())["predictors"]["score"]
+
+
+@pytest.mark.parametrize("mode, rate, exact", [
+    ("fair-random", "0.3", "false"), ("fair-random", "0.3", "true"),
+    ("kaggle-balanced", "", "false"),
+])
+def test_evaluate_sampling_modes(tmp_path, mode, rate, exact):
+    scores, inst = sampling_score_file(tmp_path)
+    base = ["--set", f"dataset.scores={scores}"]
+    assert cli.main(["evaluate", "--out", str(tmp_path / "full"), *base]) == 0
+    full = evaluation_entry(tmp_path / "full")
+    out = tmp_path / "out"
+    args = ["evaluate", "--out", str(out), *base, "--set", f"sampling.mode={mode}",
+            "--set", f"sampling.rate={rate}", "--set", f"sampling.exact_counts={exact}"]
+    manifests = []
+    for _ in range(2):
+        assert cli.main(args) == 0
+        manifests.append((out / "manifest.json").read_text())
+    assert manifests[0] == manifests[1]
+    entry = evaluation_entry(out)
+    assert entry["sampling_mode"] == mode
+    assert entry["n_pos"] == full["n_pos"] == inst.n_pos
+    if mode == "kaggle-balanced":
+        assert entry["sampling_rate"] is None
+        assert entry["n_neg"] == sum(
+            min(inst.label[inst.distance == d].sum(),
+                (~inst.label[inst.distance == d]).sum())
+            for d in np.unique(inst.distance))
+    elif exact == "true":
+        assert entry["n_neg"] == round(full["n_neg"] * float(rate))
+    else:
+        assert 0 < entry["n_neg"] < full["n_neg"]
+
+
+@pytest.mark.parametrize("settings, field", [
+    (["sampling.mode=stratified"], "sampling.mode"),
+    (["sampling.mode=fair-random"], "sampling.rate"),
+    (["sampling.mode=kaggle-balanced", "sampling.rate=0.3"], "sampling.rate"),
+    (["sampling.rate=0.3"], "sampling.rate"),
+], ids=["unknown-mode", "fair-random-without-rate", "kaggle-balanced-with-rate",
+        "none-with-rate"])
+def test_evaluate_sampling_config_errors_exit_2(tmp_path, capsys, settings, field):
+    scores, _ = sampling_score_file(tmp_path)
+    out = tmp_path / "out"
+    sets = [arg for item in settings for arg in ("--set", item)]
+    assert cli.main(["evaluate", "--out", str(out), "--set",
+                     f"dataset.scores={scores}", *sets]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, line", [
     ("0,1,2,1,0.5\n0,2,far,0,0.5\n", 3),
     ("99999999999999999999,2,2,1,0.5\n", 2),
@@ -167,14 +234,18 @@ def test_other_commands_rerun_identically(tmp_path, command, artifacts):
     ("distance-dist", "windows.test_label=", "windows"),
     ("temporal", "temporal.slices=1000", "temporal.slices"),
     ("surrogate", "surrogate.betas=0.5", "surrogate.beta"),
+    # The slice count is checked before the (missing) dataset is read.
+    pytest.param("temporal", "temporal.slices=0 dataset.path=no-such-dir/events.tsv",
+                 "temporal.slices", id="temporal-slices=0-missing-dataset"),
 ])
 def test_other_commands_config_error_exits_2(tmp_path, capsys, command, setting,
                                             field):
     events = tmp_path / "events.tsv"
     write_event_file(synthetic_event_log(30, 3.0, 100, seed=4), events)
     out = tmp_path / "out"
+    sets = [arg for item in setting.split() for arg in ("--set", item)]
     assert cli.main([command, "--out", str(out), "--set", f"dataset.path={events}",
-                     *WINDOWS, "--set", setting]) == 2
+                     *WINDOWS, *sets]) == 2
     assert f"{field}:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 

@@ -18,7 +18,8 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, IngestError, InstanceSet,
 from lpeval import stratify
 
 from conftest import random_graph
-from oracles import hop_distances, instances_csv_text, read_instances_rows
+from oracles import (hop_distances, instances_csv_text, lowest_reachable,
+                     read_instances_rows)
 
 
 def pair_set(inst):
@@ -147,6 +148,46 @@ class TestEnumeration:
                         else:
                             want[(u, v)] = int(d)
                 assert bucket_map(inst) == want
+
+    @pytest.mark.parametrize("beyond, disconnected",
+                             itertools.product((True, False), repeat=2))
+    def test_walk_is_cut_at_lmax(self, beyond, disconnected):
+        s = Snapshot.from_edges([(i, i + 1) for i in range(7)] + [(8, 9)])
+        limits = []
+        blocks = stratify.bfs_level_blocks
+
+        def walk(snapshot, sources, depth_limit=None):
+            limits.append(depth_limit)
+            return blocks(snapshot, sources, depth_limit)
+
+        with mock.patch.object(stratify, "bfs_level_blocks", walk):
+            inst = geodesic_bucket_enumerate(s, 3, include_beyond=beyond,
+                                             include_disconnected=disconnected)
+        assert limits and set(limits) == {3}
+        assert (BEYOND in inst.distance) == beyond
+        assert (DISCONNECTED in inst.distance) == disconnected
+
+
+class TestComponents:
+    def check(self, s):
+        eu, ev, _ = s.edge_arrays()
+        want = lowest_reachable(s.n_universe, list(zip(eu.tolist(), ev.tolist())))
+        np.testing.assert_array_equal(stratify._components(s), want)
+
+    def test_random_graphs(self, rng):
+        for _ in range(40):
+            self.check(random_graph(rng, p=float(rng.uniform(0.02, 0.35)))[0])
+
+    def test_many_three_node_paths(self, rng):
+        ids = rng.permutation(6000).reshape(2000, 3)
+        u = np.concatenate([ids[:, 0], ids[:, 1]])
+        v = np.concatenate([ids[:, 1], ids[:, 2]])
+        self.check(Snapshot(6000, u, v, np.ones(u.size)))
+
+    def test_long_path_with_shuffled_ids(self, rng):
+        ids = rng.permutation(20_001)
+        s = Snapshot(ids.size, ids[:-1], ids[1:], np.ones(ids.size - 1))
+        self.check(s)
 
 
 class TestLabeling:
