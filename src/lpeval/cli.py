@@ -9,9 +9,14 @@ explicit ``undefined`` markers, not errors.
 
 from __future__ import annotations
 
+import os
+
+# Before numpy loads: an idle OpenBLAS worker thread spins on a second core,
+# and lpeval makes no BLAS call large enough to use it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import io
-import os
 import sys
 
 from . import __version__
@@ -170,8 +175,10 @@ def cmd_evaluate(cfg):
                  "sampling_rate": cfg.sampling.rate,
                  "direction_policy": cfg.policy, "generation_mode": cfg.mode,
                  "auroc": None, "aupr": None}
+        # One ranking serves the curves (its tp/fp sum over the distance
+        # buckets) and the per-distance report.
+        rank = Ranking(scores, inst.label, inst.distance) if len(inst) else None
         if inst.n_pos and inst.n_neg:
-            rank = Ranking(scores, inst.label)
             for curve, tag in ((roc_curve(rank), "roc"), (pr_curve(rank), "pr")):
                 entry["tie_policy"] = curve.tie_policy
                 entry["auroc" if tag == "roc" else "aupr"] = curve.area
@@ -183,7 +190,7 @@ def cmd_evaluate(cfg):
                 if cfg.svg:
                     atomic_write_text(base + ".svg", curve_svg(curve))
                     artifacts.append(base + ".svg")
-        rows = per_distance_eval(inst, scores)
+        rows = per_distance_eval(inst, scores, rank=rank)
         dpath = os.path.join(cfg.out_dir, f"per_distance_{name}.csv")
         _write_csv(dpath, ["distance", "n_pos", "n_neg", "auroc", "aupr",
                            "sufficient"],
@@ -207,9 +214,11 @@ def cmd_variance(cfg):
     reports = {}
     for name in sorted(sets):
         inst = sets[name]
+        rank = Ranking(inst.scores[name], inst.label, inst.distance)
         report = variance_experiment(inst, name, rates=cfg.variance_rates,
                                      repeats=cfg.variance_repeats, seed=cfg.seed,
-                                     exact_counts=cfg.sampling.exact_counts)
+                                     exact_counts=cfg.sampling.exact_counts,
+                                     rank=rank)
         path = os.path.join(cfg.out_dir, f"variance_{name}.csv")
         _write_csv(path, ["rate", "mean", "min", "max", "variance", "n_valid",
                           "n_invalid", "analytic"],
@@ -218,7 +227,7 @@ def cmd_variance(cfg):
         artifacts.append(path)
         reports[name] = report.as_dict()
 
-        filt = filtered_negative_eval(inst, name)
+        filt = filtered_negative_eval(inst, name, rank=rank)
         fpath = os.path.join(cfg.out_dir, f"filtered_negatives_{name}.csv")
         _write_csv(fpath, ["cut", "n_neg_removed", "n_neg_kept", "auroc"],
                    [("baseline" if r.cut is None else distance_str(r.cut),

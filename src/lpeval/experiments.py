@@ -241,7 +241,7 @@ def variance_slope(rates, variances):
 
 
 def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
-                        seed=0, exact_counts=False):
+                        seed=0, exact_counts=False, rank=None):
     """AUROC spread over repeated fair negative sampling, per rate.
 
     For each rate, ``repeats`` independent samples are drawn from per-repeat
@@ -249,8 +249,9 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     The report carries mean/min/max/sample-variance per rate, the analytic
     variance at the estimated C, and the fitted slope of variance vs. 1/rate.
 
-    The scores are ranked once (:class:`~lpeval.metrics.Ranking`); each
-    repeat draws how many negatives it keeps of each tie group
+    The scores are ranked once (:class:`~lpeval.metrics.Ranking`, or
+    ``rank`` when the caller has built it with ``instances.distance``);
+    each repeat draws how many negatives it keeps of each tie group
     (:func:`_kept_counts`), which gives the AUROC of re-ranking a fair row
     sample exactly.
     """
@@ -260,8 +261,9 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     labels = instances.label
     if labels is None:
         raise ConfigError("variance experiment needs labeled instances")
-    ranking = Ranking(scores, labels, instances.distance)
-    pos, neg = ranking.pos.sum(axis=0), ranking.neg.sum(axis=0)
+    if rank is None:
+        rank = Ranking(scores, labels, instances.distance)
+    pos, neg = rank.pos.sum(axis=0), rank.neg.sum(axis=0)
     full = auroc_from_counts(pos, neg)
     c_est = estimate_classifiable(scores, labels)
     n_neg = int(neg.sum())
@@ -544,24 +546,26 @@ class FilteredNegativeRow:
     auroc: float | None        # None when undefined (no negatives kept)
 
 
-def filtered_negative_eval(instances, scores, cuts=None):
+def filtered_negative_eval(instances, scores, cuts=None, rank=None):
     """AUROC after removing every negative closer than each cut.
 
     Positives are always retained. The default cut list is the baseline plus
     each finite distance present; sentinel-bucket negatives are never closer
     than a finite cut, so they survive every filter. The scores are ranked
-    once (:class:`~lpeval.metrics.Ranking`); each cut sums the negatives
-    of the buckets at or beyond it.
+    once (:class:`~lpeval.metrics.Ranking`, or ``rank`` when the caller has
+    built it with ``instances.distance``); each cut sums the negatives of
+    the buckets at or beyond it.
     """
     if isinstance(scores, str):
         scores = instances.scores[scores]
     if not instances.label.size:
         return [FilteredNegativeRow(cut, 0, 0, None)
                 for cut in [None] + [int(c) for c in cuts or ()]]
-    ranking = Ranking(scores, instances.label, instances.distance)
-    dist = ranking.distances
-    pos = ranking.pos.sum(axis=0)
-    n_neg = int(ranking.neg.sum())
+    if rank is None:
+        rank = Ranking(scores, instances.label, instances.distance)
+    dist = rank.distances
+    pos = rank.pos.sum(axis=0)
+    n_neg = int(rank.neg.sum())
 
     def row(cut, kept):
         kept_neg = int(kept.sum())
@@ -572,8 +576,8 @@ def filtered_negative_eval(instances, scores, cuts=None):
     if cuts is None:
         finite = dist[dist < BEYOND]
         cuts = [int(d) for d in finite] + [int(finite.max()) + 1] if finite.size else []
-    return [row(None, ranking.neg.sum(axis=0))] + \
-        [row(int(cut), ranking.neg[dist >= cut].sum(axis=0)) for cut in cuts]
+    return [row(None, rank.neg.sum(axis=0))] + \
+        [row(int(cut), rank.neg[dist >= cut].sum(axis=0)) for cut in cuts]
 
 
 @dataclass(frozen=True)
@@ -586,19 +590,22 @@ class DistanceRow:
     sufficient: bool
 
 
-def per_distance_eval(instances, scores):
+def per_distance_eval(instances, scores, rank=None):
     """AUROC and AUPR per distance bucket plus the overall row.
 
     Buckets lacking a positive or a negative are flagged insufficient rather
     than reported with undefined areas. The overall row pools every
-    instance, sentinel buckets included. The scores are ranked once; each
-    bucket's row reads :meth:`~lpeval.metrics.Ranking.bucket`.
+    instance, sentinel buckets included. The scores are ranked once (or
+    ``rank`` is used when the caller has built it with
+    ``instances.distance``); each bucket's row reads
+    :meth:`~lpeval.metrics.Ranking.bucket`.
     """
     if isinstance(scores, str):
         scores = instances.scores[scores]
     if not instances.label.size:
         return [DistanceRow(None, 0, 0, None, None, False)]
-    rank = Ranking(scores, instances.label, instances.distance)
+    if rank is None:
+        rank = Ranking(scores, instances.label, instances.distance)
     return [_distance_row(int(d), rank.bucket(i))
             for i, d in enumerate(rank.distances)] + [_distance_row(None, rank)]
 

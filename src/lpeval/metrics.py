@@ -368,8 +368,9 @@ def score_distribution(scores, bins=100):
 
 
 def write_curve_csv(curve, fh):
-    fh.write("x,y\n" + "".join(f"{repr(float(x))},{repr(float(y))}\n"
-                               for x, y in curve.points))
+    # Two float lists (x, y) hold less at once than one 2-list per point.
+    xs, ys = curve.points.T.tolist()
+    fh.write("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
 
 
 def write_curve_json(curve, fh):

@@ -296,6 +296,12 @@ def random_ranking(rng, max_size=2000, tie_fraction=0.5):
     return scores, labels
 
 
+def curve_csv_text(curve):
+    """The curve CSV written one point at a time from numpy scalars."""
+    return "x,y\n" + "".join(f"{repr(float(x))},{repr(float(y))}\n"
+                              for x, y in curve.points)
+
+
 def instances_csv_text(instances, id_labels=None, score_keys=None):
     """The instance CSV built one row and one cell at a time.
 

@@ -1,12 +1,18 @@
+import ast
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lpeval
 from lpeval import (BEYOND, DISCONNECTED, InstanceSet, PredictorId,
-                    build_snapshot, cli, generate_test_set, ingest_events,
-                    read_instances_csv, score_instances, synthetic_event_log,
-                    write_event_file, write_instances_csv)
+                    build_snapshot, cli, experiments, generate_test_set,
+                    ingest_events, read_instances_csv, score_instances,
+                    synthetic_event_log, write_event_file, write_instances_csv)
 from lpeval.manifest import sha256_file
 
 
@@ -259,3 +265,191 @@ def test_other_commands_malformed_dataset_exits_3(tmp_path, capsys, command):
                      *WINDOWS]) == 3
     assert "line 2:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:N\\*p")
+@pytest.mark.parametrize("command", ["evaluate", "variance"])
+def test_commands_rank_each_score_column_once(tmp_path, monkeypatch, command):
+    # A plain function in Ranking's place, as lpbench/tracing.py puts there:
+    # cli and experiments may only call Ranking(...) as a constructor.
+    built = []
+
+    def counted(*args, ranking=experiments.Ranking, **kwargs):
+        built.append(args)
+        return ranking(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Ranking", counted)
+    monkeypatch.setattr(experiments, "Ranking", counted)
+    scores, _ = sampling_score_file(tmp_path)
+    assert cli.main([command, "--out", str(tmp_path / "out"), "--set",
+                     f"dataset.scores={scores}", "--set", "variance.repeats=2"]) == 0
+    assert len(built) == 1
+
+
+# The package's exports, module by module, as the eager imports bound them.
+EXPORTS = {
+    "errors": "ConfigError DataCorruptionError IngestError InvalidPairError "
+              "LpevalError UndefinedMetricError UnknownNodeError",
+    "experiments": "SamplingSpec SurrogateParams TemporalSliceSpec "
+                   "analytic_sampling_variance estimate_classifiable "
+                   "filtered_negative_eval kaggle_compare per_distance_eval "
+                   "sample_fair sample_kaggle surrogate_grid surrogate_simulation "
+                   "temporal_eval variance_experiment",
+    "graphstore": "EventLog Snapshot WindowConfig build_snapshot ingest_events "
+                  "write_snapshot_csv",
+    "metrics": "ConfusionCounts Ranking ThresholdCurve aupr auroc average_precision "
+               "confusion_at pr_curve rates roc_curve score_distribution tpr_k",
+    "predictors": "PredictorId adamic_adar aggregate_directional bfs_levels "
+                  "common_neighbors preferential_attachment propflow "
+                  "propflow_accounting propflow_all score_instances score_pairs",
+    "rng": "",
+    "stratify": "BEYOND DISCONNECTED InstanceSet distance_str generate_test_set "
+                "geodesic_bucket_enumerate label_instances "
+                "new_link_distance_distribution parse_distance read_instances_csv "
+                "write_instances_csv",
+    "synth": "synthetic_event_log write_event_file",
+}
+
+
+def run_child(code, blas_threads=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    lpeval, with ``OPENBLAS_NUM_THREADS`` unset unless given; its stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    src = str(pathlib.Path(lpeval.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_lpeval_loads_no_numpy():
+    assert run_child("import sys, lpeval; print('numpy' in sys.modules)") \
+        == "False\n"
+
+
+def test_star_import_binds_every_export():
+    code = f"""
+import importlib, json
+exports = {EXPORTS!r}
+ns = {{}}
+exec("from lpeval import *", ns)
+del ns["__builtins__"]
+want = {{name: getattr(importlib.import_module("lpeval." + module), name)
+        for module, names in exports.items() for name in names.split()}}
+want.update((module, importlib.import_module("lpeval." + module))
+            for module in exports)
+print(json.dumps([sorted(ns), sorted(name for name in want
+                                     if ns.get(name) is not want[name])]))
+"""
+    names, different = json.loads(run_child(code))
+    assert len(names) == 71
+    assert names == sorted(lpeval.__all__)
+    assert names == sorted(set(EXPORTS) | {n for v in EXPORTS.values()
+                                           for n in v.split()})
+    assert different == []
+
+
+BLAS_REPORT = """
+import os, sys
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
+      len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task")
+      else None)
+"""
+
+# ``python -m lpeval.cli`` runs the module as __main__ after importing the
+# package; the ``lpeval`` console script imports ``lpeval.cli:main``.
+ENTRIES = {
+    "python -m": """
+import runpy, sys
+sys.argv = ["lpeval", "--version"]
+try:
+    runpy.run_module("lpeval.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+""",
+    "console script": """
+from lpeval.cli import main
+try:
+    main(["--version"])
+except SystemExit:
+    pass
+""",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_cli_loads_openblas_with_one_thread(entry):
+    # The first line is the version that --version prints.
+    _, value, numpy_loaded, tasks = run_child(ENTRIES[entry] + BLAS_REPORT).split()
+    assert (value, numpy_loaded) == ("1", "True")
+    if tasks == "None":
+        pytest.skip("no /proc/self/task to count threads")
+    assert tasks == "1"
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_cli_keeps_a_preset_blas_thread_count(entry):
+    _, value, numpy_loaded, _ = run_child(ENTRIES[entry] + BLAS_REPORT,
+                                          blas_threads="2").split()
+    assert (value, numpy_loaded) == ("2", "True")
+
+
+# One thread is enough only while lpeval makes no BLAS-sized call. polyfit in
+# variance_slope is the one exception: a 6x2 least-squares fit (one row per
+# sampling rate), far below the size at which OpenBLAS uses threads.
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "polyfit"}
+BLAS_ALLOWED = {("experiments.py", "variance_slope", "polyfit")}
+
+
+def blas_calls(filename, text):
+    """``(file, enclosing function, call)`` of each BLAS or LAPACK call."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.MatMult):
+            name = "@"
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            name = "linalg"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "linalg" in f"{getattr(node, 'module', '')}.{alias.name}".split(".")
+                for alias in node.names):
+            name = "linalg"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if called in BLAS_CALLS:
+                name = called
+        if name is not None:
+            found.append((filename, function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(text), None)
+    return found
+
+
+def test_library_makes_no_blas_sized_call():
+    src = pathlib.Path(cli.__file__).parent
+    found = [call for path in sorted(src.glob("*.py"))
+             for call in blas_calls(path.name, path.read_text(encoding="utf-8"))]
+    assert [call for call in found if call not in BLAS_ALLOWED] == []
+
+
+def test_blas_guard_sees_each_form():
+    code = ("import numpy.linalg\n"
+            "def f(a, b, np):\n    a @ b\n    a @= b\n    np.dot(a, b)\n"
+            "    a.dot(b)\n    np.linalg.norm(a)\n    from numpy.linalg import inv\n"
+            "    from numpy import linalg\n    np.einsum('i,i', a, b)\n"
+            "    np.polyfit(a, b, 1)\n")
+    assert blas_calls("m.py", code) == [("m.py", None, "linalg")] + [
+        ("m.py", "f", name) for name in
+        ("@", "@", "dot", "dot", "linalg", "linalg", "linalg", "einsum", "polyfit")]

@@ -16,7 +16,7 @@ from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
 
 from oracles import (auroc_pair_count, bucket_mixture_auroc, fair_sample_indices,
                      filtered_rows_resorted, kaggle_compare_resorted,
-                     variance_report_resorted)
+                     per_distance_rows_resorted, variance_report_resorted)
 
 
 def make_instances(rng, n_pos, n_neg, distances=(2, 3, 4)):
@@ -230,6 +230,21 @@ class TestTieGroupCounts:
             cuts = [2, 5, BEYOND + 1]
             assert filtered_negative_eval(inst, scores, cuts) == \
                 filtered_rows_resorted(inst, scores, cuts)
+
+    @pytest.mark.filterwarnings("ignore:N\\*p")
+    def test_shared_ranking_gives_the_same_reports(self):
+        # The CLI ranks a column once and passes it to each experiment.
+        for seed in range(6):
+            inst, scores = tie_heavy_instances(seed)
+            rank = Ranking(scores, inst.label, inst.distance)
+            assert variance_experiment(inst, scores, rates=[0.3, 1.0], repeats=4,
+                                       seed=seed, rank=rank) == \
+                variance_experiment(inst, scores, rates=[0.3, 1.0], repeats=4,
+                                    seed=seed)
+            assert filtered_negative_eval(inst, scores, rank=rank) == \
+                filtered_negative_eval(inst, scores)
+            assert per_distance_eval(inst, scores, rank=rank) == \
+                per_distance_rows_resorted(inst, scores)
 
     def test_kaggle_compare_matches_resorting_oracle(self):
         for seed in range(6):

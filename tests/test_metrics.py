@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, ConfusionCounts,
                     InstanceSet, Ranking, UndefinedMetricError, aupr, auroc,
                     average_precision, confusion_at, per_distance_eval,
                     pr_curve, rates, roc_curve, score_distribution, tpr_k)
-from lpeval.metrics import auroc_from_counts, tie_groups
+from lpeval.metrics import auroc_from_counts, tie_groups, write_curve_csv
 
 from oracles import (SortedRanking, aupr_oracle, aupr_segments, auroc_pair_count,
-                     confusion_by_counting, per_distance_rows_resorted,
-                     random_ranking)
+                     confusion_by_counting, curve_csv_text,
+                     per_distance_rows_resorted, random_ranking)
 
 
 def ranking_from_labels(labels, descending_scores=None):
@@ -363,6 +364,29 @@ class TestPrCurve:
 
     def test_average_precision_perfect(self):
         assert average_precision(ranking_from_labels([True, True, False])) == 1.0
+
+
+class TestCurveCsv:
+    @staticmethod
+    def written(curve):
+        buf = io.StringIO()
+        write_curve_csv(curve, buf)
+        return buf.getvalue()
+
+    def test_matches_per_point_writer(self, rng):
+        for _ in range(40):
+            rank = Ranking(*random_ranking(rng, max_size=500))
+            for curve in (roc_curve(rank), pr_curve(rank)):
+                assert self.written(curve) == curve_csv_text(curve)
+
+    def test_twelve_thousand_points(self, rng):
+        n = 12_000
+        labels = rng.random(n) < 0.5
+        rank = Ranking(rng.normal(size=n) + labels, labels)
+        roc, pr = roc_curve(rank), pr_curve(rank)
+        assert roc.points.shape[0] == n + 1
+        for curve in (roc, pr):
+            assert self.written(curve) == curve_csv_text(curve)
 
 
 class TestInvariants:
