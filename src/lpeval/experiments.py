@@ -15,7 +15,8 @@ order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import rng as rng_mod
 from .errors import ConfigError, UndefinedMetricError
 from .graphstore import build_snapshot
 from .metrics import Ranking, aupr, auroc, auroc_from_counts
-from .predictors import score_instances
+from .predictors import _sorted_unique, score_instances
 from .rng import substream
 from .stratify import BEYOND, geodesic_bucket_enumerate, label_instances
 
@@ -150,7 +151,7 @@ def sample_kaggle(instances, seed=0):
         raise ConfigError("sampling needs labeled instances")
     rng = substream(seed, rng_mod.STREAM_KAGGLE_SAMPLE)
     keep = []
-    for d in np.unique(instances.distance):
+    for d in _sorted_unique(instances.distance):
         in_bucket = instances.distance == d
         pos = np.flatnonzero(in_bucket & instances.label)
         if pos.size == 0:
@@ -186,14 +187,23 @@ def estimate_classifiable(scores, labels):
     """Empirical stand-in for C: negatives ranked below the median positive."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
-    pos = scores[labels]
+    pos = np.sort(scores[labels])
     if pos.size == 0:
         raise UndefinedMetricError("no positives to anchor the C estimate")
-    return int((scores[~labels] < np.median(pos)).sum())
+    # np.median's value, as np.median computes it (the mean of the middle
+    # one or two), without the numpy.ma import np.median makes. np.sort puts
+    # NaN last, and the median is NaN whenever any positive is.
+    mid = pos.size // 2
+    if np.isnan(pos[-1]):
+        median = pos[-1]
+    elif pos.size % 2:
+        median = pos[mid]
+    else:
+        median = (pos[mid - 1] + pos[mid]) / 2
+    return int((scores[~labels] < median).sum())
 
 
-@dataclass(frozen=True)
-class VarianceRateRow:
+class VarianceRateRow(NamedTuple):
     rate: float
     mean: float | None
     minimum: float | None
@@ -204,8 +214,7 @@ class VarianceRateRow:
     analytic: float
 
 
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(NamedTuple):
     rows: tuple
     repeats: int
     seed: int
@@ -221,7 +230,7 @@ class VarianceReport:
             "classifiable_estimate": self.classifiable_estimate,
             "variance_vs_inverse_rate": {"slope": self.slope,
                                          "r_squared": self.r_squared},
-            "rows": [vars(r) for r in self.rows],
+            "rows": [r._asdict() for r in self.rows],
         }
 
 
@@ -302,8 +311,7 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     return VarianceReport(tuple(rows), repeats, seed, full, c_est, slope, r2)
 
 
-@dataclass(frozen=True)
-class KaggleCompareReport:
+class KaggleCompareReport(NamedTuple):
     """AUROC of the full set and of each valid fair and balanced draw."""
 
     full_auroc: float | None
@@ -449,8 +457,7 @@ def _auroc_from_positions(positions, total_slots):
     return 1.0 - neg_above.sum(axis=1) / (p * n)
 
 
-@dataclass(frozen=True)
-class SurrogateResult:
+class SurrogateResult(NamedTuple):
     params: SurrogateParams
     seed: int
     mean_sub: float
@@ -459,8 +466,8 @@ class SurrogateResult:
     var_full: float
     sigma: float
     sigma_formula: str = SIGMA_FORMULA
-    auroc_sub: np.ndarray = field(repr=False, default=None)
-    auroc_full: np.ndarray = field(repr=False, default=None)
+    auroc_sub: np.ndarray = None
+    auroc_full: np.ndarray = None
 
     def as_dict(self):
         return {"alpha": self.params.alpha, "beta": self.params.beta,
@@ -538,8 +545,7 @@ CONDMAT_STANDIN_COUNTS = {"p_sub": 1196, "n_sub": 214_616,
                           "p_full": 29_898, "n_full": 148_200_000}
 
 
-@dataclass(frozen=True)
-class FilteredNegativeRow:
+class FilteredNegativeRow(NamedTuple):
     cut: int | None            # None = baseline (nothing removed)
     n_neg_removed: int
     n_neg_kept: int
@@ -580,8 +586,7 @@ def filtered_negative_eval(instances, scores, cuts=None, rank=None):
         [row(int(cut), rank.neg[dist >= cut].sum(axis=0)) for cut in cuts]
 
 
-@dataclass(frozen=True)
-class DistanceRow:
+class DistanceRow(NamedTuple):
     distance: int | None       # None = the overall (all buckets) row
     n_pos: int
     n_neg: int
@@ -649,8 +654,7 @@ def slice_intervals(interval, k):
     return out, duration - k * width
 
 
-@dataclass(frozen=True)
-class TemporalRow:
+class TemporalRow(NamedTuple):
     index: int
     begin: int
     end: int
@@ -661,15 +665,14 @@ class TemporalRow:
     valid: bool
 
 
-@dataclass(frozen=True)
-class TemporalReport:
+class TemporalReport(NamedTuple):
     mode: str
     remainder: int
     rows: tuple
 
     def as_dict(self):
         return {"mode": self.mode, "remainder_to_last_slice": self.remainder,
-                "rows": [vars(r) for r in self.rows]}
+                "rows": [r._asdict() for r in self.rows]}
 
 
 def temporal_eval(log, window, slice_spec, predictor, policy="mean", l_max=4,

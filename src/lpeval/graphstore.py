@@ -151,6 +151,9 @@ class _Interner:
         return idx
 
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
 def _parse_weight(token, line_no):
     try:
         w = float(token)
@@ -163,9 +166,22 @@ def _parse_weight(token, line_no):
 
 def _parse_timestamp(token, line_no):
     try:
-        return int(token)
+        t = int(token)
     except ValueError:
         raise IngestError(f"bad timestamp {token!r}", line=line_no) from None
+    if not _INT64_MIN <= t <= _INT64_MAX:
+        raise IngestError(f"timestamp {token!r} does not fit in int64", line=line_no)
+    return t
+
+
+def _decode(raw):
+    """UTF-8 text of an event file; undecodable bytes raise IngestError on
+    the line they are on."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"not UTF-8: {exc.reason}",
+                          line=raw.count(b"\n", 0, exc.start) + 1) from None
 
 
 def ingest_events(source, format="pair"):
@@ -179,11 +195,14 @@ def ingest_events(source, format="pair"):
         raise ConfigError(f"unknown event format {format!r}", field="dataset.format")
 
     if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        try:
+            raw = source.read()
+        except UnicodeDecodeError as exc:  # a text stream decodes as it reads
+            raise IngestError(f"not UTF-8: {exc.reason}") from None
+        text = _decode(raw) if isinstance(raw, bytes) else raw
     else:
         with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            text = _decode(fh.read())
 
     interner = _Interner()
     timestamps = []
@@ -224,7 +243,8 @@ def ingest_events(source, format="pair"):
         overrides.append(w)
 
     timestamps = np.asarray(timestamps, dtype=np.int64)
-    was_unsorted = bool(timestamps.size and np.any(np.diff(timestamps) < 0))
+    # Compared, not subtracted: a difference of int64 timestamps can wrap.
+    was_unsorted = bool(np.any(timestamps[1:] < timestamps[:-1]))
     if was_unsorted:
         warnings.warn("event stream was not sorted by timestamp; sorting internally",
                       stacklevel=2)

@@ -16,7 +16,7 @@ accumulated in integer arithmetic before the final division.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,7 @@ class Ranking:
         return int(self.fp[-1])
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     """Counts at a rank cut: everything above predicted positive.
 
     Fields are floats so interpolated (fractional tie credit) cuts are
@@ -185,8 +184,7 @@ def tpr_k(rank, k=None, percent=None):
     return c.tp / k
 
 
-@dataclass(frozen=True)
-class ThresholdCurve:
+class ThresholdCurve(NamedTuple):
     """An ROC or PR curve: ordered points, area, and class counts."""
 
     space: str
@@ -339,8 +337,7 @@ def average_precision(rank):
     return total / rank.n_pos
 
 
-@dataclass(frozen=True)
-class ScoreDistribution:
+class ScoreDistribution(NamedTuple):
     """Histogram plus exact empirical CDF of a score sample."""
 
     bin_edges: np.ndarray

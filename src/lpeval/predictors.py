@@ -18,6 +18,7 @@ any permutation or split of a pair list gives bit-identical scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +108,19 @@ def _validate_known(s, u_arr, v_arr):
 # The block kernel
 
 
+def _sorted_unique(a):
+    """The distinct values of an integer array, ascending.
+
+    ``np.unique`` without a ``return_*`` flag hashes integers (numpy >= 2.3),
+    which is several times slower than this sort, and imports ``numpy.ma``.
+    """
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _blocks(s, sources):
     """Consecutive runs of ``sources``, _BLOCK_CELLS cells at most."""
     size = max(1, _BLOCK_CELLS // (s.n_universe + s.indices.size))
@@ -114,8 +128,7 @@ def _blocks(s, sources):
         yield sources[lo:lo + size]
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """One BFS level of a block walk.
 
     The frontier holds the cells ``(rows[k], nodes[k])`` first reached at
@@ -140,10 +153,10 @@ def _walk(s, sources, depth_limit=None):
 
     Every level is expanded with whole-block numpy calls: the frontier's
     neighbor slices are gathered with ``np.repeat`` on ``indptr``, masked
-    against the hop matrix, and deduplicated with ``np.unique``. The level
-    at ``depth_limit`` is yielded with an empty expansion, and the walk ends
-    after a level with no forward edge. Sources outside the universe reach
-    nothing.
+    against the hop matrix, and deduplicated with :func:`_sorted_unique`. The
+    level at ``depth_limit`` is yielded with an empty expansion, and the walk
+    ends after a level with no forward edge. Sources outside the universe
+    reach nothing.
     """
     n = s.n_universe
     levels = np.full((sources.size, n), -1, dtype=np.int64)
@@ -163,7 +176,7 @@ def _walk(s, sources, depth_limit=None):
         yield _Level(depth, levels, rows, nodes, entry, pos, fwd)
         if not fwd.any():
             return
-        cells = np.unique(rows[entry[fwd]] * n + nbr[fwd])
+        cells = _sorted_unique(rows[entry[fwd]] * n + nbr[fwd])
         rows, nodes = np.divmod(cells, n)
         depth += 1
         levels.flat[cells] = depth
@@ -327,8 +340,7 @@ def preferential_attachment(s, u, v, query_mode=False):
     return float(du * dv)
 
 
-@dataclass(frozen=True)
-class FlowAccounting:
+class FlowAccounting(NamedTuple):
     """Exact disposition of one unit of source flow after l_max hops."""
 
     absorbed: float     # arrived at the target (the PropFlow score)

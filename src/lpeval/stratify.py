@@ -156,6 +156,19 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
     return InstanceSet(u_arr[order], v_arr[order], d_arr[order])
 
 
+def _isin(keys, table):
+    """``np.isin(keys, table)`` for integer arrays, by binary search.
+
+    On wide key ranges ``np.isin`` deduplicates ``table`` with a hashing
+    ``np.unique`` that imports ``numpy.ma``; a sorted table needs neither.
+    """
+    table = np.sort(table, axis=None)
+    if not table.size:
+        return np.zeros(np.shape(keys), dtype=bool)
+    at = np.searchsorted(table, keys)
+    return table[np.minimum(at, table.size - 1)] == keys
+
+
 def label_instances(candidates, label_snapshot):
     """Label each candidate positive iff it is an edge of the label snapshot."""
     n = max(label_snapshot.n_universe, 1)
@@ -165,7 +178,7 @@ def label_instances(candidates, label_snapshot):
     hi = np.maximum(candidates.u, candidates.v)
     in_range = (lo >= 0) & (hi < n)
     keys = np.where(in_range, lo * np.int64(n) + hi, -1)
-    labels = np.isin(keys, edge_keys)
+    labels = _isin(keys, edge_keys)
     return InstanceSet(candidates.u, candidates.v, candidates.distance, labels,
                        dict(candidates.scores))
 
@@ -220,7 +233,7 @@ def new_link_distance_distribution(feature, label):
     eu, ev = eu[inside], ev[inside]
     deg = feature.degrees()
     fu, fv, _ = feature.edge_arrays()
-    new = (deg[eu] > 0) & (deg[ev] > 0) & ~np.isin(eu * n + ev, fu * n + fv)
+    new = (deg[eu] > 0) & (deg[ev] > 0) & ~_isin(eu * n + ev, fu * n + fv)
     eu, ev = eu[new], ev[new]
     sources, inverse = np.unique(eu, return_inverse=True)
     dist = np.empty(eu.size, dtype=np.int64)

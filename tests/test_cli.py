@@ -453,3 +453,90 @@ def test_blas_guard_sees_each_form():
     assert blas_calls("m.py", code) == [("m.py", None, "linalg")] + [
         ("m.py", "f", name) for name in
         ("@", "@", "dot", "dot", "linalg", "linalg", "linalg", "einsum", "polyfit")]
+
+
+# np.median, np.isin and np.unique without a return_* flag import numpy.ma
+# at run time, which costs every process that reaches them ~16 ms of CPU;
+# flagless np.unique also hashes integers, several times slower than a
+# sort. The sort-based helpers (predictors._sorted_unique, stratify._isin,
+# the median in experiments.estimate_classifiable) give the same results.
+NUMPY_MA_CALLS = {"median", "isin", "unique"}
+
+
+def numpy_ma_calls(filename, text):
+    """``(file, line, call)`` of each call that makes numpy import numpy.ma."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        if called not in NUMPY_MA_CALLS:
+            continue
+        if called == "unique" and any((k.arg or "").startswith("return_")
+                                      for k in node.keywords):
+            continue
+        found.append((filename, node.lineno, called))
+    return found
+
+
+def test_library_makes_no_numpy_ma_call():
+    src = pathlib.Path(cli.__file__).parent
+    assert [call for path in sorted(src.glob("*.py"))
+            for call in numpy_ma_calls(path.name, path.read_text(encoding="utf-8"))
+            ] == []
+
+
+def test_numpy_ma_guard_sees_each_form():
+    code = ("def f(a, b, np, numpy):\n    np.median(a)\n    np.isin(a, b)\n"
+            "    np.unique(a)\n    numpy.unique(a, axis=0)\n    median(a)\n"
+            "    np.unique(a, return_inverse=True)\n    np.sort(a)\n")
+    assert numpy_ma_calls("m.py", code) == [
+        ("m.py", 2, "median"), ("m.py", 3, "isin"), ("m.py", 4, "unique"),
+        ("m.py", 5, "unique"), ("m.py", 6, "median")]
+
+
+@pytest.mark.filterwarnings("ignore:N\\*p")
+def test_no_command_imports_numpy_ma(tmp_path):
+    # Sparse, without sentinel buckets: the candidate and edge keys span a
+    # range wide enough that np.isin would take its sort path.
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(200, 3.0, 100, seed=3), events)
+    scores, _ = sampling_score_file(tmp_path)
+    graph = ["--set", f"dataset.path={events}", *WINDOWS,
+             "--set", "prediction.predictors=cn,pf:2", "--set", "prediction.lmax=3",
+             "--set", "prediction.include_beyond=false",
+             "--set", "prediction.include_disconnected=false"]
+    sampled = ["--set", f"dataset.scores={scores}", "--set", "variance.repeats=3",
+               "--set", "kaggle.repeats=3"]
+    runs = [["snapshot", *graph], ["distance-dist", *graph], ["evaluate", *graph],
+            ["evaluate", *graph, "--set", "sampling.mode=fair-random",
+             "--set", "sampling.rate=0.3"],
+            ["evaluate", *graph, "--set", "sampling.mode=kaggle-balanced"],
+            ["temporal", *graph], ["score", *graph], ["variance", *sampled],
+            ["kaggle-compare", *sampled],
+            ["surrogate", "--set", "surrogate.trials=500"]]
+    out = str(tmp_path / "out")
+    code = f"""
+import sys, warnings
+from lpeval import cli
+warnings.simplefilter("ignore")
+for argv in {runs!r}:
+    assert cli.main(argv + ["--out", {out!r}]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    assert run_child(code) == "[]\n"
+
+
+@pytest.mark.parametrize("body", [b"a\tb\t1\n\xff\xfe\tc\t2\n",
+                                  b"a\tb\t1\nb\tc\t99999999999999999999\n"],
+                         ids=["not-utf-8", "timestamp-beyond-int64"])
+def test_unreadable_event_file_exits_3(tmp_path, capsys, body):
+    events = tmp_path / "events.tsv"
+    events.write_bytes(body)
+    out = tmp_path / "out"
+    assert cli.main(["snapshot", "--out", str(out), "--set", f"dataset.path={events}",
+                     *WINDOWS]) == 3
+    assert "line 2:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

@@ -1,8 +1,11 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpeval import (ConfigError, EventLog, IngestError, Snapshot, WindowConfig,
                     build_snapshot, ingest_events, write_snapshot_csv)
@@ -80,6 +83,85 @@ class TestIngest:
         log = ingest_text("alice\tbob\t1\nbob\tcarol\t2\n")
         assert log.id_labels == ["alice", "bob", "carol"]
         assert log.participants(0).tolist() == [0, 1]
+
+
+# Pieces of event lines that reach every branch of the line parser: ids,
+# clique and field separators, comments, line ends, timestamps inside and
+# outside int64, and weights of every kind.
+PIECES = st.one_of(
+    st.sampled_from(["a", "b", "c", "a|b", "|", "\t", "\n", "\r\n", "#", " ", "-",
+                     "0", "1", "0.5", "-2", "nan", "inf", "1e400", "x y"]),
+    st.integers(-(2 ** 65), 2 ** 65).map(str),
+    st.text(max_size=3))
+EVENT_TEXT = st.one_of(st.lists(PIECES, max_size=40).map("".join), st.text())
+EVENT_BYTES = st.one_of(
+    st.lists(st.one_of(PIECES.map(str.encode), st.binary(max_size=2)),
+             max_size=40).map(b"".join),
+    st.binary())
+FORMATS = st.sampled_from(["pair", "clique"])
+
+
+def assert_log_or_ingest_error(source, format):
+    """``ingest_events`` raises IngestError or returns a well-formed log."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unsorted input is sorted with a notice
+        try:
+            log = ingest_events(source, format=format)
+        except IngestError:
+            return
+    assert isinstance(log, EventLog)
+    offsets, nodes = log.event_offsets, log.event_nodes
+    assert offsets.size == log.n_events + 1 and offsets[0] == 0
+    assert offsets[-1] == nodes.size
+    assert np.all(np.diff(offsets) >= 2)
+    assert np.all(log.timestamps[1:] >= log.timestamps[:-1])
+    assert np.all((nodes >= 0) & (nodes < log.n_nodes))
+    for i in range(log.n_events):
+        parts = log.participants(i).tolist()
+        assert len(set(parts)) == len(parts)
+    w = log.weight_overrides
+    assert w.size == log.n_events
+    assert np.all(np.isnan(w) | (np.isfinite(w) & (w > 0)))
+
+
+class TestIngestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(EVENT_TEXT, FORMATS)
+    @example("a\tb\t1\nb\tc\t99999999999999999999\n", "pair")
+    @example("1\ta|b\n-99999999999999999999\tb|c\n", "clique")
+    def test_text_gives_a_log_or_an_ingest_error(self, text, format):
+        assert_log_or_ingest_error(io.StringIO(text), format)
+
+    @settings(max_examples=300, deadline=None)
+    @given(EVENT_BYTES, FORMATS)
+    @example(b"a\tb\t1\n\xff\xfe\tc\t2\n", "pair")
+    @example(b"1\ta|b\n2\tb|\xc3\n", "clique")
+    def test_bytes_give_a_log_or_an_ingest_error(self, data, format):
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            # The first line holding an undecodable byte is named.
+            lines = data.decode("utf-8", "surrogateescape").split("\n")
+            bad = next(i for i, line in enumerate(lines, 1)
+                       if any("\udc80" <= c <= "\udcff" for c in line))
+            with pytest.raises(IngestError) as err:
+                ingest_events(io.BytesIO(data), format=format)
+            assert err.value.line == bad
+            # A text stream fails as it decodes, before any line is read.
+            with pytest.raises(IngestError):
+                ingest_events(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                              format=format)
+        else:
+            assert_log_or_ingest_error(io.BytesIO(data), format)
+
+    @pytest.mark.filterwarnings("error")
+    def test_timestamps_at_the_int64_limits_are_kept(self):
+        log = ingest_text(f"a\tb\t{-(2 ** 63)}\nb\tc\t{2 ** 63 - 1}\n")
+        assert log.timestamps.tolist() == [-(2 ** 63), 2 ** 63 - 1]
+        assert not log.was_unsorted
+        with pytest.raises(IngestError) as err:
+            ingest_text(f"a\tb\t1\nb\tc\t{2 ** 63}\n")
+        assert err.value.line == 2
 
 
 class TestBuildSnapshot:
