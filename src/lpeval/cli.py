@@ -44,18 +44,42 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, header, rows):
-    text = ",".join(header) + "\n"
-    text += "".join(",".join(_fmt(c) for c in row) + "\n" for row in rows)
-    atomic_write_text(path, text)
+class _Output:
+    """One command's artifacts in ``cfg.out_dir``.
 
+    Each artifact is written atomically and the digest its writer returns
+    is kept, so ``manifest`` lists every artifact without reading one back.
+    """
 
-def _write_artifact(path, write):
-    """Render an artifact with ``write(buffer)`` and write it atomically."""
-    buf = io.StringIO()
-    write(buf)
-    atomic_write_text(path, buf.getvalue())
-    return path
+    def __init__(self, cfg, command):
+        self.cfg = cfg
+        self.command = command
+        self.digests = {}
+
+    def text(self, name, text):
+        self.digests[name] = atomic_write_text(
+            os.path.join(self.cfg.out_dir, name), text)
+
+    def render(self, name, write):
+        """Render an artifact with ``write(buffer)``."""
+        buf = io.StringIO()
+        write(buf)
+        self.text(name, buf.getvalue())
+
+    def csv(self, name, header, rows):
+        self.text(name, ",".join(header) + "\n" + "".join(
+            ",".join(_fmt(c) for c in row) + "\n" for row in rows))
+
+    def report(self, name, payload):
+        """A JSON report headed by the run's config and seed."""
+        self.digests[name] = write_json(
+            os.path.join(self.cfg.out_dir, name),
+            {"config": self.cfg.echo(), "seed": self.cfg.seed, **payload})
+
+    def manifest(self, input_digest=None):
+        write_manifest(self.cfg.out_dir, self.command, self.cfg.echo(),
+                       self.digests, input_digest=input_digest,
+                       toolkit_version=__version__)
 
 
 def _load_log(cfg):
@@ -113,62 +137,46 @@ def _apply_sampling(cfg, inst):
     return inst
 
 
-def _finish(cfg, command, artifacts, input_digest=None):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = write_manifest(cfg.out_dir, command, cfg.echo(), artifacts,
-                          input_digest=input_digest, toolkit_version=__version__)
-    return artifacts + [path]
-
-
 def cmd_snapshot(cfg):
     """Materialize the four window snapshots as edge CSVs."""
     log, digest = _load_log(cfg)
     cfg.require_windows()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = []
+    out = _Output(cfg, "snapshot")
     stats = {}
     for name in ("train_feature", "train_label", "test_feature", "test_label"):
         snap = build_snapshot(log, getattr(cfg.windows, name),
                               weight_rule=cfg.weight_rule)
-        path = os.path.join(cfg.out_dir, f"snapshot_{name}.csv")
-        artifacts.append(_write_artifact(
-            path, lambda fh: write_snapshot_csv(snap, fh)))
+        out.render(f"snapshot_{name}.csv", lambda fh: write_snapshot_csv(snap, fh))
         stats[name] = {"interval": list(snap.interval), "nodes": snap.n_nodes,
                        "edges": snap.n_edges, "density": snap.density(),
                        "total_weight": snap.total_weight}
-    report = os.path.join(cfg.out_dir, "snapshot_report.json")
-    write_json(report, {"config": cfg.echo(), "seed": cfg.seed,
-                        "was_unsorted": log.was_unsorted, "snapshots": stats})
-    artifacts.append(report)
-    return _finish(cfg, "snapshot", artifacts, digest)
+    out.report("snapshot_report.json",
+               {"was_unsorted": log.was_unsorted, "snapshots": stats})
+    out.manifest(digest)
 
 
 def cmd_score(cfg):
     """Write scored (and labeled) candidate instances per predictor."""
     sets, digest, feature = _scored_instance_sets(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = []
+    out = _Output(cfg, "score")
     labels = feature.id_labels if feature is not None else None
     for name in sorted(sets):
-        path = os.path.join(cfg.out_dir, f"scores_{name}.csv")
-        artifacts.append(_write_artifact(path, lambda fh: write_instances_csv(
-            fh, sets[name], id_labels=labels, score_keys=[name])))
-    return _finish(cfg, "score", artifacts, digest)
+        out.render(f"scores_{name}.csv", lambda fh: write_instances_csv(
+            fh, sets[name], id_labels=labels, score_keys=[name]))
+    out.manifest(digest)
 
 
 def cmd_evaluate(cfg):
     """Threshold curves and the per-distance report for each predictor."""
     sets, digest, feature = _scored_instance_sets(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = []
+    out = _Output(cfg, "evaluate")
     summary = {}
     labels = feature.id_labels if feature is not None else None
     for name in sorted(sets):
         inst = _apply_sampling(cfg, sets[name])
         scores = inst.scores[name]
-        path = os.path.join(cfg.out_dir, f"instances_{name}.csv")
-        artifacts.append(_write_artifact(path, lambda fh: write_instances_csv(
-            fh, inst, id_labels=labels, score_keys=[name])))
+        out.render(f"instances_{name}.csv", lambda fh: write_instances_csv(
+            fh, inst, id_labels=labels, score_keys=[name]))
 
         entry = {"n_pos": inst.n_pos, "n_neg": inst.n_neg,
                  "sampling_mode": cfg.sampling.mode,
@@ -182,35 +190,26 @@ def cmd_evaluate(cfg):
             for curve, tag in ((roc_curve(rank), "roc"), (pr_curve(rank), "pr")):
                 entry["tie_policy"] = curve.tie_policy
                 entry["auroc" if tag == "roc" else "aupr"] = curve.area
-                base = os.path.join(cfg.out_dir, f"{tag}_{name}")
-                artifacts.append(_write_artifact(
-                    base + ".csv", lambda fh: write_curve_csv(curve, fh)))
-                artifacts.append(_write_artifact(
-                    base + ".json", lambda fh: write_curve_json(curve, fh)))
+                out.render(f"{tag}_{name}.csv", lambda fh: write_curve_csv(curve, fh))
+                out.render(f"{tag}_{name}.json",
+                           lambda fh: write_curve_json(curve, fh))
                 if cfg.svg:
-                    atomic_write_text(base + ".svg", curve_svg(curve))
-                    artifacts.append(base + ".svg")
+                    out.text(f"{tag}_{name}.svg", curve_svg(curve))
         rows = per_distance_eval(inst, scores, rank=rank)
-        dpath = os.path.join(cfg.out_dir, f"per_distance_{name}.csv")
-        _write_csv(dpath, ["distance", "n_pos", "n_neg", "auroc", "aupr",
-                           "sufficient"],
-                   [("overall" if r.distance is None else distance_str(r.distance),
-                     r.n_pos, r.n_neg, r.auroc, r.aupr, int(r.sufficient))
-                    for r in rows])
-        artifacts.append(dpath)
+        out.csv(f"per_distance_{name}.csv",
+                ["distance", "n_pos", "n_neg", "auroc", "aupr", "sufficient"],
+                [("overall" if r.distance is None else distance_str(r.distance),
+                  r.n_pos, r.n_neg, r.auroc, r.aupr, int(r.sufficient))
+                 for r in rows])
         summary[name] = entry
-    report = os.path.join(cfg.out_dir, "evaluation.json")
-    write_json(report, {"config": cfg.echo(), "seed": cfg.seed,
-                        "predictors": summary})
-    artifacts.append(report)
-    return _finish(cfg, "evaluate", artifacts, digest)
+    out.report("evaluation.json", {"predictors": summary})
+    out.manifest(digest)
 
 
 def cmd_variance(cfg):
     """Fair-sampling AUROC spread per rate, with the analytic reference."""
     sets, digest, _ = _scored_instance_sets(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = []
+    out = _Output(cfg, "variance")
     reports = {}
     for name in sorted(sets):
         inst = sets[name]
@@ -219,52 +218,42 @@ def cmd_variance(cfg):
                                      repeats=cfg.variance_repeats, seed=cfg.seed,
                                      exact_counts=cfg.sampling.exact_counts,
                                      rank=rank)
-        path = os.path.join(cfg.out_dir, f"variance_{name}.csv")
-        _write_csv(path, ["rate", "mean", "min", "max", "variance", "n_valid",
-                          "n_invalid", "analytic"],
-                   [(r.rate, r.mean, r.minimum, r.maximum, r.variance,
-                     r.n_valid, r.n_invalid, r.analytic) for r in report.rows])
-        artifacts.append(path)
+        out.csv(f"variance_{name}.csv",
+                ["rate", "mean", "min", "max", "variance", "n_valid",
+                 "n_invalid", "analytic"],
+                [(r.rate, r.mean, r.minimum, r.maximum, r.variance,
+                  r.n_valid, r.n_invalid, r.analytic) for r in report.rows])
         reports[name] = report.as_dict()
 
         filt = filtered_negative_eval(inst, name, rank=rank)
-        fpath = os.path.join(cfg.out_dir, f"filtered_negatives_{name}.csv")
-        _write_csv(fpath, ["cut", "n_neg_removed", "n_neg_kept", "auroc"],
-                   [("baseline" if r.cut is None else distance_str(r.cut),
-                     r.n_neg_removed, r.n_neg_kept, r.auroc) for r in filt])
-        artifacts.append(fpath)
-    report_path = os.path.join(cfg.out_dir, "variance_report.json")
-    write_json(report_path, {"config": cfg.echo(), "seed": cfg.seed,
-                             "predictors": reports})
-    artifacts.append(report_path)
-    return _finish(cfg, "variance", artifacts, digest)
+        out.csv(f"filtered_negatives_{name}.csv",
+                ["cut", "n_neg_removed", "n_neg_kept", "auroc"],
+                [("baseline" if r.cut is None else distance_str(r.cut),
+                  r.n_neg_removed, r.n_neg_kept, r.auroc) for r in filt])
+    out.report("variance_report.json", {"predictors": reports})
+    out.manifest(digest)
 
 
 def cmd_surrogate(cfg):
     """Sigma-separation grid of the sub-problem vs. full-problem simulation."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     cells = surrogate_grid(cfg.surrogate_alphas, cfg.surrogate_betas,
                            **cfg.surrogate_counts, trials=cfg.surrogate_trials,
                            seed=cfg.seed)
-    grid_path = os.path.join(cfg.out_dir, "surrogate_grid.csv")
-    header = ["alpha"] + [f"beta={b:g}" for b in cfg.surrogate_betas]
-    rows = []
+    out = _Output(cfg, "surrogate")
     by_cell = {(c.params.alpha, c.params.beta): c for c in cells}
-    for alpha in cfg.surrogate_alphas:
-        rows.append([alpha] + [by_cell[(alpha, beta)].sigma
-                               for beta in cfg.surrogate_betas])
-    _write_csv(grid_path, header, rows)
-    report_path = os.path.join(cfg.out_dir, "surrogate_report.json")
-    write_json(report_path, {"config": cfg.echo(), "seed": cfg.seed,
-                             "scale": cfg.surrogate_scale,
-                             "cells": [c.as_dict() for c in cells]})
-    return _finish(cfg, "surrogate", [grid_path, report_path])
+    out.csv("surrogate_grid.csv",
+            ["alpha"] + [f"beta={b:g}" for b in cfg.surrogate_betas],
+            [[alpha] + [by_cell[(alpha, beta)].sigma
+                        for beta in cfg.surrogate_betas]
+             for alpha in cfg.surrogate_alphas])
+    out.report("surrogate_report.json", {"scale": cfg.surrogate_scale,
+                                         "cells": [c.as_dict() for c in cells]})
+    out.manifest()
 
 
 def cmd_kaggle_compare(cfg):
     """Fair random sampling vs. per-distance-bucket balanced sampling."""
     sets, digest, _ = _scored_instance_sets(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     master = substream(cfg.seed, rng_mod.STREAM_KAGGLE_SAMPLE, 999)
     repeat_seeds = master.integers(0, 2 ** 62, size=cfg.kaggle_repeats)
     rows = []
@@ -274,21 +263,20 @@ def cmd_kaggle_compare(cfg):
         rows.append((name, report.full_auroc, report.fair_mean, report.kaggle_mean,
                      len(report.fair_values), len(report.kaggle_values)))
         detail[name] = report.as_dict()
-    path = os.path.join(cfg.out_dir, "kaggle_compare.csv")
-    _write_csv(path, ["predictor", "full_auroc", "fair_auroc", "kaggle_auroc",
-                      "fair_repeats", "kaggle_repeats"], rows)
-    report = os.path.join(cfg.out_dir, "kaggle_report.json")
-    write_json(report, {"config": cfg.echo(), "seed": cfg.seed,
-                        "rate": cfg.kaggle_rate, "predictors": detail})
-    return _finish(cfg, "kaggle-compare", [path, report], digest)
+    out = _Output(cfg, "kaggle-compare")
+    out.csv("kaggle_compare.csv", ["predictor", "full_auroc", "fair_auroc",
+                                   "kaggle_auroc", "fair_repeats",
+                                   "kaggle_repeats"], rows)
+    out.report("kaggle_report.json", {"rate": cfg.kaggle_rate,
+                                      "predictors": detail})
+    out.manifest(digest)
 
 
 def cmd_temporal(cfg):
     """Per-slice AUROC/AUPR over the sliced test-label interval."""
     log, digest = _load_log(cfg)
     cfg.require_windows()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = []
+    out = _Output(cfg, "temporal")
     reports = {}
     for pred in cfg.predictors:
         report = temporal_eval(log, cfg.windows, cfg.temporal, pred,
@@ -296,37 +284,30 @@ def cmd_temporal(cfg):
                                include_beyond=cfg.include_beyond,
                                include_disconnected=cfg.include_disconnected,
                                weight_rule=cfg.weight_rule)
-        path = os.path.join(cfg.out_dir, f"temporal_{pred.name}.csv")
-        _write_csv(path, ["slice", "begin", "end", "n_pos", "n_neg", "auroc",
-                          "aupr", "valid"],
-                   [(r.index, r.begin, r.end, r.n_pos, r.n_neg, r.auroc, r.aupr,
-                     int(r.valid)) for r in report.rows])
-        artifacts.append(path)
+        out.csv(f"temporal_{pred.name}.csv",
+                ["slice", "begin", "end", "n_pos", "n_neg", "auroc", "aupr",
+                 "valid"],
+                [(r.index, r.begin, r.end, r.n_pos, r.n_neg, r.auroc, r.aupr,
+                  int(r.valid)) for r in report.rows])
         reports[pred.name] = report.as_dict()
-    rpath = os.path.join(cfg.out_dir, "temporal_report.json")
-    write_json(rpath, {"config": cfg.echo(), "seed": cfg.seed,
-                       "predictors": reports})
-    artifacts.append(rpath)
-    return _finish(cfg, "temporal", artifacts, digest)
+    out.report("temporal_report.json", {"predictors": reports})
+    out.manifest(digest)
 
 
 def cmd_distance_dist(cfg):
     """Distribution of prior geodesic distance over newly formed links."""
     log, digest = _load_log(cfg)
     cfg.require_windows()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     feature = build_snapshot(log, cfg.windows.test_feature,
                              weight_rule=cfg.weight_rule)
     label = build_snapshot(log, cfg.windows.test_label, weight_rule=cfg.weight_rule)
     dist = new_link_distance_distribution(feature, label)
-    path = os.path.join(cfg.out_dir, "distance_distribution.csv")
-    _write_csv(path, ["distance", "probability"],
-               [(distance_str(d), p) for d, p in dist.items()])
-    report = os.path.join(cfg.out_dir, "distance_report.json")
-    write_json(report, {"config": cfg.echo(), "seed": cfg.seed,
-                        "distribution": {distance_str(d): p
-                                         for d, p in dist.items()}})
-    return _finish(cfg, "distance-dist", [path, report], digest)
+    out = _Output(cfg, "distance-dist")
+    out.csv("distance_distribution.csv", ["distance", "probability"],
+            [(distance_str(d), p) for d, p in dist.items()])
+    out.report("distance_report.json", {"distribution": {
+        distance_str(d): p for d, p in dist.items()}})
+    out.manifest(digest)
 
 
 _COMMANDS = {

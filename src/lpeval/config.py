@@ -11,7 +11,7 @@ import configparser
 from .errors import ConfigError
 from .experiments import (CONDMAT_STANDIN_COUNTS, SamplingSpec,
                           TemporalSliceSpec)
-from .graphstore import WindowConfig
+from .graphstore import WEIGHT_RULES, WindowConfig
 from .predictors import DIRECTION_POLICIES, PredictorId
 from .stratify import GENERATION_MODES
 
@@ -129,6 +129,9 @@ class RunConfig:
                               field="dataset.format")
         self.scores_path = s["dataset"]["scores"] or None
         self.weight_rule = s["dataset"]["weight_rule"]
+        if self.weight_rule not in WEIGHT_RULES:
+            raise ConfigError(f"unknown weight rule {self.weight_rule!r}",
+                              field="dataset.weight_rule")
 
         raw_windows = {k: v for k, v in s["windows"].items() if v}
         self.windows = None

@@ -221,6 +221,8 @@ def ingest_events(source, format="pair"):
                     f"expected src<TAB>dst<TAB>timestamp[<TAB>weight], got {len(fields)} fields",
                     line=line_no)
             src, dst, ts = fields[0], fields[1], fields[2]
+            if not src or not dst:
+                raise IngestError("empty node id", line=line_no)
             if src == dst:
                 raise IngestError("self-pair event (src == dst)", line=line_no)
             t = _parse_timestamp(ts, line_no)
@@ -233,6 +235,8 @@ def ingest_events(source, format="pair"):
                     line=line_no)
             t = _parse_timestamp(fields[0], line_no)
             raw_ids = fields[1].split("|")
+            if "" in raw_ids:
+                raise IngestError("empty node id", line=line_no)
             if len(raw_ids) < 2 or len(set(raw_ids)) != len(raw_ids):
                 raise IngestError("clique needs >=2 distinct participants", line=line_no)
             parts = [interner.intern(x) for x in raw_ids]

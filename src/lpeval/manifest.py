@@ -1,8 +1,10 @@
-"""Run manifests, content digests, and atomic artifact writing.
+"""Run manifests, content digests, and the one atomic artifact writer.
 
-Artifacts are written temp-then-rename so a crashed run never leaves a
-partial file; the manifest lists every artifact with its sha256 so a rerun
-(same config, same inputs) is checkable bit-for-bit.
+Every artifact goes through ``atomic_write_text``: it writes temp-then-rename
+so a crashed run never leaves a partial file, and returns the sha256 of the
+bytes it wrote. The manifest lists each artifact with that digest, so a
+rerun (same config, same inputs) is checkable bit-for-bit and no artifact
+is read back to hash it; ``sha256_file`` is for input files.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ import hashlib
 import json
 import os
 import tempfile
-
-
-def sha256_bytes(data):
-    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path):
@@ -26,10 +24,8 @@ def sha256_file(path):
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def atomic_write_bytes(path, data):
+    """Write ``text`` as UTF-8 to ``path`` atomically; returns its sha256."""
+    data = text.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -41,23 +37,28 @@ def atomic_write_bytes(path, data):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def write_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write ``payload`` as sorted, indented JSON; returns its sha256."""
+    return atomic_write_text(
+        path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_manifest(out_dir, command, config_echo, artifact_paths,
+def write_manifest(out_dir, command, config_echo, digests,
                    input_digest=None, toolkit_version="unknown"):
-    """Write manifest.json describing one command run; returns its path."""
-    artifacts = [{"path": os.path.relpath(p, out_dir), "sha256": sha256_file(p)}
-                 for p in sorted(artifact_paths)]
+    """Write manifest.json describing one command run; returns its path.
+
+    ``digests`` maps each artifact's path relative to ``out_dir`` to the
+    sha256 its writer returned.
+    """
     manifest = {
         "command": command,
         "toolkit_version": toolkit_version,
         "config": config_echo,
         "input_digest": input_digest,
-        "artifacts": artifacts,
+        "artifacts": [{"path": p, "sha256": d} for p, d in sorted(digests.items())],
     }
     path = os.path.join(out_dir, "manifest.json")
     write_json(path, manifest)

@@ -277,15 +277,14 @@ def _by_source(s, src, dst, kernel):
     n = s.n_universe
     out = np.zeros(src.size)
     idx = np.flatnonzero((src >= 0) & (src < n) & (dst >= 0) & (dst < n))
-    sources, inverse = np.unique(src[idx], return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    idx, inverse = idx[order], inverse[order]
-    first = 0
-    for block in _blocks(s, sources):
-        lo, hi = np.searchsorted(inverse, [first, first + block.size])
+    idx = idx[np.argsort(src[idx], kind="stable")]
+    ends = src[idx]
+    for block in _blocks(s, _sorted_unique(ends)):
+        lo = np.searchsorted(ends, block[0])
+        hi = np.searchsorted(ends, block[-1], side="right")
         pairs = idx[lo:hi]
-        out[pairs] = kernel(block)[inverse[lo:hi] - first, dst[pairs]]
-        first += block.size
+        out[pairs] = kernel(block)[np.searchsorted(block, ends[lo:hi]),
+                                   dst[pairs]]
     return out
 
 
@@ -459,8 +458,10 @@ def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False):
         _validate_known(s, u_arr, v_arr)
 
     if predictor.kind == "propflow":
-        fwd = _propflow_pairs(s, u_arr, v_arr, predictor.l_max)
-        rev = _propflow_pairs(s, v_arr, u_arr, predictor.l_max)
+        # Both directions in one call: each distinct end is walked once.
+        fwd, rev = np.split(_propflow_pairs(s, np.concatenate([u_arr, v_arr]),
+                                            np.concatenate([v_arr, u_arr]),
+                                            predictor.l_max), 2)
     elif predictor.kind == "preferential-attachment":
         fwd = rev = _preferential_attachment_pairs(s, u_arr, v_arr, query_mode)
     else:

@@ -243,6 +243,9 @@ def test_other_commands_rerun_identically(tmp_path, command, artifacts):
     # The slice count is checked before the (missing) dataset is read.
     pytest.param("temporal", "temporal.slices=0 dataset.path=no-such-dir/events.tsv",
                  "temporal.slices", id="temporal-slices=0-missing-dataset"),
+    # So is the weight rule.
+    pytest.param("snapshot", "dataset.weight_rule=2/k dataset.path=no-such-dir/events.tsv",
+                 "dataset.weight_rule", id="weight-rule-missing-dataset"),
 ])
 def test_other_commands_config_error_exits_2(tmp_path, capsys, command, setting,
                                             field):
@@ -284,6 +287,63 @@ def test_commands_rank_each_score_column_once(tmp_path, monkeypatch, command):
     assert cli.main([command, "--out", str(tmp_path / "out"), "--set",
                      f"dataset.scores={scores}", "--set", "variance.repeats=2"]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.filterwarnings("ignore:N\\*p")
+def test_manifest_hashes_only_inputs(tmp_path, monkeypatch):
+    # Each writer returns the digest of what it wrote, so no artifact is
+    # read back: the only file hashed is the command's input.
+    hashed = []
+
+    def counted(path, sha256_file=lpeval.manifest.sha256_file):
+        hashed.append(os.fspath(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(lpeval.manifest, "sha256_file", counted)
+    monkeypatch.setattr(cli, "sha256_file", counted)
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    scores, _ = sampling_score_file(tmp_path)
+    assert cli.main(["evaluate", "--out", str(tmp_path / "evaluate"),
+                     "--set", f"dataset.path={events}", *WINDOWS,
+                     "--set", "prediction.lmax=3", "--set", "run.svg=true"]) == 0
+    assert cli.main(["variance", "--out", str(tmp_path / "variance"),
+                     "--set", f"dataset.scores={scores}",
+                     "--set", "variance.repeats=2"]) == 0
+    assert hashed == [str(events), str(scores)]
+
+
+WRITERS = {"makedirs", "atomic_write_text", "write_json"}
+
+
+def direct_writes(text):
+    """``(command function, call)`` of each write a ``cmd_*`` makes itself."""
+    found = []
+    for fn in ast.walk(ast.parse(text)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                if called in WRITERS:
+                    found.append((fn.name, called))
+    return found
+
+
+def test_commands_write_only_through_their_output():
+    assert direct_writes(pathlib.Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_direct_write_guard_sees_each_form():
+    code = ("def cmd_a(cfg, os):\n    os.makedirs(cfg.out_dir)\n"
+            "    atomic_write_text('x', '')\n    manifest.write_json('y', {})\n"
+            "    out.report('z', {})\n"
+            "def helper():\n    write_json('w', {})\n")
+    assert direct_writes(code) == [("cmd_a", "makedirs"),
+                                   ("cmd_a", "atomic_write_text"),
+                                   ("cmd_a", "write_json")]
 
 
 # The package's exports, module by module, as the eager imports bound them.
@@ -530,8 +590,10 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 
 
 @pytest.mark.parametrize("body", [b"a\tb\t1\n\xff\xfe\tc\t2\n",
-                                  b"a\tb\t1\nb\tc\t99999999999999999999\n"],
-                         ids=["not-utf-8", "timestamp-beyond-int64"])
+                                  b"a\tb\t1\nb\tc\t99999999999999999999\n",
+                                  b"a\tb\t1\na\t\t2\n"],
+                         ids=["not-utf-8", "timestamp-beyond-int64",
+                              "empty-node-id"])
 def test_unreadable_event_file_exits_3(tmp_path, capsys, body):
     events = tmp_path / "events.tsv"
     events.write_bytes(body)

@@ -71,6 +71,14 @@ class TestIngest:
         assert log.timestamps.tolist() == [1, 3]
         assert log.participants(1).size == 3
 
+    @pytest.mark.parametrize("text, format", [
+        ("a\tb\t1\na\t\t2\n", "pair"), ("a\tb\t1\n\ta\t2\n", "pair"),
+        ("1\ta|b\n2\t|a|b\n", "clique"), ("1\ta|b\n2\ta||b\n", "clique")])
+    def test_empty_node_id_rejected(self, text, format):
+        with pytest.raises(IngestError, match="empty node id") as err:
+            ingest_text(text, format=format)
+        assert err.value.line == 2
+
     def test_clique_duplicate_participant_rejected(self):
         with pytest.raises(IngestError):
             ingest_text("1\ta|b|a\n", format="clique")
@@ -116,6 +124,7 @@ def assert_log_or_ingest_error(source, format):
     assert np.all(np.diff(offsets) >= 2)
     assert np.all(log.timestamps[1:] >= log.timestamps[:-1])
     assert np.all((nodes >= 0) & (nodes < log.n_nodes))
+    assert "" not in log.id_labels
     for i in range(log.n_events):
         parts = log.participants(i).tolist()
         assert len(set(parts)) == len(parts)
@@ -129,6 +138,8 @@ class TestIngestFuzz:
     @given(EVENT_TEXT, FORMATS)
     @example("a\tb\t1\nb\tc\t99999999999999999999\n", "pair")
     @example("1\ta|b\n-99999999999999999999\tb|c\n", "clique")
+    @example("a\t\t1\n", "pair")
+    @example("1\t|a|b\n", "clique")
     def test_text_gives_a_log_or_an_ingest_error(self, text, format):
         assert_log_or_ingest_error(io.StringIO(text), format)
 

@@ -275,6 +275,23 @@ class TestScorePairs:
             monkeypatch.undo()
             assert np.array_equal(blocked, base)
 
+    def test_propflow_walks_each_end_once(self, rng, monkeypatch):
+        s, _, _ = random_graph(rng, n=25, p=0.2)
+        u_arr, v_arr = np.array([0, 0, 3, 7, 9]), np.array([3, 5, 7, 1, 0])
+        pred = PredictorId.parse("pf:3")
+        fwd = predictors._propflow_pairs(s, u_arr, v_arr, pred.l_max)
+        rev = predictors._propflow_pairs(s, v_arr, u_arr, pred.l_max)
+        walked = []
+
+        def counted(s, block, *args, block_fn=predictors._propflow_block):
+            walked.extend(block.tolist())
+            return block_fn(s, block, *args)
+
+        monkeypatch.setattr(predictors, "_propflow_block", counted)
+        got = score_pairs(s, u_arr, v_arr, pred, policy="list-both")[1]
+        assert sorted(walked) == [0, 1, 3, 5, 7, 9]
+        assert np.array_equal(got[0::2], fwd) and np.array_equal(got[1::2], rev)
+
     def test_invalid_pair_propagates(self):
         s = Snapshot.from_edges([(0, 1)])
         with pytest.raises(InvalidPairError):
