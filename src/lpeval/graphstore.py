@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IngestError
+from .predictors import _sorted_unique
 
 Interval = tuple[int, int]
 
@@ -442,6 +443,20 @@ def csv_field(value):
     if not _CSV_SPECIAL.isdisjoint(text):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def csv_cells(values, fmt, sep):
+    """One CSV column of 8-byte ``values`` as ``(cells, index)``: row i
+    reads ``cells[index[i]]``.
+
+    ``fmt`` runs once per distinct bit pattern, so ``-0.0`` and ``0.0``
+    keep their own text, and each cell ends with ``sep``, the separator
+    that follows the column in a row.
+    """
+    bits = values.view(np.int64)
+    distinct = _sorted_unique(bits)
+    cells = [fmt(x) + sep for x in distinct.view(values.dtype).tolist()]
+    return np.array(cells, dtype=object), np.searchsorted(distinct, bits)
 
 
 def write_snapshot_csv(snapshot, fh):

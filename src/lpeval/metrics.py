@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError
+from .graphstore import csv_cells
 
 TIE_POLICY = "group-atomic"
 
@@ -279,13 +280,30 @@ def _pr_segment_areas(tp, fp):
     return areas
 
 
+def _pr_steps(tp):
+    """The steps of the interpolated PR path, in path order.
+
+    Segment j runs from achievable cut j to cut j + 1. A segment that adds
+    true positives takes one step per TP increment, t = tp[j] + 1, ...,
+    tp[j + 1]; one that adds none takes one step, to its end t = tp[j + 1].
+    Returns each step's segment ``seg`` and its ``t``; ``t > tp[seg]`` marks
+    the steps of segments that add true positives.
+    """
+    dtp = np.diff(tp)
+    steps = np.maximum(dtp, 1)
+    seg = np.repeat(np.arange(dtp.size), steps)
+    offset = np.arange(seg.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    return seg, np.minimum(tp[seg] + 1 + offset, tp[seg + 1])
+
+
 def pr_curve(rank):
     """Precision-recall curve under achievable-point interpolation.
 
     Points are emitted at every achievable cut and at every interpolated
     integer TP increment in between; the area integrates the interpolated
     curve exactly. The curve is anchored at recall 0 with the precision of
-    the first achievable point (never a fabricated precision of 1).
+    the first achievable point (never a fabricated precision of 1). A point
+    equal to the one before it is dropped.
     """
     if not isinstance(rank, Ranking):
         raise ConfigError("pr_curve expects a Ranking")
@@ -295,22 +313,22 @@ def pr_curve(rank):
     tp, fp = rank.tp, rank.fp
     area = float(np.sum(_pr_segment_areas(tp, fp))) / P
 
-    pts = []
-    first_cut = tp[1] + fp[1]
-    pts.append((0.0, tp[1] / first_cut))
-    for j in range(1, tp.size):
-        tp_a, fp_a, tp_b, fp_b = tp[j - 1], fp[j - 1], tp[j], fp[j]
-        dtp = tp_b - tp_a
-        if dtp == 0:
-            pts.append((tp_b / P, tp_b / (tp_b + fp_b)))
-            continue
-        slope = (fp_b - fp_a) / dtp
-        for t in range(int(tp_a) + 1, int(tp_b) + 1):
-            f = fp_a + slope * (t - tp_a)
-            pts.append((t / P, t / (t + f)))
-    points = np.array([pts[0]] + [p for i, p in enumerate(pts[1:], 1)
-                                  if p != pts[i - 1]])
-    return ThresholdCurve("PR", points, area, P, rank.n_neg)
+    seg, t = _pr_steps(tp)
+    points = np.empty((t.size + 1, 2))
+    points[0] = 0.0, tp[1] / (tp[1] + fp[1])
+    x, y = points[1:, 0], points[1:, 1]
+    # Each coordinate takes the operations of the per-step loop in the same
+    # order (tests/oracles.py::pr_points_loop), so every bit agrees with it.
+    x[:] = t / P
+    rise = t > tp[seg]
+    a, tr = seg[rise], t[rise]
+    slope = (fp[a + 1] - fp[a]) / (tp[a + 1] - tp[a])
+    y[rise] = tr / (tr + (fp[a] + slope * (tr - tp[a])))
+    end, tf = seg[~rise] + 1, t[~rise]
+    y[~rise] = tf / (tf + fp[end])
+    keep = np.ones(points.shape[0], dtype=bool)
+    keep[1:] = np.any(points[1:] != points[:-1], axis=1)
+    return ThresholdCurve("PR", points[keep], area, P, rank.n_neg)
 
 
 def aupr(scores, labels=None):
@@ -325,16 +343,15 @@ def average_precision(rank):
     """Mean interpolated precision at each TP increment (alternate statistic)."""
     if rank.n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    total = 0.0
     tp, fp = rank.tp, rank.fp
-    for j in range(1, tp.size):
-        tp_a, fp_a, tp_b, fp_b = tp[j - 1], fp[j - 1], tp[j], fp[j]
-        if tp_b == tp_a:
-            continue
-        slope = (fp_b - fp_a) / (tp_b - tp_a)
-        for t in range(int(tp_a) + 1, int(tp_b) + 1):
-            total += t / (t + fp_a + slope * (t - tp_a))
-    return total / rank.n_pos
+    seg, t = _pr_steps(tp)
+    rise = t > tp[seg]
+    a, t = seg[rise], t[rise]
+    slope = (fp[a + 1] - fp[a]) / (tp[a + 1] - tp[a])
+    # A running sum in step order (np.cumsum, not np.sum's pairwise order),
+    # so the value agrees bit for bit with tests/oracles.py's loop.
+    total = np.cumsum(t / (t + fp[a] + slope * (t - tp[a])))[-1]
+    return float(total / rank.n_pos)
 
 
 class ScoreDistribution(NamedTuple):
@@ -365,9 +382,16 @@ def score_distribution(scores, bins=100):
 
 
 def write_curve_csv(curve, fh):
-    # Two float lists (x, y) hold less at once than one 2-list per point.
-    xs, ys = curve.points.T.tolist()
-    fh.write("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    """Write the points as ``x,y`` rows, each coordinate as its ``repr``.
+
+    Each column is formatted once per distinct bit pattern, and the rows
+    are written with one join.
+    """
+    cells = np.empty(curve.points.shape, dtype=object)
+    for c, sep in enumerate((",", "\n")):
+        text, index = csv_cells(curve.points[:, c], repr, sep)
+        cells[:, c] = text[index]
+    fh.write("x,y\n" + "".join(cells.ravel().tolist()))
 
 
 def write_curve_json(curve, fh):

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IngestError
-from .graphstore import csv_field
+from .graphstore import csv_cells, csv_field
 # lpbench/tracing.py counts BFS sources by swapping ``stratify.bfs_levels``,
 # so the name stays importable here although enumeration walks in blocks.
-from .predictors import bfs_level_blocks, bfs_levels
+from .predictors import _blocks, _walk, bfs_level_blocks, bfs_levels
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
@@ -149,11 +149,13 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
     if not us:
         empty = np.empty(0, dtype=np.int64)
         return InstanceSet(empty, empty, empty)
-    u_arr = np.concatenate(us)
-    v_arr = np.concatenate(vs)
+    # The rows already arrive in (u, v) order: blocks are consecutive runs
+    # of the ascending node ids, and np.nonzero walks each block row-major.
+    # A stable sort by distance alone therefore gives (distance, u, v).
     d_arr = np.concatenate(ds)
-    order = np.lexsort((v_arr, u_arr, d_arr))
-    return InstanceSet(u_arr[order], v_arr[order], d_arr[order])
+    order = np.argsort(d_arr, kind="stable")
+    return InstanceSet(np.concatenate(us)[order], np.concatenate(vs)[order],
+                       d_arr[order])
 
 
 def _isin(keys, table):
@@ -225,7 +227,9 @@ def new_link_distance_distribution(feature, label):
     Considers label-snapshot edges whose endpoints both exist in the feature
     snapshot and that are not already feature edges; returns a dict mapping
     distance (finite hop count or DISCONNECTED) to probability. Empty when
-    no such edge exists.
+    no such edge exists. An edge across components is disconnected without
+    a walk; the walk from each block of sources ends at the level that
+    reaches its last target.
     """
     eu, ev, _ = label.edge_arrays()
     n = feature.n_universe
@@ -235,28 +239,37 @@ def new_link_distance_distribution(feature, label):
     fu, fv, _ = feature.edge_arrays()
     new = (deg[eu] > 0) & (deg[ev] > 0) & ~_isin(eu * n + ev, fu * n + fv)
     eu, ev = eu[new], ev[new]
-    sources, inverse = np.unique(eu, return_inverse=True)
-    dist = np.empty(eu.size, dtype=np.int64)
+    dist = np.full(eu.size, DISCONNECTED, dtype=np.int64)
+    component = _components(feature)
+    joined = np.flatnonzero(component[eu] == component[ev])
+    sources, inverse = np.unique(eu[joined], return_inverse=True)
     first = 0
-    for block, levels in bfs_level_blocks(feature, sources):
+    for block in _blocks(feature, sources):
         sel = (inverse >= first) & (inverse < first + block.size)
-        dist[sel] = levels[inverse[sel] - first, ev[sel]]
+        rows, pairs = inverse[sel] - first, joined[sel]
+        # Each target shares its source's component, so the walk reaches it;
+        # it ends at the level that reaches the block's last target.
+        for level in _walk(feature, block):
+            hops = level.levels[rows, ev[pairs]]
+            if np.all(hops >= 0):
+                break
+        dist[pairs] = hops
         first += block.size
-    dist[dist < 0] = DISCONNECTED
     values, counts = np.unique(dist, return_counts=True)
     total = int(counts.sum())
     return {d: c / total for d, c in zip(values.tolist(), counts.tolist())}
 
 
-def _column(values, fmt, key=None):
-    """One CSV column as ``(cells, index)``: row i reads ``cells[index[i]]``.
-
-    ``fmt`` runs once per distinct ``key`` (default: the values), on the
-    first value that carries it.
-    """
-    key = values if key is None else key
-    _, first, index = np.unique(key, return_index=True, return_inverse=True)
-    return np.array([fmt(x) for x in values[first].tolist()], dtype=object), index
+def _id_cells(id_labels, *columns):
+    """The id cells of ``columns``: ``cells[i]`` is id ``i``'s quoted label
+    and its separator, formatted only for the ids that occur."""
+    seen = np.zeros(len(id_labels), dtype=bool)
+    for ids in columns:
+        seen[ids] = True
+    cells = np.empty(len(id_labels), dtype=object)
+    for i in np.flatnonzero(seen).tolist():
+        cells[i] = csv_field(id_labels[i]) + ","
+    return cells
 
 
 def write_instances_csv(fh, instances, id_labels=None, score_keys=None):
@@ -265,31 +278,40 @@ def write_instances_csv(fh, instances, id_labels=None, score_keys=None):
     Distance uses the bucket names for sentinels; the label column is empty
     for unlabeled candidates. Score columns follow in the given key order.
     Ids are CSV-quoted where needed (:func:`~lpeval.graphstore.csv_field`).
-    Each column is formatted once per distinct value, scores keyed by their
-    bit pattern so ``-0.0`` and ``0.0`` keep their own text, and rows are
-    joined and written _CHUNK_ROWS at a time.
+    Each distinct cell is formatted once, together with the separator after
+    it: an id once per id that occurs, other columns once per distinct
+    value, scores by bit pattern so ``-0.0`` and ``0.0`` keep their own
+    text. Every _CHUNK_ROWS rows fill one (rows x columns) array of cells,
+    written with one join.
     """
     keys = list(score_keys if score_keys is not None else instances.scores)
-    name = ((lambda i: csv_field(id_labels[i])) if id_labels is not None
-            else str)
     header = ["u", "v", "distance", "label"] + (["score"] if len(keys) == 1
                                                 else [f"score_{k}" for k in keys])
     n = len(instances)
-    if instances.label is None:
-        label = (np.array([""], dtype=object), np.zeros(n, dtype=np.uint8))
+    end = [","] * (len(header) - 1) + ["\n"]  # the separator after each column
+    if id_labels is None:
+        columns = [csv_cells(instances.u, str, ","), csv_cells(instances.v, str, ",")]
     else:
-        label = (np.array(["0", "1"], dtype=object), instances.label.view(np.uint8))
-    columns = [_column(instances.u, name), _column(instances.v, name),
-               _column(instances.distance, distance_str), label]
-    for k in keys:
+        ids = _id_cells(id_labels, instances.u, instances.v)
+        columns = [(ids, instances.u), (ids, instances.v)]
+    columns.append(csv_cells(instances.distance, distance_str, ","))
+    if instances.label is None:
+        columns.append((np.array([end[3]], dtype=object), np.zeros(n, dtype=np.uint8)))
+    else:
+        columns.append((np.array(["0" + end[3], "1" + end[3]], dtype=object),
+                        instances.label.view(np.uint8)))
+    for k, sep in zip(keys, end[4:]):
         s = np.ascontiguousarray(instances.scores[k], dtype=np.float64)
-        columns.append(_column(s, repr, s.view(np.uint64)))
+        columns.append(csv_cells(s, repr, sep))
 
     def chunks():
         yield ",".join(header) + "\n"
         for lo in range(0, n, _CHUNK_ROWS):
-            cells = [c[i[lo:lo + _CHUNK_ROWS]].tolist() for c, i in columns]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            hi = min(n, lo + _CHUNK_ROWS)
+            rows = np.empty((hi - lo, len(columns)), dtype=object)
+            for c, (cells, index) in enumerate(columns):
+                rows[:, c] = cells[index[lo:hi]]
+            yield "".join(rows.ravel().tolist())
 
     fh.writelines(chunks())
 

@@ -533,3 +533,39 @@ def filtered_rows_resorted(instances, scores, cuts=None):
             int(cut), n_neg - kept_neg, kept_neg,
             auroc(scores[keep], labels[keep]) if kept_neg else None))
     return rows
+
+
+def pr_points_loop(tp, fp):
+    """PR curve points built one TP increment at a time from the cumulative
+    ``tp``/``fp`` counts at each tie-group cut, a point equal to the one
+    before it dropped."""
+    P = int(tp[-1])
+    pts = []
+    first_cut = tp[1] + fp[1]
+    pts.append((0.0, tp[1] / first_cut))
+    for j in range(1, tp.size):
+        tp_a, fp_a, tp_b, fp_b = tp[j - 1], fp[j - 1], tp[j], fp[j]
+        dtp = tp_b - tp_a
+        if dtp == 0:
+            pts.append((tp_b / P, tp_b / (tp_b + fp_b)))
+            continue
+        slope = (fp_b - fp_a) / dtp
+        for t in range(int(tp_a) + 1, int(tp_b) + 1):
+            f = fp_a + slope * (t - tp_a)
+            pts.append((t / P, t / (t + f)))
+    return np.array([pts[0]] + [p for i, p in enumerate(pts[1:], 1)
+                                if p != pts[i - 1]])
+
+
+def average_precision_loop(tp, fp):
+    """Mean interpolated precision at each TP increment, summed one
+    increment at a time."""
+    total = 0.0
+    for j in range(1, tp.size):
+        tp_a, fp_a, tp_b, fp_b = tp[j - 1], fp[j - 1], tp[j], fp[j]
+        if tp_b == tp_a:
+            continue
+        slope = (fp_b - fp_a) / (tp_b - tp_a)
+        for t in range(int(tp_a) + 1, int(tp_b) + 1):
+            total += t / (t + fp_a + slope * (t - tp_a))
+    return total / int(tp[-1])

@@ -11,8 +11,9 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, ConfusionCounts,
 from lpeval.metrics import auroc_from_counts, tie_groups, write_curve_csv
 
 from oracles import (SortedRanking, aupr_oracle, aupr_segments, auroc_pair_count,
-                     confusion_by_counting, curve_csv_text,
-                     per_distance_rows_resorted, random_ranking)
+                     average_precision_loop, confusion_by_counting,
+                     curve_csv_text, per_distance_rows_resorted,
+                     pr_points_loop, random_ranking)
 
 
 def ranking_from_labels(labels, descending_scores=None):
@@ -364,6 +365,49 @@ class TestPrCurve:
 
     def test_average_precision_perfect(self):
         assert average_precision(ranking_from_labels([True, True, False])) == 1.0
+
+
+class TestPrPointsMatchLoop:
+    """PR points and average precision against the per-TP-increment loop,
+    bit for bit."""
+
+    @staticmethod
+    def check(rank):
+        curve = pr_curve(rank)
+        want = pr_points_loop(rank.tp, rank.fp)
+        np.testing.assert_array_equal(curve.points.view(np.uint64),
+                                      want.view(np.uint64))
+        assert curve.area == aupr(rank)
+        assert curve.area == pytest.approx(aupr_segments(rank.tp, rank.fp),
+                                           abs=1e-12)
+        assert average_precision(rank) == average_precision_loop(rank.tp, rank.fp)
+
+    def test_random_rankings(self, rng):
+        for _ in range(300):
+            self.check(Ranking(*random_ranking(rng, max_size=400)))
+
+    def test_one_positive(self, rng):
+        for where in (0, 5, 29):
+            labels = np.zeros(30, dtype=bool)
+            labels[where] = True
+            self.check(ranking_from_labels(labels))
+            self.check(Ranking(np.round(rng.normal(size=30)), labels))
+
+    def test_first_group_without_positives(self):
+        self.check(ranking_from_labels([False, False, True, False, True]))
+        self.check(ranking_from_labels([False, False, True, True],
+                                       [3.0, 3.0, 2.0, 1.0]))
+
+    def test_runs_of_groups_without_positives(self, rng):
+        for _ in range(50):
+            labels = np.repeat(rng.random(40) < 0.3, rng.integers(1, 6, 40))
+            labels[int(rng.integers(labels.size))] = True
+            self.check(ranking_from_labels(labels))
+
+    def test_twelve_thousand_points(self, rng):
+        n = 12_000
+        labels = rng.random(n) < 0.5
+        self.check(Ranking(rng.normal(size=n) + labels, labels))
 
 
 class TestCurveCsv:

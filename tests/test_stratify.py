@@ -15,7 +15,7 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, IngestError, InstanceSet,
                     geodesic_bucket_enumerate, label_instances,
                     new_link_distance_distribution, parse_distance,
                     read_instances_csv, synthetic_event_log, write_instances_csv)
-from lpeval import stratify
+from lpeval import predictors, stratify
 
 from conftest import random_graph
 from oracles import (hop_distances, instances_csv_text, lowest_reachable,
@@ -57,6 +57,44 @@ def instance_sets(draw):
         st.text(st.sampled_from(list('ab ,"\r\n\xe9')), max_size=4),
         min_size=n_ids, max_size=n_ids, unique=True))
     return inst, id_labels, keys
+
+
+def multi_component_graph(rng):
+    """A feature snapshot over 2-4 random graphs on disjoint, shuffled ids,
+    with its edge list and universe size."""
+    edges, n = [], 0
+    for _ in range(int(rng.integers(2, 5))):
+        _, part, size = random_graph(rng, n=int(rng.integers(3, 15)))
+        edges += [(u + n, v + n) for u, v, _ in part]
+        n += size
+    ids = rng.permutation(n).tolist()
+    edges = [(ids[u], ids[v]) for u, v in edges]
+    return Snapshot.from_edges(edges, n=n), edges, n
+
+
+def small_blocks(monkeypatch, rng, s):
+    """Patch the block size to 1-3 sources of ``s``."""
+    monkeypatch.setattr(predictors, "_BLOCK_CELLS", int(rng.integers(1, 4))
+                        * (s.n_universe + s.indices.size))
+
+
+def distance_distribution_oracle(feature, label):
+    """The new-link distance distribution from scipy all-pairs hop counts."""
+    fu, fv, _ = feature.edge_arrays()
+    oracle = hop_distances(feature.n_universe, list(zip(fu, fv)))
+    lu, lv, _ = label.edge_arrays()
+    counts = {}
+    feat_keys = feature.edge_key_set()
+    for u, v in zip(lu.tolist(), lv.tolist()):
+        if not (feature.contains(u) and feature.contains(v)):
+            continue
+        if u * feature.n_universe + v in feat_keys:
+            continue
+        d = oracle[u, v]
+        d = DISCONNECTED if np.isinf(d) else int(d)
+        counts[d] = counts.get(d, 0) + 1
+    total = sum(counts.values())
+    return {d: c / total for d, c in counts.items()}
 
 
 def score_bits(a):
@@ -166,6 +204,20 @@ class TestEnumeration:
         assert limits and set(limits) == {3}
         assert (BEYOND in inst.distance) == beyond
         assert (DISCONNECTED in inst.distance) == disconnected
+
+    @pytest.mark.parametrize("beyond, disconnected",
+                             itertools.product((True, False), repeat=2))
+    def test_rows_strictly_ordered_across_blocks(self, rng, monkeypatch,
+                                                  beyond, disconnected):
+        for _ in range(20):
+            s, _, _ = multi_component_graph(rng)
+            small_blocks(monkeypatch, rng, s)
+            inst = geodesic_bucket_enumerate(s, int(rng.integers(2, 4)),
+                                             include_beyond=beyond,
+                                             include_disconnected=disconnected)
+            rows = list(zip(inst.distance.tolist(), inst.u.tolist(),
+                            inst.v.tolist()))
+            assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 class TestComponents:
@@ -305,23 +357,34 @@ class TestDistanceDistribution:
         assert finite[2] == max(dist.values())
         if 3 in finite:
             assert finite[2] >= finite[3]
+        assert dist == pytest.approx(distance_distribution_oracle(feature, label))
 
-        fu, fv, _ = feature.edge_arrays()
-        oracle = hop_distances(feature.n_universe, list(zip(fu, fv)))
-        lu, lv, _ = label.edge_arrays()
-        counts = {}
-        feat_keys = feature.edge_key_set()
-        for u, v in zip(lu.tolist(), lv.tolist()):
-            if not (feature.contains(u) and feature.contains(v)):
-                continue
-            if u * feature.n_universe + v in feat_keys:
-                continue
-            d = oracle[u, v]
-            d = DISCONNECTED if np.isinf(d) else int(d)
-            counts[d] = counts.get(d, 0) + 1
-        total = sum(counts.values())
-        want = {d: c / total for d, c in counts.items()}
-        assert dist == pytest.approx(want)
+    def test_matches_hop_distances_across_components(self, rng, monkeypatch):
+        for _ in range(30):
+            feature, edges, n = multi_component_graph(rng)
+            pairs = rng.integers(0, n + 2, size=(int(rng.integers(1, 25)), 2))
+            pairs = [(u, v) for u, v in pairs.tolist() if u != v]
+            pairs += [edges[int(i)] for i in rng.integers(0, len(edges), 3)]
+            label = Snapshot.from_edges(pairs, n=n + 2)
+            small_blocks(monkeypatch, rng, feature)
+            assert new_link_distance_distribution(feature, label) == \
+                distance_distribution_oracle(feature, label)
+
+    def test_walk_ends_at_the_last_target(self, monkeypatch):
+        feature = Snapshot.from_edges([(i, i + 1) for i in range(39)] + [(40, 41)])
+        label = Snapshot.from_edges([(0, 2), (1, 3), (0, 41)], n=42)
+        depths = []
+        walk = stratify._walk
+
+        def counted(*args):
+            for level in walk(*args):
+                depths.append(level.depth)
+                yield level
+
+        monkeypatch.setattr(stratify, "_walk", counted)
+        assert new_link_distance_distribution(feature, label) == \
+            {2: 2 / 3, DISCONNECTED: 1 / 3}
+        assert max(depths) == 2
 
 
 class TestInstanceCsv:
