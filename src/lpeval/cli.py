@@ -83,7 +83,9 @@ class _Output:
 
 
 def _load_log(cfg):
+    """The dataset's event log and its digest; every caller needs windows."""
     cfg.require_dataset()
+    cfg.require_windows()
     try:
         log = ingest_events(cfg.dataset_path, format=cfg.dataset_format)
     except OSError as exc:
@@ -91,15 +93,22 @@ def _load_log(cfg):
     return log, sha256_file(cfg.dataset_path)
 
 
-def _build_instances(cfg, log):
-    cfg.require_windows()
-    feature = build_snapshot(log, cfg.windows.test_feature,
-                             weight_rule=cfg.weight_rule)
-    label = build_snapshot(log, cfg.windows.test_label, weight_rule=cfg.weight_rule)
+def _test_snapshots(cfg, log):
+    """The test-feature and test-label snapshots."""
+    return tuple(build_snapshot(log, interval, weight_rule=cfg.weight_rule)
+                 for interval in (cfg.windows.test_feature, cfg.windows.test_label))
+
+
+def _graph_instance_sets(cfg, log):
+    """One labeled, scored instance set per predictor name, all on the
+    candidates of the test windows; also the feature snapshot."""
+    feature, label = _test_snapshots(cfg, log)
     instances = generate_test_set(feature, label, mode=cfg.mode, l_max=cfg.lmax,
                                   include_beyond=cfg.include_beyond,
                                   include_disconnected=cfg.include_disconnected)
-    return feature, instances
+    return {pred.name: score_instances(feature, instances, pred, policy=cfg.policy,
+                                       query_mode=cfg.mode == "query")
+            for pred in cfg.predictors}, feature
 
 
 def _scored_instance_sets(cfg):
@@ -120,13 +129,8 @@ def _scored_instance_sets(cfg):
             raise LpevalError("external score file has no score column")
         return {name: inst for name in inst.scores}, sha256_file(cfg.scores_path), None
     log, digest = _load_log(cfg)
-    feature, instances = _build_instances(cfg, log)
-    query = cfg.mode == "query"
-    out = {}
-    for pred in cfg.predictors:
-        out[pred.name] = score_instances(feature, instances, pred,
-                                         policy=cfg.policy, query_mode=query)
-    return out, digest, feature
+    sets, feature = _graph_instance_sets(cfg, log)
+    return sets, digest, feature
 
 
 def _apply_sampling(cfg, inst):
@@ -140,7 +144,6 @@ def _apply_sampling(cfg, inst):
 def cmd_snapshot(cfg):
     """Materialize the four window snapshots as edge CSVs."""
     log, digest = _load_log(cfg)
-    cfg.require_windows()
     out = _Output(cfg, "snapshot")
     stats = {}
     for name in ("train_feature", "train_label", "test_feature", "test_label"):
@@ -273,35 +276,32 @@ def cmd_kaggle_compare(cfg):
 
 
 def cmd_temporal(cfg):
-    """Per-slice AUROC/AUPR over the sliced test-label interval."""
+    """Per-slice AUROC/AUPR over the sliced test-label interval.
+
+    The candidates and scores are those of ``score`` and ``evaluate``; each
+    slice only relabels them. They come from ``dataset.path``, since a
+    ``dataset.scores`` file has no event times to slice by.
+    """
     log, digest = _load_log(cfg)
-    cfg.require_windows()
+    sets, _ = _graph_instance_sets(cfg, log)
+    reports = temporal_eval(sets, log, cfg.windows.test_label, cfg.temporal,
+                            weight_rule=cfg.weight_rule)
     out = _Output(cfg, "temporal")
-    reports = {}
-    for pred in cfg.predictors:
-        report = temporal_eval(log, cfg.windows, cfg.temporal, pred,
-                               policy=cfg.policy, l_max=cfg.lmax,
-                               include_beyond=cfg.include_beyond,
-                               include_disconnected=cfg.include_disconnected,
-                               weight_rule=cfg.weight_rule)
-        out.csv(f"temporal_{pred.name}.csv",
+    for name, report in reports.items():
+        out.csv(f"temporal_{name}.csv",
                 ["slice", "begin", "end", "n_pos", "n_neg", "auroc", "aupr",
                  "valid"],
                 [(r.index, r.begin, r.end, r.n_pos, r.n_neg, r.auroc, r.aupr,
                   int(r.valid)) for r in report.rows])
-        reports[pred.name] = report.as_dict()
-    out.report("temporal_report.json", {"predictors": reports})
+    out.report("temporal_report.json", {"predictors": {
+        name: report.as_dict() for name, report in reports.items()}})
     out.manifest(digest)
 
 
 def cmd_distance_dist(cfg):
     """Distribution of prior geodesic distance over newly formed links."""
     log, digest = _load_log(cfg)
-    cfg.require_windows()
-    feature = build_snapshot(log, cfg.windows.test_feature,
-                             weight_rule=cfg.weight_rule)
-    label = build_snapshot(log, cfg.windows.test_label, weight_rule=cfg.weight_rule)
-    dist = new_link_distance_distribution(feature, label)
+    dist = new_link_distance_distribution(*_test_snapshots(cfg, log))
     out = _Output(cfg, "distance-dist")
     out.csv("distance_distribution.csv", ["distance", "probability"],
             [(distance_str(d), p) for d, p in dist.items()])

@@ -24,9 +24,9 @@ from . import rng as rng_mod
 from .errors import ConfigError, UndefinedMetricError
 from .graphstore import build_snapshot
 from .metrics import Ranking, aupr, auroc, auroc_from_counts
-from .predictors import _sorted_unique, score_instances
+from .predictors import _sorted_unique
 from .rng import substream
-from .stratify import BEYOND, geodesic_bucket_enumerate, label_instances
+from .stratify import BEYOND, label_instances
 
 DEFAULT_RATES = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
@@ -675,35 +675,29 @@ class TemporalReport(NamedTuple):
                 "rows": [r._asdict() for r in self.rows]}
 
 
-def temporal_eval(log, window, slice_spec, predictor, policy="mean", l_max=4,
-                  include_beyond=True, include_disconnected=True,
-                  weight_rule="1/(k-1)"):
-    """Per-slice AUROC/AUPR with a fixed candidate set.
+def temporal_eval(sets, log, interval, slice_spec, weight_rule="1/(k-1)"):
+    """Per-slice AUROC/AUPR of scored instance sets over a label interval.
 
-    Candidates and scores come once from the test-feature snapshot; each
-    slice of the test-label interval relabels the same candidates (disjoint
-    mode) or the agglomerated prefix of slices (cumulative mode). A slice
-    without positives is flagged invalid and carries no areas.
+    ``sets`` maps each predictor name to its scored candidate set, as
+    ``score`` and ``evaluate`` build it; the candidates stay fixed. Each
+    slice of ``interval`` (disjoint mode) or the agglomerated prefix of
+    slices (cumulative mode) becomes one label snapshot, which relabels
+    every set. A slice without positives or negatives is flagged invalid
+    and carries no areas. Returns ``{name: TemporalReport}``.
     """
-    feature = build_snapshot(log, window.test_feature, weight_rule=weight_rule)
-    candidates = geodesic_bucket_enumerate(
-        feature, l_max, include_beyond=include_beyond,
-        include_disconnected=include_disconnected)
-    scored = score_instances(feature, candidates, predictor, policy=policy)
-    score_col = scored.scores[predictor.name]
-    slices, remainder = slice_intervals(window.test_label, slice_spec.slices)
-    rows = []
+    slices, remainder = slice_intervals(interval, slice_spec.slices)
+    rows = {name: [] for name in sets}
     for i, (lo, hi) in enumerate(slices):
         label_interval = (slices[0][0], hi) if slice_spec.mode == "cumulative" \
             else (lo, hi)
         label_snap = build_snapshot(log, label_interval, weight_rule=weight_rule)
-        labeled = label_instances(scored, label_snap)
-        n_pos = labeled.n_pos
-        n_neg = labeled.n_neg
-        if n_pos and n_neg:
-            rank = Ranking(score_col, labeled.label)
-            rows.append(TemporalRow(i, lo, hi, n_pos, n_neg, auroc(rank),
-                                    aupr(rank), True))
-        else:
-            rows.append(TemporalRow(i, lo, hi, n_pos, n_neg, None, None, False))
-    return TemporalReport(slice_spec.mode, remainder, tuple(rows))
+        for name, inst in sets.items():
+            labeled = label_instances(inst, label_snap)
+            n_pos, n_neg = labeled.n_pos, labeled.n_neg
+            areas = (None, None, False)
+            if n_pos and n_neg:
+                rank = Ranking(inst.scores[name], labeled.label)
+                areas = (auroc(rank), aupr(rank), True)
+            rows[name].append(TemporalRow(i, lo, hi, n_pos, n_neg, *areas))
+    return {name: TemporalReport(slice_spec.mode, remainder, tuple(r))
+            for name, r in rows.items()}

@@ -76,7 +76,11 @@ class PredictorId:
             if not arg:
                 raise ConfigError("propflow needs ':l_max' (e.g. propflow:4)",
                                   field="predictors")
-            return cls(kind, int(arg))
+            try:
+                return cls(kind, int(arg))
+            except ValueError:
+                raise ConfigError(f"propflow l_max must be an integer, got {arg!r}",
+                                  field="predictors") from None
         if arg:
             raise ConfigError(f"{kind} takes no argument", field="predictors")
         return cls(kind)

@@ -235,6 +235,10 @@ def test_other_commands_rerun_identically(tmp_path, command, artifacts):
         assert entry["sha256"] == sha256_file(out / entry["path"])
 
 
+NO_WINDOWS = " ".join(f"windows.{name}=" for name in
+                      ("train_feature", "train_label", "test_feature", "test_label"))
+
+
 @pytest.mark.parametrize("command, setting, field", [
     ("snapshot", "dataset.path=", "dataset.path"),
     ("distance-dist", "windows.test_label=", "windows"),
@@ -246,6 +250,14 @@ def test_other_commands_rerun_identically(tmp_path, command, artifacts):
     # So is the weight rule.
     pytest.param("snapshot", "dataset.weight_rule=2/k dataset.path=no-such-dir/events.tsv",
                  "dataset.weight_rule", id="weight-rule-missing-dataset"),
+    # So is a propflow bound that is not an integer.
+    pytest.param("evaluate", "prediction.predictors=cn,pf:x", "predictors",
+                 id="propflow-bound-not-integer"),
+    # A missing [windows] section is a config error, whether or not the
+    # dataset can be read.
+    *(pytest.param(command, NO_WINDOWS + " dataset.path=no-such-dir/events.tsv",
+                   "windows", id=f"{command}-no-windows-missing-dataset")
+      for command in ("snapshot", "evaluate", "temporal", "distance-dist")),
 ])
 def test_other_commands_config_error_exits_2(tmp_path, capsys, command, setting,
                                             field):
@@ -287,6 +299,48 @@ def test_commands_rank_each_score_column_once(tmp_path, monkeypatch, command):
     assert cli.main([command, "--out", str(tmp_path / "out"), "--set",
                      f"dataset.scores={scores}", "--set", "variance.repeats=2"]) == 0
     assert len(built) == 1
+
+
+def test_temporal_single_slice_equals_evaluate_in_query_mode(tmp_path):
+    # Label-window events that bring in ids unseen in the feature window:
+    # query mode adds their pairs to the candidates of both commands.
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    header, *lines = events.read_text(encoding="utf-8").splitlines()
+    old = lines[0].split("\t")[0]
+    lines += ["new-a\tnew-b\t85", f"new-a\t{old}\t90", f"new-c\t{old}\t95"]
+    lines.sort(key=lambda line: int(line.rpartition("\t")[2]))
+    events.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    args = ["--set", f"dataset.path={events}", *WINDOWS,
+            "--set", "prediction.predictors=cn,pa", "--set", "prediction.lmax=3",
+            "--set", "prediction.mode=query", "--set", "temporal.slices=1"]
+    for command in ("evaluate", "temporal"):
+        assert cli.main([command, "--out", str(tmp_path / command), *args]) == 0
+    for name in ("common-neighbors", "preferential-attachment"):
+        overall = (tmp_path / "evaluate" / f"per_distance_{name}.csv").read_text(
+            encoding="utf-8").splitlines()[-1].split(",")
+        rows = (tmp_path / "temporal" / f"temporal_{name}.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert overall[0] == "overall" and len(rows) == 2
+        # n_pos, n_neg, auroc and aupr
+        assert rows[1].split(",")[3:7] == overall[1:5]
+
+
+def test_temporal_builds_each_slice_label_snapshot_once(tmp_path, monkeypatch):
+    built = []
+
+    def counted(log, interval, build=experiments.build_snapshot, **kwargs):
+        built.append(interval)
+        return build(log, interval, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_snapshot", counted)
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    assert cli.main(["temporal", "--out", str(tmp_path / "out"),
+                     "--set", f"dataset.path={events}", *WINDOWS,
+                     "--set", "prediction.predictors=cn,pa",
+                     "--set", "prediction.lmax=3", "--set", "temporal.slices=5"]) == 0
+    assert built == [(80, 83), (84, 87), (88, 91), (92, 95), (96, 100)]
 
 
 @pytest.mark.filterwarnings("ignore:N\\*p")
@@ -344,6 +398,47 @@ def test_direct_write_guard_sees_each_form():
     assert direct_writes(code) == [("cmd_a", "makedirs"),
                                    ("cmd_a", "atomic_write_text"),
                                    ("cmd_a", "write_json")]
+
+
+# Candidate building and scoring have one home, cli._graph_instance_sets:
+# the experiments take scored instance sets and build or score none.
+PIPELINE_CALLS = {"geodesic_bucket_enumerate", "generate_test_set",
+                  "score_instances", "score_pairs"}
+
+
+def pipeline_calls(text):
+    """``(line, name)`` of each call, or import, of a candidate builder or
+    a scorer; an import catches the calls made under an alias."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if called in PIPELINE_CALLS:
+                found.append((node.lineno, called))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in PIPELINE_CALLS]
+    return sorted(found)
+
+
+def test_experiments_build_and_score_no_candidates():
+    assert pipeline_calls(pathlib.Path(experiments.__file__).read_text(
+        encoding="utf-8")) == []
+
+
+def test_pipeline_guard_sees_each_form():
+    code = ("from .stratify import generate_test_set as make, label_instances\n"
+            "def f(s, c, p, stratify, lpeval):\n"
+            "    geodesic_bucket_enumerate(s, 2)\n"
+            "    stratify.generate_test_set(s, s)\n"
+            "    lpeval.predictors.score_instances(s, c, p)\n"
+            "    score_pairs(s, c, c, p)\n"
+            "    make(s, s)\n    label_instances(c, s)\n")
+    assert pipeline_calls(code) == [
+        (1, "generate_test_set"), (3, "geodesic_bucket_enumerate"),
+        (4, "generate_test_set"), (5, "score_instances"), (6, "score_pairs")]
 
 
 # The package's exports, module by module, as the eager imports bound them.

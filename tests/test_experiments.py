@@ -531,22 +531,32 @@ class TestTemporal:
         window = WindowConfig((0, 49), (50, 59), (0, 59), (60, 100))
         return log, window
 
+    @staticmethod
+    def temporal(log, window, spec, predictor, l_max):
+        """``temporal_eval``'s report for one predictor, on the candidates
+        and scores that ``evaluate`` would build."""
+        feature = build_snapshot(log, window.test_feature)
+        label = build_snapshot(log, window.test_label)
+        inst = generate_test_set(feature, label, l_max=l_max)
+        sets = {predictor.name: score_instances(feature, inst, predictor)}
+        return temporal_eval(sets, log, window.test_label, spec)[predictor.name]
+
     def test_single_slice_equals_standard_eval(self, setup):
         log, window = setup
         pred = PredictorId.parse("cn")
-        report = temporal_eval(log, window, TemporalSliceSpec(1), pred, l_max=3)
+        report = self.temporal(log, window, TemporalSliceSpec(1), pred, l_max=3)
         assert len(report.rows) == 1
         feature = build_snapshot(log, window.test_feature)
         label = build_snapshot(log, window.test_label)
         inst = generate_test_set(feature, label, l_max=3)
         scored = score_instances(feature, inst, pred)
         from lpeval import auroc
-        assert report.rows[0].auroc == pytest.approx(
-            auroc(scored.scores["common-neighbors"], scored.label), abs=1e-12)
+        assert report.rows[0].auroc == \
+            auroc(scored.scores["common-neighbors"], scored.label)
 
     def test_cumulative_positive_counts_nondecreasing(self, setup):
         log, window = setup
-        report = temporal_eval(log, window, TemporalSliceSpec(4, "cumulative"),
+        report = self.temporal(log, window, TemporalSliceSpec(4, "cumulative"),
                                PredictorId.parse("pa"), l_max=3)
         counts = [r.n_pos for r in report.rows]
         assert counts == sorted(counts)
@@ -561,9 +571,9 @@ class TestTemporal:
 
     def test_disjoint_positives_partition_cumulative_total(self, setup):
         log, window = setup
-        disjoint = temporal_eval(log, window, TemporalSliceSpec(4, "disjoint"),
+        disjoint = self.temporal(log, window, TemporalSliceSpec(4, "disjoint"),
                                  PredictorId.parse("pa"), l_max=3)
-        cumulative = temporal_eval(log, window, TemporalSliceSpec(4, "cumulative"),
+        cumulative = self.temporal(log, window, TemporalSliceSpec(4, "cumulative"),
                                    PredictorId.parse("pa"), l_max=3)
         assert cumulative.rows[-1].n_pos >= max(r.n_pos for r in disjoint.rows)
 
@@ -571,7 +581,7 @@ class TestTemporal:
         # all label-window events fall in the first slice
         log = synthetic_event_log(40, 4.0, 10, locality=0.5, seed=3)
         window = WindowConfig((0, 4), (5, 6), (0, 6), (7, 1000))
-        report = temporal_eval(log, window, TemporalSliceSpec(5),
+        report = self.temporal(log, window, TemporalSliceSpec(5),
                                PredictorId.parse("cn"), l_max=3)
         assert any(not r.valid for r in report.rows)
 
@@ -580,7 +590,7 @@ class TestTemporal:
         # so the cumulative sub-problem gets easier for a local scorer
         log = synthetic_event_log(120, 5.0, 100, locality=0.9, seed=31)
         window = WindowConfig((0, 49), (50, 59), (0, 59), (60, 100))
-        report = temporal_eval(log, window, TemporalSliceSpec(4, "cumulative"),
+        report = self.temporal(log, window, TemporalSliceSpec(4, "cumulative"),
                                PredictorId.parse("aa"), l_max=3)
         vals = [r.aupr for r in report.rows if r.valid]
         assert len(vals) >= 3

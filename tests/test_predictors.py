@@ -36,6 +36,10 @@ class TestPredictorId:
             PredictorId.parse("cn:2")
         with pytest.raises(ConfigError):
             PredictorId.parse("katz")
+        for text in ("pf:x", "pf:4.5"):
+            with pytest.raises(ConfigError) as exc:
+                PredictorId.parse(text)
+            assert exc.value.field == "predictors"
 
 
 class TestCommonNeighbors:
