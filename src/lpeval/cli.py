@@ -25,7 +25,8 @@ from .config import RunConfig
 from .errors import ConfigError, LpevalError
 from .experiments import (filtered_negative_eval, kaggle_compare,
                           per_distance_eval, sample_fair, sample_kaggle,
-                          surrogate_grid, temporal_eval, variance_experiment)
+                          slice_intervals, surrogate_grid, temporal_eval,
+                          variance_experiment)
 from .graphstore import build_snapshot, ingest_events, write_snapshot_csv
 from .manifest import atomic_write_text, sha256_file, write_json, write_manifest
 from .metrics import Ranking, pr_curve, roc_curve, write_curve_csv, write_curve_json
@@ -280,8 +281,12 @@ def cmd_temporal(cfg):
 
     The candidates and scores are those of ``score`` and ``evaluate``; each
     slice only relabels them. They come from ``dataset.path``, since a
-    ``dataset.scores`` file has no event times to slice by.
+    ``dataset.scores`` file has no event times to slice by. A slice count
+    the test-label interval cannot hold is a config error found before the
+    dataset is read.
     """
+    cfg.require_windows()
+    slice_intervals(cfg.windows.test_label, cfg.temporal.slices)
     log, digest = _load_log(cfg)
     sets, _ = _graph_instance_sets(cfg, log)
     reports = temporal_eval(sets, log, cfg.windows.test_label, cfg.temporal,

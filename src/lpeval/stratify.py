@@ -11,7 +11,7 @@ distance sorts and compares below them.
 from __future__ import annotations
 
 import csv
-import functools
+import io
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ from .errors import ConfigError, IngestError
 from .graphstore import csv_cells, csv_field
 # lpbench/tracing.py counts BFS sources by swapping ``stratify.bfs_levels``,
 # so the name stays importable here although enumeration walks in blocks.
-from .predictors import _blocks, _walk, bfs_level_blocks, bfs_levels
+from .predictors import _blocks, _sorted_unique, _walk, bfs_level_blocks, bfs_levels
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
@@ -321,27 +321,103 @@ def _label_cell(text):
     return -1 if text == "" else int(int(text) != 0)
 
 
+# The distance and label cells are read as bytes into one 16-byte field
+# pair, two uint64 words: as wide as the two int64 columns they stand for.
+# A distance cell has at most 12 bytes ("disconnected"), a label cell at
+# most 2; a cell that fills its width may have been cut short, so it is an
+# error.
+_CELL_DTYPE = np.dtype([("distance", "S13"), ("label", "S3")])
+# Rows whose cells are decoded at a time: each temporary of a block takes
+# at most 64 KiB, small enough for the allocator to reuse from block to
+# block.
+_DECODE_ROWS = 1 << 12
+
+
+def _distinct_rows(words):
+    """Each row's index among the distinct rows of ``words`` (rows x k
+    uint64), and those distinct rows.
+
+    A row's code is built word by word from the word's rank among that
+    word's distinct values, so distinct rows have distinct codes.
+    """
+    code = np.zeros(len(words), dtype=np.int64)
+    for col in words.T:
+        values = _sorted_unique(col)
+        code = code * values.size + np.searchsorted(values, col)
+    codes = _sorted_unique(code)
+    index = np.searchsorted(codes, code)
+    row = np.empty(codes.size, dtype=np.intp)
+    row[index] = np.arange(index.size)  # any row of each distinct code
+    return index, words[row]
+
+
+def _cell_values(cells):
+    """The distance and label of a row's byte cells, or why it has none."""
+    values = []
+    parsers = (parse_distance, _label_cell)
+    for name, raw, parse in zip(_CELL_DTYPE.names, cells, parsers):
+        if len(raw) == _CELL_DTYPE[name].itemsize:
+            return f"{name} cell {raw!r}... is too long"
+        try:
+            values.append(parse(raw.decode("ascii")))
+        except UnicodeDecodeError:
+            return f"{name} cell {raw!r} is not ASCII"
+        except ValueError:
+            return f"cannot read {name} cell {raw.decode('ascii')!r}"
+    return tuple(values)
+
+
+def _decode_cells(rows, fh, body):
+    """The int64 distance and int8 label (1, 0, -1 for empty) columns of
+    the byte cells in ``rows``.
+
+    Blocks of _DECODE_ROWS rows are decoded in order. Each block's rows
+    are grouped by the words of their two cells, and each distinct pair
+    of cells is parsed once per file. A cell that cannot be read raises
+    IngestError at the first row with one.
+    """
+    words = rows.view(np.dtype({"names": ["cells"], "formats": [(np.uint64, (2,))],
+                                "offsets": [rows.dtype.fields["distance"][1]],
+                                "itemsize": rows.dtype.itemsize}))["cells"]
+    distance = np.empty(len(rows), dtype=np.int64)
+    label = np.empty(len(rows), dtype=np.int8)
+    known = {}
+    for lo in range(0, len(rows), _DECODE_ROWS):
+        index, distinct = _distinct_rows(
+            np.ascontiguousarray(words[lo:lo + _DECODE_ROWS]))
+        values = []
+        for cells in distinct.view(_CELL_DTYPE).ravel().tolist():
+            if cells not in known:
+                known[cells] = _cell_values(cells)
+            values.append(known[cells])
+        failed = np.array([isinstance(v, str) for v in values])
+        if failed.any():
+            row = int(np.argmax(failed[index]))
+            raise IngestError(values[index[row]], line=_record_line(fh, body, lo + row))
+        value_distance, value_label = np.array(values, dtype=np.int64).T
+        distance[lo:lo + index.size] = value_distance[index]
+        label[lo:lo + index.size] = value_label[index]
+    return distance, label
+
+
 def _record_line(fh, body, record):
     """1-based line on which data record ``record`` starts.
 
     Records count from 0 after the header line and skip blank lines, as
-    ``np.loadtxt`` counts them. The body is re-read from offset ``body``;
-    without one (a stream that cannot seek) the line is the one the record
-    would have in a file without blank lines.
+    ``np.loadtxt`` counts them; the body is re-read from offset ``body``.
     """
-    if body is not None:
-        fh.seek(body)
-        reader = csv.reader(fh)
-        start, seen = 0, 0
-        try:
-            for row in reader:
-                if row:
-                    if seen == record:
-                        return start + 2
-                    seen += 1
-                start = reader.line_num
-        except csv.Error:
-            pass
+    fh.seek(body)
+    reader = csv.reader(fh)
+    start, seen = 0, 0
+    try:
+        for row in reader:
+            if row:
+                if seen == record:
+                    return start + 2
+                seen += 1
+            start = reader.line_num
+    except csv.Error:
+        pass
     return record + 2
 
 
@@ -352,18 +428,28 @@ _CELL_ERROR = re.compile(r" at row (\d+), ")
 _WIDTH_ERROR = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
 
 
-def _loadtxt_error(exc, fh, body):
-    """The IngestError for a ValueError of ``np.loadtxt``, at its row's line."""
+def _loadtxt_failure(exc):
+    """The message of a ValueError of ``np.loadtxt`` and the record it
+    names (None if it names none)."""
     text = str(exc)
     width = _WIDTH_ERROR.search(text)
     if width is not None:
-        return IngestError(f"expected {width[1]} fields, found {width[2]}",
-                           line=_record_line(fh, body, int(width[3]) - 1))
+        return f"expected {width[1]} fields, found {width[2]}", int(width[3]) - 1
     cell = _CELL_ERROR.search(text)
     if cell is not None:
-        return IngestError(text[:cell.start()] + " at " + text[cell.end():],
-                           line=_record_line(fh, body, int(cell[1])))
-    return IngestError(text)
+        return text[:cell.start()] + " at " + text[cell.end():], int(cell[1])
+    return text, None
+
+
+def _loadtxt(fh, dtype, **kwargs):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        # max_rows counts records, not lines, as the line numbers do.
+        warnings.filterwarnings("ignore", "Input line .* contained no data",
+                                UserWarning)
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1, **kwargs)
 
 
 def read_instances_csv(path_or_file, id_index=None):
@@ -374,11 +460,15 @@ def read_instances_csv(path_or_file, id_index=None):
     pipeline. ``id_index`` maps external id strings to interned ints; without
     it ids must already be integers.
 
-    The body is parsed by one ``np.loadtxt`` call into int64 and float64
-    columns; only the distance sentinels, the empty label and ``id_index``
-    go through Python converters. A malformed row raises
-    :class:`~lpeval.errors.IngestError` with its line number, and so does a
-    label column that is empty on some rows but not all.
+    The body is parsed by one ``np.loadtxt`` call: ids into int64 (through
+    ``id_index`` when given, the only Python converter), scores into
+    float64, and the distance and label cells as ASCII bytes of a fixed
+    width (at most 12 and 2 bytes), which are decoded once per distinct
+    pair of cells, not once per row. A malformed row raises
+    :class:`~lpeval.errors.IngestError` with its line number, the first
+    such row if there are several, and so does a label column that is
+    empty on some rows but not all. A stream that cannot seek is read into
+    memory first, since an error makes a second pass over the records.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
@@ -386,6 +476,7 @@ def read_instances_csv(path_or_file, id_index=None):
     try:
         try:
             first = fh.readline()
+            src = fh if fh.seekable() else io.StringIO(fh.read())
         except UnicodeDecodeError as exc:  # a decoded chunk may reach the body
             raise IngestError(str(exc)) from None
         header = next(csv.reader([first]), None)
@@ -393,34 +484,34 @@ def read_instances_csv(path_or_file, id_index=None):
             raise IngestError("expected header u,v,distance,label[,score...]", line=1)
         score_names = [h[6:] if h.startswith("score_") else "score"
                        for h in header[4:]]
-        body = fh.tell() if fh.seekable() else None
-        dtype = ([("u", np.int64), ("v", np.int64), ("distance", np.int64),
-                  ("label", np.int64)]
+        body = src.tell()
+        dtype = ([("u", np.int64), ("v", np.int64)] + _CELL_DTYPE.descr
                  + [(f"score{i}", np.float64) for i in range(len(score_names))])
-        converters = {2: functools.cache(parse_distance),
-                      3: functools.cache(_label_cell)}
+        converters = None
         if id_index is not None:
-            converters[0] = converters[1] = id_index.__getitem__
+            converters = {0: id_index.__getitem__, 1: id_index.__getitem__}
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                                  comments=None, ndmin=1, converters=converters)
+            rows = _loadtxt(src, dtype, converters=converters)
         except ValueError as exc:
-            raise _loadtxt_error(exc, fh, body) from None
-        label = rows["label"]
-        unlabeled = label < 0
-        if unlabeled.all():
+            message, record = _loadtxt_failure(exc)
+            if record:  # the first malformed record may be an earlier one
+                src.seek(body)
+                cells = _loadtxt(src, _CELL_DTYPE, usecols=(2, 3), max_rows=record)
+                _decode_cells(cells, src, body)
+            raise IngestError(message, line=None if record is None
+                              else _record_line(src, body, record)) from None
+        # The byte cells are decoded before the other columns are copied
+        # out, so no decoding temporary meets those copies.
+        distance, label = _decode_cells(rows, src, body)
+        if label.max(initial=-1) < 0:
             label = None
-        elif unlabeled.any():
+        elif label.min() < 0:
             raise IngestError("empty label in a labeled score file",
-                              line=_record_line(fh, body, int(np.argmax(unlabeled))))
+                              line=_record_line(src, body, int(np.argmax(label < 0))))
         else:
             label = label != 0
         inst = InstanceSet(np.ascontiguousarray(rows["u"]),
-                           np.ascontiguousarray(rows["v"]),
-                           np.ascontiguousarray(rows["distance"]), label)
+                           np.ascontiguousarray(rows["v"]), distance, label)
         for i, name in enumerate(score_names):
             inst.scores[name] = np.ascontiguousarray(rows[f"score{i}"])
         return inst

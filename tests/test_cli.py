@@ -247,6 +247,8 @@ NO_WINDOWS = " ".join(f"windows.{name}=" for name in
     # The slice count is checked before the (missing) dataset is read.
     pytest.param("temporal", "temporal.slices=0 dataset.path=no-such-dir/events.tsv",
                  "temporal.slices", id="temporal-slices=0-missing-dataset"),
+    pytest.param("temporal", "temporal.slices=1000 dataset.path=no-such-dir/events.tsv",
+                 "temporal.slices", id="temporal-slices=1000-missing-dataset"),
     # So is the weight rule.
     pytest.param("snapshot", "dataset.weight_rule=2/k dataset.path=no-such-dir/events.tsv",
                  "dataset.weight_rule", id="weight-rule-missing-dataset"),

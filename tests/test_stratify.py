@@ -387,6 +387,13 @@ class TestDistanceDistribution:
         assert max(depths) == 2
 
 
+class Unseekable(io.StringIO):
+    """A text stream that cannot seek, like a pipe."""
+
+    def seekable(self):
+        return False
+
+
 class TestInstanceCsv:
     def test_roundtrip_with_sentinels_and_scores(self):
         feature = Snapshot.from_edges([(0, 1), (1, 2), (3, 4)], n=5)
@@ -489,6 +496,90 @@ class TestInstanceCsv:
         with pytest.raises(IngestError) as exc:
             read_instances_csv(io.StringIO(HEADER + body))
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("body, line", [
+        # A bad distance before a row that np.loadtxt itself rejects.
+        ("0,1,2,1,0.5\n0,2,far,0,0.5\n0,3,2,0,high\n", 3),
+        ("0,1,2,1,0.5\n0,2,2,0,high\n0,3,far,0,0.5\n", 3),
+        ("0,1,2,1,0.5\n\n0,2,2,yes,0.5\n0,3,2,0\n", 4),
+        ("0,1,2,1,0.5\n0,2,٣,0,0.5\n0,3,2,0,0.5,1\n", 3),
+        # The byte-wise smaller of two bad tokens comes later.
+        ("0,1,2,1,0.5\n0,2,far,0,0.5\n0,3,abc,0,0.5\n", 3),
+        # A bad distance and a bad label on one row, or on two.
+        ("0,1,2,1,0.5\n0,2,far,yes,0.5\n", 3),
+        ("0,1,2,1,0.5\n0,2,2,yes,0.5\n0,3,far,0,0.5\n", 3),
+        # A bad cell is found before a partly empty label column.
+        ("0,1,2,,0.5\n0,2,2,1,0.5\n0,3,far,0,0.5\n", 4),
+    ])
+    @pytest.mark.parametrize("decode_rows", [1, 2, 4096])
+    def test_first_malformed_row_wins(self, body, line, decode_rows):
+        with mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
+            for stream in (io.StringIO, Unseekable):
+                with pytest.raises(IngestError) as exc:
+                    read_instances_csv(stream(HEADER + body))
+                assert exc.value.line == line
+
+    @pytest.mark.parametrize("cell", ["٣", "１", "é", "2\u00a0"])
+    def test_distance_and_label_cells_are_ascii(self, cell):
+        # int() reads "٣" as 3, "１" as 1 and "2\u00a0" as 2; distance and
+        # label cells are ASCII, so these, like "é", are errors.
+        for row in (f"0,2,{cell},0,0.5", f"0,2,2,{cell},0.5"):
+            with pytest.raises(IngestError) as exc:
+                read_instances_csv(io.StringIO(HEADER + "0,1,2,1,0.5\n" + row + "\n"))
+            assert exc.value.line == 3
+
+    @pytest.mark.parametrize("row, ok", [
+        ("0,2,000000000002,00,0.5", True),        # 12-byte distance, 2-byte label
+        ("0,2,disconnected,1,0.5", True),
+        ("0,2,0000000000002,0,0.5", False),       # 13 bytes
+        ("0,2,123456789012345678,0,0.5", False),
+        ("0,2,2,000,0.5", False),                 # 3 bytes
+    ])
+    def test_over_long_cells_are_rejected(self, row, ok):
+        text = HEADER + "0,1,2,1,0.5\n" + row + "\n"
+        if ok:
+            back = read_instances_csv(io.StringIO(text))
+            assert back.distance[1] == read_instances_rows(io.StringIO(text)).distance[1]
+            assert back.label.tolist() == [True, row.split(",")[3] == "1"]
+        else:
+            with pytest.raises(IngestError, match="too long") as exc:
+                read_instances_csv(io.StringIO(text))
+            assert exc.value.line == 3
+
+    def test_loadtxt_converts_only_ids(self):
+        # The distance and label cells are read as bytes, not through a
+        # per-cell Python converter; a failed read's second pass too.
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("converters") or {})
+            return loadtxt(*args, **kwargs)
+
+        with mock.patch.object(stratify.np, "loadtxt", spy):
+            read_instances_csv(io.StringIO(HEADER + "0,1,beyond,1,0.5\n"))
+            read_instances_csv(io.StringIO(HEADER + "a,b,2,,0.5\n"),
+                               id_index={"a": 0, "b": 1})
+            with pytest.raises(IngestError):
+                read_instances_csv(io.StringIO(HEADER + "0,1,2,1,0.5\n0,2,2,0,x\n"))
+        assert len(calls) == 4
+        assert all(2 not in c and 3 not in c for c in calls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance_sets(), st.sampled_from([1, 3, 4096]))
+    def test_decode_blocks_match_row_reader(self, case, decode_rows):
+        inst, id_labels, keys = case
+        buf = io.StringIO()
+        write_instances_csv(buf, inst, score_keys=keys)
+        text = buf.getvalue()
+        want = read_instances_rows(io.StringIO(text))
+        with mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
+            got = read_instances_csv(io.StringIO(text))
+        assert np.array_equal(got.distance, want.distance)
+        if want.label is None:
+            assert got.label is None
+        else:
+            assert np.array_equal(got.label, want.label)
 
     def test_unknown_id_names_its_line(self):
         # The first record spans lines 2 and 3.
