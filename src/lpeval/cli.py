@@ -239,10 +239,9 @@ def cmd_variance(cfg):
 
 
 def cmd_surrogate(cfg):
-    """Sigma-separation grid of the sub-problem vs. full-problem simulation."""
+    """Sigma-separation grid of the sub-problem vs. full-problem rankings."""
     cells = surrogate_grid(cfg.surrogate_alphas, cfg.surrogate_betas,
-                           **cfg.surrogate_counts, trials=cfg.surrogate_trials,
-                           seed=cfg.seed)
+                           **cfg.surrogate_counts, trials=cfg.surrogate_trials)
     out = _Output(cfg, "surrogate")
     by_cell = {(c.params.alpha, c.params.beta): c for c in cells}
     out.csv("surrogate_grid.csv",

@@ -30,7 +30,7 @@ _DEFAULTS = {
                   "n_sub": str(CONDMAT_STANDIN_COUNTS["n_sub"]),
                   "p_full": str(CONDMAT_STANDIN_COUNTS["p_full"]),
                   "n_full": str(CONDMAT_STANDIN_COUNTS["n_full"]),
-                  "scale": "1000"},
+                  "scale": "1"},
     "kaggle": {"repeats": "10", "rate": "0.1"},
     "temporal": {"slices": "5", "slice_mode": "disjoint"},
     "run": {"seed": "0", "out": "out", "svg": "false"},

@@ -2,18 +2,18 @@
 
 Implements the toolkit's methodological studies: fair vs. per-distance-bucket
 balanced negative sampling, the analytic variance of performance measured on
-a sampled negative class (with its Monte-Carlo validation hooks), surrogate
-ranking simulations comparing a geodesic sub-problem against the full
+a sampled negative class (with its Monte-Carlo validation hooks), exact
+surrogate ranking moments comparing a geodesic sub-problem against the full
 problem, distance-filtered negative removal, per-distance evaluation, and
 temporal slicing of the test-label window.
 
-Every experiment is a pure function of (inputs, seed): repeats and trials
-draw from named substreams so results are reproducible in any execution
-order.
+Every experiment is a pure function of (inputs, seed): repeats draw from
+named substreams so results are reproducible in any execution order.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -372,12 +372,13 @@ def kaggle_compare(instances, scores, rate, repeat_seeds):
 
 @dataclass(frozen=True)
 class SurrogateParams:
-    """Counts and knobs of the sub-problem vs. full-problem simulation.
+    """Counts and knobs of the sub-problem vs. full-problem comparison.
 
     ``alpha`` spreads positives over the top fraction of the ranking (lower
     alpha = stronger predictor); ``beta`` widens the band holding the
     sub-problem's positives inside the full ranking, modeling negatives that
-    are not trivially recognizable.
+    are not trivially recognizable. The band must fit inside the full
+    ranking's top alpha fraction.
     """
 
     p_sub: int
@@ -401,12 +402,11 @@ class SurrogateParams:
         if self.slots_sub < self.p_sub:
             raise ConfigError("alpha band smaller than the positive count",
                               field="surrogate.alpha")
-        if self.slots_full_band > self.p_full + self.n_full:
+        if self.slots_full_band > self.slots_full_tail:
             raise ConfigError(
-                "alpha*(p_sub+n_sub)*beta exceeds the full ranking size",
-                field="surrogate.beta")
-        free = self.slots_full_tail - min(self.p_sub, self.slots_full_tail)
-        if self.p_full - self.p_sub > free:
+                "alpha*(p_sub+n_sub)*beta exceeds alpha*(p_full+n_full), the "
+                "full ranking's top alpha fraction", field="surrogate.beta")
+        if self.p_full > self.slots_full_tail:
             raise ConfigError("not enough free slots for the remaining positives",
                               field="surrogate")
 
@@ -423,120 +423,89 @@ class SurrogateParams:
         return int(np.ceil(self.alpha * (self.p_full + self.n_full)))
 
 
-def _distinct_rows(rng, trials, k, m):
-    """(trials, k) matrix of distinct integers drawn uniformly from [0, m)."""
-    if k > m:
-        raise ConfigError(f"cannot place {k} items in {m} slots")
-    if k == 0:
-        return np.empty((trials, 0), dtype=np.int64)
-    if 3 * k >= m:
-        # Dense case: rank random keys; chunked to bound memory.
-        out = np.empty((trials, k), dtype=np.int64)
-        chunk = max(1, 10_000_000 // max(m, 1))
-        for lo in range(0, trials, chunk):
-            hi = min(trials, lo + chunk)
-            keys = rng.random((hi - lo, m))
-            out[lo:hi] = np.argsort(keys, axis=1)[:, :k]
-        return out
-    out = rng.integers(0, m, size=(trials, k), dtype=np.int64)
-    while k > 1:
-        srt = np.sort(out, axis=1)
-        bad = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
-        if bad.size == 0:
-            break
-        out[bad] = rng.integers(0, m, size=(bad.size, k), dtype=np.int64)
-    return out
-
-
-def _auroc_from_positions(positions, total_slots):
-    """AUROC of rankings where ``positions`` (rows) hold the positive slots."""
-    p = positions.shape[1]
-    n = total_slots - p
-    srt = np.sort(positions, axis=1)
-    neg_above = srt - np.arange(p, dtype=np.int64)
-    return 1.0 - neg_above.sum(axis=1) / (p * n)
-
-
 class SurrogateResult(NamedTuple):
     params: SurrogateParams
-    seed: int
     mean_sub: float
     var_sub: float
     mean_full: float
     var_full: float
     sigma: float
     sigma_formula: str = SIGMA_FORMULA
-    auroc_sub: np.ndarray = None
-    auroc_full: np.ndarray = None
 
     def as_dict(self):
         return {"alpha": self.params.alpha, "beta": self.params.beta,
                 "p_sub": self.params.p_sub, "n_sub": self.params.n_sub,
                 "p_full": self.params.p_full, "n_full": self.params.n_full,
-                "trials": self.params.trials, "seed": self.seed,
+                "trials": self.params.trials,
                 "mean_sub": self.mean_sub, "var_sub": self.var_sub,
                 "mean_full": self.mean_full, "var_full": self.var_full,
                 "sigma": self.sigma, "sigma_formula": self.sigma_formula}
 
 
-def surrogate_simulation(params, seed=0, keep_samples=False):
-    """Simulate AUROC distributions of a sub-problem and the full problem.
+def surrogate_simulation(params):
+    """Exact AUROC means and variances of a sub-problem and the full problem.
 
-    Per trial the sub-problem places its positives uniformly among the top
-    alpha fraction of its ranking. The full problem places the sub-problem's
-    positives inside a band beta times wider, then the remaining positives
-    within the top alpha fraction of the full ranking (slots never collide).
-    sigma is the two-sample z statistic comparing the AUROC means over
-    ``trials`` simulations; the sub-problem's random stream does not depend
-    on beta, so grid sweeps over beta share identical sub-problem samples.
+    The sub-problem places its positives as a uniform subset of the top
+    alpha fraction of its ranking. The full problem places the
+    sub-problem's positives as a uniform subset of a band beta times wider,
+    then the remaining positives as a uniform subset of the slots of the
+    full ranking's top alpha fraction that the band left free. sigma is the
+    two-sample z statistic comparing the mean AUROCs of ``trials``
+    simulations of each problem.
+
+    AUROC is 1 - (S - p(p-1)/2)/(p n) for S the sum of the positives'
+    slots, so its moments are S's. A uniform k-subset of range(m) sums to
+    k(m-1)/2 on average with variance k(m-k)(m+1)/12, the null moments of
+    the Mann-Whitney U statistic. The full problem's tail is taken given
+    the band, whose slot sum and sum of squares fix the free slots, and the
+    law of total variance joins the two. Sums of cubed slot counts pass
+    2**53 at the paper's counts, so every moment is an exact rational,
+    rounded once to the reported float.
     """
-    T = params.trials
-    m_sub = params.p_sub + params.n_sub
-    m_full = params.p_full + params.n_full
+    # Imported here: only this command pays its start-up cost (~2 ms).
+    from fractions import Fraction
 
-    rng_sub = substream(seed, rng_mod.STREAM_SURROGATE_SUB)
-    pos_sub = _distinct_rows(rng_sub, T, params.p_sub, params.slots_sub)
-    auroc_sub = _auroc_from_positions(pos_sub, m_sub)
+    def subset_sum(k, m):
+        """Mean and variance of the sum of a uniform k-subset of range(m)."""
+        return Fraction(k * (m - 1), 2), Fraction(k * (m - k) * (m + 1), 12)
 
-    rng_full = substream(seed, rng_mod.STREAM_SURROGATE_FULL)
-    band = _distinct_rows(rng_full, T, params.p_sub, params.slots_full_band)
-    k2 = params.p_full - params.p_sub
-    if k2 > 0:
-        tail = rng_full.integers(0, params.slots_full_tail, size=(T, k2),
-                                 dtype=np.int64)
-        while True:
-            comb = np.sort(np.concatenate([band, tail], axis=1), axis=1)
-            bad = np.flatnonzero(np.any(comb[:, 1:] == comb[:, :-1], axis=1))
-            if bad.size == 0:
-                break
-            tail[bad] = rng_full.integers(0, params.slots_full_tail,
-                                          size=(bad.size, k2), dtype=np.int64)
-        pos_full = np.concatenate([band, tail], axis=1)
-    else:
-        pos_full = band
-    auroc_full = _auroc_from_positions(pos_full, m_full)
+    def auroc_moments(mean, var, p, n):
+        return 1 - (mean - Fraction(p * (p - 1), 2)) / (p * n), var / (p * n) ** 2
 
-    mean_s, mean_f = float(auroc_sub.mean()), float(auroc_full.mean())
-    var_s = float(auroc_sub.var(ddof=1))
-    var_f = float(auroc_full.var(ddof=1))
-    se = np.sqrt(var_f / T + var_s / T)
-    sigma = float((mean_f - mean_s) / se) if se > 0 else 0.0
-    return SurrogateResult(params, seed, mean_s, var_s, mean_f, var_f, sigma,
-                           auroc_sub=auroc_sub if keep_samples else None,
-                           auroc_full=auroc_full if keep_samples else None)
+    k1, k2 = params.p_sub, params.p_full - params.p_sub
+    band, tail = params.slots_full_band, params.slots_full_tail
+    mean_s, var_s = auroc_moments(*subset_sum(k1, params.slots_sub), k1,
+                                  params.n_sub)
+
+    # The tail takes k2 of the `free` slots of range(tail) that the band
+    # leaves. Given the band's slot sum S_b, those sum to s_all - S_b, so
+    # E[S | band] = S_b + share * (s_all - S_b), and the tail varies as a
+    # k2-subset of them; the band's sum of squares averages q_band.
+    free = tail - k1
+    share = Fraction(k2, free) if k2 else 0
+    s_all, q_all = tail * (tail - 1) // 2, (tail - 1) * tail * (2 * tail - 1) // 6
+    sum_b, var_b = subset_sum(k1, band)
+    q_band = Fraction(k1 * (band - 1) * (2 * band - 1), 6)
+    sum_full = sum_b + share * (s_all - sum_b)
+    var_full = (1 - share) ** 2 * var_b
+    if 0 < k2 < free:
+        # The free slots' population variance, averaged over the band.
+        spread = ((q_all - q_band) / free
+                  - ((s_all - sum_b) ** 2 + var_b) / free ** 2)
+        var_full += Fraction(k2 * (free - k2), free - 1) * spread
+    mean_f, var_f = auroc_moments(sum_full, var_full, params.p_full, params.n_full)
+
+    var_diff = (var_f + var_s) / params.trials
+    sigma = float(mean_f - mean_s) / math.sqrt(var_diff) if var_diff else 0.0
+    return SurrogateResult(params, float(mean_s), float(var_s), float(mean_f),
+                           float(var_f), sigma)
 
 
-def surrogate_grid(alphas, betas, p_sub, n_sub, p_full, n_full,
-                   trials=100_000, seed=0):
-    """Sigma separations over an (alpha, beta) grid, one shared seed so the
-    sub-problem samples coincide across beta at fixed alpha."""
-    results = []
-    for alpha in alphas:
-        for beta in betas:
-            params = SurrogateParams(p_sub, n_sub, p_full, n_full, alpha, beta,
-                                     trials)
-            results.append(surrogate_simulation(params, seed=seed))
-    return results
+def surrogate_grid(alphas, betas, p_sub, n_sub, p_full, n_full, trials=100_000):
+    """Sigma separations over an (alpha, beta) grid, alpha-major."""
+    return [surrogate_simulation(SurrogateParams(p_sub, n_sub, p_full, n_full,
+                                                 alpha, beta, trials))
+            for alpha in alphas for beta in betas]
 
 
 # Full-problem / 2-hop sub-problem instance counts of the Condmat corpus,

@@ -43,13 +43,25 @@ def distance_str(d):
     return str(int(d))
 
 
+def _int_cell(text):
+    """An integer cell as np.loadtxt reads the id columns: blanks, an
+    optional sign and ASCII digits. Python's int() alone also takes "1_0"
+    and non-ASCII digits."""
+    digits = text.strip()
+    if digits.startswith(("+", "-")):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer cell {text!r}")
+    return int(text)
+
+
 def parse_distance(text):
     text = text.strip()
     if text == "beyond":
         return BEYOND
     if text == "disconnected":
         return DISCONNECTED
-    return int(text)
+    return _int_cell(text)
 
 
 @dataclass
@@ -318,7 +330,7 @@ def write_instances_csv(fh, instances, id_labels=None, score_keys=None):
 
 def _label_cell(text):
     """1 or 0 for a label cell, -1 for an empty (unlabeled) one."""
-    return -1 if text == "" else int(int(text) != 0)
+    return -1 if text == "" else int(_int_cell(text) != 0)
 
 
 # The distance and label cells are read as bytes into one 16-byte field

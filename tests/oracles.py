@@ -21,7 +21,7 @@ from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
                                 estimate_classifiable, variance_slope)
 from lpeval.metrics import _pr_segment_areas, auroc, auroc_from_counts
 from lpeval.rng import substream
-from lpeval.stratify import BEYOND, DISCONNECTED, InstanceSet, parse_distance
+from lpeval.stratify import BEYOND, DISCONNECTED, InstanceSet
 
 
 def auroc_pair_count(scores, labels):
@@ -335,7 +335,7 @@ def instances_csv_text(instances, id_labels=None, score_keys=None):
 
 def read_instances_rows(path_or_file, id_index=None):
     """The instance CSV read one row and one cell at a time (``csv.reader``,
-    then ``int``, ``float`` and ``parse_distance`` per cell).
+    then ``int`` and ``float`` per cell, a distance cell also by name).
 
     Python's ``int`` and ``float`` also accept ``1_0``; a label column that
     is empty on some rows only reads as unlabeled.
@@ -364,7 +364,8 @@ def read_instances_rows(path_or_file, id_index=None):
             try:
                 u = int(row[0]) if id_index is None else id_index[row[0]]
                 v = int(row[1]) if id_index is None else id_index[row[1]]
-                d = parse_distance(row[2])
+                d = {"beyond": BEYOND, "disconnected": DISCONNECTED}.get(
+                    row[2].strip()) or int(row[2])
                 if row[3] == "":
                     have_labels = False
                 else:
@@ -569,3 +570,59 @@ def average_precision_loop(tp, fp):
         for t in range(int(tp_a) + 1, int(tp_b) + 1):
             total += t / (t + fp_a + slope * (t - tp_a))
     return total / int(tp[-1])
+
+
+def _distinct_rows(rng, trials, k, m):
+    """(trials, k) matrix of distinct integers drawn uniformly from [0, m):
+    each row is redrawn until its entries are distinct, so keep k well
+    below sqrt(m) or the redraws go on for long."""
+    out = rng.integers(0, m, size=(trials, k), dtype=np.int64)
+    while k > 1:
+        srt = np.sort(out, axis=1)
+        bad = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
+        if bad.size == 0:
+            break
+        out[bad] = rng.integers(0, m, size=(bad.size, k), dtype=np.int64)
+    return out
+
+
+def auroc_from_positions(positions, total_slots):
+    """AUROC of rankings where ``positions`` (rows) hold the positive slots."""
+    p = positions.shape[1]
+    n = total_slots - p
+    srt = np.sort(positions, axis=1)
+    neg_above = srt - np.arange(p, dtype=np.int64)
+    return 1.0 - neg_above.sum(axis=1) / (p * n)
+
+
+def surrogate_monte_carlo(params, seed=0):
+    """AUROC samples (sub-problem, full problem) of ``params.trials``
+    simulated rankings each, for a :class:`SurrogateParams`.
+
+    Per trial the sub-problem places its positives uniformly among the top
+    alpha fraction of its ranking. The full problem places the sub-problem's
+    positives inside a band beta times wider, then the remaining positives
+    within the top alpha fraction of the full ranking, redrawing a trial's
+    tail until no slot collides. The sub-problem's random stream does not
+    depend on beta, so a sweep over beta shares its samples.
+    """
+    trials = params.trials
+    rng_sub = substream(seed, rng_mod.STREAM_SURROGATE_SUB)
+    pos_sub = _distinct_rows(rng_sub, trials, params.p_sub, params.slots_sub)
+    auroc_sub = auroc_from_positions(pos_sub, params.p_sub + params.n_sub)
+
+    rng_full = substream(seed, rng_mod.STREAM_SURROGATE_FULL)
+    band = _distinct_rows(rng_full, trials, params.p_sub, params.slots_full_band)
+    k2 = params.p_full - params.p_sub
+    tail = rng_full.integers(0, params.slots_full_tail, size=(trials, k2),
+                             dtype=np.int64)
+    while k2:
+        comb = np.sort(np.concatenate([band, tail], axis=1), axis=1)
+        bad = np.flatnonzero(np.any(comb[:, 1:] == comb[:, :-1], axis=1))
+        if bad.size == 0:
+            break
+        tail[bad] = rng_full.integers(0, params.slots_full_tail,
+                                      size=(bad.size, k2), dtype=np.int64)
+    auroc_full = auroc_from_positions(np.concatenate([band, tail], axis=1),
+                                      params.p_full + params.n_full)
+    return auroc_sub, auroc_full

@@ -244,6 +244,11 @@ NO_WINDOWS = " ".join(f"windows.{name}=" for name in
     ("distance-dist", "windows.test_label=", "windows"),
     ("temporal", "temporal.slices=1000", "temporal.slices"),
     ("surrogate", "surrogate.betas=0.5", "surrogate.beta"),
+    # A band (alpha 0.2, beta 1000: 43.2M slots) wider than the full
+    # ranking's top alpha (29.6M slots), although it fits in the whole
+    # ranking (148.2M).
+    pytest.param("surrogate", "surrogate.alphas=0.2 surrogate.betas=1000",
+                 "surrogate.beta", id="surrogate-band-wider-than-tail"),
     # The slice count is checked before the (missing) dataset is read.
     pytest.param("temporal", "temporal.slices=0 dataset.path=no-such-dir/events.tsv",
                  "temporal.slices", id="temporal-slices=0-missing-dataset"),
@@ -684,6 +689,18 @@ for argv in {runs!r}:
 print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 """
     assert run_child(code) == "[]\n"
+
+
+def test_surrogate_imports_no_numpy_random(tmp_path):
+    # The surrogate moments are exact, so the command draws nothing and
+    # its process is spared numpy.random's import.
+    code = f"""
+import sys
+from lpeval import cli
+assert cli.main(["surrogate", "--out", {str(tmp_path / "out")!r}]) == 0
+print("numpy.random" in sys.modules)
+"""
+    assert run_child(code) == "False\n"
 
 
 @pytest.mark.parametrize("body", [b"a\tb\t1\n\xff\xfe\tc\t2\n",

@@ -11,12 +11,14 @@ from lpeval import (ConfigError, InstanceSet, PredictorId, Ranking, SamplingSpec
                     temporal_eval, variance_experiment)
 from lpeval import BEYOND, DISCONNECTED
 from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
-                                KaggleCompareReport, _balanced_counts,
+                                CONDMAT_STANDIN_COUNTS, KaggleCompareReport,
+                                _balanced_counts,
                                 _kept_counts, slice_intervals, variance_slope)
 
-from oracles import (auroc_pair_count, bucket_mixture_auroc, fair_sample_indices,
-                     filtered_rows_resorted, kaggle_compare_resorted,
-                     per_distance_rows_resorted, variance_report_resorted)
+from oracles import (auroc_from_positions, auroc_pair_count, bucket_mixture_auroc,
+                     fair_sample_indices, filtered_rows_resorted,
+                     kaggle_compare_resorted, per_distance_rows_resorted,
+                     surrogate_monte_carlo, variance_report_resorted)
 
 
 def make_instances(rng, n_pos, n_neg, distances=(2, 3, 4)):
@@ -353,35 +355,73 @@ class TestCountDraws:
 
 
 class TestSurrogate:
+    # (p_sub, n_sub, p_full, n_full, alpha, beta): a generic cell; the
+    # benchmark's cell at 1/1000 of the Condmat counts; a strong predictor;
+    # no tail (p_full == p_sub); identical problems; a tail with no spare
+    # slot (p_full == the full ranking's top alpha); a band as wide as it;
+    # one tail positive in 3 free slots, where every term of the variance
+    # weighs more than the tolerance.
+    ORACLE_CASES = [(5, 100, 20, 2000, 0.5, 3), (1, 215, 30, 148_200, 0.2, 10),
+                    (3, 60, 20, 3000, 0.1, 5), (5, 200, 5, 2000, 0.4, 4),
+                    (5, 50, 5, 50, 1.0, 1.0), (2, 4, 4, 4, 0.5, 1.25),
+                    (4, 46, 10, 115, 1.0, 2.5), (1, 1, 2, 2, 1.0, 2)]
+
+    @pytest.mark.parametrize("counts", ORACLE_CASES)
+    def test_matches_monte_carlo_oracle(self, counts):
+        params = SurrogateParams(*counts, trials=40_000)
+        exact = surrogate_simulation(params)
+        for samples, mean, var in zip(surrogate_monte_carlo(params, seed=7),
+                                      (exact.mean_sub, exact.mean_full),
+                                      (exact.var_sub, exact.var_full)):
+            assert abs(samples.mean() - mean) <= 4 * (var / samples.size) ** 0.5 + 1e-12
+            assert abs(samples.var(ddof=1) - var) <= 0.03 * var + 1e-20
+
+    def test_no_spare_slot_fixes_the_full_ranking(self):
+        # Every slot of the full ranking's top alpha holds a positive.
+        res = surrogate_simulation(SurrogateParams(2, 4, 4, 4, alpha=0.5, beta=1.25))
+        assert res.var_full == 0.0
+        assert res.mean_full == 1.0
+
+    def test_paper_scale_moments(self):
+        res = surrogate_simulation(SurrogateParams(**CONDMAT_STANDIN_COUNTS,
+                                                   alpha=0.3, beta=2))
+        assert round(res.mean_sub, 5) == 0.85195
+        assert round(res.mean_full, 5) == 0.85605
+        # The sub-problem's mean is 1 - (A - p)/(2n) for A slots.
+        assert res.mean_sub == 1 - (64_744 - 1196) / (2 * 214_616)
+
     def test_degenerate_equality(self):
         params = SurrogateParams(50, 500, 50, 500, alpha=1.0, beta=1.0,
                                  trials=4000)
-        res = surrogate_simulation(params, seed=9)
-        # identical distributions: the z statistic is noise around zero
-        assert abs(res.sigma) < 4
-        assert abs(res.mean_full - res.mean_sub) < 0.01
+        res = surrogate_simulation(params)
+        # identical distributions, computed exactly
+        assert res.sigma == 0.0
+        assert res.mean_full == res.mean_sub
+        assert res.var_full == res.var_sub
 
     def test_sigma_declines_in_beta(self):
         base = dict(p_sub=5, n_sub=500, p_full=50, n_full=20_000, trials=20_000)
-        sigmas = [surrogate_simulation(
-            SurrogateParams(alpha=0.3, beta=b, **base), seed=10).sigma
-            for b in (2, 10, 30)]
-        assert sigmas[0] >= sigmas[1] >= sigmas[2]
+        sigmas = [surrogate_simulation(SurrogateParams(alpha=0.3, beta=b, **base)).sigma
+                  for b in (2, 10, 30)]
+        assert sigmas[0] > sigmas[1] > sigmas[2]
 
     def test_deterministic(self):
         params = SurrogateParams(5, 100, 20, 2000, alpha=0.5, beta=3, trials=500)
-        a = surrogate_simulation(params, seed=42)
-        b = surrogate_simulation(params, seed=42)
-        assert a.sigma == b.sigma
-        assert a.mean_full == b.mean_full
+        assert surrogate_simulation(params) == surrogate_simulation(params)
+        # Only sigma depends on the trial count, as sqrt(trials).
+        more = surrogate_simulation(SurrogateParams(5, 100, 20, 2000, alpha=0.5,
+                                                    beta=3, trials=2000))
+        assert more[1:5] == surrogate_simulation(params)[1:5]
+        assert more.sigma == pytest.approx(2 * surrogate_simulation(params).sigma,
+                                           rel=1e-12)
 
     def test_sub_samples_shared_across_beta(self):
         base = dict(p_sub=5, n_sub=100, p_full=20, n_full=2000, trials=500)
-        a = surrogate_simulation(SurrogateParams(alpha=0.5, beta=2, **base),
-                                 seed=1, keep_samples=True)
-        b = surrogate_simulation(SurrogateParams(alpha=0.5, beta=8, **base),
-                                 seed=1, keep_samples=True)
-        assert np.array_equal(a.auroc_sub, b.auroc_sub)
+        a, _ = surrogate_monte_carlo(SurrogateParams(alpha=0.5, beta=2, **base),
+                                     seed=1)
+        b, _ = surrogate_monte_carlo(SurrogateParams(alpha=0.5, beta=8, **base),
+                                     seed=1)
+        assert np.array_equal(a, b)
 
     def test_feasibility_validation(self):
         with pytest.raises(ConfigError):
@@ -390,14 +430,18 @@ class TestSurrogate:
             SurrogateParams(50, 100, 5, 1000, alpha=0.5, beta=1, trials=10)
         with pytest.raises(ConfigError):
             SurrogateParams(5, 10, 50, 100, alpha=0.0, beta=1, trials=10)
+        # A band (158 slots) wider than the full ranking's top alpha (110),
+        # although it fits in the whole full ranking (220).
+        with pytest.raises(ConfigError) as exc:
+            SurrogateParams(5, 100, 20, 200, alpha=0.5, beta=3)
+        assert exc.value.field == "surrogate.beta"
 
     def test_auroc_of_arrangements_matches_pair_count(self, rng):
-        from lpeval.experiments import _auroc_from_positions
         for _ in range(20):
             m = int(rng.integers(10, 60))
             p = int(rng.integers(1, m // 2))
             pos = rng.choice(m, size=p, replace=False)
-            got = _auroc_from_positions(pos[None, :], m)[0]
+            got = auroc_from_positions(pos[None, :], m)[0]
             scores = np.zeros(m)
             scores[:] = -np.arange(m)  # higher slot = higher score
             labels = np.zeros(m, dtype=bool)

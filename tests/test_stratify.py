@@ -473,13 +473,39 @@ class TestInstanceCsv:
         # Python's int() and float() read "1_0" as 10; the typed reader,
         # like the writer, knows only plain digits.
         for row, col, value in (("1_0,2,2,1,0.5", "u", 10),
+                                ("1,2,1_0,1,0.5", "distance", 10),
                                 ("1,2,2,1,1_0.5", "score", 10.5)):
             text = HEADER + "0,1,2,0,0.5\n" + row + "\n"
             back = read_instances_rows(io.StringIO(text))
-            assert (back.u if col == "u" else back.scores["score"])[1] == value
+            column = back.scores["score"] if col == "score" else getattr(back, col)
+            assert column[1] == value
             with pytest.raises(IngestError) as exc:
                 read_instances_csv(io.StringIO(text))
             assert exc.value.line == 3
+
+    @pytest.mark.parametrize("cell", ["+2", " 2", "2\t", " -0 ", "-1", "+", "2 2",
+                                      "0x2", "2.0", "1e1", " ", "1_0"])
+    def test_distance_and_label_cells_read_as_ids(self, cell):
+        # Distance and label cells take the grammar np.loadtxt reads the id
+        # columns with: blanks, an optional sign and ASCII digits.
+        def read(row):
+            try:
+                return read_instances_csv(io.StringIO(HEADER + "0,1,2,0,0.5\n"
+                                                      + row + "\n"))
+            except IngestError as exc:
+                assert exc.line == 3
+                return None
+
+        as_id = read(f"{cell},2,2,1,0.5")
+        rows = [("distance", f"0,2,{cell},1,0.5")]
+        if len(cell) <= 2:  # a label cell has at most 2 bytes
+            rows.append(("label", f"0,2,2,{cell},0.5"))
+        for column, row in rows:
+            back = read(row)
+            assert (back is None) == (as_id is None)
+            if back is not None:
+                want = as_id.u[1] != 0 if column == "label" else as_id.u[1]
+                assert getattr(back, column)[1] == want
 
     @pytest.mark.parametrize("body, line", [
         ("99999999999999999999,2,2,1,0.5\n", 2),        # id outside int64
@@ -639,6 +665,9 @@ class TestInstanceCsv:
     def test_distance_string_round_trip(self):
         for d in (2, 7, BEYOND, DISCONNECTED):
             assert parse_distance(distance_str(d)) == d
+        for text in ("1_0", "٣", "", "beyond2"):
+            with pytest.raises(ValueError):
+                parse_distance(text)
 
     def test_unlabeled_column_empty(self):
         s = Snapshot.from_edges([(0, 1), (1, 2)])
