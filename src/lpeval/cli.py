@@ -178,7 +178,6 @@ def cmd_evaluate(cfg):
     labels = feature.id_labels if feature is not None else None
     for name in sorted(sets):
         inst = _apply_sampling(cfg, sets[name])
-        scores = inst.scores[name]
         out.render(f"instances_{name}.csv", lambda fh: write_instances_csv(
             fh, inst, id_labels=labels, score_keys=[name]))
 
@@ -189,7 +188,7 @@ def cmd_evaluate(cfg):
                  "auroc": None, "aupr": None}
         # One ranking serves the curves (its tp/fp sum over the distance
         # buckets) and the per-distance report.
-        rank = Ranking(scores, inst.label, inst.distance) if len(inst) else None
+        rank = Ranking(inst.scores[name], inst.label, inst.distance)
         if inst.n_pos and inst.n_neg:
             for curve, tag in ((roc_curve(rank), "roc"), (pr_curve(rank), "pr")):
                 entry["tie_policy"] = curve.tie_policy
@@ -199,7 +198,7 @@ def cmd_evaluate(cfg):
                            lambda fh: write_curve_json(curve, fh))
                 if cfg.svg:
                     out.text(f"{tag}_{name}.svg", curve_svg(curve))
-        rows = per_distance_eval(inst, scores, rank=rank)
+        rows = per_distance_eval(rank)
         out.csv(f"per_distance_{name}.csv",
                 ["distance", "n_pos", "n_neg", "auroc", "aupr", "sufficient"],
                 [("overall" if r.distance is None else distance_str(r.distance),
@@ -218,10 +217,9 @@ def cmd_variance(cfg):
     for name in sorted(sets):
         inst = sets[name]
         rank = Ranking(inst.scores[name], inst.label, inst.distance)
-        report = variance_experiment(inst, name, rates=cfg.variance_rates,
+        report = variance_experiment(rank, rates=cfg.variance_rates,
                                      repeats=cfg.variance_repeats, seed=cfg.seed,
-                                     exact_counts=cfg.sampling.exact_counts,
-                                     rank=rank)
+                                     exact_counts=cfg.sampling.exact_counts)
         out.csv(f"variance_{name}.csv",
                 ["rate", "mean", "min", "max", "variance", "n_valid",
                  "n_invalid", "analytic"],
@@ -229,7 +227,7 @@ def cmd_variance(cfg):
                   r.n_valid, r.n_invalid, r.analytic) for r in report.rows])
         reports[name] = report.as_dict()
 
-        filt = filtered_negative_eval(inst, name, rank=rank)
+        filt = filtered_negative_eval(rank)
         out.csv(f"filtered_negatives_{name}.csv",
                 ["cut", "n_neg_removed", "n_neg_kept", "auroc"],
                 [("baseline" if r.cut is None else distance_str(r.cut),
@@ -262,7 +260,9 @@ def cmd_kaggle_compare(cfg):
     rows = []
     detail = {}
     for name in sorted(sets):
-        report = kaggle_compare(sets[name], name, cfg.kaggle_rate, repeat_seeds)
+        inst = sets[name]
+        report = kaggle_compare(Ranking(inst.scores[name], inst.label, inst.distance),
+                                cfg.kaggle_rate, repeat_seeds)
         rows.append((name, report.full_auroc, report.fair_mean, report.kaggle_mean,
                      len(report.fair_values), len(report.kaggle_values)))
         detail[name] = report.as_dict()

@@ -106,6 +106,13 @@ def _balanced_counts(pos, neg, rng):
     return kept
 
 
+def _bucketed(rank):
+    """The ranking's distance buckets, which it must have been built with."""
+    if rank.distances is None:
+        raise ConfigError("the experiment needs a ranking built with distance")
+    return rank.distances
+
+
 def sample_fair(instances, spec):
     """Uniform random retention of negatives; the test distribution's shape
     (class-conditional score and distance mix) is preserved in expectation.
@@ -183,24 +190,24 @@ def analytic_sampling_variance(n_negatives, n_classifiable, rate):
     return C * (N - C) * (1.0 - p) / (N * N * (N - 1.0) * p)
 
 
-def estimate_classifiable(scores, labels):
-    """Empirical stand-in for C: negatives ranked below the median positive."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    pos = np.sort(scores[labels])
-    if pos.size == 0:
+def estimate_classifiable(rank):
+    """Empirical stand-in for C: negatives ranked below the median positive.
+
+    The median is np.median's of the positives' scores, the mean of the
+    middle one or two, found in the tie groups by the cumulative positive
+    counts ``rank.tp``; C counts the negatives of the groups scored below it.
+    """
+    n_pos = rank.n_pos
+    if n_pos == 0:
         raise UndefinedMetricError("no positives to anchor the C estimate")
-    # np.median's value, as np.median computes it (the mean of the middle
-    # one or two), without the numpy.ma import np.median makes. np.sort puts
-    # NaN last, and the median is NaN whenever any positive is.
-    mid = pos.size // 2
-    if np.isnan(pos[-1]):
-        median = pos[-1]
-    elif pos.size % 2:
-        median = pos[mid]
-    else:
-        median = (pos[mid - 1] + pos[mid]) / 2
-    return int((scores[~labels] < median).sum())
+    # The positives at 0-based places (n_pos - 1) // 2 and n_pos // 2 from
+    # the top, one positive when n_pos is odd; rank.tp[g] positives rank
+    # above group g.
+    middle = np.searchsorted(rank.tp, [(n_pos - 1) // 2, n_pos // 2],
+                             side="right") - 1
+    high, low = rank.scores[middle]
+    median = low if n_pos % 2 else (low + high) / 2
+    return int(rank.neg[:, rank.scores < median].sum())
 
 
 class VarianceRateRow(NamedTuple):
@@ -249,8 +256,8 @@ def variance_slope(rates, variances):
     return float(slope), r2
 
 
-def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
-                        seed=0, exact_counts=False, rank=None):
+def variance_experiment(rank, rates=DEFAULT_RATES, repeats=100, seed=0,
+                        exact_counts=False):
     """AUROC spread over repeated fair negative sampling, per rate.
 
     For each rate, ``repeats`` independent samples are drawn from per-repeat
@@ -258,24 +265,14 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
     The report carries mean/min/max/sample-variance per rate, the analytic
     variance at the estimated C, and the fitted slope of variance vs. 1/rate.
 
-    The scores are ranked once (:class:`~lpeval.metrics.Ranking`, or
-    ``rank`` when the caller has built it with ``instances.distance``);
+    ``rank`` is the :class:`~lpeval.metrics.Ranking` of the scored set;
     each repeat draws how many negatives it keeps of each tie group
     (:func:`_kept_counts`), which gives the AUROC of re-ranking a fair row
     sample exactly.
     """
-    if isinstance(scores, str):
-        scores = instances.scores[scores]
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = instances.label
-    if labels is None:
-        raise ConfigError("variance experiment needs labeled instances")
-    if rank is None:
-        rank = Ranking(scores, labels, instances.distance)
     pos, neg = rank.pos.sum(axis=0), rank.neg.sum(axis=0)
     full = auroc_from_counts(pos, neg)
-    c_est = estimate_classifiable(scores, labels)
-    n_neg = int(neg.sum())
+    c_est = estimate_classifiable(rank)
 
     rows = []
     for ri, p in enumerate(rates):
@@ -290,21 +287,19 @@ def variance_experiment(instances, scores, rates=DEFAULT_RATES, repeats=100,
                 invalid += 1
                 continue
             vals.append(auroc_from_counts(pos, kept))
-        if vals:
-            # Deviations from the first value: equal values give exactly
-            # that value as the mean and exactly 0 as the variance.
-            arr = np.asarray(vals)
-            dev = arr - arr[0]
-            var = float(dev.var(ddof=1)) if arr.size > 1 else 0.0
-            row = VarianceRateRow(p, float(arr[0] + dev.mean()), float(arr.min()),
-                                  float(arr.max()), var, arr.size, invalid,
-                                  analytic_sampling_variance(n_neg, c_est, p)
-                                  if p < 1 else 0.0)
-        else:
-            row = VarianceRateRow(p, None, None, None, None, 0, invalid,
-                                  analytic_sampling_variance(n_neg, c_est, p)
-                                  if p < 1 else 0.0)
-        rows.append(row)
+        analytic = analytic_sampling_variance(rank.n_neg, c_est, p) if p < 1 else 0.0
+        if not vals:
+            rows.append(VarianceRateRow(p, None, None, None, None, 0, invalid,
+                                        analytic))
+            continue
+        # Deviations from the first value: equal values give exactly that
+        # value as the mean and exactly 0 as the variance.
+        arr = np.asarray(vals)
+        dev = arr - arr[0]
+        var = float(dev.var(ddof=1)) if arr.size > 1 else 0.0
+        rows.append(VarianceRateRow(p, float(arr[0] + dev.mean()), float(arr.min()),
+                                    float(arr.max()), var, arr.size, invalid,
+                                    analytic))
 
     fitted = [(r.rate, r.variance) for r in rows if r.variance is not None]
     slope, r2 = variance_slope([f[0] for f in fitted], [f[1] for f in fitted])
@@ -333,27 +328,22 @@ class KaggleCompareReport(NamedTuple):
                 "kaggle_values": list(self.kaggle_values)}
 
 
-def kaggle_compare(instances, scores, rate, repeat_seeds):
+def kaggle_compare(rank, rate, repeat_seeds):
     """Fair sampling at ``rate`` vs. per-distance-bucket balanced sampling.
 
     Each repeat seed ``rs`` draws one fair sample from the
     ``(rs, STREAM_FAIR_SAMPLE)`` substream and one balanced sample from
     ``(rs, STREAM_KAGGLE_SAMPLE)``, both as kept negatives per tie group
-    (:func:`_kept_counts`, :func:`_balanced_counts`) over one
-    :class:`~lpeval.metrics.Ranking`; a draw without a positive or a
-    negative gives no value. The draws have the distributions of
-    :func:`sample_fair` and :func:`sample_kaggle`.
+    (:func:`_kept_counts`, :func:`_balanced_counts`) over ``rank``, the
+    :class:`~lpeval.metrics.Ranking` of the scored set with its distance
+    buckets; a draw without a positive or a negative gives no value. The
+    draws have the distributions of :func:`sample_fair` and
+    :func:`sample_kaggle`.
     """
     if not 0 < rate <= 1:
         raise ConfigError(f"rate {rate} outside (0, 1]", field="kaggle.rate")
-    if isinstance(scores, str):
-        scores = instances.scores[scores]
-    if instances.label is None:
-        raise ConfigError("sampling needs labeled instances")
-    if not instances.label.size:
-        return KaggleCompareReport(None, (), ())
-    ranking = Ranking(scores, instances.label, instances.distance)
-    pos, neg = ranking.pos.sum(axis=0), ranking.neg.sum(axis=0)
+    _bucketed(rank)
+    pos, neg = rank.pos.sum(axis=0), rank.neg.sum(axis=0)
     if not pos.any() or not neg.any():
         return KaggleCompareReport(None, (), ())
     fair, kaggle = [], []
@@ -362,7 +352,7 @@ def kaggle_compare(instances, scores, rate, repeat_seeds):
                             False)
         if kept.any():
             fair.append(auroc_from_counts(pos, kept))
-        kept = _balanced_counts(ranking.pos, ranking.neg,
+        kept = _balanced_counts(rank.pos, rank.neg,
                                 substream(int(rs), rng_mod.STREAM_KAGGLE_SAMPLE))
         if kept.any():
             kaggle.append(auroc_from_counts(pos, kept.sum(axis=0)))
@@ -392,8 +382,8 @@ class SurrogateParams:
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
             raise ConfigError("alpha must be in (0, 1]", field="surrogate.alpha")
-        if self.beta < 1:
-            raise ConfigError("beta must be >= 1", field="surrogate.beta")
+        if not 1 <= self.beta < math.inf:
+            raise ConfigError("beta must be finite and >= 1", field="surrogate.beta")
         if self.p_sub > self.p_full or self.n_sub > self.n_full:
             raise ConfigError("sub-problem counts must not exceed full counts",
                               field="surrogate")
@@ -412,15 +402,24 @@ class SurrogateParams:
 
     @property
     def slots_sub(self):
-        return int(np.ceil(self.alpha * (self.p_sub + self.n_sub)))
+        return self._slots(self.p_sub + self.n_sub)
 
     @property
     def slots_full_band(self):
-        return int(np.ceil(self.alpha * (self.p_sub + self.n_sub) * self.beta))
+        return self._slots(self.p_sub + self.n_sub, self.beta)
 
     @property
     def slots_full_tail(self):
-        return int(np.ceil(self.alpha * (self.p_full + self.n_full)))
+        return self._slots(self.p_full + self.n_full)
+
+    def _slots(self, count, beta=1):
+        """ceil(alpha * count * beta), alpha and beta read as the decimals
+        they print as: alpha 0.07 of 100 is 7 slots, not the 8 of the float
+        product 7.000000000000001."""
+        # Imported here: only the surrogate command pays its start-up cost.
+        from fractions import Fraction
+
+        return math.ceil(Fraction(str(self.alpha)) * count * Fraction(str(beta)))
 
 
 class SurrogateResult(NamedTuple):
@@ -521,26 +520,18 @@ class FilteredNegativeRow(NamedTuple):
     auroc: float | None        # None when undefined (no negatives kept)
 
 
-def filtered_negative_eval(instances, scores, cuts=None, rank=None):
+def filtered_negative_eval(rank, cuts=None):
     """AUROC after removing every negative closer than each cut.
 
     Positives are always retained. The default cut list is the baseline plus
     each finite distance present; sentinel-bucket negatives are never closer
-    than a finite cut, so they survive every filter. The scores are ranked
-    once (:class:`~lpeval.metrics.Ranking`, or ``rank`` when the caller has
-    built it with ``instances.distance``); each cut sums the negatives of
-    the buckets at or beyond it.
+    than a finite cut, so they survive every filter. ``rank`` is the
+    :class:`~lpeval.metrics.Ranking` of the scored set with its distance
+    buckets; each cut sums the negatives of the buckets at or beyond it.
     """
-    if isinstance(scores, str):
-        scores = instances.scores[scores]
-    if not instances.label.size:
-        return [FilteredNegativeRow(cut, 0, 0, None)
-                for cut in [None] + [int(c) for c in cuts or ()]]
-    if rank is None:
-        rank = Ranking(scores, instances.label, instances.distance)
-    dist = rank.distances
+    dist = _bucketed(rank)
     pos = rank.pos.sum(axis=0)
-    n_neg = int(rank.neg.sum())
+    n_neg = rank.n_neg
 
     def row(cut, kept):
         kept_neg = int(kept.sum())
@@ -564,24 +555,17 @@ class DistanceRow(NamedTuple):
     sufficient: bool
 
 
-def per_distance_eval(instances, scores, rank=None):
+def per_distance_eval(rank):
     """AUROC and AUPR per distance bucket plus the overall row.
 
     Buckets lacking a positive or a negative are flagged insufficient rather
     than reported with undefined areas. The overall row pools every
-    instance, sentinel buckets included. The scores are ranked once (or
-    ``rank`` is used when the caller has built it with
-    ``instances.distance``); each bucket's row reads
-    :meth:`~lpeval.metrics.Ranking.bucket`.
+    instance, sentinel buckets included. ``rank`` is the
+    :class:`~lpeval.metrics.Ranking` of the scored set with its distance
+    buckets; each bucket's row reads :meth:`~lpeval.metrics.Ranking.bucket`.
     """
-    if isinstance(scores, str):
-        scores = instances.scores[scores]
-    if not instances.label.size:
-        return [DistanceRow(None, 0, 0, None, None, False)]
-    if rank is None:
-        rank = Ranking(scores, instances.label, instances.distance)
     return [_distance_row(int(d), rank.bucket(i))
-            for i, d in enumerate(rank.distances)] + [_distance_row(None, rank)]
+            for i, d in enumerate(_bucketed(rank))] + [_distance_row(None, rank)]
 
 
 def _distance_row(distance, rank):

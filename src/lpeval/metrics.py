@@ -29,22 +29,6 @@ RATE_NAMES = ("sensitivity", "specificity", "precision", "recall", "fallout",
               "accuracy")
 
 
-def _rank_rows(scores, labels):
-    """Validated labels, each row's tie group and each group's score.
-
-    One ``np.unique`` numbers the groups from the highest score down;
-    ``-0.0`` and ``0.0`` share a group.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    if scores.shape != labels.shape:
-        raise ConfigError("scores and labels must have equal length")
-    if np.any(np.isnan(scores)):
-        raise ConfigError("NaN scores are forbidden")
-    negated, groups = np.unique(-scores, return_inverse=True)
-    return labels, groups, -negated
-
-
 class Ranking:
     """Scored labeled instances ranked once into tie-group counts.
 
@@ -55,18 +39,29 @@ class Ranking:
     ``distance``. Any draw that keeps whole rows is a count table of the
     same shape. ``bounds`` holds the rank cuts at tie-group boundaries
     (0, ..., n); ``tp``/``fp`` the cumulative positive/negative counts at
-    those cuts.
+    those cuts. Zero rows make a table without groups, on which every
+    metric that needs a class raises :class:`UndefinedMetricError`.
+
+    One ``np.unique`` numbers the groups from the highest score down;
+    ``-0.0`` and ``0.0`` share a group.
     """
 
     def __init__(self, scores, labels, distance=None):
-        if np.size(scores) == 0:
-            raise UndefinedMetricError("empty ranking")
-        labels, groups, group_scores = _rank_rows(scores, labels)
+        scores = np.asarray(scores, dtype=np.float64)
+        labels = np.asarray(labels, dtype=bool)
+        if scores.shape != labels.shape:
+            raise ConfigError("scores and labels must have equal length")
+        if np.any(np.isnan(scores)):
+            raise ConfigError("NaN scores are forbidden")
+        negated, groups = np.unique(-scores, return_inverse=True)
+        group_scores = -negated
         if distance is None:
             distances, cells, buckets = None, groups, 1
         else:
-            distances, bucket = np.unique(np.asarray(distance, dtype=np.int64),
-                                          return_inverse=True)
+            distance = np.asarray(distance, dtype=np.int64)
+            if distance.shape != scores.shape:
+                raise ConfigError("scores and distance must have equal length")
+            distances, bucket = np.unique(distance, return_inverse=True)
             cells, buckets = bucket * group_scores.size + groups, distances.size
         shape = (buckets, group_scores.size)
 
@@ -198,19 +193,6 @@ class ThresholdCurve(NamedTuple):
     def summary(self):
         return {"space": self.space, "area": self.area, "n_pos": self.n_pos,
                 "n_neg": self.n_neg, "tie_policy": self.tie_policy}
-
-
-def tie_groups(scores, labels):
-    """Rank labeled scores once: each row's tie group and the positives per group.
-
-    Groups are numbered from the highest score down, so for any subset of
-    the rows, its positive and negative counts per group (``np.bincount``
-    of its rows' groups) are the ranking :func:`auroc_from_counts` reads,
-    without sorting the subset again. ``-0.0`` and ``0.0`` share a group.
-    Returns ``(group of each row, positive count of each group)``.
-    """
-    labels, groups, group_scores = _rank_rows(scores, labels)
-    return groups, np.bincount(groups[labels], minlength=group_scores.size)
 
 
 def auroc_from_counts(pos, neg):

@@ -17,8 +17,7 @@ from lpeval import rng as rng_mod
 from lpeval.errors import IngestError
 from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
                                 VarianceRateRow, VarianceReport,
-                                analytic_sampling_variance,
-                                estimate_classifiable, variance_slope)
+                                analytic_sampling_variance, variance_slope)
 from lpeval.metrics import _pr_segment_areas, auroc, auroc_from_counts
 from lpeval.rng import substream
 from lpeval.stratify import BEYOND, DISCONNECTED, InstanceSet
@@ -478,6 +477,23 @@ def kaggle_compare_resorted(instances, scores, rate, repeat_seeds):
     return (auroc(scores, labels) if two_classes else None), fair, kaggle
 
 
+def classifiable_by_rows(scores, labels):
+    """The classifiable estimate C from the rows: negatives scored below the
+    median positive, the median np.median's (the mean of the middle one or
+    two sorted positives, NaN when any positive is NaN)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    pos = np.sort(scores[labels])
+    mid = pos.size // 2
+    if np.isnan(pos[-1]):
+        median = pos[-1]
+    elif pos.size % 2:
+        median = pos[mid]
+    else:
+        median = (pos[mid - 1] + pos[mid]) / 2
+    return int((scores[~labels] < median).sum())
+
+
 def variance_report_resorted(instances, scores, rates, repeats, seed,
                              exact_counts=False):
     """``variance_experiment`` with every repeat's sample ranked again:
@@ -486,7 +502,7 @@ def variance_report_resorted(instances, scores, rates, repeats, seed,
     scores = np.asarray(scores, dtype=np.float64)
     labels = instances.label
     full = auroc(scores, labels)
-    c_est = estimate_classifiable(scores, labels)
+    c_est = classifiable_by_rows(scores, labels)
     n_neg = int((~labels).sum())
     rows = []
     for ri, p in enumerate(rates):

@@ -290,7 +290,7 @@ def test_other_commands_malformed_dataset_exits_3(tmp_path, capsys, command):
 
 
 @pytest.mark.filterwarnings("ignore:N\\*p")
-@pytest.mark.parametrize("command", ["evaluate", "variance"])
+@pytest.mark.parametrize("command", ["evaluate", "variance", "kaggle-compare"])
 def test_commands_rank_each_score_column_once(tmp_path, monkeypatch, command):
     # A plain function in Ranking's place, as lpbench/tracing.py puts there:
     # cli and experiments may only call Ranking(...) as a constructor.
@@ -306,6 +306,39 @@ def test_commands_rank_each_score_column_once(tmp_path, monkeypatch, command):
     assert cli.main([command, "--out", str(tmp_path / "out"), "--set",
                      f"dataset.scores={scores}", "--set", "variance.repeats=2"]) == 0
     assert len(built) == 1
+
+
+# Every pair of the feature window's triangle is an edge, so there is no
+# candidate; the label-window event repeats one of the edges.
+TRIANGLE = "a\tb\t1\nb\tc\t2\na\tc\t3\na\tb\t85\n"
+
+
+@pytest.mark.parametrize("command, code, artifacts", [
+    ("evaluate", 0, {
+        "instances_common-neighbors.csv": "u,v,distance,label,score\n",
+        "per_distance_common-neighbors.csv":
+            "distance,n_pos,n_neg,auroc,aupr,sufficient\n"
+            "overall,0,0,undefined,undefined,0\n"}),
+    ("kaggle-compare", 0, {
+        "kaggle_compare.csv":
+            "predictor,full_auroc,fair_auroc,kaggle_auroc,fair_repeats,"
+            "kaggle_repeats\ncommon-neighbors,undefined,undefined,undefined,0,0\n"}),
+    # The variance report needs the full AUROC, which has no positive.
+    ("variance", 3, {}),
+])
+def test_empty_candidate_set(tmp_path, command, code, artifacts):
+    events = tmp_path / "events.tsv"
+    events.write_text(TRIANGLE, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), "--set", f"dataset.path={events}",
+                     *WINDOWS, "--set", "prediction.predictors=cn"]) == code
+    for name, text in artifacts.items():
+        assert (out / name).read_text(encoding="utf-8") == text
+    if code:
+        assert not (out / "manifest.json").exists()
+    else:
+        listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert set(artifacts) <= {a["path"] for a in listed}
 
 
 def test_temporal_single_slice_equals_evaluate_in_query_mode(tmp_path):
@@ -446,6 +479,48 @@ def test_pipeline_guard_sees_each_form():
     assert pipeline_calls(code) == [
         (1, "generate_test_set"), (3, "geodesic_bucket_enumerate"),
         (4, "generate_test_set"), (5, "score_instances"), (6, "score_pairs")]
+
+
+# The experiments take the Ranking their caller built; only temporal_eval,
+# which relabels its candidates per slice, ranks scores itself.
+def ranking_calls(text):
+    """``(line, name)`` of each ``Ranking`` call outside ``temporal_eval``,
+    and of each import that binds ``Ranking`` to another name."""
+    tree = ast.parse(text)
+    allowed = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "temporal_eval"
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if called == "Ranking":
+                found.append((node.lineno, called))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.asname) for alias in node.names
+                      if alias.name == "Ranking" and alias.asname]
+    return sorted(found)
+
+
+def test_experiments_rank_only_in_temporal_eval():
+    assert ranking_calls(pathlib.Path(experiments.__file__).read_text(
+        encoding="utf-8")) == []
+
+
+def test_ranking_guard_sees_each_form():
+    code = ("from .metrics import Ranking as Ranked, auroc\n"
+            "def temporal_eval(s, l):\n    return Ranking(s, l)\n"
+            "def f(s, l, metrics, lpeval):\n    Ranking(s, l)\n"
+            "    metrics.Ranking(s, l, None)\n    lpeval.metrics.Ranking(s, l)\n"
+            "    def temporal_eval():\n        Ranking(s, l)\n"
+            "RANK = Ranking([], [])\n")
+    assert ranking_calls(code) == [
+        (1, "Ranked"), (5, "Ranking"), (6, "Ranking"), (7, "Ranking"),
+        (9, "Ranking"), (10, "Ranking")]
 
 
 # The package's exports, module by module, as the eager imports bound them.

@@ -16,8 +16,9 @@ from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
                                 _kept_counts, slice_intervals, variance_slope)
 
 from oracles import (auroc_from_positions, auroc_pair_count, bucket_mixture_auroc,
-                     fair_sample_indices, filtered_rows_resorted,
-                     kaggle_compare_resorted, per_distance_rows_resorted,
+                     classifiable_by_rows, fair_sample_indices,
+                     filtered_rows_resorted, kaggle_compare_resorted,
+                     per_distance_rows_resorted, random_ranking,
                      surrogate_monte_carlo, variance_report_resorted)
 
 
@@ -29,6 +30,13 @@ def make_instances(rng, n_pos, n_neg, distances=(2, 3, 4)):
     inst = InstanceSet(np.arange(n), np.arange(n) + n, dist, label)
     inst.scores["s"] = rng.normal(size=n) + label * 1.5
     return inst
+
+
+def ranked(inst, scores=None):
+    """The Ranking of ``scores`` (default: column ``s``) over ``inst``'s labels
+    and distances, as the CLI builds it for each predictor."""
+    return Ranking(inst.scores["s"] if scores is None else scores, inst.label,
+                   inst.distance)
 
 
 class TestFairSampling:
@@ -130,13 +138,38 @@ class TestAnalyticVariance:
         scores = np.array([5.0, 4.0, 3.0, 1.0, 0.5, 0.1])
         labels = np.array([True, False, True, False, False, False])
         # median positive = 4.0; negatives below: 1.0, 0.5, 0.1
-        assert estimate_classifiable(scores, labels) == 3
+        assert estimate_classifiable(Ranking(scores, labels)) == 3
+
+    def test_classifiable_estimate_matches_rows(self, rng):
+        # Signed zeros share a tie group, and positives split evenly between
+        # -inf and inf make a NaN median; both parities of the positive count.
+        specials = np.array([-np.inf, -0.0, 0.0, np.inf])
+        parities, nan_medians = set(), 0
+        for _ in range(1500):
+            scores, labels = random_ranking(rng, max_size=60)
+            swap = rng.random(scores.size) < rng.uniform(0.0, 0.6)
+            scores[swap] = rng.choice(specials, size=int(swap.sum()))
+            if rng.random() < 0.1:
+                rows = np.flatnonzero(labels)
+                scores[rows] = np.where(np.arange(rows.size) % 2, np.inf, -np.inf)
+            parities.add(int(labels.sum()) % 2)
+            with np.errstate(invalid="ignore"):
+                want = classifiable_by_rows(scores, labels)
+                assert estimate_classifiable(Ranking(scores, labels)) == want
+                pos = np.sort(scores[labels])
+                nan_medians += bool(np.isnan(pos[(pos.size - 1) // 2]
+                                             + pos[pos.size // 2]))
+        assert parities == {0, 1} and nan_medians > 0
+
+    def test_classifiable_estimate_needs_a_positive(self):
+        with pytest.raises(UndefinedMetricError):
+            estimate_classifiable(Ranking([0.5, 0.1], [False, False]))
 
 
 class TestVarianceExperiment:
     def test_rate_one_zero_spread(self, rng):
         inst = make_instances(rng, 30, 500)
-        report = variance_experiment(inst, "s", rates=[1.0], repeats=10, seed=1)
+        report = variance_experiment(ranked(inst), rates=[1.0], repeats=10, seed=1)
         row = report.rows[0]
         assert row.variance == 0.0
         assert row.mean == report.full_auroc
@@ -150,8 +183,8 @@ class TestVarianceExperiment:
             inst = make_instances(rng, int(rng.integers(5, 60)),
                                   int(rng.integers(50, 800)))
             repeats = int(rng.integers(3, 12))
-            report = variance_experiment(inst, "s", rates=[1.0], repeats=repeats,
-                                         seed=seed)
+            report = variance_experiment(ranked(inst), rates=[1.0],
+                                         repeats=repeats, seed=seed)
             row = report.rows[0]
             assert row.n_valid == repeats
             assert row.mean == report.full_auroc
@@ -160,7 +193,7 @@ class TestVarianceExperiment:
 
     def test_variance_scales_like_inverse_rate(self, rng):
         inst = make_instances(rng, 100, 10_000)
-        report = variance_experiment(inst, "s", rates=[0.01, 0.1], repeats=100,
+        report = variance_experiment(ranked(inst), rates=[0.01, 0.1], repeats=100,
                                      seed=2)
         v01, v10 = report.rows[0].variance, report.rows[1].variance
         # Eq-1 ratio (0.99/0.01)/(0.9/0.1) = 11, wide band for estimator noise
@@ -168,14 +201,14 @@ class TestVarianceExperiment:
 
     def test_slope_positive_with_good_fit(self, rng):
         inst = make_instances(rng, 100, 10_000)
-        report = variance_experiment(inst, "s", rates=[0.003, 0.01, 0.03, 0.1],
+        report = variance_experiment(ranked(inst), rates=[0.003, 0.01, 0.03, 0.1],
                                      repeats=100, seed=3)
         assert report.slope > 0
         assert report.r_squared > 0.9
 
     def test_zero_negative_repeats_flagged(self, rng):
         inst = make_instances(rng, 5, 3)
-        report = variance_experiment(inst, "s", rates=[1e-4], repeats=20, seed=4)
+        report = variance_experiment(ranked(inst), rates=[1e-4], repeats=20, seed=4)
         row = report.rows[0]
         assert row.n_valid + row.n_invalid == 20
         assert row.n_invalid > 0
@@ -183,7 +216,7 @@ class TestVarianceExperiment:
     def test_mean_tracks_full_auroc(self, rng):
         # fair-sample unbiasedness: mean over repeats within 3 SE of full
         inst = make_instances(rng, 200, 20_000)
-        report = variance_experiment(inst, "s", rates=[0.05], repeats=100, seed=5)
+        report = variance_experiment(ranked(inst), rates=[0.05], repeats=100, seed=5)
         row = report.rows[0]
         se = np.sqrt(row.variance / row.n_valid)
         assert abs(row.mean - report.full_auroc) < 3 * se
@@ -216,8 +249,9 @@ class TestTieGroupCounts:
         for seed in range(6):
             inst, scores = tie_heavy_instances(seed)
             with pytest.warns(UserWarning, match="N\\*p"):
-                got = variance_experiment(inst, scores, rates=rates, repeats=8,
-                                          seed=seed, exact_counts=exact_counts)
+                got = variance_experiment(ranked(inst, scores), rates=rates,
+                                          repeats=8, seed=seed,
+                                          exact_counts=exact_counts)
                 want = variance_report_resorted(inst, scores, rates, 8, seed,
                                                 exact_counts)
             assert got == want
@@ -227,33 +261,38 @@ class TestTieGroupCounts:
     def test_filtered_matches_resorting_oracle(self):
         for seed in range(6):
             inst, scores = tie_heavy_instances(seed)
-            assert filtered_negative_eval(inst, scores) == \
+            assert filtered_negative_eval(ranked(inst, scores)) == \
                 filtered_rows_resorted(inst, scores)
             cuts = [2, 5, BEYOND + 1]
-            assert filtered_negative_eval(inst, scores, cuts) == \
+            assert filtered_negative_eval(ranked(inst, scores), cuts) == \
                 filtered_rows_resorted(inst, scores, cuts)
 
     @pytest.mark.filterwarnings("ignore:N\\*p")
     def test_shared_ranking_gives_the_same_reports(self):
-        # The CLI ranks a column once and passes it to each experiment.
+        # The CLI ranks a column once and passes it to each experiment, so
+        # no experiment may change it for the next.
         for seed in range(6):
             inst, scores = tie_heavy_instances(seed)
-            rank = Ranking(scores, inst.label, inst.distance)
-            assert variance_experiment(inst, scores, rates=[0.3, 1.0], repeats=4,
-                                       seed=seed, rank=rank) == \
-                variance_experiment(inst, scores, rates=[0.3, 1.0], repeats=4,
-                                    seed=seed)
-            assert filtered_negative_eval(inst, scores, rank=rank) == \
-                filtered_negative_eval(inst, scores)
-            assert per_distance_eval(inst, scores, rank=rank) == \
-                per_distance_rows_resorted(inst, scores)
+            rank = ranked(inst, scores)
+            for _ in range(2):
+                assert variance_experiment(rank, rates=[0.3, 1.0], repeats=4,
+                                           seed=seed) == \
+                    variance_report_resorted(inst, scores, [0.3, 1.0], 4, seed)
+                assert filtered_negative_eval(rank) == \
+                    filtered_rows_resorted(inst, scores)
+                assert per_distance_eval(rank) == \
+                    per_distance_rows_resorted(inst, scores)
+                got = kaggle_compare(rank, 0.3, [seed])
+                assert (got.full_auroc, list(got.fair_values),
+                        list(got.kaggle_values)) == \
+                    kaggle_compare_resorted(inst, scores, 0.3, [seed])
 
     def test_kaggle_compare_matches_resorting_oracle(self):
         for seed in range(6):
             inst, scores = tie_heavy_instances(seed)
             for rate in (0.01, 0.3, 1.0):
                 seeds = range(100 * seed, 100 * seed + 8)
-                got = kaggle_compare(inst, scores, rate, seeds)
+                got = kaggle_compare(ranked(inst, scores), rate, seeds)
                 full, fair, kaggle = kaggle_compare_resorted(inst, scores, rate,
                                                              seeds)
                 assert got.full_auroc == full
@@ -262,14 +301,24 @@ class TestTieGroupCounts:
                 assert len(kaggle) == 8
 
     def test_nan_scores_are_a_config_error(self):
+        # The experiments take a Ranking, and a NaN score ranks nowhere.
         inst, scores = tie_heavy_instances(0)
         scores[5] = np.nan
         with pytest.raises(ConfigError):
-            variance_experiment(inst, scores, rates=[0.5], repeats=2)
+            ranked(inst, scores)
         with pytest.raises(ConfigError):
-            filtered_negative_eval(inst, scores)
-        with pytest.raises(ConfigError):
-            kaggle_compare(inst, scores, 0.5, [1])
+            Ranking(scores, inst.label)
+
+    def test_distance_experiments_need_distance(self):
+        inst, scores = tie_heavy_instances(0)
+        rank = Ranking(scores, inst.label)
+        for run in (lambda: kaggle_compare(rank, 0.5, [1]),
+                    lambda: filtered_negative_eval(rank),
+                    lambda: per_distance_eval(rank)):
+            with pytest.raises(ConfigError, match="distance"):
+                run()
+        assert variance_experiment(rank, rates=[1.0], repeats=2) == \
+            variance_experiment(ranked(inst, scores), rates=[1.0], repeats=2)
 
 
 def distance_tied_instances(seed, n=400):
@@ -307,8 +356,9 @@ class TestCountDraws:
     def test_fair_counts_match_row_draws(self, exact_counts):
         inst, scores = distance_tied_instances(0)
         labels = inst.label
-        row = variance_experiment(inst, scores, rates=[0.3], repeats=self.REPEATS,
-                                  seed=11, exact_counts=exact_counts).rows[0]
+        row = variance_experiment(ranked(inst, scores), rates=[0.3],
+                                  repeats=self.REPEATS, seed=11,
+                                  exact_counts=exact_counts).rows[0]
         rows = []
         for rep in range(self.REPEATS):
             idx = fair_sample_indices(labels, 0.3, np.random.default_rng([17, rep]),
@@ -319,7 +369,7 @@ class TestCountDraws:
     def test_balanced_counts_match_row_draws(self):
         inst, scores = distance_tied_instances(0)
         inst.scores["s"] = scores
-        counted = kaggle_compare(inst, scores, 0.3, range(self.REPEATS)).kaggle_values
+        counted = kaggle_compare(ranked(inst), 0.3, range(self.REPEATS)).kaggle_values
         rows = []
         for s in range(self.REPEATS, 2 * self.REPEATS):
             k = sample_kaggle(inst, seed=s)
@@ -436,6 +486,25 @@ class TestSurrogate:
             SurrogateParams(5, 100, 20, 200, alpha=0.5, beta=3)
         assert exc.value.field == "surrogate.beta"
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ConfigError) as exc:
+            SurrogateParams(5, 100, 20, 2000, alpha=0.5, beta=beta)
+        assert exc.value.field == "surrogate.beta"
+
+    def test_slots_ceil_the_exact_product(self):
+        # 0.07 * 100 is 7.000000000000001 in floats, but 7 slots.
+        params = SurrogateParams(5, 95, 5, 95, alpha=0.07, beta=1)
+        assert (params.slots_sub, params.slots_full_band,
+                params.slots_full_tail) == (7, 7, 7)
+        # The default cell at the paper's counts: 0.9 * 215,812 * 10 exactly.
+        params = SurrogateParams(**CONDMAT_STANDIN_COUNTS, alpha=0.9, beta=10)
+        assert params.slots_full_band == 1_942_308
+        for k in range(1, 101):
+            for m in range(2, 200):
+                params = SurrogateParams(1, m - 1, 1, m - 1, alpha=k / 100, beta=1)
+                assert params.slots_sub == params.slots_full_tail == -(-k * m // 100)
+
     def test_auroc_of_arrangements_matches_pair_count(self, rng):
         for _ in range(20):
             m = int(rng.integers(10, 60))
@@ -454,7 +523,7 @@ class TestSurrogate:
 class TestFilteredNegatives:
     def test_cut_below_minimum_keeps_baseline(self, rng):
         inst = make_instances(rng, 20, 200, distances=(3, 4))
-        rows = filtered_negative_eval(inst, "s", cuts=[2])
+        rows = filtered_negative_eval(ranked(inst), cuts=[2])
         assert rows[1].auroc == rows[0].auroc
         assert rows[1].n_neg_removed == 0
 
@@ -465,7 +534,7 @@ class TestFilteredNegatives:
         dist = np.array([3] * 3 + [2] * 3 + [3] * 4)
         scores = np.array([5.0, 4.0, 3.0] + [9.0, 8.0, 7.0] + [1.0, 0.8, 0.5, 0.2])
         inst = InstanceSet(np.arange(10), np.arange(10) + 50, dist, label)
-        rows = filtered_negative_eval(inst, scores, cuts=[3])
+        rows = filtered_negative_eval(ranked(inst, scores), cuts=[3])
         assert rows[0].auroc < 1.0
         assert rows[1].auroc == 1.0
 
@@ -478,7 +547,7 @@ class TestFilteredNegatives:
         if not label.any() or label.all():
             label[:2] = [True, False]
         inst = InstanceSet(np.arange(n), np.arange(n) + 999, dist, label)
-        rows = filtered_negative_eval(inst, scores)
+        rows = filtered_negative_eval(ranked(inst, scores))
         vals = [r.auroc for r in rows if r.auroc is not None]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         for r in rows[1:]:
@@ -490,7 +559,7 @@ class TestFilteredNegatives:
 
     def test_all_negatives_removed_is_undefined(self, rng):
         inst = make_instances(rng, 5, 20, distances=(2,))
-        rows = filtered_negative_eval(inst, "s", cuts=[3])
+        rows = filtered_negative_eval(ranked(inst), cuts=[3])
         assert rows[1].auroc is None
 
 
@@ -505,7 +574,7 @@ class TestPerDistance:
         label = rng.random(n) < p_pos
         scores = 1.0 / dist
         inst = InstanceSet(np.arange(n), np.arange(n) + n, dist, label)
-        rows = per_distance_eval(inst, scores)
+        rows = per_distance_eval(ranked(inst, scores))
         per_bucket = [r for r in rows if r.distance is not None and r.sufficient]
         overall = rows[-1]
         for r in per_bucket:
@@ -516,7 +585,7 @@ class TestPerDistance:
 
     def test_single_bucket_overall_equals_bucket(self, rng):
         inst = make_instances(rng, 10, 100, distances=(2,))
-        rows = per_distance_eval(inst, "s")
+        rows = per_distance_eval(ranked(inst))
         assert rows[0].auroc == rows[-1].auroc
         assert rows[0].aupr == rows[-1].aupr
 
@@ -526,7 +595,7 @@ class TestPerDistance:
         label = rng.random(n) < 0.1
         scores = rng.random(n)
         inst = InstanceSet(np.arange(n), np.arange(n) + n, dist, label)
-        rows = per_distance_eval(inst, scores)
+        rows = per_distance_eval(ranked(inst, scores))
         for r in rows:
             assert r.auroc == pytest.approx(0.5, abs=0.03)
             prevalence = r.n_pos / (r.n_pos + r.n_neg)
@@ -536,36 +605,39 @@ class TestPerDistance:
         label = np.array([True, True, False])
         dist = np.array([2, 3, 3])
         inst = InstanceSet(np.arange(3), np.arange(3) + 5, dist, label)
-        rows = per_distance_eval(inst, np.array([1.0, 2.0, 3.0]))
+        rows = per_distance_eval(ranked(inst, np.array([1.0, 2.0, 3.0])))
         assert rows[0].sufficient is False
         assert rows[0].auroc is None
 
 
 class TestEmptySet:
-    """An instance set without rows gives undefined results, not errors,
-    although it has no ranking."""
+    """An instance set without rows ranks into a count table without tie
+    groups, on which the experiments give undefined results, not errors;
+    only the variance experiment, which needs the full AUROC, raises."""
 
     def empty(self):
         none = np.zeros(0, dtype=np.int64)
-        return InstanceSet(none, none, none, np.zeros(0, dtype=bool),
-                           {"s": np.zeros(0)})
+        return ranked(InstanceSet(none, none, none, np.zeros(0, dtype=bool),
+                                  {"s": np.zeros(0)}))
 
     def test_experiments_report_undefined(self):
-        inst = self.empty()
-        assert kaggle_compare(inst, "s", 0.5, [1, 2]) == \
+        rank = self.empty()
+        assert kaggle_compare(rank, 0.5, [1, 2]) == \
             KaggleCompareReport(None, (), ())
-        assert filtered_negative_eval(inst, "s") == \
+        assert filtered_negative_eval(rank) == \
             [FilteredNegativeRow(None, 0, 0, None)]
-        assert filtered_negative_eval(inst, "s", cuts=[3]) == \
+        assert filtered_negative_eval(rank, cuts=[3]) == \
             [FilteredNegativeRow(None, 0, 0, None), FilteredNegativeRow(3, 0, 0, None)]
-        assert per_distance_eval(inst, "s") == \
+        assert per_distance_eval(rank) == \
             [DistanceRow(None, 0, 0, None, None, False)]
 
     def test_ranking_needs_rows(self):
+        rank = self.empty()
+        assert rank.pos.shape == rank.neg.shape == (0, 0)
+        assert rank.tp.tolist() == rank.fp.tolist() == rank.bounds.tolist() == [0]
+        assert (len(rank), rank.n_pos, rank.n_neg) == (0, 0, 0)
         with pytest.raises(UndefinedMetricError):
-            Ranking([], [])
-        with pytest.raises(UndefinedMetricError):
-            variance_experiment(self.empty(), "s", repeats=2)
+            variance_experiment(rank, repeats=2)
 
 
 class TestTemporal:

@@ -8,7 +8,7 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, ConfusionCounts,
                     InstanceSet, Ranking, UndefinedMetricError, aupr, auroc,
                     average_precision, confusion_at, per_distance_eval,
                     pr_curve, rates, roc_curve, score_distribution, tpr_k)
-from lpeval.metrics import auroc_from_counts, tie_groups, write_curve_csv
+from lpeval.metrics import auroc_from_counts, write_curve_csv
 
 from oracles import (SortedRanking, aupr_oracle, aupr_segments, auroc_pair_count,
                      average_precision_loop, confusion_by_counting,
@@ -35,8 +35,30 @@ class TestRanking:
             Ranking([0.1, float("nan")], [True, False])
 
     def test_empty_forbidden(self):
-        with pytest.raises(UndefinedMetricError):
-            Ranking([], [])
+        # Zero rows rank into a table without groups; no metric is defined.
+        r = Ranking([], [], [])
+        assert r.scores.size == 0 and r.distances.size == 0
+        assert r.pos.shape == r.neg.shape == (0, 0)
+        assert (len(r), r.n_pos, r.n_neg, r.bounds.tolist()) == (0, 0, 0, [0])
+        assert Ranking([], []).pos.shape == (1, 0)
+        for metric in (auroc, aupr, roc_curve, pr_curve, average_precision):
+            with pytest.raises(UndefinedMetricError):
+                metric(r)
+
+    def test_signed_zeros_share_a_group(self):
+        r = Ranking([0.0, -0.0, np.inf, -np.inf], [True, False, False, True])
+        assert r.scores.tolist() == [np.inf, 0.0, -np.inf]
+        assert r.pos.tolist() == [[0, 1, 1]] and r.neg.tolist() == [[1, 1, 0]]
+        with pytest.raises(ConfigError):
+            Ranking([0.5, np.nan], [True, False])
+        with pytest.raises(ConfigError):
+            Ranking([0.5, 0.2], [True])
+
+    @pytest.mark.parametrize("distance", [[2], [2, 3], [2, 3, 4, 5], 2])
+    def test_distance_length_must_match(self, distance):
+        # A one-element or scalar distance must not broadcast over the rows.
+        with pytest.raises(ConfigError, match="distance"):
+            Ranking([0.3, 0.2, 0.1], [True, False, False], distance)
 
 
 def tie_heavy_case(rng):
@@ -85,7 +107,7 @@ class TestRankingMatchesRowOracle:
                 assert np.array_equal(pr_curve(got).points, pr_curve(fresh).points)
             inst = InstanceSet(np.arange(scores.size), np.arange(scores.size) + 1,
                                distance, labels)
-            assert per_distance_eval(inst, scores) == \
+            assert per_distance_eval(rank) == \
                 per_distance_rows_resorted(inst, scores)
 
     def test_without_distance_one_bucket(self):
@@ -236,11 +258,15 @@ class TestRocCurve:
 
     def test_subset_counts_equal_pair_count_oracle(self, rng):
         # Ranked once, any subset's AUROC comes from its per-group counts;
-        # both sides divide the same integer 2*wins + ties by 2*P*N.
+        # both sides divide the same integer 2*wins + ties by 2*P*N. Each
+        # row's group is found among the ranking's scores (descending).
         for _ in range(40):
             scores, labels = random_ranking(rng, max_size=400)
             scores = np.where(rng.random(scores.size) < 0.1, -scores, scores)
-            groups, pos = tie_groups(scores, labels)
+            rank = Ranking(scores, labels)
+            groups = np.searchsorted(-rank.scores, -scores)
+            assert np.array_equal(rank.scores[groups], scores)
+            pos = rank.pos[0]
             for _ in range(5):
                 neg = ~labels & (rng.random(scores.size) < rng.uniform(0.05, 1))
                 if not neg.any():
@@ -249,16 +275,6 @@ class TestRocCurve:
                 area = auroc_from_counts(pos, np.bincount(groups[neg],
                                                           minlength=pos.size))
                 assert area == auroc_pair_count(scores[keep], labels[keep])
-
-    def test_tie_groups_merge_signed_zeros(self):
-        groups, pos = tie_groups([0.0, -0.0, np.inf, -np.inf],
-                                 [True, False, False, True])
-        assert groups.tolist() == [1, 1, 0, 2]
-        assert pos.tolist() == [0, 1, 1]
-        with pytest.raises(ConfigError):
-            tie_groups([0.5, np.nan], [True, False])
-        with pytest.raises(ConfigError):
-            tie_groups([0.5, 0.2], [True])
 
     def test_grouped_ranking_counts_rows(self, rng):
         for _ in range(20):

@@ -1,10 +1,11 @@
 """The sort-based stand-ins for np.unique, np.isin and np.median, against numpy."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpeval import estimate_classifiable
+from lpeval import ConfigError, Ranking, estimate_classifiable
 from lpeval.predictors import _sorted_unique
 from lpeval.stratify import _isin
 
@@ -53,6 +54,11 @@ SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.nan, np.inf, -np.inf
 def test_classifiable_count_uses_np_median(rows):
     scores = np.array([s for s, _ in rows], dtype=np.float64)
     labels = np.array([label for _, label in rows], dtype=bool)
+    if np.isnan(scores).any():
+        # A NaN score has no place in a ranking, so it never reaches C.
+        with pytest.raises(ConfigError):
+            Ranking(scores, labels)
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         want = classifiable_oracle(scores, labels)
-        assert estimate_classifiable(scores, labels) == want
+        assert estimate_classifiable(Ranking(scores, labels)) == want
