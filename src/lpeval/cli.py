@@ -5,6 +5,12 @@ errors, exit 3 on data errors), writes artifacts atomically, and finishes
 with a manifest listing each artifact's sha256. Reruns with the same config
 and inputs produce identical digests. Undefined metrics are written as
 explicit ``undefined`` markers, not errors.
+
+Only the commands that work on arrays load numpy: ``snapshot``, ``score``,
+``evaluate``, ``variance``, ``kaggle-compare``, ``temporal`` and
+``distance-dist``. Their names from the array modules are bound into this
+module when one of them first runs, or when a caller first reads one of
+those names here. ``surrogate``, ``--help`` and ``--version`` load no numpy.
 """
 
 from __future__ import annotations
@@ -16,25 +22,67 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import functools
+import importlib
 import io
 import sys
 
 from . import __version__
-from . import rng as rng_mod
 from .config import RunConfig
 from .errors import ConfigError, LpevalError
-from .experiments import (filtered_negative_eval, kaggle_compare,
-                          per_distance_eval, sample_fair, sample_kaggle,
-                          slice_intervals, surrogate_grid, temporal_eval,
-                          variance_experiment)
-from .graphstore import build_snapshot, ingest_events, write_snapshot_csv
 from .manifest import atomic_write_text, sha256_file, write_json, write_manifest
-from .metrics import Ranking, pr_curve, roc_curve, write_curve_csv, write_curve_json
-from .predictors import score_instances
 from .render import curve_svg
-from .rng import substream
-from .stratify import (distance_str, generate_test_set, new_link_distance_distribution,
-                       read_instances_csv, write_instances_csv)
+from .surrogate import SurrogateParams, surrogate_simulation
+
+# The names the array commands read from the modules that import numpy.
+_ARRAY_NAMES = {
+    "experiments": ("filtered_negative_eval", "kaggle_compare", "per_distance_eval",
+                    "sample_fair", "sample_kaggle", "slice_intervals",
+                    "temporal_eval", "variance_experiment"),
+    "graphstore": ("build_snapshot", "ingest_events", "write_snapshot_csv"),
+    "metrics": ("Ranking", "pr_curve", "roc_curve", "write_curve_csv",
+                "write_curve_json"),
+    "predictors": ("score_instances",),
+    "rng": ("substream",),
+    "stratify": ("distance_str", "generate_test_set",
+                 "new_link_distance_distribution", "read_instances_csv",
+                 "write_instances_csv"),
+}
+_ARRAY_BOUND = {"rng_mod", *(name for names in _ARRAY_NAMES.values()
+                              for name in names)}
+
+
+def _bind_arrays():
+    """Bind the array modules' names (and ``rng_mod``) into this module.
+
+    A name already bound is kept, so a wrapper that a caller put in its
+    place (a traced pass, a test's monkeypatch) stays in force.
+    """
+    scope = globals()
+    for module, names in _ARRAY_NAMES.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            scope.setdefault(name, getattr(mod, name))
+    scope.setdefault("rng_mod", importlib.import_module(".rng", __package__))
+
+
+def __getattr__(name):
+    # ``hasattr(cli, "Ranking")`` and library callers see every name that
+    # the array commands read, bound on first access.
+    if name not in _ARRAY_BOUND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_arrays()
+    return globals()[name]
+
+
+def _arrays(command):
+    """Mark a command that works on arrays: it binds them before it runs,
+    whether ``main`` calls it or a caller calls ``_COMMANDS[name]``."""
+    @functools.wraps(command)
+    def run(cfg):
+        _bind_arrays()
+        return command(cfg)
+    return run
 
 
 def _fmt(value):
@@ -142,6 +190,7 @@ def _apply_sampling(cfg, inst):
     return inst
 
 
+@_arrays
 def cmd_snapshot(cfg):
     """Materialize the four window snapshots as edge CSVs."""
     log, digest = _load_log(cfg)
@@ -159,6 +208,7 @@ def cmd_snapshot(cfg):
     out.manifest(digest)
 
 
+@_arrays
 def cmd_score(cfg):
     """Write scored (and labeled) candidate instances per predictor."""
     sets, digest, feature = _scored_instance_sets(cfg)
@@ -170,6 +220,7 @@ def cmd_score(cfg):
     out.manifest(digest)
 
 
+@_arrays
 def cmd_evaluate(cfg):
     """Threshold curves and the per-distance report for each predictor."""
     sets, digest, feature = _scored_instance_sets(cfg)
@@ -209,6 +260,7 @@ def cmd_evaluate(cfg):
     out.manifest(digest)
 
 
+@_arrays
 def cmd_variance(cfg):
     """Fair-sampling AUROC spread per rate, with the analytic reference."""
     sets, digest, _ = _scored_instance_sets(cfg)
@@ -238,8 +290,12 @@ def cmd_variance(cfg):
 
 def cmd_surrogate(cfg):
     """Sigma-separation grid of the sub-problem vs. full-problem rankings."""
-    cells = surrogate_grid(cfg.surrogate_alphas, cfg.surrogate_betas,
-                           **cfg.surrogate_counts, trials=cfg.surrogate_trials)
+    # surrogate_grid's cells, with surrogate_simulation read from this
+    # module's namespace, where a traced pass swaps it.
+    cells = [surrogate_simulation(SurrogateParams(
+                 **cfg.surrogate_counts, alpha=alpha, beta=beta,
+                 trials=cfg.surrogate_trials))
+             for alpha in cfg.surrogate_alphas for beta in cfg.surrogate_betas]
     out = _Output(cfg, "surrogate")
     by_cell = {(c.params.alpha, c.params.beta): c for c in cells}
     out.csv("surrogate_grid.csv",
@@ -252,6 +308,7 @@ def cmd_surrogate(cfg):
     out.manifest()
 
 
+@_arrays
 def cmd_kaggle_compare(cfg):
     """Fair random sampling vs. per-distance-bucket balanced sampling."""
     sets, digest, _ = _scored_instance_sets(cfg)
@@ -275,6 +332,7 @@ def cmd_kaggle_compare(cfg):
     out.manifest(digest)
 
 
+@_arrays
 def cmd_temporal(cfg):
     """Per-slice AUROC/AUPR over the sliced test-label interval.
 
@@ -302,6 +360,7 @@ def cmd_temporal(cfg):
     out.manifest(digest)
 
 
+@_arrays
 def cmd_distance_dist(cfg):
     """Distribution of prior geodesic distance over newly formed links."""
     log, digest = _load_log(cfg)

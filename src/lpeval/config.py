@@ -1,19 +1,170 @@
 """Run configuration: a declarative key=value file plus flag overrides.
 
 The effective configuration is validated before any computation and echoed
-verbatim into every artifact.
+verbatim into every artifact. The validated value types it builds (windows,
+predictor tags, sampling and slicing specs) live here too, with no numpy, so
+that a command that needs no arrays loads none: the array modules import
+these types from this module.
 """
 
 from __future__ import annotations
 
 import configparser
+from dataclasses import dataclass
 
 from .errors import ConfigError
-from .experiments import (CONDMAT_STANDIN_COUNTS, SamplingSpec,
-                          TemporalSliceSpec)
-from .graphstore import WEIGHT_RULES, WindowConfig
-from .predictors import DIRECTION_POLICIES, PredictorId
-from .stratify import GENERATION_MODES
+from .surrogate import CONDMAT_STANDIN_COUNTS
+
+GENERATION_MODES = ("recommendation", "query")
+
+Interval = tuple[int, int]
+
+# Per-pair weight contributed by a k-clique event. A pair event (k=2) weighs
+# exactly 1 under the default rule.
+WEIGHT_RULES = {
+    "1/(k-1)": lambda k: 1.0 / (k - 1),
+    "1/k": lambda k: 1.0 / k,
+    "1": lambda k: 1.0,
+}
+
+
+def _check_interval(interval, name="interval"):
+    begin, end = interval
+    if begin > end:
+        raise ConfigError(f"empty interval [{begin}, {end}]", field=name)
+    return int(begin), int(end)
+
+
+@dataclass(frozen=True)
+class WindowConfig:
+    """Four-snapshot train/test windowing over the event timeline.
+
+    Labels must come strictly after the features they label, and the test
+    label window must lie strictly after every training window.
+    """
+
+    train_feature: Interval
+    train_label: Interval
+    test_feature: Interval
+    test_label: Interval
+
+    def __post_init__(self):
+        for name in ("train_feature", "train_label", "test_feature", "test_label"):
+            _check_interval(getattr(self, name), name)
+        if self.train_label[0] <= self.train_feature[1]:
+            raise ConfigError(
+                "train_label must begin after train_feature ends", field="train_label"
+            )
+        if self.test_label[0] <= self.test_feature[1]:
+            raise ConfigError(
+                "test_label must begin after test_feature ends", field="test_label"
+            )
+        if self.test_label[0] <= max(self.train_feature[1], self.train_label[1]):
+            raise ConfigError(
+                "test_label must be disjoint from and later than all training windows",
+                field="test_label",
+            )
+
+
+DIRECTION_POLICIES = ("mean", "max", "min", "list-both")
+
+_ALIASES = {
+    "cn": "common-neighbors",
+    "aa": "adamic-adar",
+    "pa": "preferential-attachment",
+    "pf": "propflow",
+}
+_KINDS = ("common-neighbors", "adamic-adar", "preferential-attachment", "propflow")
+
+
+@dataclass(frozen=True)
+class PredictorId:
+    """A predictor tag; propflow carries its hop bound ``l_max``."""
+
+    kind: str
+    l_max: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown predictor {self.kind!r}", field="predictors")
+        if self.kind == "propflow":
+            if self.l_max is None or self.l_max < 1:
+                raise ConfigError("propflow needs l_max >= 1", field="predictors")
+        elif self.l_max is not None:
+            raise ConfigError(f"{self.kind} takes no l_max", field="predictors")
+
+    @property
+    def directional(self):
+        return self.kind == "propflow"
+
+    @property
+    def name(self):
+        if self.kind == "propflow":
+            return f"propflow{self.l_max}"
+        return self.kind
+
+    @classmethod
+    def parse(cls, text):
+        """Parse ``"cn"``, ``"adamic-adar"``, ``"propflow:4"``, ``"pf:4"`` ..."""
+        text = text.strip().lower()
+        kind, _, arg = text.partition(":")
+        kind = _ALIASES.get(kind, kind)
+        if kind == "propflow":
+            if not arg:
+                raise ConfigError("propflow needs ':l_max' (e.g. propflow:4)",
+                                  field="predictors")
+            try:
+                return cls(kind, int(arg))
+            except ValueError:
+                raise ConfigError(f"propflow l_max must be an integer, got {arg!r}",
+                                  field="predictors") from None
+        if arg:
+            raise ConfigError(f"{kind} takes no argument", field="predictors")
+        return cls(kind)
+
+
+@dataclass(frozen=True)
+class SamplingSpec:
+    """How to thin the negative class of a test set.
+
+    ``fair-random`` keeps every negative independently with probability
+    ``rate`` (or exactly round(N * rate) of them under ``exact_counts``);
+    positives are always kept. ``kaggle-balanced`` ignores ``rate`` and
+    undersamples negatives per distance bucket to that bucket's positive
+    count. ``none`` is the identity.
+    """
+
+    mode: str = "fair-random"
+    rate: float | None = None
+    seed: int = 0
+    exact_counts: bool = False
+
+    def __post_init__(self):
+        if self.mode not in ("none", "fair-random", "kaggle-balanced"):
+            raise ConfigError(f"unknown sampling mode {self.mode!r}",
+                              field="sampling.mode")
+        if self.mode == "fair-random":
+            if self.rate is None or not 0 < self.rate <= 1:
+                raise ConfigError("fair-random needs a rate in (0, 1]",
+                                  field="sampling.rate")
+        elif self.rate is not None:
+            raise ConfigError(f"{self.mode} takes no rate", field="sampling.rate")
+
+
+@dataclass(frozen=True)
+class TemporalSliceSpec:
+    """Equal-duration slicing of the test-label interval."""
+
+    slices: int
+    mode: str = "disjoint"
+
+    def __post_init__(self):
+        if self.slices < 1:
+            raise ConfigError("slices must be >= 1", field="temporal.slices")
+        if self.mode not in ("disjoint", "cumulative"):
+            raise ConfigError(f"unknown slice mode {self.mode!r}",
+                              field="temporal.slice_mode")
+
 
 _DEFAULTS = {
     "dataset": {"path": "", "format": "pair", "scores": "",

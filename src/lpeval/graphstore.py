@@ -16,60 +16,13 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import WEIGHT_RULES, _check_interval
+from .config import WindowConfig  # noqa: F401 (re-exported)
 from .errors import ConfigError, IngestError
 from .predictors import _sorted_unique
-
-Interval = tuple[int, int]
-
-# Per-pair weight contributed by a k-clique event. A pair event (k=2) weighs
-# exactly 1 under the default rule.
-WEIGHT_RULES = {
-    "1/(k-1)": lambda k: 1.0 / (k - 1),
-    "1/k": lambda k: 1.0 / k,
-    "1": lambda k: 1.0,
-}
-
-
-def _check_interval(interval, name="interval"):
-    begin, end = interval
-    if begin > end:
-        raise ConfigError(f"empty interval [{begin}, {end}]", field=name)
-    return int(begin), int(end)
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Four-snapshot train/test windowing over the event timeline.
-
-    Labels must come strictly after the features they label, and the test
-    label window must lie strictly after every training window.
-    """
-
-    train_feature: Interval
-    train_label: Interval
-    test_feature: Interval
-    test_label: Interval
-
-    def __post_init__(self):
-        for name in ("train_feature", "train_label", "test_feature", "test_label"):
-            _check_interval(getattr(self, name), name)
-        if self.train_label[0] <= self.train_feature[1]:
-            raise ConfigError(
-                "train_label must begin after train_feature ends", field="train_label"
-            )
-        if self.test_label[0] <= self.test_feature[1]:
-            raise ConfigError(
-                "test_label must begin after test_feature ends", field="test_label"
-            )
-        if self.test_label[0] <= max(self.train_feature[1], self.train_label[1]):
-            raise ConfigError(
-                "test_label must be disjoint from and later than all training windows",
-                field="test_label",
-            )
 
 
 class EventLog:

@@ -17,73 +17,17 @@ any permutation or split of a pair list gives bit-identical scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import DIRECTION_POLICIES, PredictorId  # noqa: F401 (re-exported)
 from .errors import ConfigError, DataCorruptionError, InvalidPairError, UnknownNodeError
-
-DIRECTION_POLICIES = ("mean", "max", "min", "list-both")
-
-_ALIASES = {
-    "cn": "common-neighbors",
-    "aa": "adamic-adar",
-    "pa": "preferential-attachment",
-    "pf": "propflow",
-}
-_KINDS = ("common-neighbors", "adamic-adar", "preferential-attachment", "propflow")
 
 # Cells of one block of sources: each source owns a dense row over the
 # universe plus room for one level's expansion (at most every CSR entry), so
 # this bounds the memory of every block-at-a-time walk below.
 _BLOCK_CELLS = 1 << 18
-
-
-@dataclass(frozen=True)
-class PredictorId:
-    """A predictor tag; propflow carries its hop bound ``l_max``."""
-
-    kind: str
-    l_max: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown predictor {self.kind!r}", field="predictors")
-        if self.kind == "propflow":
-            if self.l_max is None or self.l_max < 1:
-                raise ConfigError("propflow needs l_max >= 1", field="predictors")
-        elif self.l_max is not None:
-            raise ConfigError(f"{self.kind} takes no l_max", field="predictors")
-
-    @property
-    def directional(self):
-        return self.kind == "propflow"
-
-    @property
-    def name(self):
-        if self.kind == "propflow":
-            return f"propflow{self.l_max}"
-        return self.kind
-
-    @classmethod
-    def parse(cls, text):
-        """Parse ``"cn"``, ``"adamic-adar"``, ``"propflow:4"``, ``"pf:4"`` ..."""
-        text = text.strip().lower()
-        kind, _, arg = text.partition(":")
-        kind = _ALIASES.get(kind, kind)
-        if kind == "propflow":
-            if not arg:
-                raise ConfigError("propflow needs ':l_max' (e.g. propflow:4)",
-                                  field="predictors")
-            try:
-                return cls(kind, int(arg))
-            except ValueError:
-                raise ConfigError(f"propflow l_max must be an integer, got {arg!r}",
-                                  field="predictors") from None
-        if arg:
-            raise ConfigError(f"{kind} takes no argument", field="predictors")
-        return cls(kind)
 
 
 def _check_pair(u, v):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import GENERATION_MODES
 from .errors import ConfigError, IngestError
 from .graphstore import csv_cells, csv_field
 # lpbench/tracing.py counts BFS sources by swapping ``stratify.bfs_levels``,
@@ -26,8 +27,6 @@ from .predictors import _blocks, _sorted_unique, _walk, bfs_level_blocks, bfs_le
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
-
-GENERATION_MODES = ("recommendation", "query")
 
 # Rows joined into one string per write of the instance CSV writer: large
 # enough that the per-chunk calls cost nothing, small enough that no

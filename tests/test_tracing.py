@@ -38,3 +38,5 @@ def test_traced_pass_counts_tie_groups(tmp_path, tracing):
     assert both["experiments.per_distance_s"] > 0
     # the sampling experiments rank through the same traced Ranking
     assert traced("variance")["metrics.tie_groups"] > 0
+    # cli calls the surrogate experiment by name, where the tracer swaps it
+    assert traced("surrogate")["experiments.surrogate_s"] > 0
