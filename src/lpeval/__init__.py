@@ -13,39 +13,43 @@ import importlib
 
 __version__ = "0.1.0"
 
+# The submodules exported by name; ``config`` and ``surrogate`` are not.
+_MODULES = ("errors", "experiments", "graphstore", "metrics", "predictors", "rng",
+            "stratify", "synth")
+# Each exported name by the module that defines it, so that a name from a
+# module without numpy (``config``, ``surrogate``) loads no numpy.
 _EXPORTS = {
+    "config": ("PredictorId", "SamplingSpec", "TemporalSliceSpec", "WindowConfig"),
     "errors": ("ConfigError", "DataCorruptionError", "IngestError",
                "InvalidPairError", "LpevalError", "UndefinedMetricError",
                "UnknownNodeError"),
-    "experiments": ("SamplingSpec", "SurrogateParams", "TemporalSliceSpec",
-                    "analytic_sampling_variance", "estimate_classifiable",
+    "experiments": ("analytic_sampling_variance", "estimate_classifiable",
                     "filtered_negative_eval", "kaggle_compare",
                     "per_distance_eval", "sample_fair", "sample_kaggle",
-                    "surrogate_grid", "surrogate_simulation", "temporal_eval",
-                    "variance_experiment"),
-    "graphstore": ("EventLog", "Snapshot", "WindowConfig", "build_snapshot",
-                   "ingest_events", "write_snapshot_csv"),
+                    "temporal_eval", "variance_experiment"),
+    "graphstore": ("EventLog", "Snapshot", "build_snapshot", "ingest_events",
+                   "write_snapshot_csv"),
     "metrics": ("ConfusionCounts", "Ranking", "ThresholdCurve", "aupr", "auroc",
                 "average_precision", "confusion_at", "pr_curve", "rates",
                 "roc_curve", "score_distribution", "tpr_k"),
-    "predictors": ("PredictorId", "adamic_adar", "aggregate_directional",
-                   "bfs_levels", "common_neighbors", "preferential_attachment",
-                   "propflow", "propflow_accounting", "propflow_all",
-                   "score_instances", "score_pairs"),
-    "rng": (),
+    "predictors": ("adamic_adar", "aggregate_directional", "bfs_levels",
+                   "common_neighbors", "preferential_attachment", "propflow",
+                   "propflow_accounting", "propflow_all", "score_instances",
+                   "score_pairs"),
     "stratify": ("BEYOND", "DISCONNECTED", "InstanceSet", "distance_str",
                  "generate_test_set", "geodesic_bucket_enumerate",
                  "label_instances", "new_link_distance_distribution",
                  "parse_distance", "read_instances_csv", "write_instances_csv"),
+    "surrogate": ("SurrogateParams", "surrogate_grid", "surrogate_simulation"),
     "synth": ("synthetic_event_log", "write_event_file"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_EXPORTS, *_ORIGIN])
+__all__ = sorted([*_MODULES, *_ORIGIN])
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
+    if name in _MODULES:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

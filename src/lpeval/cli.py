@@ -312,14 +312,16 @@ def cmd_surrogate(cfg):
 def cmd_kaggle_compare(cfg):
     """Fair random sampling vs. per-distance-bucket balanced sampling."""
     sets, digest, _ = _scored_instance_sets(cfg)
+    # Ranked before the first draw imports numpy.random, so that the
+    # rankings' temporaries do not add to the memory that module holds.
+    ranks = {name: Ranking(inst.scores[name], inst.label, inst.distance)
+             for name, inst in sets.items()}
     master = substream(cfg.seed, rng_mod.STREAM_KAGGLE_SAMPLE, 999)
     repeat_seeds = master.integers(0, 2 ** 62, size=cfg.kaggle_repeats)
     rows = []
     detail = {}
-    for name in sorted(sets):
-        inst = sets[name]
-        report = kaggle_compare(Ranking(inst.scores[name], inst.label, inst.distance),
-                                cfg.kaggle_rate, repeat_seeds)
+    for name in sorted(ranks):
+        report = kaggle_compare(ranks[name], cfg.kaggle_rate, repeat_seeds)
         rows.append((name, report.full_auroc, report.fair_mean, report.kaggle_mean,
                      len(report.fair_values), len(report.kaggle_values)))
         detail[name] = report.as_dict()

@@ -29,6 +29,38 @@ RATE_NAMES = ("sensitivity", "specificity", "precision", "recall", "fallout",
               "accuracy")
 
 
+# Rows ranked at a time by _add_ranks: each temporary of a chunk takes at
+# most 32 KiB.
+_RANK_ROWS = 1 << 12
+
+
+def _add_ranks(cell, a, order, scale=1):
+    """Add ``scale`` times each row's rank among the distinct values of
+    ``a`` to the int64 array ``cell``, and return those values.
+
+    ``order`` is an argsort of ``a``, ascending or descending; the ranks
+    number the values from 0 in that order, and the values are returned in
+    it. The rows are visited _RANK_ROWS at a time, so no temporary but the
+    caller's argsort takes 8 bytes a row. Values that compare equal
+    (``-0.0`` and ``0.0``) share a rank.
+    """
+    values = [a[:0]]
+    rank, last = -1, None
+    for lo in range(0, a.size, _RANK_ROWS):
+        rows = order[lo:lo + _RANK_ROWS]
+        chunk = a[rows]
+        new = np.empty(rows.size, dtype=bool)
+        new[0] = last is None or chunk[0] != last
+        np.not_equal(chunk[1:], chunk[:-1], out=new[1:])
+        ranks = np.cumsum(new)
+        ranks += rank
+        values.append(chunk[new])
+        rank, last = ranks[-1], chunk[-1]
+        ranks *= scale
+        cell[rows] += ranks
+    return np.concatenate(values)
+
+
 class Ranking:
     """Scored labeled instances ranked once into tie-group counts.
 
@@ -42,8 +74,11 @@ class Ranking:
     those cuts. Zero rows make a table without groups, on which every
     metric that needs a class raises :class:`UndefinedMetricError`.
 
-    One ``np.unique`` numbers the groups from the highest score down;
-    ``-0.0`` and ``0.0`` share a group.
+    Each row's (bucket, group) cell is built in one int64 array by
+    :func:`_add_ranks`, and one ``np.bincount`` counts the cells with the
+    label folded in, so the temporaries are two 8-byte values a row (the
+    cells and one argsort). Groups are numbered from the highest score
+    down; ``-0.0`` and ``0.0`` share a group.
     """
 
     def __init__(self, scores, labels, distance=None):
@@ -53,23 +88,28 @@ class Ranking:
             raise ConfigError("scores and labels must have equal length")
         if np.any(np.isnan(scores)):
             raise ConfigError("NaN scores are forbidden")
-        negated, groups = np.unique(-scores, return_inverse=True)
-        group_scores = -negated
-        if distance is None:
-            distances, cells, buckets = None, groups, 1
-        else:
+        if distance is not None:
             distance = np.asarray(distance, dtype=np.int64)
             if distance.shape != scores.shape:
                 raise ConfigError("scores and distance must have equal length")
-            distances, bucket = np.unique(distance, return_inverse=True)
-            cells, buckets = bucket * group_scores.size + groups, distances.size
-        shape = (buckets, group_scores.size)
-
-        def count(rows):
-            return np.bincount(cells[rows], minlength=shape[0] * shape[1]) \
-                .astype(np.int64, copy=False).reshape(shape)
-
-        self._set(group_scores, distances, count(labels), count(~labels))
+        # The negated scores are sorted, the highest first. numpy's argsort
+        # is many times slower when most values equal the lowest, as the
+        # zero scores of far pairs do, than when they equal the highest.
+        order = np.argsort(-scores)
+        cell = np.zeros(scores.size, dtype=np.int64)
+        values = _add_ranks(cell, scores, order)
+        del order
+        distances = None if distance is None else \
+            _add_ranks(cell, distance, np.argsort(distance), scale=values.size)
+        buckets = 1 if distances is None else distances.size
+        # Cell c's negatives count at 2c and its positives at 2c + 1.
+        cell *= 2
+        cell += labels
+        counts = np.bincount(cell, minlength=2 * buckets * values.size) \
+            .astype(np.int64, copy=False).reshape(buckets, values.size, 2)
+        self._set(values, distances,
+                  np.ascontiguousarray(counts[..., 1]),
+                  np.ascontiguousarray(counts[..., 0]))
 
     def _set(self, scores, distances, pos, neg):
         self.scores, self.distances, self.pos, self.neg = scores, distances, pos, neg

@@ -338,10 +338,16 @@ def _label_cell(text):
 # most 2; a cell that fills its width may have been cut short, so it is an
 # error.
 _CELL_DTYPE = np.dtype([("distance", "S13"), ("label", "S3")])
-# Rows whose cells are decoded at a time: each temporary of a block takes
-# at most 64 KiB, small enough for the allocator to reuse from block to
-# block.
+# Records read by one np.loadtxt call. Its structured chunk (40 B a record
+# with one score column) is the only copy of the rows besides the result
+# columns, so the read holds the result plus one chunk.
+_READ_ROWS = 1 << 13
+# Rows of a chunk whose cells are decoded at a time: each temporary of a
+# block takes at most 64 KiB, small enough for the allocator to reuse from
+# block to block.
 _DECODE_ROWS = 1 << 12
+# Characters read at a time while counting line ends.
+_COUNT_CHARS = 1 << 16
 
 
 def _distinct_rows(words):
@@ -378,21 +384,19 @@ def _cell_values(cells):
     return tuple(values)
 
 
-def _decode_cells(rows, fh, body):
-    """The int64 distance and int8 label (1, 0, -1 for empty) columns of
-    the byte cells in ``rows``.
+def _decode_cells(rows, distance, label, known):
+    """Decode the byte cells of ``rows`` into ``distance`` (int64) and
+    ``label`` (int8: 1, 0, or -1 for an empty cell), each ``len(rows)`` long.
 
     Blocks of _DECODE_ROWS rows are decoded in order. Each block's rows
     are grouped by the words of their two cells, and each distinct pair
-    of cells is parsed once per file. A cell that cannot be read raises
-    IngestError at the first row with one.
+    of cells is parsed once: ``known`` holds the values of every pair
+    parsed so far, or why it has none. Returns the index of the first row
+    with a cell that cannot be read and why, or None.
     """
     words = rows.view(np.dtype({"names": ["cells"], "formats": [(np.uint64, (2,))],
                                 "offsets": [rows.dtype.fields["distance"][1]],
                                 "itemsize": rows.dtype.itemsize}))["cells"]
-    distance = np.empty(len(rows), dtype=np.int64)
-    label = np.empty(len(rows), dtype=np.int8)
-    known = {}
     for lo in range(0, len(rows), _DECODE_ROWS):
         index, distinct = _distinct_rows(
             np.ascontiguousarray(words[lo:lo + _DECODE_ROWS]))
@@ -404,11 +408,29 @@ def _decode_cells(rows, fh, body):
         failed = np.array([isinstance(v, str) for v in values])
         if failed.any():
             row = int(np.argmax(failed[index]))
-            raise IngestError(values[index[row]], line=_record_line(fh, body, lo + row))
+            return lo + row, values[index[row]]
         value_distance, value_label = np.array(values, dtype=np.int64).T
         distance[lo:lo + index.size] = value_distance[index]
         label[lo:lo + index.size] = value_label[index]
-    return distance, label
+    return None
+
+
+def _records_bound(src, body):
+    """An upper bound on the data records from offset ``body`` on.
+
+    A record takes at least one line, and ``np.loadtxt`` ends a line at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``: the bound counts those line ends,
+    plus one for a last line without one. ``src`` is left at ``body``.
+    """
+    ends, last = 0, "\n"
+    for block in iter(lambda: src.read(_COUNT_CHARS), ""):
+        ends += block.count("\n")
+        if "\r" in block:  # rare; a two-character count is slow
+            ends += block.count("\r") - block.count("\r\n")
+        ends -= last == "\r" and block[0] == "\n"  # a \r\n cut in two
+        last = block[-1]
+    src.seek(body)
+    return ends + (last not in "\r\n")
 
 
 def _record_line(fh, body, record):
@@ -463,6 +485,18 @@ def _loadtxt(fh, dtype, **kwargs):
                           comments=None, ndmin=1, **kwargs)
 
 
+def _decode_chunk_cells(src, body, first, record, decode):
+    """Decode the cells of records ``first`` to ``record - 1`` with
+    ``decode(cells, start)``, re-read from offset ``body`` in the chunks of
+    the first pass; the chunks before ``first`` are read but not decoded."""
+    src.seek(body)
+    for start in range(0, record, _READ_ROWS):
+        cells = _loadtxt(src, _CELL_DTYPE, usecols=(2, 3),
+                         max_rows=min(_READ_ROWS, record - start))
+        if start >= first:
+            decode(cells, start)
+
+
 def read_instances_csv(path_or_file, id_index=None):
     """Read instances written by :func:`write_instances_csv`.
 
@@ -471,15 +505,20 @@ def read_instances_csv(path_or_file, id_index=None):
     pipeline. ``id_index`` maps external id strings to interned ints; without
     it ids must already be integers.
 
-    The body is parsed by one ``np.loadtxt`` call: ids into int64 (through
-    ``id_index`` when given, the only Python converter), scores into
-    float64, and the distance and label cells as ASCII bytes of a fixed
-    width (at most 12 and 2 bytes), which are decoded once per distinct
-    pair of cells, not once per row. A malformed row raises
+    One count of the line ends bounds the records, and the result columns
+    are allocated once at that length. ``np.loadtxt`` then parses the body
+    in chunks of _READ_ROWS records from the same handle: ids into int64
+    (through ``id_index`` when given, the only Python converter), scores
+    into float64, and the distance and label cells as ASCII bytes of a
+    fixed width (at most 12 and 2 bytes), which are decoded once per
+    distinct pair of cells, not once per row. Each chunk goes into the
+    columns before the next is read, so the read holds its result (33 B a
+    row with one score column) plus one chunk. A malformed row raises
     :class:`~lpeval.errors.IngestError` with its line number, the first
     such row if there are several, and so does a label column that is
     empty on some rows but not all. A stream that cannot seek is read into
-    memory first, since an error makes a second pass over the records.
+    memory first, since the count and an error make second passes over
+    the records.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
@@ -488,43 +527,65 @@ def read_instances_csv(path_or_file, id_index=None):
         try:
             first = fh.readline()
             src = fh if fh.seekable() else io.StringIO(fh.read())
-        except UnicodeDecodeError as exc:  # a decoded chunk may reach the body
+            body = src.tell()
+            bound = _records_bound(src, body)
+        except UnicodeDecodeError as exc:
             raise IngestError(str(exc)) from None
         header = next(csv.reader([first]), None)
         if header is None or header[:4] != ["u", "v", "distance", "label"]:
             raise IngestError("expected header u,v,distance,label[,score...]", line=1)
         score_names = [h[6:] if h.startswith("score_") else "score"
                        for h in header[4:]]
-        body = src.tell()
         dtype = ([("u", np.int64), ("v", np.int64)] + _CELL_DTYPE.descr
                  + [(f"score{i}", np.float64) for i in range(len(score_names))])
         converters = None
         if id_index is not None:
             converters = {0: id_index.__getitem__, 1: id_index.__getitem__}
-        try:
-            rows = _loadtxt(src, dtype, converters=converters)
-        except ValueError as exc:
-            message, record = _loadtxt_failure(exc)
-            if record:  # the first malformed record may be an earlier one
-                src.seek(body)
-                cells = _loadtxt(src, _CELL_DTYPE, usecols=(2, 3), max_rows=record)
-                _decode_cells(cells, src, body)
-            raise IngestError(message, line=None if record is None
-                              else _record_line(src, body, record)) from None
-        # The byte cells are decoded before the other columns are copied
-        # out, so no decoding temporary meets those copies.
-        distance, label = _decode_cells(rows, src, body)
+        u, v, distance = (np.empty(bound, dtype=np.int64) for _ in range(3))
+        label = np.empty(bound, dtype=np.int8)
+        scores = [np.empty(bound, dtype=np.float64) for _ in score_names]
+        known = {}
+
+        def decode(cells, start):
+            end = start + len(cells)
+            bad = _decode_cells(cells, distance[start:end], label[start:end], known)
+            if bad is not None:
+                raise IngestError(bad[1], line=_record_line(src, body, start + bad[0]))
+
+        n, read = 0, _READ_ROWS
+        while read == _READ_ROWS:
+            try:
+                rows = _loadtxt(src, dtype, converters=converters,
+                                max_rows=_READ_ROWS)
+            except ValueError as exc:
+                message, record = _loadtxt_failure(exc)
+                if record is not None:
+                    record += n
+                    if record > n:
+                        # The chunk's records before the failed one are not
+                        # decoded yet; the first malformed record may be there.
+                        _decode_chunk_cells(src, body, n, record, decode)
+                raise IngestError(message, line=None if record is None
+                                  else _record_line(src, body, record)) from None
+            read = len(rows)
+            decode(rows, n)
+            u[n:n + read], v[n:n + read] = rows["u"], rows["v"]
+            for i, column in enumerate(scores):
+                column[n:n + read] = rows[f"score{i}"]
+            del rows  # before the next chunk is read
+            n += read
+        if n < bound:  # blank lines, or records over several lines
+            u, v, distance, label = u[:n], v[:n], distance[:n], label[:n]
+            scores = [column[:n] for column in scores]
         if label.max(initial=-1) < 0:
             label = None
         elif label.min() < 0:
             raise IngestError("empty label in a labeled score file",
                               line=_record_line(src, body, int(np.argmax(label < 0))))
         else:
-            label = label != 0
-        inst = InstanceSet(np.ascontiguousarray(rows["u"]),
-                           np.ascontiguousarray(rows["v"]), distance, label)
-        for i, name in enumerate(score_names):
-            inst.scores[name] = np.ascontiguousarray(rows[f"score{i}"])
+            label = label.view(bool)  # every value is 0 or 1
+        inst = InstanceSet(u, v, distance, label)
+        inst.scores.update(zip(score_names, scores))
         return inst
     finally:
         if close:

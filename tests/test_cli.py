@@ -571,6 +571,23 @@ def test_import_lpeval_loads_no_numpy():
         == "False\n"
 
 
+def test_numpy_free_exports_load_no_numpy():
+    # The value types the config builds and the surrogate experiment are
+    # defined without numpy; reading them through the package loads none.
+    names = ["PredictorId", "SamplingSpec", "SurrogateParams", "TemporalSliceSpec",
+             "WindowConfig", "surrogate_grid", "surrogate_simulation"]
+    code = f"""
+import sys, lpeval
+loaded = []
+for name in {names!r}:
+    getattr(lpeval, name)
+    if "numpy" in sys.modules:
+        loaded.append(name)
+print(loaded)
+"""
+    assert run_child(code) == "[]\n"
+
+
 def test_star_import_binds_every_export():
     code = f"""
 import importlib, json

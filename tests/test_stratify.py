@@ -2,6 +2,7 @@ import io
 import itertools
 import os
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpeval import (BEYOND, DISCONNECTED, ConfigError, IngestError, InstanceSet,
-                    Snapshot, build_snapshot, distance_str, generate_test_set,
+                    Ranking, Snapshot, build_snapshot, distance_str, generate_test_set,
                     geodesic_bucket_enumerate, label_instances,
                     new_link_distance_distribution, parse_distance,
                     read_instances_csv, synthetic_event_log, write_instances_csv)
@@ -438,7 +439,8 @@ class TestInstanceCsv:
     @given(instance_sets(), st.data())
     def test_reader_matches_row_reader(self, case, data):
         # CRLF line ends and blank lines, quoted ids (CR, LF, ',' and '"')
-        # through id_index, 0 to 3 score columns; from a stream or a file.
+        # through id_index, 0 to 3 score columns; from a stream or a file,
+        # read in chunks of 1, 3 or 4,096 records.
         inst, id_labels, keys = case
         buf = io.StringIO()
         write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
@@ -448,14 +450,16 @@ class TestInstanceCsv:
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
         want = read_instances_rows(io.StringIO(text), id_index=index)
-        if data.draw(st.booleans()):
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "scores.csv")
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-                got = read_instances_csv(path, id_index=index)
-        else:
-            got = read_instances_csv(io.StringIO(text), id_index=index)
+        read_rows = data.draw(st.sampled_from([1, 3, 4096]))
+        with mock.patch.object(stratify, "_READ_ROWS", read_rows):
+            if data.draw(st.booleans()):
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = os.path.join(tmp, "scores.csv")
+                    with open(path, "w", encoding="utf-8", newline="") as fh:
+                        fh.write(text)
+                    got = read_instances_csv(path, id_index=index)
+            else:
+                got = read_instances_csv(io.StringIO(text), id_index=index)
         for name in ("u", "v", "distance"):
             assert getattr(got, name).dtype == np.int64
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -468,6 +472,25 @@ class TestInstanceCsv:
         for name in want.scores:
             assert np.array_equal(score_bits(got.scores[name]),
                                   score_bits(want.scores[name]))
+
+    @pytest.mark.parametrize("count_chars", [1, 2, 3, 1 << 20])
+    def test_records_bound_counts_every_line_end(self, tmp_path, count_chars):
+        # np.loadtxt ends a record at \n, \r\n or a lone \r; the bound that
+        # sizes the columns counts each once, however the text is cut.
+        rows = ["0,1,2,1,0.5", "0,2,3,0,0.25", "1,2,beyond,0,0.0", "1,3,2,1,1.0"]
+        for ends in (["\n"] * 4, ["\r"] * 4, ["\r\n"] * 4, ["\r", "\r\n", "\n", ""]):
+            text = HEADER + "".join(r + e for r, e in zip(rows, ends))
+            path = tmp_path / "scores.csv"
+            path.write_bytes(text.encode())
+            with mock.patch.object(stratify, "_COUNT_CHARS", count_chars):
+                with open(path, encoding="utf-8", newline="") as fh:
+                    fh.readline()
+                    assert stratify._records_bound(fh, fh.tell()) == len(rows)
+                with mock.patch.object(stratify, "_READ_ROWS", 1):
+                    back = read_instances_csv(str(path))
+            assert back.u.tolist() == [0, 0, 1, 1]
+            assert back.distance.tolist() == [2, 3, BEYOND, 2]
+            assert back.scores["score"].tolist() == [0.5, 0.25, 0.0, 1.0]
 
     def test_underscore_digits_are_rejected(self):
         # Python's int() and float() read "1_0" as 10; the typed reader,
@@ -539,9 +562,13 @@ class TestInstanceCsv:
     ])
     @pytest.mark.parametrize("decode_rows", [1, 2, 4096])
     def test_first_malformed_row_wins(self, body, line, decode_rows):
+        # Chunks of 1 and 2 records put each bad row just after a chunk
+        # boundary, and a bad row of one chunk after a good earlier chunk.
         with mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
-            for stream in (io.StringIO, Unseekable):
-                with pytest.raises(IngestError) as exc:
+            for read_rows, stream in itertools.product([1, 2, 3, 8192],
+                                                       (io.StringIO, Unseekable)):
+                with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
+                        pytest.raises(IngestError) as exc:
                     read_instances_csv(stream(HEADER + body))
                 assert exc.value.line == line
 
@@ -682,3 +709,37 @@ class TestInstanceCsv:
         buf = io.StringIO()
         write_instances_csv(buf, cands, id_labels=s.id_labels)
         assert buf.getvalue().splitlines()[1].startswith("ann,cat")
+
+
+def test_score_path_memory_budget(tmp_path):
+    # A score file is read in chunks straight into its columns, and ranked
+    # with two 8-byte temporaries a row; a whole-file np.loadtxt (40 B a
+    # row on top of the columns) or np.unique's inverse (~49 B a row) would
+    # not fit.
+    rng = np.random.default_rng(5)
+    n = 50_000
+    inst = InstanceSet(rng.integers(0, 1000, n), rng.integers(1000, 2000, n),
+                       rng.choice([2, 3, 4, BEYOND, DISCONNECTED], n),
+                       rng.random(n) < 0.01, {"s": np.round(rng.random(n), 3)})
+    path = tmp_path / "scores.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_instances_csv(fh, inst)
+    tracemalloc.start()
+    try:
+        back = read_instances_csv(str(path))
+        _, read_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        rank = Ranking(back.scores["score"], back.label, back.distance)
+        _, rank_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = sum(a.nbytes for a in (back.u, back.v, back.distance, back.label,
+                                    back.scores["score"]))
+    assert result == 33 * n
+    chunk = stratify._READ_ROWS * 40  # u, v, the two byte cells, one score
+    assert n >= 4 * stratify._READ_ROWS
+    # One chunk, and as much again for decoding a block of its cells.
+    assert read_peak <= result + 2 * chunk
+    assert rank_peak - before <= 24 * n
+    assert len(rank) == n and rank.n_pos == inst.n_pos

@@ -4,9 +4,11 @@ a traced pass over the program must still run and count what it records."""
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lpeval import synthetic_event_log, write_event_file
+from lpeval import (DISCONNECTED, InstanceSet, synthetic_event_log, write_event_file,
+                    write_instances_csv)
 from lpeval.config import RunConfig
 
 
@@ -25,11 +27,11 @@ def test_traced_pass_counts_tie_groups(tmp_path, tracing):
                 "windows.test_label=80:100", "prediction.predictors=cn",
                 "prediction.lmax=3", "variance.rates=0.5,1", "variance.repeats=3"]
 
-    def traced(*commands):
+    def traced(*commands, config=settings):
         tracer = tracing.Tracer()
         tracing.run_pass(tracer, [
             (name, RunConfig.from_overrides(
-                settings + [f"run.out={tmp_path / 'out' / name}"]))
+                config + [f"run.out={tmp_path / 'out' / name}"]))
             for name in commands])
         return tracer.reduce()
 
@@ -40,3 +42,17 @@ def test_traced_pass_counts_tie_groups(tmp_path, tracing):
     assert traced("variance")["metrics.tie_groups"] > 0
     # cli calls the surrogate experiment by name, where the tracer swaps it
     assert traced("surrogate")["experiments.surrogate_s"] > 0
+    # kaggle-compare reads a score file and ranks it through the names the
+    # tracer swaps in cli: read_instances_csv and Ranking
+    rng = np.random.default_rng(7)
+    n = 400
+    scores = tmp_path / "scores.csv"
+    with open(scores, "w", encoding="utf-8", newline="") as fh:
+        write_instances_csv(fh, InstanceSet(
+            np.arange(n), np.arange(n) + n, rng.choice([2, 3, DISCONNECTED], n),
+            rng.random(n) < 0.2, {"s": np.round(rng.random(n), 1)}))
+    kaggle = traced("kaggle-compare", config=[f"dataset.scores={scores}",
+                                              "kaggle.repeats=3", "kaggle.rate=0.5"])
+    assert kaggle["stratify.read_instances_s"] > 0
+    assert kaggle["metrics.tie_groups"] > 0
+    assert kaggle["experiments.kaggle_s"] > 0
