@@ -6,11 +6,13 @@ with a manifest listing each artifact's sha256. Reruns with the same config
 and inputs produce identical digests. Undefined metrics are written as
 explicit ``undefined`` markers, not errors.
 
-Only the commands that work on arrays load numpy: ``snapshot``, ``score``,
-``evaluate``, ``variance``, ``kaggle-compare``, ``temporal`` and
-``distance-dist``. Their names from the array modules are bound into this
-module when one of them first runs, or when a caller first reads one of
-those names here. ``surrogate``, ``--help`` and ``--version`` load no numpy.
+Only the commands that work on arrays load numpy: ``score``, ``evaluate``,
+``variance``, ``kaggle-compare``, ``temporal`` and ``distance-dist``. Their
+names from the array modules are bound into this module when one of them
+first runs, or when a caller first reads one of those names here.
+``snapshot`` binds only :mod:`~lpeval.graphstore`'s names, and that module
+imports numpy only when graph code first reads a snapshot's arrays, so
+``snapshot``, ``surrogate``, ``--help`` and ``--version`` load no numpy.
 """
 
 from __future__ import annotations
@@ -52,18 +54,20 @@ _ARRAY_BOUND = {"rng_mod", *(name for names in _ARRAY_NAMES.values()
                               for name in names)}
 
 
-def _bind_arrays():
-    """Bind the array modules' names (and ``rng_mod``) into this module.
+def _bind_arrays(modules=tuple(_ARRAY_NAMES)):
+    """Bind the names of the array ``modules`` into this module, and
+    ``rng_mod`` with ``rng``'s.
 
     A name already bound is kept, so a wrapper that a caller put in its
     place (a traced pass, a test's monkeypatch) stays in force.
     """
     scope = globals()
-    for module, names in _ARRAY_NAMES.items():
+    for module in modules:
         mod = importlib.import_module(f".{module}", __package__)
-        for name in names:
+        for name in _ARRAY_NAMES[module]:
             scope.setdefault(name, getattr(mod, name))
-    scope.setdefault("rng_mod", importlib.import_module(".rng", __package__))
+        if module == "rng":
+            scope.setdefault("rng_mod", mod)
 
 
 def __getattr__(name):
@@ -75,14 +79,19 @@ def __getattr__(name):
     return globals()[name]
 
 
-def _arrays(command):
-    """Mark a command that works on arrays: it binds them before it runs,
-    whether ``main`` calls it or a caller calls ``_COMMANDS[name]``."""
-    @functools.wraps(command)
-    def run(cfg):
-        _bind_arrays()
-        return command(cfg)
-    return run
+def _arrays(*modules):
+    """Mark a command that reads the names of the array ``modules`` (all of
+    them when none are given): it binds them before it runs, whether
+    ``main`` calls it or a caller calls ``_COMMANDS[name]``."""
+    modules = modules or tuple(_ARRAY_NAMES)
+
+    def mark(command):
+        @functools.wraps(command)
+        def run(cfg):
+            _bind_arrays(modules)
+            return command(cfg)
+        return run
+    return mark
 
 
 def _fmt(value):
@@ -190,7 +199,7 @@ def _apply_sampling(cfg, inst):
     return inst
 
 
-@_arrays
+@_arrays("graphstore")
 def cmd_snapshot(cfg):
     """Materialize the four window snapshots as edge CSVs."""
     log, digest = _load_log(cfg)
@@ -208,7 +217,7 @@ def cmd_snapshot(cfg):
     out.manifest(digest)
 
 
-@_arrays
+@_arrays()
 def cmd_score(cfg):
     """Write scored (and labeled) candidate instances per predictor."""
     sets, digest, feature = _scored_instance_sets(cfg)
@@ -220,7 +229,7 @@ def cmd_score(cfg):
     out.manifest(digest)
 
 
-@_arrays
+@_arrays()
 def cmd_evaluate(cfg):
     """Threshold curves and the per-distance report for each predictor."""
     sets, digest, feature = _scored_instance_sets(cfg)
@@ -260,7 +269,7 @@ def cmd_evaluate(cfg):
     out.manifest(digest)
 
 
-@_arrays
+@_arrays()
 def cmd_variance(cfg):
     """Fair-sampling AUROC spread per rate, with the analytic reference."""
     sets, digest, _ = _scored_instance_sets(cfg)
@@ -308,7 +317,7 @@ def cmd_surrogate(cfg):
     out.manifest()
 
 
-@_arrays
+@_arrays()
 def cmd_kaggle_compare(cfg):
     """Fair random sampling vs. per-distance-bucket balanced sampling."""
     sets, digest, _ = _scored_instance_sets(cfg)
@@ -334,7 +343,7 @@ def cmd_kaggle_compare(cfg):
     out.manifest(digest)
 
 
-@_arrays
+@_arrays()
 def cmd_temporal(cfg):
     """Per-slice AUROC/AUPR over the sliced test-label interval.
 
@@ -362,7 +371,7 @@ def cmd_temporal(cfg):
     out.manifest(digest)
 
 
-@_arrays
+@_arrays()
 def cmd_distance_dist(cfg):
     """Distribution of prior geodesic distance over newly formed links."""
     log, digest = _load_log(cfg)

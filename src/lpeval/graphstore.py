@@ -6,6 +6,14 @@ k-clique collaborations) with node ids interned to dense integers. A
 time interval; it is frozen after construction and safe to share across any
 number of concurrent readers.
 
+This module imports no numpy. Ingestion, window aggregation and the edge
+CSV export work on stdlib columns (``array.array``, 8 bytes a value), so
+the ``snapshot`` command never loads numpy. The read-only numpy arrays
+that graph code reads (a snapshot's CSR layout, a log's columns) are built
+from those columns on first access, where numpy is imported. Readers that
+race on that first access each build equal arrays and one set is kept:
+the build is idempotent, so it needs no lock.
+
 Input formats (UTF-8 text, ``#`` starts a comment line):
 
 * pair events:   ``src_id<TAB>dst_id<TAB>timestamp[<TAB>weight]``
@@ -14,15 +22,33 @@ Input formats (UTF-8 text, ``#`` starts a comment line):
 
 from __future__ import annotations
 
+import bisect
 import io
+import math
 import warnings
-
-import numpy as np
+from array import array
+from operator import itemgetter
 
 from .config import WEIGHT_RULES, _check_interval
 from .config import WindowConfig  # noqa: F401 (re-exported)
 from .errors import ConfigError, IngestError
-from .predictors import _sorted_unique
+
+
+def _numpy_arrays(obj):
+    """The read-only numpy arrays of ``obj``, made by its ``_build`` once,
+    on first access; numpy is imported here."""
+    built = obj.__dict__.get("_built")
+    if built is None:
+        import numpy as np
+        built = obj._build(np)
+        for arr in built.values():
+            arr.setflags(write=False)
+        obj._built = built
+    return built
+
+
+def _numpy_array(name):
+    return property(lambda self: _numpy_arrays(self)[name])
 
 
 class EventLog:
@@ -35,28 +61,37 @@ class EventLog:
     reordered during ingestion.
     """
 
+    timestamps = _numpy_array("timestamps")
+    event_offsets = _numpy_array("event_offsets")
+    event_nodes = _numpy_array("event_nodes")
+    weight_overrides = _numpy_array("weight_overrides")
+
     def __init__(self, timestamps, event_offsets, event_nodes, weight_overrides,
                  id_labels, was_unsorted=False):
-        self.timestamps = np.asarray(timestamps, dtype=np.int64)
-        self.event_offsets = np.asarray(event_offsets, dtype=np.int64)
-        self.event_nodes = np.asarray(event_nodes, dtype=np.int64)
-        self.weight_overrides = np.asarray(weight_overrides, dtype=np.float64)
+        self._timestamps = array("q", timestamps)
+        self._offsets = array("q", event_offsets)
+        self._nodes = array("q", event_nodes)
+        self._overrides = array("d", weight_overrides)
         self.id_labels = list(id_labels)
         self.was_unsorted = bool(was_unsorted)
-        for arr in (self.timestamps, self.event_offsets, self.event_nodes,
-                    self.weight_overrides):
-            arr.setflags(write=False)
+
+    def _build(self, np):
+        return {name: np.frombuffer(column, dtype=dtype) for name, column, dtype in (
+            ("timestamps", self._timestamps, np.int64),
+            ("event_offsets", self._offsets, np.int64),
+            ("event_nodes", self._nodes, np.int64),
+            ("weight_overrides", self._overrides, np.float64))}
 
     @property
     def n_events(self):
-        return int(self.timestamps.size)
+        return len(self._timestamps)
 
     @property
     def n_nodes(self):
         return len(self.id_labels)
 
     def participants(self, i):
-        return self.event_nodes[self.event_offsets[i]:self.event_offsets[i + 1]]
+        return self.event_nodes[self._offsets[i]:self._offsets[i + 1]]
 
     @classmethod
     def from_tuples(cls, events, id_labels=None):
@@ -84,7 +119,7 @@ class EventLog:
         for _, parts, override in rows:
             nodes.extend(parts)
             offsets.append(len(nodes))
-            overrides.append(np.nan if override is None else float(override))
+            overrides.append(math.nan if override is None else float(override))
         labels = interner.labels if interner is not None else list(id_labels)
         return cls(timestamps, offsets, nodes, overrides, labels)
 
@@ -113,7 +148,7 @@ def _parse_weight(token, line_no):
         w = float(token)
     except ValueError:
         raise IngestError(f"bad weight {token!r}", line=line_no) from None
-    if not w > 0 or not np.isfinite(w):
+    if not w > 0 or not math.isfinite(w):
         raise IngestError(f"weight must be finite and > 0, got {token!r}", line=line_no)
     return w
 
@@ -142,8 +177,9 @@ def ingest_events(source, format="pair"):
     """Read an event stream into an :class:`EventLog`.
 
     ``source`` is a path or a text/binary file object. Unsorted input is
-    sorted internally; the log's ``was_unsorted`` flag is set and a warning
-    emitted so reordering is never silent.
+    sorted internally (a stable sort by timestamp); the log's
+    ``was_unsorted`` flag is set and a warning emitted so reordering is
+    never silent.
     """
     if format not in ("pair", "clique"):
         raise ConfigError(f"unknown event format {format!r}", field="dataset.format")
@@ -181,7 +217,7 @@ def ingest_events(source, format="pair"):
                 raise IngestError("self-pair event (src == dst)", line=line_no)
             t = _parse_timestamp(ts, line_no)
             parts = [interner.intern(src), interner.intern(dst)]
-            w = _parse_weight(fields[3], line_no) if len(fields) == 4 else np.nan
+            w = _parse_weight(fields[3], line_no) if len(fields) == 4 else math.nan
         else:
             if len(fields) not in (2, 3):
                 raise IngestError(
@@ -194,28 +230,24 @@ def ingest_events(source, format="pair"):
             if len(raw_ids) < 2 or len(set(raw_ids)) != len(raw_ids):
                 raise IngestError("clique needs >=2 distinct participants", line=line_no)
             parts = [interner.intern(x) for x in raw_ids]
-            w = _parse_weight(fields[2], line_no) if len(fields) == 3 else np.nan
+            w = _parse_weight(fields[2], line_no) if len(fields) == 3 else math.nan
         timestamps.append(t)
         nodes.extend(parts)
         offsets.append(len(nodes))
         overrides.append(w)
 
-    timestamps = np.asarray(timestamps, dtype=np.int64)
-    # Compared, not subtracted: a difference of int64 timestamps can wrap.
-    was_unsorted = bool(np.any(timestamps[1:] < timestamps[:-1]))
+    was_unsorted = any(map(int.__lt__, timestamps[1:], timestamps))
     if was_unsorted:
         warnings.warn("event stream was not sorted by timestamp; sorting internally",
                       stacklevel=2)
-        order = np.argsort(timestamps, kind="stable")
-        offsets = np.asarray(offsets, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
+        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
         new_nodes = []
         new_offsets = [0]
         for i in order:
-            new_nodes.extend(nodes[offsets[i]:offsets[i + 1]].tolist())
+            new_nodes.extend(nodes[offsets[i]:offsets[i + 1]])
             new_offsets.append(len(new_nodes))
-        timestamps = timestamps[order]
-        overrides = np.asarray(overrides)[order]
+        timestamps = [timestamps[i] for i in order]
+        overrides = [overrides[i] for i in order]
         nodes, offsets = new_nodes, new_offsets
 
     return EventLog(timestamps, offsets, nodes, overrides, interner.labels,
@@ -228,48 +260,50 @@ class Snapshot:
     Adjacency is a frozen CSR layout sized to the full interned universe, so
     degree/neighbor queries for any id are O(1)/O(deg) and unknown ids simply
     report degree 0. All stored weights are positive and symmetric; there are
-    no self-loops.
+    no self-loops. The canonical edge list is kept in stdlib columns; the
+    CSR arrays and :meth:`edge_arrays` are built from it on first access.
     """
+
+    indptr = _numpy_array("indptr")
+    indices = _numpy_array("indices")
+    weights = _numpy_array("weights")
+    node_ids = _numpy_array("node_ids")
 
     def __init__(self, n_universe, edge_u, edge_v, edge_w, interval=None,
                  id_labels=None):
-        edge_u = np.asarray(edge_u, dtype=np.int64)
-        edge_v = np.asarray(edge_v, dtype=np.int64)
-        edge_w = np.asarray(edge_w, dtype=np.float64)
-        if edge_u.size and (np.any(edge_u == edge_v) or np.any(edge_w <= 0)):
+        edges = list(zip(map(int, edge_u), map(int, edge_v), map(float, edge_w),
+                         strict=True))
+        if any(a == b or w <= 0 for a, b, w in edges):
             raise ValueError("snapshot edges must join distinct nodes with weight > 0")
+        # Canonical u < v edge list, sorted by (u, v): the export order.
+        edges = sorted(((a, b, w) if a < b else (b, a, w) for a, b, w in edges),
+                       key=itemgetter(0, 1))
+        self._set(n_universe, array("q", map(itemgetter(0), edges)),
+                  array("q", map(itemgetter(1), edges)),
+                  array("d", map(itemgetter(2), edges)), interval, id_labels)
+
+    def _set(self, n_universe, u, v, w, interval, id_labels):
+        """Take canonical ``u < v`` columns, sorted by (u, v), as they are."""
         self.interval = None if interval is None else (int(interval[0]), int(interval[1]))
         self.n_universe = int(n_universe)
         self.id_labels = None if id_labels is None else list(id_labels)
+        self._edge_u, self._edge_v, self._edge_w = u, v, w
+        self._n_nodes = len(set(u).union(v))
 
-        # Canonical u < v edge list, sorted by (u, v): the export order.
-        lo = np.minimum(edge_u, edge_v)
-        hi = np.maximum(edge_u, edge_v)
-        order = np.lexsort((hi, lo))
-        self._edge_u = lo[order]
-        self._edge_v = hi[order]
-        self._edge_w = edge_w[order]
-
-        # Symmetric CSR over the universe.
-        src = np.concatenate([self._edge_u, self._edge_v])
-        dst = np.concatenate([self._edge_v, self._edge_u])
-        wts = np.concatenate([self._edge_w, self._edge_w])
-        order = np.lexsort((dst, src))
-        src, dst, wts = src[order], dst[order], wts[order]
-        self.indptr = np.zeros(self.n_universe + 1, dtype=np.int64)
-        np.add.at(self.indptr, src + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
-        self.indices = dst
-        self.weights = wts
-
-        present = np.zeros(self.n_universe, dtype=bool)
-        present[self._edge_u] = True
-        present[self._edge_v] = True
-        self.node_ids = np.flatnonzero(present)
-
-        for arr in (self._edge_u, self._edge_v, self._edge_w, self.indptr,
-                    self.indices, self.weights, self.node_ids):
-            arr.setflags(write=False)
+    def _build(self, np):
+        u = np.frombuffer(self._edge_u, dtype=np.int64)
+        v = np.frombuffer(self._edge_v, dtype=np.int64)
+        w = np.frombuffer(self._edge_w, dtype=np.float64)
+        # Symmetric CSR over the universe, rows and columns ascending.
+        src = np.concatenate([u, v])
+        dst = np.concatenate([v, u])
+        order = np.argsort(src * self.n_universe + dst, kind="stable")
+        indptr = np.zeros(self.n_universe + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n_universe), out=indptr[1:])
+        degrees = np.diff(indptr)
+        return {"edge_u": u, "edge_v": v, "edge_w": w, "indptr": indptr,
+                "indices": dst[order], "weights": np.concatenate([w, w])[order],
+                "node_ids": np.flatnonzero(degrees), "degrees": degrees}
 
     @classmethod
     def from_edges(cls, edges, n=None, interval=None, id_labels=None):
@@ -285,15 +319,15 @@ class Snapshot:
 
     @property
     def n_nodes(self):
-        return int(self.node_ids.size)
+        return self._n_nodes
 
     @property
     def n_edges(self):
-        return int(self._edge_u.size)
+        return len(self._edge_u)
 
     @property
     def total_weight(self):
-        return float(self._edge_w.sum())
+        return math.fsum(self._edge_w)
 
     def density(self):
         n = self.n_nodes
@@ -309,20 +343,20 @@ class Snapshot:
 
     def neighbors(self, u):
         if not 0 <= u < self.n_universe:
-            return np.empty(0, dtype=np.int64)
+            return self.indices[:0]
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     def neighbor_weights(self, u):
         if not 0 <= u < self.n_universe:
-            return np.empty(0, dtype=np.float64)
+            return self.weights[:0]
         return self.weights[self.indptr[u]:self.indptr[u + 1]]
 
     def degrees(self):
-        return np.diff(self.indptr)
+        return _numpy_arrays(self)["degrees"]
 
     def weight(self, u, v):
         nbrs = self.neighbors(u)
-        pos = np.searchsorted(nbrs, v)
+        pos = int(nbrs.searchsorted(v))
         if pos < nbrs.size and nbrs[pos] == v:
             return float(self.neighbor_weights(u)[pos])
         return 0.0
@@ -332,11 +366,13 @@ class Snapshot:
 
     def edge_arrays(self):
         """Canonical (u, v, w) arrays with u < v, sorted by (u, v)."""
-        return self._edge_u, self._edge_v, self._edge_w
+        built = _numpy_arrays(self)
+        return built["edge_u"], built["edge_v"], built["edge_w"]
 
     def edge_key_set(self):
         """Set of u * n_universe + v keys (u < v) for O(1) membership tests."""
-        return set((self._edge_u * self.n_universe + self._edge_v).tolist())
+        n = self.n_universe
+        return {a * n + b for a, b in zip(self._edge_u, self._edge_v)}
 
 
 def build_snapshot(log, interval, weight_rule="1/(k-1)"):
@@ -345,8 +381,8 @@ def build_snapshot(log, interval, weight_rule="1/(k-1)"):
     Each event expands to all unordered participant pairs; a pair's
     contribution is the event's weight override when given, else the
     configured clique rule (default ``1/(k-1)``, so a pair event weighs 1).
-    Contributions sum per pair. An interval selecting no events yields a
-    valid empty snapshot.
+    Contributions sum per pair, in event order. An interval selecting no
+    events yields a valid empty snapshot.
     """
     begin, end = _check_interval(interval)
     try:
@@ -355,30 +391,31 @@ def build_snapshot(log, interval, weight_rule="1/(k-1)"):
         raise ConfigError(f"unknown weight rule {weight_rule!r}",
                           field="dataset.weight_rule") from None
 
-    lo = int(np.searchsorted(log.timestamps, begin, side="left"))
-    hi = int(np.searchsorted(log.timestamps, end, side="right"))
+    lo = bisect.bisect_left(log._timestamps, begin)
+    hi = bisect.bisect_right(log._timestamps, end)
+    offsets, nodes, overrides = log._offsets, log._nodes, log._overrides
+    n = log.n_nodes
+    # Pair (u, v), u < v, is key u * n + v: the keys sort in (u, v) order.
     acc = {}
+    get = acc.get
     for i in range(lo, hi):
-        parts = log.participants(i)
-        k = parts.size
-        override = log.weight_overrides[i]
-        w = float(override) if np.isfinite(override) else rule(k)
-        for a in range(k):
-            pa = int(parts[a])
-            for b in range(a + 1, k):
-                pb = int(parts[b])
-                key = (pa, pb) if pa < pb else (pb, pa)
-                acc[key] = acc.get(key, 0.0) + w
+        first, stop = offsets[i], offsets[i + 1]
+        w = overrides[i]
+        if not math.isfinite(w):
+            w = rule(stop - first)
+        for a in range(first, stop):
+            pa = nodes[a]
+            for b in range(a + 1, stop):
+                pb = nodes[b]
+                key = pa * n + pb if pa < pb else pb * n + pa
+                acc[key] = get(key, 0.0) + w
 
-    if acc:
-        keys = np.array(list(acc.keys()), dtype=np.int64)
-        vals = np.array(list(acc.values()), dtype=np.float64)
-        u, v = keys[:, 0], keys[:, 1]
-    else:
-        u = v = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.float64)
-    return Snapshot(log.n_nodes, u, v, vals, interval=(begin, end),
-                    id_labels=log.id_labels)
+    keys = sorted(acc)
+    snap = object.__new__(Snapshot)
+    snap._set(n, array("q", [key // n for key in keys]),
+              array("q", [key % n for key in keys]),
+              array("d", map(acc.__getitem__, keys)), (begin, end), log.id_labels)
+    return snap
 
 
 # Characters that force a CSV field into quotes.
@@ -398,30 +435,15 @@ def csv_field(value):
     return text
 
 
-def csv_cells(values, fmt, sep):
-    """One CSV column of 8-byte ``values`` as ``(cells, index)``: row i
-    reads ``cells[index[i]]``.
-
-    ``fmt`` runs once per distinct bit pattern, so ``-0.0`` and ``0.0``
-    keep their own text, and each cell ends with ``sep``, the separator
-    that follows the column in a row.
-    """
-    bits = values.view(np.int64)
-    distinct = _sorted_unique(bits)
-    cells = [fmt(x) + sep for x in distinct.view(values.dtype).tolist()]
-    return np.array(cells, dtype=object), np.searchsorted(distinct, bits)
-
-
 def write_snapshot_csv(snapshot, fh):
     """Export edges as ``u,v,weight`` rows, u < v in interned order, rows
     sorted lexicographically by label. Ids are quoted where CSV needs it
     (:func:`csv_field`). Bit-exact for identical inputs."""
-    u, v, w = snapshot.edge_arrays()
+    u, v, w = snapshot._edge_u, snapshot._edge_v, snapshot._edge_w
     labels = snapshot.id_labels
-    name = (lambda i: labels[i]) if labels is not None else str
-    label = {i: name(i) for i in snapshot.node_ids.tolist()}
+    name = labels.__getitem__ if labels is not None else str
+    label = {i: name(i) for i in set(u).union(v)}
     field = {i: csv_field(x) for i, x in label.items()}
-    rows = sorted((label[a], label[b], a, b, repr(x))
-                  for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()))
+    rows = sorted((label[a], label[b], a, b, repr(x)) for a, b, x in zip(u, v, w))
     fh.write("u,v,weight\n" + "".join(f"{field[a]},{field[b]},{x}\n"
                                        for _, _, a, b, x in rows))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError
-from .graphstore import csv_cells
+from .predictors import _sorted_unique, csv_cells, csv_chunks
 
 TIE_POLICY = "group-atomic"
 
@@ -29,14 +29,17 @@ RATE_NAMES = ("sensitivity", "specificity", "precision", "recall", "fallout",
               "accuracy")
 
 
-# Rows ranked at a time by _add_ranks: each temporary of a chunk takes at
-# most 32 KiB.
+# Rows ranked at a time by _add_ranks and Ranking: each temporary of a
+# chunk takes at most 32 KiB.
 _RANK_ROWS = 1 << 12
 
+# Rows of a curve CSV joined into one string per write.
+_CURVE_ROWS = 8192
 
-def _add_ranks(cell, a, order, scale=1):
-    """Add ``scale`` times each row's rank among the distinct values of
-    ``a`` to the int64 array ``cell``, and return those values.
+
+def _add_ranks(cell, a, order):
+    """Add each row's rank among the distinct values of ``a`` to the int64
+    array ``cell``, and return those values.
 
     ``order`` is an argsort of ``a``, ascending or descending; the ranks
     number the values from 0 in that order, and the values are returned in
@@ -56,7 +59,6 @@ def _add_ranks(cell, a, order, scale=1):
         ranks += rank
         values.append(chunk[new])
         rank, last = ranks[-1], chunk[-1]
-        ranks *= scale
         cell[rows] += ranks
     return np.concatenate(values)
 
@@ -74,11 +76,13 @@ class Ranking:
     those cuts. Zero rows make a table without groups, on which every
     metric that needs a class raises :class:`UndefinedMetricError`.
 
-    Each row's (bucket, group) cell is built in one int64 array by
-    :func:`_add_ranks`, and one ``np.bincount`` counts the cells with the
-    label folded in, so the temporaries are two 8-byte values a row (the
-    cells and one argsort). Groups are numbered from the highest score
-    down; ``-0.0`` and ``0.0`` share a group.
+    Each row's (bucket, group) cell is built in one int64 array: the group
+    by :func:`_add_ranks`, the bucket by a binary search of the row's
+    distance in the sorted distinct distances, _RANK_ROWS rows at a time.
+    One ``np.bincount`` counts the cells with the label folded in, so the
+    temporaries are two 8-byte values a row (the cells and the argsort of
+    the scores). Groups are numbered from the highest score down; ``-0.0``
+    and ``0.0`` share a group.
     """
 
     def __init__(self, scores, labels, distance=None):
@@ -88,19 +92,25 @@ class Ranking:
             raise ConfigError("scores and labels must have equal length")
         if np.any(np.isnan(scores)):
             raise ConfigError("NaN scores are forbidden")
+        distances = None
         if distance is not None:
             distance = np.asarray(distance, dtype=np.int64)
             if distance.shape != scores.shape:
                 raise ConfigError("scores and distance must have equal length")
-        # The negated scores are sorted, the highest first. numpy's argsort
-        # is many times slower when most values equal the lowest, as the
-        # zero scores of far pairs do, than when they equal the highest.
+            # A sort, not an argsort: numpy's argsort is many times slower
+            # when most values equal the lowest and are out of order.
+            distances = _sorted_unique(distance)
+        # The negated scores are sorted, the highest first, for that reason:
+        # the zero scores of far pairs are the lowest.
         order = np.argsort(-scores)
         cell = np.zeros(scores.size, dtype=np.int64)
         values = _add_ranks(cell, scores, order)
         del order
-        distances = None if distance is None else \
-            _add_ranks(cell, distance, np.argsort(distance), scale=values.size)
+        if distances is not None:
+            for lo in range(0, distance.size, _RANK_ROWS):
+                bucket = distances.searchsorted(distance[lo:lo + _RANK_ROWS])
+                bucket *= values.size
+                cell[lo:lo + _RANK_ROWS] += bucket
         buckets = 1 if distances is None else distances.size
         # Cell c's negatives count at 2c and its positives at 2c + 1.
         cell *= 2
@@ -407,13 +417,12 @@ def write_curve_csv(curve, fh):
     """Write the points as ``x,y`` rows, each coordinate as its ``repr``.
 
     Each column is formatted once per distinct bit pattern, and the rows
-    are written with one join.
+    are written _CURVE_ROWS at a time (:func:`csv_chunks`).
     """
-    cells = np.empty(curve.points.shape, dtype=object)
-    for c, sep in enumerate((",", "\n")):
-        text, index = csv_cells(curve.points[:, c], repr, sep)
-        cells[:, c] = text[index]
-    fh.write("x,y\n" + "".join(cells.ravel().tolist()))
+    columns = [(*csv_cells(curve.points[:, c], repr, sep), curve.points[:, c])
+               for c, sep in enumerate((",", "\n"))]
+    fh.write("x,y\n")
+    fh.writelines(csv_chunks(columns, len(curve.points), _CURVE_ROWS))
 
 
 def write_curve_json(curve, fh):

@@ -69,6 +69,40 @@ def _sorted_unique(a):
     return a[keep]
 
 
+def csv_cells(values, fmt, sep):
+    """One CSV column of 8-byte ``values`` as ``(cells, distinct)``:
+    ``distinct`` holds the column's distinct bit patterns (int64, sorted)
+    and ``cells[j]`` the text of ``distinct[j]``.
+
+    ``fmt`` runs once per distinct bit pattern, so ``-0.0`` and ``0.0``
+    keep their own text, and each cell ends with ``sep``, the separator
+    that follows the column in a row. :func:`csv_chunks` looks the rows up.
+    """
+    distinct = _sorted_unique(values.view(np.int64))
+    cells = [fmt(x) + sep for x in distinct.view(values.dtype).tolist()]
+    return np.array(cells, dtype=object), distinct
+
+
+def csv_chunks(columns, n, chunk_rows):
+    """The text of ``n`` CSV rows, ``chunk_rows`` rows a string.
+
+    Each column is ``(cells, distinct, values)``. Row i reads
+    ``cells[values[i]]``, or with ``distinct`` (:func:`csv_cells`) the cell
+    of ``values[i]``'s bit pattern, found by a binary search per chunk, so
+    no index runs the length of the column. A chunk fills one
+    (rows x columns) array of cells, joined at once.
+    """
+    for lo in range(0, n, chunk_rows):
+        hi = min(n, lo + chunk_rows)
+        rows = np.empty((hi - lo, len(columns)), dtype=object)
+        for c, (cells, distinct, values) in enumerate(columns):
+            index = values[lo:hi]
+            if distinct is not None:
+                index = distinct.searchsorted(index.view(np.int64))
+            rows[:, c] = cells[index]
+        yield "".join(rows.ravel().tolist())
+
+
 def _blocks(s, sources):
     """Consecutive runs of ``sources``, _BLOCK_CELLS cells at most."""
     size = max(1, _BLOCK_CELLS // (s.n_universe + s.indices.size))

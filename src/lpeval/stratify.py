@@ -20,10 +20,11 @@ import numpy as np
 
 from .config import GENERATION_MODES
 from .errors import ConfigError, IngestError
-from .graphstore import csv_cells, csv_field
+from .graphstore import csv_field
 # lpbench/tracing.py counts BFS sources by swapping ``stratify.bfs_levels``,
 # so the name stays importable here although enumeration walks in blocks.
-from .predictors import _blocks, _sorted_unique, _walk, bfs_level_blocks, bfs_levels
+from .predictors import (_blocks, _sorted_unique, _walk, bfs_level_blocks, bfs_levels,
+                         csv_cells, csv_chunks)
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
@@ -292,8 +293,7 @@ def write_instances_csv(fh, instances, id_labels=None, score_keys=None):
     Each distinct cell is formatted once, together with the separator after
     it: an id once per id that occurs, other columns once per distinct
     value, scores by bit pattern so ``-0.0`` and ``0.0`` keep their own
-    text. Every _CHUNK_ROWS rows fill one (rows x columns) array of cells,
-    written with one join.
+    text. The rows are written _CHUNK_ROWS at a time (:func:`csv_chunks`).
     """
     keys = list(score_keys if score_keys is not None else instances.scores)
     header = ["u", "v", "distance", "label"] + (["score"] if len(keys) == 1
@@ -301,30 +301,25 @@ def write_instances_csv(fh, instances, id_labels=None, score_keys=None):
     n = len(instances)
     end = [","] * (len(header) - 1) + ["\n"]  # the separator after each column
     if id_labels is None:
-        columns = [csv_cells(instances.u, str, ","), csv_cells(instances.v, str, ",")]
+        columns = [(*csv_cells(instances.u, str, ","), instances.u),
+                   (*csv_cells(instances.v, str, ","), instances.v)]
     else:
         ids = _id_cells(id_labels, instances.u, instances.v)
-        columns = [(ids, instances.u), (ids, instances.v)]
-    columns.append(csv_cells(instances.distance, distance_str, ","))
+        columns = [(ids, None, instances.u), (ids, None, instances.v)]
+    columns.append((*csv_cells(instances.distance, distance_str, ","),
+                    instances.distance))
     if instances.label is None:
-        columns.append((np.array([end[3]], dtype=object), np.zeros(n, dtype=np.uint8)))
+        columns.append((np.array([end[3]], dtype=object), None,
+                        np.zeros(n, dtype=np.uint8)))
     else:
-        columns.append((np.array(["0" + end[3], "1" + end[3]], dtype=object),
+        columns.append((np.array(["0" + end[3], "1" + end[3]], dtype=object), None,
                         instances.label.view(np.uint8)))
     for k, sep in zip(keys, end[4:]):
         s = np.ascontiguousarray(instances.scores[k], dtype=np.float64)
-        columns.append(csv_cells(s, repr, sep))
+        columns.append((*csv_cells(s, repr, sep), s))
 
-    def chunks():
-        yield ",".join(header) + "\n"
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(n, lo + _CHUNK_ROWS)
-            rows = np.empty((hi - lo, len(columns)), dtype=object)
-            for c, (cells, index) in enumerate(columns):
-                rows[:, c] = cells[index[lo:hi]]
-            yield "".join(rows.ravel().tolist())
-
-    fh.writelines(chunks())
+    fh.write(",".join(header) + "\n")
+    fh.writelines(csv_chunks(columns, n, _CHUNK_ROWS))
 
 
 def _label_cell(text):

@@ -642,3 +642,87 @@ def surrogate_monte_carlo(params, seed=0):
     auroc_full = auroc_from_positions(np.concatenate([band, tail], axis=1),
                                       params.p_full + params.n_full)
     return auroc_sub, auroc_full
+
+
+# The numpy graph store that lpeval.graphstore replaced with stdlib columns:
+# its log reordering, window aggregation, CSR layout and edge CSV export.
+
+
+def numpy_event_columns(timestamps, offsets, nodes, overrides):
+    """An event log's columns in time order, sorted with a stable numpy
+    argsort as the numpy ingest did; inputs are in file order."""
+    timestamps = np.asarray(timestamps, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    order = np.argsort(timestamps, kind="stable")
+    new_nodes, new_offsets = [], [0]
+    for i in order:
+        new_nodes.extend(nodes[offsets[i]:offsets[i + 1]].tolist())
+        new_offsets.append(len(new_nodes))
+    return {"timestamps": timestamps[order],
+            "event_offsets": np.asarray(new_offsets, dtype=np.int64),
+            "event_nodes": np.asarray(new_nodes, dtype=np.int64),
+            "weight_overrides": np.asarray(overrides, dtype=np.float64)[order]}
+
+
+class NumpySnapshot:
+    """A snapshot's canonical edges and symmetric CSR, built with numpy's
+    lexsort and ``np.add.at``."""
+
+    def __init__(self, n_universe, edge_u, edge_v, edge_w, id_labels=None):
+        edge_u = np.asarray(edge_u, dtype=np.int64)
+        edge_v = np.asarray(edge_v, dtype=np.int64)
+        edge_w = np.asarray(edge_w, dtype=np.float64)
+        self.n_universe = n_universe
+        self.id_labels = id_labels
+        lo, hi = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
+        order = np.lexsort((hi, lo))
+        self.edge_u, self.edge_v, self.edge_w = lo[order], hi[order], edge_w[order]
+        src = np.concatenate([self.edge_u, self.edge_v])
+        dst = np.concatenate([self.edge_v, self.edge_u])
+        wts = np.concatenate([self.edge_w, self.edge_w])
+        order = np.lexsort((dst, src))
+        self.indices, self.weights = dst[order], wts[order]
+        self.indptr = np.zeros(n_universe + 1, dtype=np.int64)
+        np.add.at(self.indptr, src[order] + 1, 1)
+        np.cumsum(self.indptr, out=self.indptr)
+        present = np.zeros(n_universe, dtype=bool)
+        present[self.edge_u] = True
+        present[self.edge_v] = True
+        self.node_ids = np.flatnonzero(present)
+
+    def csv_text(self):
+        """The edge CSV: rows sorted by label, ids quoted where needed."""
+        labels = self.id_labels
+        name = (lambda i: labels[i]) if labels is not None else str
+
+        def field(i):
+            text = str(name(i))
+            return '"' + text.replace('"', '""') + '"' \
+                if any(c in text for c in ',"\r\n') else text
+
+        rows = sorted((name(a), name(b), a, b, repr(x)) for a, b, x in zip(
+            self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
+        return "u,v,weight\n" + "".join(f"{field(a)},{field(b)},{x}\n"
+                                        for _, _, a, b, x in rows)
+
+
+def numpy_build_snapshot(columns, n_universe, interval, rule, id_labels=None):
+    """The window's snapshot, aggregated event by event from numpy scalars."""
+    ts = columns["timestamps"]
+    offsets, nodes = columns["event_offsets"], columns["event_nodes"]
+    lo = int(np.searchsorted(ts, interval[0], side="left"))
+    hi = int(np.searchsorted(ts, interval[1], side="right"))
+    acc = {}
+    for i in range(lo, hi):
+        parts = nodes[offsets[i]:offsets[i + 1]]
+        override = columns["weight_overrides"][i]
+        w = float(override) if np.isfinite(override) else rule(parts.size)
+        for a in range(parts.size):
+            for b in range(a + 1, parts.size):
+                pa, pb = int(parts[a]), int(parts[b])
+                key = (min(pa, pb), max(pa, pb))
+                acc[key] = acc.get(key, 0.0) + w
+    keys = np.array(list(acc), dtype=np.int64).reshape(-1, 2)
+    return NumpySnapshot(n_universe, keys[:, 0], keys[:, 1], list(acc.values()),
+                         id_labels=id_labels)

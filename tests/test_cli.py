@@ -661,9 +661,10 @@ def test_cli_keeps_a_preset_blas_thread_count(entry):
     assert (value, numpy_loaded) == ("2", "True")
 
 
+# Whether numpy and the graph store are loaded.
 NUMPY_LOADED = """
 import sys
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "lpeval.graphstore" in sys.modules)
 """
 
 
@@ -671,7 +672,8 @@ print("numpy" in sys.modules)
 def test_surrogate_loads_no_numpy(tmp_path, entry):
     # The surrogate moments are exact rationals: the command needs no arrays.
     argv = ["surrogate", "--out", str(tmp_path / "out")]
-    assert run_child(ENTRIES[entry].format(argv=argv) + NUMPY_LOADED) == "False\n"
+    assert run_child(ENTRIES[entry].format(argv=argv) + NUMPY_LOADED) \
+        == "False False\n"
     assert (tmp_path / "out" / "surrogate_grid.csv").exists()
 
 
@@ -680,7 +682,29 @@ def test_surrogate_loads_no_numpy(tmp_path, entry):
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_version_and_help_load_no_numpy(entry, argv):
     assert run_child(ENTRIES[entry].format(argv=argv) + NUMPY_LOADED
-                     ).endswith("False\n")
+                     ).endswith("False False\n")
+
+
+# numpy and the lpeval modules that import it at module level.
+ARRAYS_LOADED = """
+import sys
+print(sorted(m for m in sys.modules if m == "numpy" or m in {
+    "lpeval.predictors", "lpeval.stratify", "lpeval.metrics", "lpeval.experiments",
+    "lpeval.rng"}))
+"""
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_snapshot_loads_no_numpy(tmp_path, entry):
+    # Ingest, window aggregation and the edge CSVs work on stdlib columns;
+    # a snapshot's numpy arrays are built only when graph code reads them.
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    argv = ["snapshot", "--out", str(tmp_path / "out"),
+            "--set", f"dataset.path={events}", *WINDOWS]
+    assert run_child(ENTRIES[entry].format(argv=argv) + ARRAYS_LOADED) == "[]\n"
+    report = json.loads((tmp_path / "out" / "snapshot_report.json").read_text())
+    assert report["snapshots"]["test_feature"]["edges"] > 0
 
 
 def test_config_loads_no_numpy():
@@ -720,8 +744,10 @@ from lpeval.config import RunConfig
 warnings.simplefilter("ignore")
 assert "numpy" not in sys.modules
 cli._COMMANDS[{command!r}](RunConfig.from_overrides({settings!r}))
+print("numpy" in sys.modules)
 """
-    run_child(code)
+    # snapshot's aggregation and export are pure Python
+    assert run_child(code) == f"{command != 'snapshot'}\n"
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == command and manifest["artifacts"]
 

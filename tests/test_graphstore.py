@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from lpeval import (ConfigError, EventLog, IngestError, Snapshot, WindowConfig,
                     build_snapshot, ingest_events, write_snapshot_csv)
+from lpeval.config import WEIGHT_RULES
+
+from oracles import NumpySnapshot, numpy_build_snapshot, numpy_event_columns
 
 
 def ingest_text(text, format="pair"):
@@ -312,6 +316,94 @@ class TestExportAndDeterminism:
             write_snapshot_csv(build_snapshot(ingest_text(text), (0, 5)), buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
+
+
+# Ids that CSV must quote, and ones it need not.
+IDS = ["a", "b", "n07", "c,d", 'q"x', "e f", "\u00fc", "x,\"y\"", "10", "9"]
+
+
+def random_event_text(rng, format):
+    """A random event file (pair or clique events, some with a weight
+    override, in or out of time order), its columns in file order with ids
+    interned by first appearance, and the interned labels."""
+    events = []
+    for _ in range(int(rng.integers(0, 40))):
+        k = 2 if format == "pair" else int(rng.integers(2, 6))
+        ids = [IDS[i] for i in rng.choice(len(IDS), size=k, replace=False)]
+        w = None if rng.random() < 0.6 else float(rng.choice([0.1, 0.5, 2.5, 1 / 3]))
+        events.append((int(rng.integers(0, 30)), ids, w))
+    if rng.random() < 0.5:
+        events.sort(key=lambda e: e[0])
+    index, lines = {}, []
+    timestamps, offsets, nodes, overrides = [], [0], [], []
+    for t, ids, w in events:
+        tail = "" if w is None else f"\t{w!r}"
+        lines.append(f"{ids[0]}\t{ids[1]}\t{t}{tail}\n" if format == "pair"
+                     else f"{t}\t{'|'.join(ids)}{tail}\n")
+        nodes.extend(index.setdefault(label, len(index)) for label in ids)
+        timestamps.append(t)
+        offsets.append(len(nodes))
+        overrides.append(math.nan if w is None else w)
+    return "".join(lines), (timestamps, offsets, nodes, overrides), list(index)
+
+
+def assert_frozen_equal(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+    assert not got.flags.writeable
+
+
+class TestMatchesNumpyGraphStore:
+    """The stdlib event log and window aggregation against the numpy ones
+    they replaced: the same arrays, the same CSV bytes."""
+
+    @pytest.mark.parametrize("format", ["pair", "clique"])
+    def test_logs_snapshots_and_csv(self, rng, format):
+        for _ in range(60):
+            text, columns, labels = random_event_text(rng, format)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                log = ingest_text(text, format=format)
+            want = numpy_event_columns(*columns)
+            assert log.id_labels == labels
+            assert log.was_unsorted == bool(np.any(np.diff(columns[0]) < 0))
+            for name, arr in want.items():
+                assert_frozen_equal(getattr(log, name), arr)
+            for i in range(log.n_events):
+                assert_frozen_equal(log.participants(i), want["event_nodes"][
+                    want["event_offsets"][i]:want["event_offsets"][i + 1]])
+            # windows before, inside and after the events; some select none
+            for _ in range(4):
+                begin = int(rng.integers(-5, 35))
+                end = begin + int(rng.integers(0, 20))
+                rule = str(rng.choice(list(WEIGHT_RULES)))
+                snap = build_snapshot(log, (begin, end), weight_rule=rule)
+                ref = numpy_build_snapshot(want, len(labels), (begin, end),
+                                           WEIGHT_RULES[rule], labels)
+                self.check(snap, ref)
+
+    def test_snapshot_constructor(self, rng):
+        # either orientation, repeated pairs kept in input order
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            m = int(rng.integers(0, 30))
+            u = rng.integers(0, n, m)
+            v = (u + rng.integers(1, n, m)) % n
+            w = rng.choice([0.1, 0.2, 1.0, 3.5], m)
+            self.check(Snapshot(n, u, v, w), NumpySnapshot(n, u, v, w))
+
+    @staticmethod
+    def check(snap, ref):
+        for attr in ("indptr", "indices", "weights", "node_ids"):
+            assert_frozen_equal(getattr(snap, attr), getattr(ref, attr))
+        for got, want in zip(snap.edge_arrays(), (ref.edge_u, ref.edge_v, ref.edge_w)):
+            assert_frozen_equal(got, want)
+        assert_frozen_equal(snap.degrees(), np.diff(ref.indptr))
+        assert (snap.n_nodes, snap.n_edges) == (ref.node_ids.size, ref.edge_u.size)
+        assert snap.total_weight == math.fsum(ref.edge_w.tolist())
+        buf = io.StringIO()
+        write_snapshot_csv(snap, buf)
+        assert buf.getvalue() == ref.csv_text()
 
 
 class TestWindowConfig:

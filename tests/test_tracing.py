@@ -2,6 +2,7 @@
 a traced pass over the program must still run and count what it records."""
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -56,3 +57,22 @@ def test_traced_pass_counts_tie_groups(tmp_path, tracing):
     assert kaggle["stratify.read_instances_s"] > 0
     assert kaggle["metrics.tie_groups"] > 0
     assert kaggle["experiments.kaggle_s"] > 0
+
+
+def test_traced_snapshot_counts_nodes_and_edges(tmp_path, tracing):
+    # snapshot reads ingest_events and build_snapshot through the names the
+    # tracer swaps in cli; its counts are those of the report it writes.
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    out = tmp_path / "out"
+    tracer = tracing.Tracer()
+    tracing.run_pass(tracer, [("snapshot", RunConfig.from_overrides([
+        f"dataset.path={events}", "windows.train_feature=0:59",
+        "windows.train_label=60:69", "windows.test_feature=0:79",
+        "windows.test_label=80:100", f"run.out={out}"]))])
+    got = tracer.reduce()
+    snapshots = json.loads((out / "snapshot_report.json").read_text())["snapshots"]
+    assert got["graphstore.ingest_s"] > 0 and got["graphstore.events"] > 0
+    assert got["graphstore.build_snapshot_s"] > 0
+    assert got["graphstore.nodes"] == sum(s["nodes"] for s in snapshots.values()) > 0
+    assert got["graphstore.edges"] == sum(s["edges"] for s in snapshots.values()) > 0
