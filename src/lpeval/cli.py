@@ -169,6 +169,20 @@ def _graph_instance_sets(cfg, log):
             for pred in cfg.predictors}, feature
 
 
+def _score_file(cfg, counted=False):
+    """The ``dataset.scores`` file: its rows, or with ``counted`` its
+    distinct (distance, label, score...) rows and their counts."""
+    try:
+        inst = read_instances_csv(cfg.scores_path, counted=counted)
+    except OSError as exc:
+        raise LpevalError(f"cannot read score file: {exc}") from None
+    if inst.label is None:
+        raise LpevalError("external score file has no labels")
+    if not inst.scores:
+        raise LpevalError("external score file has no score column")
+    return inst
+
+
 def _scored_instance_sets(cfg):
     """One labeled, scored instance set per predictor name.
 
@@ -177,18 +191,30 @@ def _scored_instance_sets(cfg):
     the same pipeline).
     """
     if cfg.scores_path:
-        try:
-            inst = read_instances_csv(cfg.scores_path)
-        except OSError as exc:
-            raise LpevalError(f"cannot read score file: {exc}") from None
-        if inst.label is None:
-            raise LpevalError("external score file has no labels")
-        if not inst.scores:
-            raise LpevalError("external score file has no score column")
+        inst = _score_file(cfg)
         return {name: inst for name in inst.scores}, sha256_file(cfg.scores_path), None
     log, digest = _load_log(cfg)
     sets, feature = _graph_instance_sets(cfg, log)
     return sets, digest, feature
+
+
+def _rankings(cfg):
+    """One :class:`~lpeval.metrics.Ranking` with distance buckets per
+    predictor name, and the input's digest.
+
+    A ``dataset.scores`` file is read in counted mode, and each score
+    column is ranked from the counts of the file's distinct rows, so no
+    column of the file's rows is held.
+    """
+    if cfg.scores_path:
+        cells = _score_file(cfg, counted=True)
+        return ({name: Ranking(scores, cells.label, cells.distance, counts=cells.count)
+                 for name, scores in cells.scores.items()},
+                sha256_file(cfg.scores_path))
+    log, digest = _load_log(cfg)
+    sets, _ = _graph_instance_sets(cfg, log)
+    return ({name: Ranking(inst.scores[name], inst.label, inst.distance)
+             for name, inst in sets.items()}, digest)
 
 
 def _apply_sampling(cfg, inst):
@@ -272,12 +298,11 @@ def cmd_evaluate(cfg):
 @_arrays()
 def cmd_variance(cfg):
     """Fair-sampling AUROC spread per rate, with the analytic reference."""
-    sets, digest, _ = _scored_instance_sets(cfg)
+    ranks, digest = _rankings(cfg)
     out = _Output(cfg, "variance")
     reports = {}
-    for name in sorted(sets):
-        inst = sets[name]
-        rank = Ranking(inst.scores[name], inst.label, inst.distance)
+    for name in sorted(ranks):
+        rank = ranks[name]
         report = variance_experiment(rank, rates=cfg.variance_rates,
                                      repeats=cfg.variance_repeats, seed=cfg.seed,
                                      exact_counts=cfg.sampling.exact_counts)
@@ -320,11 +345,9 @@ def cmd_surrogate(cfg):
 @_arrays()
 def cmd_kaggle_compare(cfg):
     """Fair random sampling vs. per-distance-bucket balanced sampling."""
-    sets, digest, _ = _scored_instance_sets(cfg)
     # Ranked before the first draw imports numpy.random, so that the
     # rankings' temporaries do not add to the memory that module holds.
-    ranks = {name: Ranking(inst.scores[name], inst.label, inst.distance)
-             for name, inst in sets.items()}
+    ranks, digest = _rankings(cfg)
     master = substream(cfg.seed, rng_mod.STREAM_KAGGLE_SAMPLE, 999)
     repeat_seeds = master.integers(0, 2 ** 62, size=cfg.kaggle_repeats)
     rows = []

@@ -33,6 +33,15 @@ RATE_NAMES = ("sensitivity", "specificity", "precision", "recall", "fallout",
 # chunk takes at most 32 KiB.
 _RANK_ROWS = 1 << 12
 
+# Ranking finds each entry's group by a binary search of its score among
+# the distinct scores when these hold at least this many entries each on
+# average, and otherwise along an argsort. A search in a large table costs
+# more than an argsort's share of an entry, unless most searches repeat the
+# one before: Ranking of 4,491,371 rows took 3.46 s searching and 0.86 s
+# along the argsort with every score distinct, and 0.23 against 0.69 s
+# with 97% of the scores at their highest.
+_SEARCH_ROWS = 16
+
 # Rows of a curve CSV joined into one string per write.
 _CURVE_ROWS = 8192
 
@@ -76,50 +85,84 @@ class Ranking:
     those cuts. Zero rows make a table without groups, on which every
     metric that needs a class raises :class:`UndefinedMetricError`.
 
-    Each row's (bucket, group) cell is built in one int64 array: the group
-    by :func:`_add_ranks`, the bucket by a binary search of the row's
-    distance in the sorted distinct distances, _RANK_ROWS rows at a time.
-    One ``np.bincount`` counts the cells with the label folded in, so the
-    temporaries are two 8-byte values a row (the cells and the argsort of
-    the scores). Groups are numbered from the highest score down; ``-0.0``
-    and ``0.0`` share a group.
+    With ``counts`` each entry of ``scores``, ``labels`` and ``distance``
+    stands for that many rows (int64, at least 0), as the cells of a
+    score file read with ``counted`` do
+    (:func:`~lpeval.stratify.read_instances_csv`); entries may repeat a
+    cell, whose counts then add up. The counts are summed exactly, in
+    int64.
+
+    The groups are the sorted distinct scores and the buckets the sorted
+    distinct distances. When the groups hold _SEARCH_ROWS entries each on
+    average, an entry's group is a binary search of its score among them,
+    _RANK_ROWS entries at a time: numpy's argsort is many times slower
+    when most scores equal one value and are out of order. Otherwise the
+    groups are numbered by :func:`_add_ranks` along an argsort of the
+    negated scores. An entry's bucket is a binary search of its distance,
+    and the (bucket, group) cells, one int64 array, are counted with the
+    label folded in: by ``np.bincount``, or with ``counts`` by
+    ``np.add.at``. So the temporaries are 8-byte values an entry: a sorted
+    copy of the scores, then the cells and, without the search, the
+    argsort. Groups are numbered from the highest score down; ``-0.0`` and
+    ``0.0`` share a group.
     """
 
-    def __init__(self, scores, labels, distance=None):
+    def __init__(self, scores, labels, distance=None, counts=None):
         scores = np.asarray(scores, dtype=np.float64)
         labels = np.asarray(labels, dtype=bool)
         if scores.shape != labels.shape:
             raise ConfigError("scores and labels must have equal length")
         if np.any(np.isnan(scores)):
             raise ConfigError("NaN scores are forbidden")
-        distances = None
         if distance is not None:
             distance = np.asarray(distance, dtype=np.int64)
             if distance.shape != scores.shape:
                 raise ConfigError("scores and distance must have equal length")
-            # A sort, not an argsort: numpy's argsort is many times slower
-            # when most values equal the lowest and are out of order.
-            distances = _sorted_unique(distance)
-        # The negated scores are sorted, the highest first, for that reason:
-        # the zero scores of far pairs are the lowest.
-        order = np.argsort(-scores)
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != scores.shape:
+                raise ConfigError("scores and counts must have equal length")
+            if np.any(counts < 0):
+                raise ConfigError("negative row counts")
+            if not counts.all():  # a cell of no rows makes no group or bucket
+                keep = counts > 0
+                scores, labels, counts = scores[keep], labels[keep], counts[keep]
+                distance = None if distance is None else distance[keep]
+        distances = None if distance is None else _sorted_unique(distance)
+        values = _sorted_unique(scores)
+        groups = values.size
         cell = np.zeros(scores.size, dtype=np.int64)
-        values = _add_ranks(cell, scores, order)
-        del order
+        if scores.size < _SEARCH_ROWS * groups:
+            del values
+            order = np.argsort(-scores)
+            values = _add_ranks(cell, scores, order)
+            del order
+        else:
+            for lo in range(0, scores.size, _RANK_ROWS):
+                rows = slice(lo, lo + _RANK_ROWS)
+                # the highest score is group 0
+                cell[rows] = groups - 1 - values.searchsorted(scores[rows])
+            values = values[::-1].copy()
         if distances is not None:
-            for lo in range(0, distance.size, _RANK_ROWS):
-                bucket = distances.searchsorted(distance[lo:lo + _RANK_ROWS])
-                bucket *= values.size
-                cell[lo:lo + _RANK_ROWS] += bucket
+            for lo in range(0, scores.size, _RANK_ROWS):
+                rows = slice(lo, lo + _RANK_ROWS)
+                bucket = distances.searchsorted(distance[rows])
+                bucket *= groups
+                cell[rows] += bucket
         buckets = 1 if distances is None else distances.size
         # Cell c's negatives count at 2c and its positives at 2c + 1.
         cell *= 2
         cell += labels
-        counts = np.bincount(cell, minlength=2 * buckets * values.size) \
-            .astype(np.int64, copy=False).reshape(buckets, values.size, 2)
-        self._set(values, distances,
-                  np.ascontiguousarray(counts[..., 1]),
-                  np.ascontiguousarray(counts[..., 0]))
+        size = 2 * buckets * groups
+        if counts is None:
+            flat = np.bincount(cell, minlength=size).astype(np.int64, copy=False)
+        else:
+            flat = np.zeros(size, dtype=np.int64)
+            np.add.at(flat, cell, counts)
+        del cell
+        flat = flat.reshape(buckets, groups, 2)
+        self._set(values, distances, np.ascontiguousarray(flat[..., 1]),
+                  np.ascontiguousarray(flat[..., 0]))
 
     def _set(self, scores, distances, pos, neg):
         self.scores, self.distances, self.pos, self.neg = scores, distances, pos, neg

@@ -104,6 +104,23 @@ class InstanceSet:
             {k: s[index] for k, s in self.scores.items()})
 
 
+@dataclass
+class InstanceCounts:
+    """The (distance, label, scores) cells of a set of instances, each
+    entry standing for ``count`` rows (int64; None: one row an entry). A
+    cell may have more than one entry.
+
+    ``label`` is None for unlabeled instances, and ``scores`` maps score
+    names to float64 columns, as in :class:`InstanceSet`.
+    :class:`~lpeval.metrics.Ranking` takes ``count`` as its ``counts``.
+    """
+
+    distance: np.ndarray
+    label: np.ndarray | None
+    scores: dict
+    count: np.ndarray | None
+
+
 def _components(s):
     """Component label of every node: the lowest node id it can reach.
 
@@ -341,24 +358,53 @@ _READ_ROWS = 1 << 13
 # block takes at most 64 KiB, small enough for the allocator to reuse from
 # block to block.
 _DECODE_ROWS = 1 << 12
+# The most distinct values that _ranks finds a value's rank among by a
+# binary search.
+_SEARCH_VALUES = 8
 # Characters read at a time while counting line ends.
 _COUNT_CHARS = 1 << 16
 
 
+def _ranks(col):
+    """Each value's rank among the distinct values of ``col``, and how many
+    distinct values there are.
+
+    A binary search in a few values takes a few steps; among more, an
+    argsort is several times faster than a search per value.
+    """
+    values = _sorted_unique(col)
+    if values.size <= _SEARCH_VALUES:
+        return np.searchsorted(values, col), values.size
+    order = np.argsort(col)
+    ordered = col[order]
+    new = np.empty(col.size, dtype=np.int64)
+    new[:1] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(col.size, dtype=np.int64)
+    rank[order] = np.cumsum(new, out=new)
+    return rank, values.size
+
+
 def _distinct_rows(words):
-    """Each row's index among the distinct rows of ``words`` (rows x k
-    uint64), and those distinct rows.
+    """Each row's index among the distinct rows of ``words`` (rows x k,
+    8-byte integers), and those distinct rows.
 
     A row's code is built word by word from the word's rank among that
-    word's distinct values, so distinct rows have distinct codes.
+    word's distinct values, so distinct rows have distinct codes. Before a
+    word would take the codes past int64, they are replaced by their ranks
+    among the distinct codes.
     """
     code = np.zeros(len(words), dtype=np.int64)
+    span = 1  # every code is below it
     for col in words.T:
-        values = _sorted_unique(col)
-        code = code * values.size + np.searchsorted(values, col)
-    codes = _sorted_unique(code)
-    index = np.searchsorted(codes, code)
-    row = np.empty(codes.size, dtype=np.intp)
+        rank, size = _ranks(col)
+        if span * size > 1 << 63:
+            code, span = _ranks(code)
+        code *= size
+        code += rank
+        span *= size
+    index, size = _ranks(code)
+    row = np.empty(size, dtype=np.intp)
     row[index] = np.arange(index.size)  # any row of each distinct code
     return index, words[row]
 
@@ -379,35 +425,82 @@ def _cell_values(cells):
     return tuple(values)
 
 
-def _decode_cells(rows, distance, label, known):
-    """Decode the byte cells of ``rows`` into ``distance`` (int64) and
-    ``label`` (int8: 1, 0, or -1 for an empty cell), each ``len(rows)`` long.
+def _decode_cells(rows, start, known, sink, width=2):
+    """Decode the byte cells of ``rows``, records ``start`` on, for ``sink``.
 
     Blocks of _DECODE_ROWS rows are decoded in order. Each block's rows
-    are grouped by the words of their two cells, and each distinct pair
-    of cells is parsed once: ``known`` holds the values of every pair
-    parsed so far, or why it has none. Returns the index of the first row
-    with a cell that cannot be read and why, or None.
+    are grouped by their first ``width`` 8-byte words from the distance
+    cell on: the two words of the byte cells, then the bit patterns of as
+    many score columns as follow them. Each distinct pair of cells is
+    parsed once: ``known`` holds the values of every pair parsed so far, or
+    why it has none. ``sink(first, index, cells)`` takes each block's first
+    record, each of its rows' index among its distinct rows, and those
+    distinct rows as int64 columns: distance, label (1, 0, or -1 for an
+    empty cell), then the score bit patterns. Returns the first record with
+    a cell that cannot be read and why, or None.
     """
-    words = rows.view(np.dtype({"names": ["cells"], "formats": [(np.uint64, (2,))],
+    words = rows.view(np.dtype({"names": ["cells"], "formats": [(np.uint64, (width,))],
                                 "offsets": [rows.dtype.fields["distance"][1]],
                                 "itemsize": rows.dtype.itemsize}))["cells"]
     for lo in range(0, len(rows), _DECODE_ROWS):
         index, distinct = _distinct_rows(
             np.ascontiguousarray(words[lo:lo + _DECODE_ROWS]))
+        pair, pairs = _distinct_rows(np.ascontiguousarray(distinct[:, :2]))
         values = []
-        for cells in distinct.view(_CELL_DTYPE).ravel().tolist():
+        for cells in pairs.view(_CELL_DTYPE).ravel().tolist():
             if cells not in known:
                 known[cells] = _cell_values(cells)
             values.append(known[cells])
         failed = np.array([isinstance(v, str) for v in values])
         if failed.any():
-            row = int(np.argmax(failed[index]))
-            return lo + row, values[index[row]]
-        value_distance, value_label = np.array(values, dtype=np.int64).T
-        distance[lo:lo + index.size] = value_distance[index]
-        label[lo:lo + index.size] = value_label[index]
+            row = int(np.argmax(failed[pair[index]]))
+            return start + lo + row, values[pair[index[row]]]
+        sink(start + lo, index,
+             np.column_stack([np.array(values, dtype=np.int64)[pair],
+                              distinct[:, 2:].view(np.int64)]))
     return None
+
+
+class _CellCounts:
+    """int64 rows, each standing for as many rows as its count, gathered
+    from blocks of distinct rows.
+
+    Blocks wait until they hold more rows than the merged table and than
+    _READ_ROWS, and are then merged with it into distinct rows at once. A
+    merge costs at most twice its waiting rows, so n rows cost O(n log n)
+    however many are distinct. A merge that keeps more than half of its
+    rows is the last one: with nearly as many cells as rows, merging would
+    hold several times the rows for little gain, so the blocks are kept as
+    they come, a cell perhaps in more than one of them.
+    """
+
+    def __init__(self, width):
+        self.rows = [np.empty((0, width), dtype=np.int64)]
+        self.counts = [np.empty(0, dtype=np.int64)]
+        self.merged = self.waiting = 0
+        self.merging = True
+
+    def add(self, rows, counts):
+        self.rows.append(rows)
+        self.counts.append(counts)
+        self.waiting += len(rows)
+
+    def settle(self):
+        """Merge the waiting blocks if they are due."""
+        if self.merging and self.waiting > max(self.merged, _READ_ROWS):
+            self.merge()
+
+    def merge(self):
+        """The rows and their counts, the blocks merged while it pays."""
+        rows, counts = np.concatenate(self.rows), np.concatenate(self.counts)
+        if self.merging:
+            index, rows = _distinct_rows(rows)
+            counts, kept = np.zeros(len(rows), dtype=np.int64), counts
+            np.add.at(counts, index, kept)
+            self.merging = 2 * len(rows) <= len(index)
+        self.rows, self.counts = [rows], [counts]
+        self.merged, self.waiting = len(rows), 0
+        return rows, counts
 
 
 def _records_bound(src, body):
@@ -469,6 +562,13 @@ def _loadtxt_failure(exc):
     return text, None
 
 
+def _not_text(exc):
+    """The IngestError of a UnicodeDecodeError, without its position in
+    whichever block of the file was being decoded."""
+    return IngestError(f"'{exc.encoding}' codec can't decode "
+                       f"{exc.object[exc.start:exc.end]!r}: {exc.reason}")
+
+
 def _loadtxt(fh, dtype, **kwargs):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
@@ -480,19 +580,23 @@ def _loadtxt(fh, dtype, **kwargs):
                           comments=None, ndmin=1, **kwargs)
 
 
-def _decode_chunk_cells(src, body, first, record, decode):
-    """Decode the cells of records ``first`` to ``record - 1`` with
-    ``decode(cells, start)``, re-read from offset ``body`` in the chunks of
-    the first pass; the chunks before ``first`` are read but not decoded."""
+def _first_bad_cell(src, body, first, record, known):
+    """The first of records ``first`` to ``record - 1`` with a cell that
+    cannot be read, and why, or None. The records are re-read from offset
+    ``body`` in the chunks of the first pass; the chunks before ``first``
+    are read but not decoded."""
     src.seek(body)
     for start in range(0, record, _READ_ROWS):
         cells = _loadtxt(src, _CELL_DTYPE, usecols=(2, 3),
                          max_rows=min(_READ_ROWS, record - start))
         if start >= first:
-            decode(cells, start)
+            bad = _decode_cells(cells, start, known, lambda *_: None)
+            if bad is not None:
+                return bad
+    return None
 
 
-def read_instances_csv(path_or_file, id_index=None):
+def read_instances_csv(path_or_file, id_index=None, counted=False):
     """Read instances written by :func:`write_instances_csv`.
 
     Third-party score files in the same format are accepted, which is how
@@ -514,6 +618,16 @@ def read_instances_csv(path_or_file, id_index=None):
     empty on some rows but not all. A stream that cannot seek is read into
     memory first, since the count and an error make second passes over
     the records.
+
+    With ``counted`` no row is kept, and the result is the
+    :class:`InstanceCounts` of the file's (distance, label, score...)
+    cells. The chunks are parsed as above, ids included, and each block's
+    rows are reduced to its distinct rows by the pass that groups the byte
+    cells, with the scores' bit patterns as further words; the blocks are
+    merged into one table of distinct rows as they come, while merging
+    pays (:class:`_CellCounts`). So the read needs no count of the line
+    ends and holds one chunk plus that table, and it raises the errors of
+    the row mode.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
@@ -523,62 +637,92 @@ def read_instances_csv(path_or_file, id_index=None):
             first = fh.readline()
             src = fh if fh.seekable() else io.StringIO(fh.read())
             body = src.tell()
-            bound = _records_bound(src, body)
+            bound = 0 if counted else _records_bound(src, body)
         except UnicodeDecodeError as exc:
-            raise IngestError(str(exc)) from None
+            raise _not_text(exc) from None
         header = next(csv.reader([first]), None)
         if header is None or header[:4] != ["u", "v", "distance", "label"]:
             raise IngestError("expected header u,v,distance,label[,score...]", line=1)
         score_names = [h[6:] if h.startswith("score_") else "score"
                        for h in header[4:]]
+        # The score columns follow the byte cells, so that a chunk's rows
+        # can be grouped by the words from the distance cell on.
         dtype = ([("u", np.int64), ("v", np.int64)] + _CELL_DTYPE.descr
                  + [(f"score{i}", np.float64) for i in range(len(score_names))])
         converters = None
         if id_index is not None:
             converters = {0: id_index.__getitem__, 1: id_index.__getitem__}
-        u, v, distance = (np.empty(bound, dtype=np.int64) for _ in range(3))
-        label = np.empty(bound, dtype=np.int8)
-        scores = [np.empty(bound, dtype=np.float64) for _ in score_names]
         known = {}
+        if counted:
+            width = 2 + len(score_names)
+            table = _CellCounts(width)
+            empty = []  # the first record with an empty label cell
 
-        def decode(cells, start):
-            end = start + len(cells)
-            bad = _decode_cells(cells, distance[start:end], label[start:end], known)
-            if bad is not None:
-                raise IngestError(bad[1], line=_record_line(src, body, start + bad[0]))
+            def put(first, index, cells):
+                table.add(cells, np.bincount(index, minlength=len(cells)))
+                if not empty and cells[:, 1].min() < 0:
+                    empty.append(first + int(np.argmax(cells[index, 1] < 0)))
+        else:
+            width = 2
+            u, v, distance = (np.empty(bound, dtype=np.int64) for _ in range(3))
+            label = np.empty(bound, dtype=np.int8)
+            scores = [np.empty(bound, dtype=np.float64) for _ in score_names]
+
+            def put(first, index, cells):
+                distance[first:first + index.size] = cells[index, 0]
+                label[first:first + index.size] = cells[index, 1]
 
         n, read = 0, _READ_ROWS
         while read == _READ_ROWS:
             try:
                 rows = _loadtxt(src, dtype, converters=converters,
                                 max_rows=_READ_ROWS)
+            except UnicodeDecodeError as exc:  # counted: no count read it first
+                raise _not_text(exc) from None
             except ValueError as exc:
                 message, record = _loadtxt_failure(exc)
                 if record is not None:
                     record += n
-                    if record > n:
-                        # The chunk's records before the failed one are not
-                        # decoded yet; the first malformed record may be there.
-                        _decode_chunk_cells(src, body, n, record, decode)
+                    # The chunk's records before the failed one are not
+                    # decoded yet; the first malformed record may be there.
+                    bad = (_first_bad_cell(src, body, n, record, known)
+                           if record > n else None)
+                    if bad is not None:
+                        record, message = bad
                 raise IngestError(message, line=None if record is None
                                   else _record_line(src, body, record)) from None
             read = len(rows)
-            decode(rows, n)
-            u[n:n + read], v[n:n + read] = rows["u"], rows["v"]
-            for i, column in enumerate(scores):
-                column[n:n + read] = rows[f"score{i}"]
-            del rows  # before the next chunk is read
+            bad = _decode_cells(rows, n, known, put, width)
+            if bad is not None:
+                raise IngestError(bad[1], line=_record_line(src, body, bad[0]))
+            if not counted:
+                u[n:n + read], v[n:n + read] = rows["u"], rows["v"]
+                for i, column in enumerate(scores):
+                    column[n:n + read] = rows[f"score{i}"]
+            del rows  # before the next chunk is read, or the table merged
+            if counted:
+                table.settle()
             n += read
-        if n < bound:  # blank lines, or records over several lines
+        if counted:
+            cells, count = table.merge()
+            distance = np.ascontiguousarray(cells[:, 0])
+            label = cells[:, 1].astype(np.int8)
+            scores = [np.ascontiguousarray(cells[:, 2 + i]).view(np.float64)
+                      for i in range(len(score_names))]
+        elif n < bound:  # blank lines, or records over several lines
             u, v, distance, label = u[:n], v[:n], distance[:n], label[:n]
             scores = [column[:n] for column in scores]
         if label.max(initial=-1) < 0:
             label = None
         elif label.min() < 0:
+            record = empty[0] if counted else int(np.argmax(label < 0))
             raise IngestError("empty label in a labeled score file",
-                              line=_record_line(src, body, int(np.argmax(label < 0))))
+                              line=_record_line(src, body, record))
         else:
             label = label.view(bool)  # every value is 0 or 1
+        if counted:
+            return InstanceCounts(distance, label, dict(zip(score_names, scores)),
+                                  count)
         inst = InstanceSet(u, v, distance, label)
         inst.scores.update(zip(score_names, scores))
         return inst

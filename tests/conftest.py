@@ -20,6 +20,19 @@ def random_graph(rng, n=None, p=None):
     return Snapshot.from_edges(edges, n=n), edges, n
 
 
+def assert_same_ranking(got, want):
+    """Every array of the Ranking ``got`` equals ``want``'s; the scores by
+    value, so a group of -0.0 and 0.0 may keep either."""
+    for attr in ("pos", "neg", "tp", "fp", "bounds"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+    assert (got.distances is None) == (want.distances is None)
+    if want.distances is not None:
+        assert np.array_equal(got.distances, want.distances)
+    assert got.scores.tolist() == want.scores.tolist()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

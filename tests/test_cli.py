@@ -13,7 +13,7 @@ import pytest
 
 import lpeval
 from lpeval import (BEYOND, DISCONNECTED, InstanceSet, PredictorId,
-                    build_snapshot, cli, experiments, generate_test_set,
+                    build_snapshot, cli, experiments, generate_test_set, stratify,
                     ingest_events, read_instances_csv, score_instances,
                     synthetic_event_log, write_event_file, write_instances_csv)
 from lpeval.manifest import sha256_file
@@ -197,6 +197,63 @@ def test_malformed_score_file_exits_3(tmp_path, capsys, command, body, line):
     assert cli.main([command, "--out", str(tmp_path / "out"),
                      "--set", f"dataset.scores={scores}"]) == 3
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["variance", "kaggle-compare"])
+def test_nan_score_is_refused_after_the_file_is_read(tmp_path, capsys, command):
+    # The read keeps a NaN score and the ranking refuses it, a config error;
+    # a malformed row later in the file is found first, a data error.
+    scores = tmp_path / "scores.csv"
+    head = "u,v,distance,label,score\n0,1,2,1,nan\n0,2,3,0,0.5\n"
+    for body, code in ((head, 2), (head + "0,3,far,0,0.5\n", 3)):
+        scores.write_text(body, encoding="utf-8")
+        assert cli.main([command, "--out", str(tmp_path / "out"),
+                         "--set", f"dataset.scores={scores}"]) == code
+    err = capsys.readouterr().err
+    assert "config error: NaN" in err and "data error: line 4:" in err
+
+
+@pytest.mark.filterwarnings("ignore:N\\*p")
+@pytest.mark.parametrize("command", ["variance", "kaggle-compare"])
+def test_counted_score_file_writes_the_bytes_of_its_rows(tmp_path, monkeypatch,
+                                                         command):
+    # A score file ranked from the counts of its distinct rows, and forced
+    # through the rows: the same artifacts, byte for byte, and manifest.
+    rng = np.random.default_rng(11)
+    n = 3000
+    label = rng.random(n) < 0.1
+    inst = InstanceSet(np.arange(n), np.arange(n) + n,
+                       rng.choice([2, 3, 4, BEYOND, DISCONNECTED], size=n), label,
+                       {"cn": np.round(rng.random(n) + label * 0.3, 1),
+                        "aa": rng.normal(size=n) + label,
+                        "zero": np.where(rng.random(n) < 0.5, 0.0, -0.0)})
+    scores = tmp_path / "scores.csv"
+    with open(scores, "w", encoding="utf-8") as fh:
+        write_instances_csv(fh, inst)
+    out = tmp_path / "out"
+    args = [command, "--out", str(out), "--set", f"dataset.scores={scores}",
+            "--set", "variance.rates=0.01,0.2,1", "--set", "variance.repeats=5",
+            "--set", "kaggle.repeats=3"]
+
+    def artifacts():
+        assert cli.main(args) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    shipped = artifacts()
+    calls = []
+
+    def read_rows(path, counted=False):
+        # The row mode; asked for counts, the rows as entries of one row
+        # each (count None), which Ranking ranks as rows.
+        calls.append(counted)
+        rows = stratify.read_instances_csv(path)
+        return stratify.InstanceCounts(rows.distance, rows.label, rows.scores,
+                                       None) if counted else rows
+
+    monkeypatch.setattr(cli, "read_instances_csv", read_rows)
+    assert artifacts() == shipped
+    assert calls == [True]
+    assert "manifest.json" in shipped and len(shipped) > 2
 
 
 @pytest.mark.parametrize("command", ["evaluate", "score", "variance",

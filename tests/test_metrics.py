@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, ConfusionCounts,
                     InstanceSet, Ranking, UndefinedMetricError, aupr, auroc,
                     average_precision, confusion_at, per_distance_eval,
                     pr_curve, rates, roc_curve, score_distribution, tpr_k)
+from lpeval import metrics
 from lpeval.metrics import auroc_from_counts, write_curve_csv
 
+from conftest import assert_same_ranking
 from oracles import (SortedRanking, aupr_oracle, aupr_segments, auroc_pair_count,
                      average_precision_loop, confusion_by_counting,
                      curve_csv_text, per_distance_rows_resorted,
@@ -117,6 +120,76 @@ class TestRankingMatchesRowOracle:
         b = r.bucket(0)
         assert b.distances is None
         assert np.array_equal(b.bounds, r.bounds)
+
+
+def cells_of_rows(rng, scores, labels, distance):
+    """The rows' distinct (score bits, label, distance) cells with their
+    counts, counted one row at a time, in random order. Some cells are
+    split over two entries, and an entry of no rows with a score of its own
+    is added: a Ranking from counts sums the one and drops the other."""
+    rows = Counter(zip(np.asarray(scores, dtype=float).view(np.int64).tolist(),
+                       labels.tolist(), distance.tolist()))
+    entries = []
+    for (bits, label, d), count in rows.items():
+        if count > 1 and rng.random() < 0.3:
+            part = int(rng.integers(1, count))
+            entries += [(bits, label, d, part), (bits, label, d, count - part)]
+        else:
+            entries.append((bits, label, d, count))
+    entries.append((np.float64(7e300).view(np.int64).item(), True,
+                    entries[0][2], 0))
+    entries = [entries[i] for i in rng.permutation(len(entries))]
+    bits, label, d, count = (np.array(c, dtype=t) for c, t in zip(
+        zip(*entries), (np.int64, bool, np.int64, np.int64)))
+    return bits.view(np.float64), label, d, count
+
+
+class TestRankingFromCounts:
+    """A Ranking from the counts of distinct cells equals the one from the
+    rows, whichever way either finds its tie groups."""
+
+    @pytest.mark.parametrize("search_rows", [0, metrics._SEARCH_ROWS, 1 << 62],
+                             ids=["search", "default", "argsort"])
+    def test_matches_rows(self, rng, monkeypatch, search_rows):
+        monkeypatch.setattr(metrics, "_SEARCH_ROWS", search_rows)
+        buckets = np.array([2, 3, 4, BEYOND, DISCONNECTED])
+        for i in range(300):
+            if i % 2:
+                scores, labels, distance = tie_heavy_case(rng)
+            else:
+                scores, labels = random_ranking(rng)
+                distance = rng.choice(buckets, size=scores.size)
+            want = Ranking(scores, labels, distance)
+            cells = cells_of_rows(rng, scores, labels, distance)
+            assert_same_ranking(Ranking(*cells[:3], counts=cells[3]), want)
+            # without distance, one bucket
+            assert_same_ranking(Ranking(cells[0], cells[1], counts=cells[3]),
+                                Ranking(scores, labels))
+
+    def test_all_distinct_scores(self, rng):
+        n = 5000
+        scores, labels = rng.normal(size=n), rng.random(n) < 0.1
+        distance = rng.choice([2, 3, BEYOND], size=n)
+        cells = cells_of_rows(rng, scores, labels, distance)
+        assert cells[3].sum() == n
+        assert_same_ranking(Ranking(*cells[:3], counts=cells[3]),
+                            Ranking(scores, labels, distance))
+
+    def test_signed_zeros_and_large_counts(self):
+        big = 1 << 40
+        r = Ranking([0.0, -0.0, 0.0, 1.5], [True, False, False, True], [2, 2, 3, 2],
+                    counts=[big, 2, big, 0])
+        assert r.scores.tolist() == [0.0] and r.distances.tolist() == [2, 3]
+        assert r.pos.tolist() == [[big], [0]] and r.neg.tolist() == [[2], [big]]
+        assert (len(r), r.n_pos, r.n_neg) == (2 * big + 2, big, big + 2)
+
+    def test_counts_are_checked(self):
+        with pytest.raises(ConfigError, match="negative"):
+            Ranking([0.5, 0.2], [True, False], counts=[1, -1])
+        with pytest.raises(ConfigError, match="counts"):
+            Ranking([0.5, 0.2], [True, False], counts=[1])
+        with pytest.raises(ConfigError, match="NaN"):
+            Ranking([0.5, np.nan], [True, False], counts=[1, 0])
 
 
 class TestConfusionAt:

@@ -4,6 +4,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, IngestError, InstanceSet,
                     read_instances_csv, synthetic_event_log, write_instances_csv)
 from lpeval import predictors, stratify
 
-from conftest import random_graph
+from conftest import assert_same_ranking, random_graph
 from oracles import (hop_distances, instances_csv_text, lowest_reachable,
                      read_instances_rows)
 
@@ -116,6 +117,46 @@ def with_line_ends(text, ends):
 
 LINE_ENDS = ["\n", "\r\n", "\n\n", "\r\n\r\n", "\n\r\n"]
 HEADER = "u,v,distance,label,score\n"
+
+
+def cell_counter(inst):
+    """How many rows each (distance, label, score bits...) cell holds, in an
+    InstanceSet or an InstanceCounts; an empty label reads -1."""
+    n = len(inst.distance)
+    label = np.full(n, -1) if inst.label is None else inst.label.astype(int)
+    cells = zip(inst.distance.tolist(), label.tolist(),
+                *(score_bits(s).tolist() for s in inst.scores.values()))
+    count = getattr(inst, "count", None)
+    counter = Counter()
+    for cell, rows in zip(cells, [1] * n if count is None else count.tolist()):
+        counter[cell] += rows
+    return counter
+
+
+def assert_read_as_rows(got, want):
+    """``got``, read in the counted mode, holds the rows of ``want``."""
+    assert isinstance(got, stratify.InstanceCounts)
+    assert got.distance.dtype == got.count.dtype == np.int64
+    assert (got.label is None) == (want.label is None)
+    if got.label is not None:
+        assert got.label.dtype == bool
+    assert list(got.scores) == list(want.scores)
+    assert got.count.min(initial=1) > 0
+    assert cell_counter(got) == cell_counter(want)
+
+
+def ingest_error(read):
+    """The IngestError that ``read(counted)`` raises in both modes of
+    read_instances_csv: the counted mode must give the row mode's line and
+    message."""
+    errors = []
+    for counted in (False, True):
+        with pytest.raises(IngestError) as exc:
+            read(counted)
+        errors.append(exc.value)
+    rows, cells = errors
+    assert (cells.line, str(cells)) == (rows.line, str(rows))
+    return rows
 
 
 class TestEnumeration:
@@ -440,7 +481,7 @@ class TestInstanceCsv:
     def test_reader_matches_row_reader(self, case, data):
         # CRLF line ends and blank lines, quoted ids (CR, LF, ',' and '"')
         # through id_index, 0 to 3 score columns; from a stream or a file,
-        # read in chunks of 1, 3 or 4,096 records.
+        # read in chunks of 1, 3 or 4,096 records, as rows and counted.
         inst, id_labels, keys = case
         buf = io.StringIO()
         write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
@@ -457,9 +498,14 @@ class TestInstanceCsv:
                     path = os.path.join(tmp, "scores.csv")
                     with open(path, "w", encoding="utf-8", newline="") as fh:
                         fh.write(text)
-                    got = read_instances_csv(path, id_index=index)
+                    got, cells = (read_instances_csv(path, id_index=index,
+                                                     counted=counted)
+                                  for counted in (False, True))
             else:
-                got = read_instances_csv(io.StringIO(text), id_index=index)
+                got, cells = (read_instances_csv(io.StringIO(text), id_index=index,
+                                                 counted=counted)
+                              for counted in (False, True))
+        assert_read_as_rows(cells, want)
         for name in ("u", "v", "distance"):
             assert getattr(got, name).dtype == np.int64
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -472,6 +518,72 @@ class TestInstanceCsv:
         for name in want.scores:
             assert np.array_equal(score_bits(got.scores[name]),
                                   score_bits(want.scores[name]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance_sets(), st.sampled_from([1, 3, 8192]),
+           st.sampled_from([1, 3, 4096]))
+    def test_counted_ranking_equals_row_ranking(self, case, read_rows, decode_rows):
+        # Each score column of a file read in the counted mode ranks into
+        # the Ranking of the file's rows; a NaN score is refused by both.
+        inst, id_labels, keys = case
+        buf = io.StringIO()
+        write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
+        index = None if id_labels is None else \
+            {name: i for i, name in enumerate(id_labels)}
+        rows = read_instances_csv(io.StringIO(buf.getvalue()), id_index=index)
+        with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
+                mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
+            cells = read_instances_csv(io.StringIO(buf.getvalue()), id_index=index,
+                                       counted=True)
+        assert_read_as_rows(cells, rows)
+        if rows.label is None:
+            return
+        for name, scores in rows.scores.items():
+            def rank(counted):
+                source = cells if counted else rows
+                return Ranking(source.scores[name], source.label, source.distance,
+                               counts=cells.count if counted else None)
+
+            if np.isnan(scores).any():
+                for counted in (False, True):
+                    with pytest.raises(ConfigError, match="NaN"):
+                        rank(counted)
+            else:
+                assert_same_ranking(rank(True), rank(False))
+
+    def test_counted_all_distinct_scores(self, rng):
+        # 20,000 distinct scores beside a tied column, then the same rows
+        # again: the first merge keeps every row, so merging stops, and the
+        # second copy's cells are entries of their own.
+        n = 20_000
+        inst = InstanceSet(rng.integers(0, 500, n), rng.integers(0, 500, n),
+                           rng.choice([2, 3, BEYOND, DISCONNECTED], n),
+                           rng.random(n) < 0.05,
+                           {"a": rng.normal(size=n), "b": np.round(rng.random(n), 1)})
+        inst = inst.take(np.tile(np.arange(n), 2))
+        buf = io.StringIO()
+        write_instances_csv(buf, inst)
+        with mock.patch.object(stratify, "_READ_ROWS", 1000):
+            cells = read_instances_csv(io.StringIO(buf.getvalue()), counted=True)
+        assert cells.count.size == 2 * n
+        assert_read_as_rows(cells, inst)
+        for name in ("a", "b"):
+            assert_same_ranking(
+                Ranking(cells.scores[name], cells.label, cells.distance,
+                        counts=cells.count),
+                Ranking(inst.scores[name], inst.label, inst.distance))
+
+    def test_distinct_rows_of_many_wide_words(self, rng):
+        # A first word of 32 values, then six of 2,048: built word by word,
+        # a code would carry the first word's rank times 2**66, lost in
+        # int64, so the codes must be ranked down on the way for the 65,536
+        # distinct rows to keep distinct codes.
+        i = np.arange(1 << 16)
+        words = np.column_stack([i % 32] + [i // 32 * 7 + j for j in range(6)])
+        words = words[rng.integers(0, len(words), size=100_000)]
+        index, distinct = stratify._distinct_rows(words)
+        assert np.array_equal(distinct[index], words)
+        assert len(distinct) == len({tuple(row) for row in words.tolist()})
 
     @pytest.mark.parametrize("count_chars", [1, 2, 3, 1 << 20])
     def test_records_bound_counts_every_line_end(self, tmp_path, count_chars):
@@ -542,9 +654,9 @@ class TestInstanceCsv:
         ("0,1,2,,0.5\n\n0,2,2,1,0.5\n", 2),
     ])
     def test_malformed_row_names_its_line(self, body, line):
-        with pytest.raises(IngestError) as exc:
-            read_instances_csv(io.StringIO(HEADER + body))
-        assert exc.value.line == line
+        exc = ingest_error(lambda counted: read_instances_csv(
+            io.StringIO(HEADER + body), counted=counted))
+        assert exc.line == line
 
     @pytest.mark.parametrize("body, line", [
         # A bad distance before a row that np.loadtxt itself rejects.
@@ -567,10 +679,10 @@ class TestInstanceCsv:
         with mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
             for read_rows, stream in itertools.product([1, 2, 3, 8192],
                                                        (io.StringIO, Unseekable)):
-                with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
-                        pytest.raises(IngestError) as exc:
-                    read_instances_csv(stream(HEADER + body))
-                assert exc.value.line == line
+                with mock.patch.object(stratify, "_READ_ROWS", read_rows):
+                    exc = ingest_error(lambda counted: read_instances_csv(
+                        stream(HEADER + body), counted=counted))
+                assert exc.line == line
 
     @pytest.mark.parametrize("cell", ["٣", "１", "é", "2\u00a0"])
     def test_distance_and_label_cells_are_ascii(self, cell):
@@ -644,32 +756,41 @@ class TestInstanceCsv:
     @pytest.mark.parametrize("rows", [1, 5000])
     def test_bytes_that_are_not_utf8(self, tmp_path, rows):
         # The first chunk decoded holds the header and, in a short file,
-        # the bad byte too; in a long one loadtxt meets it.
+        # the bad byte too; in a long one the count of the line ends meets
+        # it, or counted, loadtxt.
         path = tmp_path / "scores.csv"
         path.write_bytes((HEADER + "0,1,2,1,0.5\n" * rows).encode()
                          + b"0,2,2,0,\xff\n")
-        with pytest.raises(IngestError, match="utf-8"):
-            read_instances_csv(str(path))
+        exc = ingest_error(lambda counted: read_instances_csv(str(path),
+                                                              counted=counted))
+        assert "utf-8" in str(exc)
 
     def test_stream_that_cannot_seek(self):
         class Pipe(io.StringIO):
             def seekable(self):
                 return False
 
-        back = read_instances_csv(Pipe(HEADER + "0,1,2,1,0.5\n"))
-        assert back.label.tolist() == [True]
-        with pytest.raises(IngestError) as exc:
-            read_instances_csv(Pipe(HEADER + "0,1,2,1,0.5\n0,2,far,0,0.5\n"))
-        assert exc.value.line == 3
+        for counted in (False, True):
+            back = read_instances_csv(Pipe(HEADER + "0,1,2,1,0.5\n"), counted=counted)
+            assert back.label.tolist() == [True]
+        exc = ingest_error(lambda counted: read_instances_csv(
+            Pipe(HEADER + "0,1,2,1,0.5\n0,2,far,0,0.5\n"), counted=counted))
+        assert exc.line == 3
 
     def test_empty_body_and_unlabeled_rows(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            empty = read_instances_csv(io.StringIO(HEADER))
-            unlabeled = read_instances_csv(io.StringIO(HEADER + "0,1,2,,0.5\n"))
-        assert len(empty) == 0 and empty.label is None
-        assert empty.scores["score"].shape == (0,)
-        assert unlabeled.label is None and unlabeled.u.tolist() == [0]
+        for counted in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                empty = read_instances_csv(io.StringIO(HEADER), counted=counted)
+                unlabeled = read_instances_csv(io.StringIO(HEADER + "0,1,2,,0.5\n"),
+                                               counted=counted)
+            assert len(empty.distance) == 0 and empty.label is None
+            assert empty.scores["score"].shape == (0,)
+            assert unlabeled.label is None
+            if counted:
+                assert empty.count.size == 0 and unlabeled.count.tolist() == [1]
+            else:
+                assert len(empty) == 0 and unlabeled.u.tolist() == [0]
 
     def test_negative_zero_keeps_its_sign(self):
         inst = InstanceSet([0, 0], [2, 3], [2, 2], None,
@@ -743,3 +864,27 @@ def test_score_path_memory_budget(tmp_path):
     assert read_peak <= result + 2 * chunk
     assert rank_peak - before <= 24 * n
     assert len(rank) == n and rank.n_pos == inst.n_pos
+
+    # Counted, the read keeps no row: it holds one chunk and the table of
+    # distinct rows, which a merge holds with as many rows waiting (at least
+    # _READ_ROWS) and a few int64 columns of both. The same rows four times
+    # over make the same table and the same peak.
+    text = path.read_text(encoding="utf-8")
+    head, _, body = text.partition("\n")
+    path4 = tmp_path / "scores4.csv"
+    path4.write_text(head + "\n" + body * 4, encoding="utf-8")
+    peaks = []
+    for source in (path, path4):
+        tracemalloc.start()
+        try:
+            cells = read_instances_csv(str(source), counted=True)
+            counted = Ranking(cells.scores["score"], cells.label, cells.distance,
+                              counts=cells.count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(counted.bounds, rank.bounds * (4 if peaks[1:] else 1))
+    merge_rows = 2 * max(cells.count.size, stratify._READ_ROWS) + stratify._READ_ROWS
+    assert cells.count.size < n // 8
+    assert peaks[0] <= chunk + 128 * merge_rows
+    assert peaks[1] <= peaks[0] + n  # under a byte for each row added

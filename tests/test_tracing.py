@@ -44,7 +44,8 @@ def test_traced_pass_counts_tie_groups(tmp_path, tracing):
     # cli calls the surrogate experiment by name, where the tracer swaps it
     assert traced("surrogate")["experiments.surrogate_s"] > 0
     # kaggle-compare reads a score file and ranks it through the names the
-    # tracer swaps in cli: read_instances_csv and Ranking
+    # tracer swaps in cli: read_instances_csv and Ranking, whose wrappers
+    # pass the counted mode's keywords on
     rng = np.random.default_rng(7)
     n = 400
     scores = tmp_path / "scores.csv"
@@ -57,6 +58,12 @@ def test_traced_pass_counts_tie_groups(tmp_path, tracing):
     assert kaggle["stratify.read_instances_s"] > 0
     assert kaggle["metrics.tie_groups"] > 0
     assert kaggle["experiments.kaggle_s"] > 0
+    # and so does variance, which reads the file in its counted mode
+    variance = traced("variance", config=[f"dataset.scores={scores}",
+                                          "variance.rates=0.5,1",
+                                          "variance.repeats=3"])
+    assert variance["stratify.read_instances_s"] > 0
+    assert variance["metrics.tie_groups"] > 0
 
 
 def test_traced_snapshot_counts_nodes_and_edges(tmp_path, tracing):
