@@ -29,47 +29,12 @@ RATE_NAMES = ("sensitivity", "specificity", "precision", "recall", "fallout",
               "accuracy")
 
 
-# Rows ranked at a time by _add_ranks and Ranking: each temporary of a
-# chunk takes at most 32 KiB.
+# Entries counted at a time by Ranking: each temporary of a piece takes at
+# most 32 KiB.
 _RANK_ROWS = 1 << 12
-
-# Ranking finds each entry's group by a binary search of its score among
-# the distinct scores when these hold at least this many entries each on
-# average, and otherwise along an argsort. A search in a large table costs
-# more than an argsort's share of an entry, unless most searches repeat the
-# one before: Ranking of 4,491,371 rows took 3.46 s searching and 0.86 s
-# along the argsort with every score distinct, and 0.23 against 0.69 s
-# with 97% of the scores at their highest.
-_SEARCH_ROWS = 16
 
 # Rows of a curve CSV joined into one string per write.
 _CURVE_ROWS = 8192
-
-
-def _add_ranks(cell, a, order):
-    """Add each row's rank among the distinct values of ``a`` to the int64
-    array ``cell``, and return those values.
-
-    ``order`` is an argsort of ``a``, ascending or descending; the ranks
-    number the values from 0 in that order, and the values are returned in
-    it. The rows are visited _RANK_ROWS at a time, so no temporary but the
-    caller's argsort takes 8 bytes a row. Values that compare equal
-    (``-0.0`` and ``0.0``) share a rank.
-    """
-    values = [a[:0]]
-    rank, last = -1, None
-    for lo in range(0, a.size, _RANK_ROWS):
-        rows = order[lo:lo + _RANK_ROWS]
-        chunk = a[rows]
-        new = np.empty(rows.size, dtype=bool)
-        new[0] = last is None or chunk[0] != last
-        np.not_equal(chunk[1:], chunk[:-1], out=new[1:])
-        ranks = np.cumsum(new)
-        ranks += rank
-        values.append(chunk[new])
-        rank, last = ranks[-1], chunk[-1]
-        cell[rows] += ranks
-    return np.concatenate(values)
 
 
 class Ranking:
@@ -93,18 +58,18 @@ class Ranking:
     int64.
 
     The groups are the sorted distinct scores and the buckets the sorted
-    distinct distances. When the groups hold _SEARCH_ROWS entries each on
-    average, an entry's group is a binary search of its score among them,
-    _RANK_ROWS entries at a time: numpy's argsort is many times slower
-    when most scores equal one value and are out of order. Otherwise the
-    groups are numbered by :func:`_add_ranks` along an argsort of the
-    negated scores. An entry's bucket is a binary search of its distance,
-    and the (bucket, group) cells, one int64 array, are counted with the
-    label folded in: by ``np.bincount``, or with ``counts`` by
-    ``np.add.at``. So the temporaries are 8-byte values an entry: a sorted
-    copy of the scores, then the cells and, without the search, the
-    argsort. Groups are numbered from the highest score down; ``-0.0`` and
-    ``0.0`` share a group.
+    distinct distances. The entries are put in order of their (bucket,
+    label) cell by a radix sort of the cells, a byte or two an entry, and
+    each cell's scores are then sorted, with their counts if there are any.
+    The runs of equal scores in a cell are counted _RANK_ROWS entries at a
+    time, by their lengths or by summing their counts, and a binary search
+    of each run's score among the groups finds its group. numpy's sort
+    stays fast whatever the scores, where its argsort is many times slower
+    when most scores equal one value, and the searches, made in order, hit
+    the cache. So the temporaries are 8-byte values an entry: a sorted copy
+    of the scores, then the radix order, with as much again while the sort
+    runs, and the scores in that order. Groups are numbered from the
+    highest score down; ``-0.0`` and ``0.0`` share a group.
     """
 
     def __init__(self, scores, labels, distance=None, counts=None):
@@ -129,40 +94,51 @@ class Ranking:
                 scores, labels, counts = scores[keep], labels[keep], counts[keep]
                 distance = None if distance is None else distance[keep]
         distances = None if distance is None else _sorted_unique(distance)
+        buckets = 1 if distances is None else distances.size
         values = _sorted_unique(scores)
         groups = values.size
-        cell = np.zeros(scores.size, dtype=np.int64)
-        if scores.size < _SEARCH_ROWS * groups:
-            del values
-            order = np.argsort(-scores)
-            values = _add_ranks(cell, scores, order)
-            del order
-        else:
-            for lo in range(0, scores.size, _RANK_ROWS):
-                rows = slice(lo, lo + _RANK_ROWS)
-                # the highest score is group 0
-                cell[rows] = groups - 1 - values.searchsorted(scores[rows])
-            values = values[::-1].copy()
-        if distances is not None:
-            for lo in range(0, scores.size, _RANK_ROWS):
-                rows = slice(lo, lo + _RANK_ROWS)
-                bucket = distances.searchsorted(distance[rows])
-                bucket *= groups
-                cell[rows] += bucket
-        buckets = 1 if distances is None else distances.size
-        # Cell c's negatives count at 2c and its positives at 2c + 1.
-        cell *= 2
-        cell += labels
-        size = 2 * buckets * groups
-        if counts is None:
-            flat = np.bincount(cell, minlength=size).astype(np.int64, copy=False)
-        else:
-            flat = np.zeros(size, dtype=np.int64)
-            np.add.at(flat, cell, counts)
+        # Cell c holds bucket c // 2, its negatives if c is even.
+        cell = np.empty(scores.size, dtype=np.min_scalar_type(max(2 * buckets - 1, 0)))
+        sizes = np.zeros(2 * buckets, dtype=np.int64)
+        for lo in range(0, scores.size, _RANK_ROWS):
+            rows = slice(lo, lo + _RANK_ROWS)
+            bucket = 0 if distances is None else distances.searchsorted(distance[rows])
+            bucket = 2 * bucket + labels[rows]
+            sizes += np.bincount(bucket, minlength=sizes.size)
+            cell[rows] = bucket
+        order = np.argsort(cell, kind="stable")  # radix, up to two bytes a cell
         del cell
-        flat = flat.reshape(buckets, groups, 2)
-        self._set(values, distances, np.ascontiguousarray(flat[..., 1]),
-                  np.ascontiguousarray(flat[..., 0]))
+        scores = scores[order]
+        if counts is not None:
+            counts = counts[order]
+        del order
+        flat = np.zeros((2 * buckets, groups), dtype=np.int64)
+        end = 0
+        for c, size in enumerate(sizes.tolist()):
+            start, end = end, end + size
+            cell_scores = scores[start:end]
+            if counts is None:
+                cell_scores.sort()
+            else:
+                by_score = np.argsort(cell_scores)
+                cell_scores, cell_counts = cell_scores[by_score], counts[start:end][by_score]
+            for lo in range(0, size, _RANK_ROWS):
+                piece = cell_scores[lo:lo + _RANK_ROWS]
+                new = np.empty(piece.size, dtype=bool)
+                new[0] = True
+                np.not_equal(piece[1:], piece[:-1], out=new[1:])
+                first = np.flatnonzero(new)
+                if counts is None:
+                    run_rows = np.diff(first, append=piece.size)
+                else:
+                    run_rows = np.add.reduceat(cell_counts[lo:lo + _RANK_ROWS], first)
+                # a run cut between two pieces adds to its group twice
+                flat[c, values.searchsorted(piece[first])] += run_rows
+        del scores
+        # the highest score is group 0
+        flat = flat.reshape(buckets, 2, groups)[:, :, ::-1]
+        self._set(values[::-1].copy(), distances, np.ascontiguousarray(flat[:, 1]),
+                  np.ascontiguousarray(flat[:, 0]))
 
     def _set(self, scores, distances, pos, neg):
         self.scores, self.distances, self.pos, self.neg = scores, distances, pos, neg

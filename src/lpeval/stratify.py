@@ -445,7 +445,10 @@ def _decode_cells(rows, start, known, sink, width=2):
     for lo in range(0, len(rows), _DECODE_ROWS):
         index, distinct = _distinct_rows(
             np.ascontiguousarray(words[lo:lo + _DECODE_ROWS]))
-        pair, pairs = _distinct_rows(np.ascontiguousarray(distinct[:, :2]))
+        if width > 2:  # the distinct pairs of cells among the distinct rows
+            pair, pairs = _distinct_rows(np.ascontiguousarray(distinct[:, :2]))
+        else:
+            pair, pairs = np.arange(len(distinct)), distinct
         values = []
         for cells in pairs.view(_CELL_DTYPE).ravel().tolist():
             if cells not in known:
@@ -467,18 +470,18 @@ class _CellCounts:
 
     Blocks wait until they hold more rows than the merged table and than
     _READ_ROWS, and are then merged with it into distinct rows at once. A
-    merge costs at most twice its waiting rows, so n rows cost O(n log n)
-    however many are distinct. A merge that keeps more than half of its
-    rows is the last one: with nearly as many cells as rows, merging would
-    hold several times the rows for little gain, so the blocks are kept as
-    they come, a cell perhaps in more than one of them.
+    merge that keeps more than half of its rows puts off the next one until
+    the waiting rows are three times the table, one doubling later: with
+    nearly as many cells as rows, a merge does more work than it saves. So
+    n rows cost O(n log n) however many are distinct, and the rows held are
+    at most about four times the distinct rows seen, plus two chunks,
+    whatever their order.
     """
 
     def __init__(self, width):
         self.rows = [np.empty((0, width), dtype=np.int64)]
         self.counts = [np.empty(0, dtype=np.int64)]
-        self.merged = self.waiting = 0
-        self.merging = True
+        self.waiting, self.due = 0, _READ_ROWS
 
     def add(self, rows, counts):
         self.rows.append(rows)
@@ -487,19 +490,20 @@ class _CellCounts:
 
     def settle(self):
         """Merge the waiting blocks if they are due."""
-        if self.merging and self.waiting > max(self.merged, _READ_ROWS):
+        if self.waiting > self.due:
             self.merge()
 
     def merge(self):
-        """The rows and their counts, the blocks merged while it pays."""
+        """The distinct rows and their counts, all blocks merged."""
         rows, counts = np.concatenate(self.rows), np.concatenate(self.counts)
-        if self.merging:
-            index, rows = _distinct_rows(rows)
-            counts, kept = np.zeros(len(rows), dtype=np.int64), counts
-            np.add.at(counts, index, kept)
-            self.merging = 2 * len(rows) <= len(index)
+        self.rows = self.counts = None  # the blocks, freed for the merge
+        index, rows = _distinct_rows(rows)
+        counts, kept = np.zeros(len(rows), dtype=np.int64), counts
+        np.add.at(counts, index, kept)
         self.rows, self.counts = [rows], [counts]
-        self.merged, self.waiting = len(rows), 0
+        self.waiting = 0
+        self.due = max(len(rows) if 2 * len(rows) <= len(index) else 3 * len(rows),
+                       _READ_ROWS)
         return rows, counts
 
 
@@ -620,14 +624,16 @@ def read_instances_csv(path_or_file, id_index=None, counted=False):
     the records.
 
     With ``counted`` no row is kept, and the result is the
-    :class:`InstanceCounts` of the file's (distance, label, score...)
-    cells. The chunks are parsed as above, ids included, and each block's
-    rows are reduced to its distinct rows by the pass that groups the byte
-    cells, with the scores' bit patterns as further words; the blocks are
-    merged into one table of distinct rows as they come, while merging
-    pays (:class:`_CellCounts`). So the read needs no count of the line
-    ends and holds one chunk plus that table, and it raises the errors of
-    the row mode.
+    :class:`InstanceCounts` of the file's distinct (distance, label,
+    score...) rows. These cells are joint over every score column: with
+    several columns there may be as many as the product of each column's
+    cells, up to one a row. The chunks are parsed as above, ids included,
+    and each block's rows are reduced to its distinct rows by the pass
+    that groups the byte cells, with the scores' bit patterns as further
+    words; the blocks are merged into one table as they come
+    (:class:`_CellCounts`), and once more at the end. So the read needs no
+    count of the line ends and holds one chunk plus a few times that
+    table, and it raises the errors of the row mode.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close

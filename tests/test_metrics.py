@@ -146,20 +146,24 @@ def cells_of_rows(rng, scores, labels, distance):
 
 class TestRankingFromCounts:
     """A Ranking from the counts of distinct cells equals the one from the
-    rows, whichever way either finds its tie groups."""
+    rows."""
 
-    @pytest.mark.parametrize("search_rows", [0, metrics._SEARCH_ROWS, 1 << 62],
-                             ids=["search", "default", "argsort"])
-    def test_matches_rows(self, rng, monkeypatch, search_rows):
-        monkeypatch.setattr(metrics, "_SEARCH_ROWS", search_rows)
+    @pytest.mark.parametrize("rank_rows, cases",
+                             [(1, 60), (3, 60), (metrics._RANK_ROWS, 300)])
+    def test_matches_rows(self, rng, monkeypatch, rank_rows, cases):
+        # Pieces of one and of three entries split the runs of one score.
+        monkeypatch.setattr(metrics, "_RANK_ROWS", rank_rows)
         buckets = np.array([2, 3, 4, BEYOND, DISCONNECTED])
-        for i in range(300):
+        for i in range(cases):
             if i % 2:
                 scores, labels, distance = tie_heavy_case(rng)
             else:
                 scores, labels = random_ranking(rng)
                 distance = rng.choice(buckets, size=scores.size)
             want = Ranking(scores, labels, distance)
+            oracle = SortedRanking(scores, labels)
+            for attr in ("bounds", "tp", "fp"):
+                assert np.array_equal(getattr(want, attr), getattr(oracle, attr))
             cells = cells_of_rows(rng, scores, labels, distance)
             assert_same_ranking(Ranking(*cells[:3], counts=cells[3]), want)
             # without distance, one bucket

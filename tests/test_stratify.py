@@ -553,8 +553,9 @@ class TestInstanceCsv:
 
     def test_counted_all_distinct_scores(self, rng):
         # 20,000 distinct scores beside a tied column, then the same rows
-        # again: the first merge keeps every row, so merging stops, and the
-        # second copy's cells are entries of their own.
+        # again: the merges of the first copy keep every row, so each puts
+        # off the next, and the last merge sums each second-copy row into
+        # its first.
         n = 20_000
         inst = InstanceSet(rng.integers(0, 500, n), rng.integers(0, 500, n),
                            rng.choice([2, 3, BEYOND, DISCONNECTED], n),
@@ -565,7 +566,7 @@ class TestInstanceCsv:
         write_instances_csv(buf, inst)
         with mock.patch.object(stratify, "_READ_ROWS", 1000):
             cells = read_instances_csv(io.StringIO(buf.getvalue()), counted=True)
-        assert cells.count.size == 2 * n
+        assert cells.count.size == n and set(cells.count.tolist()) == {2}
         assert_read_as_rows(cells, inst)
         for name in ("a", "b"):
             assert_same_ranking(
@@ -888,3 +889,33 @@ def test_score_path_memory_budget(tmp_path):
     assert cells.count.size < n // 8
     assert peaks[0] <= chunk + 128 * merge_rows
     assert peaks[1] <= peaks[0] + n  # under a byte for each row added
+
+
+def test_counted_read_of_a_varied_head_stays_with_its_cells(tmp_path):
+    # 3,000 distinct rows, then a body that cycles through 500 rows of its
+    # own: the head's merges keep every row, and the body's must still
+    # merge, so that four times the body holds no more than the body once.
+    rng = np.random.default_rng(11)
+    head, cycle = 3000, 500
+    inst = InstanceSet(rng.integers(0, 1000, head + cycle),
+                       rng.integers(1000, 2000, head + cycle),
+                       rng.choice([2, 3, BEYOND], head + cycle),
+                       rng.random(head + cycle) < 0.1,
+                       {"s": rng.random(head + cycle)})
+    peaks = []
+    for body in (40_000, 160_000):
+        take = np.concatenate([np.arange(head),
+                               head + np.arange(body) % cycle])
+        path = tmp_path / f"scores{body}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_instances_csv(fh, inst.take(take))
+        with mock.patch.object(stratify, "_READ_ROWS", 1000):
+            tracemalloc.start()
+            try:
+                cells = read_instances_csv(str(path), counted=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert cells.count.size == head + cycle
+        assert cells.count.sum() == head + body
+    assert peaks[1] <= peaks[0] + 120_000  # under a byte for each row added
