@@ -30,8 +30,8 @@ RATE_NAMES = ("sensitivity", "specificity", "precision", "recall", "fallout",
 
 
 # Entries counted at a time by Ranking: each temporary of a piece takes at
-# most 32 KiB.
-_RANK_ROWS = 1 << 12
+# most 128 KiB.
+_RANK_ROWS = 1 << 14
 
 # Rows of a curve CSV joined into one string per write.
 _CURVE_ROWS = 8192
@@ -103,9 +103,9 @@ class Ranking:
         for lo in range(0, scores.size, _RANK_ROWS):
             rows = slice(lo, lo + _RANK_ROWS)
             bucket = 0 if distances is None else distances.searchsorted(distance[rows])
-            bucket = 2 * bucket + labels[rows]
-            sizes += np.bincount(bucket, minlength=sizes.size)
-            cell[rows] = bucket
+            row_cell = 2 * bucket + labels[rows]
+            sizes += np.bincount(row_cell, minlength=sizes.size)
+            cell[rows] = row_cell
         order = np.argsort(cell, kind="stable")  # radix, up to two bytes a cell
         del cell
         scores = scores[order]
