@@ -13,6 +13,12 @@ first runs, or when a caller first reads one of those names here.
 ``snapshot`` binds only :mod:`~lpeval.graphstore`'s names, and that module
 imports numpy only when graph code first reads a snapshot's arrays, so
 ``snapshot``, ``surrogate``, ``--help`` and ``--version`` load no numpy.
+
+A ``dataset.scores`` file (a third-party predictor's scores in the instance
+CSV format) is read into the counts of its distinct (distance, label,
+score) rows, never into its rows: ``evaluate``, ``variance`` and
+``kaggle-compare`` rank each score column from those counts. ``score`` and
+``temporal`` work on candidates, and so need ``dataset.path``.
 """
 
 from __future__ import annotations
@@ -169,60 +175,59 @@ def _graph_instance_sets(cfg, log):
             for pred in cfg.predictors}, feature
 
 
-def _score_file(cfg, counted=False):
-    """The ``dataset.scores`` file: its rows, or with ``counted`` its
-    distinct (distance, label, score...) rows and their counts."""
+def _score_file(cfg):
+    """The counts of the ``dataset.scores`` file's distinct (distance,
+    label, score...) rows."""
     try:
-        inst = read_instances_csv(cfg.scores_path, counted=counted)
+        cells = read_instances_csv(cfg.scores_path)
     except OSError as exc:
         raise LpevalError(f"cannot read score file: {exc}") from None
-    if inst.label is None:
+    if cells.label is None:
         raise LpevalError("external score file has no labels")
-    if not inst.scores:
+    if not cells.scores:
         raise LpevalError("external score file has no score column")
-    return inst
+    return cells
 
 
-def _scored_instance_sets(cfg):
-    """One labeled, scored instance set per predictor name.
-
-    Either computed from the dataset or loaded from an external score file
-    in the instance CSV format (so third-party predictors evaluate through
-    the same pipeline).
-    """
-    if cfg.scores_path:
-        inst = _score_file(cfg)
-        return {name: inst for name in inst.scores}, sha256_file(cfg.scores_path), None
-    log, digest = _load_log(cfg)
-    sets, feature = _graph_instance_sets(cfg, log)
-    return sets, digest, feature
+def _ranked(cells):
+    """One :class:`~lpeval.metrics.Ranking` with distance buckets per score
+    column of ``cells``, from their counts."""
+    return {name: Ranking(scores, cells.label, cells.distance, counts=cells.count)
+            for name, scores in cells.scores.items()}
 
 
-def _rankings(cfg):
+def _rankings(cfg, rows=None):
     """One :class:`~lpeval.metrics.Ranking` with distance buckets per
     predictor name, and the input's digest.
 
-    A ``dataset.scores`` file is read in counted mode, and each score
-    column is ranked from the counts of the file's distinct rows, so no
-    column of the file's rows is held.
+    A ``dataset.scores`` file is ranked from the counts of its distinct
+    rows, so no column of the file's rows is held. Graph input is ranked
+    from each predictor's scored rows, which ``rows(name, instances,
+    feature)``, when given, sees first.
     """
     if cfg.scores_path:
-        cells = _score_file(cfg, counted=True)
-        return ({name: Ranking(scores, cells.label, cells.distance, counts=cells.count)
-                 for name, scores in cells.scores.items()},
-                sha256_file(cfg.scores_path))
+        return _ranked(_score_file(cfg)), sha256_file(cfg.scores_path)
     log, digest = _load_log(cfg)
-    sets, _ = _graph_instance_sets(cfg, log)
-    return ({name: Ranking(inst.scores[name], inst.label, inst.distance)
-             for name, inst in sets.items()}, digest)
+    sets, feature = _graph_instance_sets(cfg, log)
+    ranks = {}
+    for name, inst in sets.items():
+        if rows is not None:
+            rows(name, inst, feature)
+        ranks[name] = Ranking(inst.scores[name], inst.label, inst.distance)
+    return ranks, digest
 
 
-def _apply_sampling(cfg, inst):
+def _sampled(cfg, rank):
+    """``rank``, or in a sampling mode the ranking of the cells drawn from
+    it."""
     if cfg.sampling.mode == "fair-random":
-        return sample_fair(inst, cfg.sampling)
-    if cfg.sampling.mode == "kaggle-balanced":
-        return sample_kaggle(inst, seed=cfg.seed)
-    return inst
+        cells = sample_fair(rank, cfg.sampling)
+    elif cfg.sampling.mode == "kaggle-balanced":
+        cells = sample_kaggle(rank, seed=cfg.seed)
+    else:
+        return rank
+    (rank,) = _ranked(cells).values()
+    return rank
 
 
 @_arrays("graphstore")
@@ -245,37 +250,49 @@ def cmd_snapshot(cfg):
 
 @_arrays()
 def cmd_score(cfg):
-    """Write scored (and labeled) candidate instances per predictor."""
-    sets, digest, feature = _scored_instance_sets(cfg)
+    """Write scored (and labeled) candidate instances per predictor.
+
+    The candidates come from ``dataset.path``; without it this is a config
+    error, found before any file is read.
+    """
+    log, digest = _load_log(cfg)
+    sets, feature = _graph_instance_sets(cfg, log)
     out = _Output(cfg, "score")
-    labels = feature.id_labels if feature is not None else None
     for name in sorted(sets):
         out.render(f"scores_{name}.csv", lambda fh: write_instances_csv(
-            fh, sets[name], id_labels=labels, score_keys=[name]))
+            fh, sets[name], id_labels=feature.id_labels, score_keys=[name]))
     out.manifest(digest)
 
 
 @_arrays()
 def cmd_evaluate(cfg):
-    """Threshold curves and the per-distance report for each predictor."""
-    sets, digest, feature = _scored_instance_sets(cfg)
-    out = _Output(cfg, "evaluate")
-    summary = {}
-    labels = feature.id_labels if feature is not None else None
-    for name in sorted(sets):
-        inst = _apply_sampling(cfg, sets[name])
-        out.render(f"instances_{name}.csv", lambda fh: write_instances_csv(
-            fh, inst, id_labels=labels, score_keys=[name]))
+    """Threshold curves and the per-distance report for each predictor.
 
-        entry = {"n_pos": inst.n_pos, "n_neg": inst.n_neg,
+    Everything is read from one ranking per predictor, which
+    ``sampling.mode`` may replace by the ranking of the cells it draws
+    from it. Graph input without sampling also writes each predictor's
+    scored rows as ``instances_<name>.csv``. No other instance CSV is
+    written: a score file is named by the manifest's input digest, and a
+    sample is drawn as counts, not rows.
+    """
+    out = _Output(cfg, "evaluate")
+
+    def write_rows(name, inst, feature):
+        out.render(f"instances_{name}.csv", lambda fh: write_instances_csv(
+            fh, inst, id_labels=feature.id_labels, score_keys=[name]))
+
+    ranks, digest = _rankings(cfg, write_rows if cfg.sampling.mode == "none" else None)
+    summary = {}
+    for name in sorted(ranks):
+        rank = _sampled(cfg, ranks[name])
+        entry = {"n_pos": rank.n_pos, "n_neg": rank.n_neg,
                  "sampling_mode": cfg.sampling.mode,
                  "sampling_rate": cfg.sampling.rate,
                  "direction_policy": cfg.policy, "generation_mode": cfg.mode,
                  "auroc": None, "aupr": None}
         # One ranking serves the curves (its tp/fp sum over the distance
         # buckets) and the per-distance report.
-        rank = Ranking(inst.scores[name], inst.label, inst.distance)
-        if inst.n_pos and inst.n_neg:
+        if rank.n_pos and rank.n_neg:
             for curve, tag in ((roc_curve(rank), "roc"), (pr_curve(rank), "pr")):
                 entry["tie_policy"] = curve.tie_policy
                 entry["auroc" if tag == "roc" else "aupr"] = curve.area

@@ -23,9 +23,8 @@ from . import rng as rng_mod
 from .errors import ConfigError, UndefinedMetricError
 from .graphstore import build_snapshot
 from .metrics import Ranking, aupr, auroc, auroc_from_counts
-from .predictors import _sorted_unique
 from .rng import substream
-from .stratify import BEYOND, label_instances
+from .stratify import BEYOND, InstanceCounts, label_instances
 
 # Defined in the numpy-free config and surrogate modules; importable here too.
 from .config import SamplingSpec, TemporalSliceSpec  # noqa: F401
@@ -36,29 +35,15 @@ from .surrogate import (CONDMAT_STANDIN_COUNTS, SIGMA_FORMULA,  # noqa: F401
 DEFAULT_RATES = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
-def _kept_negatives(negatives, rate, rng, exact_counts):
-    """The entries of ``negatives`` (one per negative row, in row order) that
-    a fair draw keeps. The draw depends only on how many there are.
-
-    Only ``sampling.mode`` of ``evaluate`` draws rows; the sampling
-    experiments draw counts (:func:`_kept_counts`), which for the same seed
-    keep a different sample."""
-    if rate == 1.0:
-        return negatives
-    if exact_counts:
-        size = int(round(negatives.size * rate))
-        return (rng.choice(negatives, size=size, replace=False) if size
-                else negatives[:0])
-    return negatives[rng.random(negatives.size) < rate]
-
-
 def _kept_counts(neg, rate, rng, exact_counts):
     """Negatives per tie group that a fair draw keeps from ``neg``.
 
     Keeping each negative row with probability ``rate`` keeps a binomial
     count of each group, independently; keeping exactly round(N * rate)
     rows without replacement keeps a multivariate hypergeometric count.
-    Both have exactly the distribution of :func:`_kept_negatives`' draw.
+    Both have exactly the distribution of the row draw they stand for. The
+    groups may be any cells, such as the (distance bucket, tie group) cells
+    of a flattened table.
     """
     if rate == 1.0:
         return neg
@@ -71,7 +56,8 @@ def _balanced_counts(pos, neg, rng):
     """Negatives per (distance bucket, tie group) that a per-distance-bucket
     balanced draw keeps: the bucket's positive count of them, drawn without
     replacement, or all of them if there are no more; none from a bucket
-    without positives. The distribution of :func:`sample_kaggle`'s draw."""
+    without positives. Each bucket's draw has the distribution of keeping
+    that many of its negative rows, chosen uniformly."""
     kept = np.zeros_like(neg)
     for d, n_pos in enumerate(pos.sum(axis=1)):
         if n_pos == 0:
@@ -88,26 +74,38 @@ def _bucketed(rank):
     return rank.distances
 
 
-def sample_fair(instances, spec):
+def _kept_cells(rank, kept):
+    """The positives of ``rank`` and ``kept`` negatives of each of its
+    (distance bucket, tie group) cells, as
+    :class:`~lpeval.stratify.InstanceCounts`: one entry per cell and class,
+    with the group's score under the name ``score``."""
+    buckets, groups = kept.shape
+    distance = np.repeat(_bucketed(rank), groups)
+    return InstanceCounts(np.tile(distance, 2), np.repeat([True, False], distance.size),
+                          {"score": np.tile(rank.scores, 2 * buckets)},
+                          np.concatenate([rank.pos.ravel(), kept.ravel()]))
+
+
+def sample_fair(rank, spec):
     """Uniform random retention of negatives; the test distribution's shape
     (class-conditional score and distance mix) is preserved in expectation.
 
-    This row sampler serves ``sampling.mode`` of ``evaluate``, which needs
-    rows. The sampling experiments (:func:`variance_experiment`,
-    :func:`kaggle_compare`) draw per-tie-group counts with the same
-    distribution, but for the same seed not the same sample."""
+    ``rank`` is the :class:`~lpeval.metrics.Ranking` of the scored set with
+    its distance buckets. One draw from the ``(spec.seed,
+    STREAM_FAIR_SAMPLE)`` substream keeps a count of the negatives of each
+    (bucket, tie group) cell (:func:`_kept_counts`), with the distribution
+    of keeping each negative row with probability ``spec.rate``, or exactly
+    round(N * rate) of them under ``spec.exact_counts``. Returns the kept
+    cells, positives all kept (:func:`_kept_cells`).
+    """
     if spec.mode != "fair-random":
         raise ConfigError("sample_fair needs mode 'fair-random'", field="sampling.mode")
-    if instances.label is None:
-        raise ConfigError("sampling needs labeled instances")
     rng = substream(spec.seed, rng_mod.STREAM_FAIR_SAMPLE)
-    labels = instances.label
-    kept = _kept_negatives(np.flatnonzero(~labels), spec.rate, rng,
-                           spec.exact_counts)
-    return instances.take(np.sort(np.concatenate([np.flatnonzero(labels), kept])))
+    kept = _kept_counts(rank.neg.ravel(), spec.rate, rng, spec.exact_counts)
+    return _kept_cells(rank, kept.reshape(rank.neg.shape))
 
 
-def sample_kaggle(instances, seed=0):
+def sample_kaggle(rank, seed=0):
     """Per-distance-bucket balancing of negatives to positives.
 
     Within each bucket negatives are uniformly downsampled to the bucket's
@@ -125,27 +123,14 @@ def sample_kaggle(instances, seed=0):
     do not, and downwards if, as for preferential attachment on local
     networks, close negatives score higher than far ones.
 
-    This row sampler serves ``sampling.mode`` of ``evaluate``, which needs
-    rows. :func:`kaggle_compare` draws per-tie-group counts with the same
-    distribution, but for the same seed not the same sample.
+    ``rank`` is the :class:`~lpeval.metrics.Ranking` of the scored set with
+    its distance buckets. One draw from the ``(seed, STREAM_KAGGLE_SAMPLE)``
+    substream keeps a count of the negatives of each (bucket, tie group)
+    cell (:func:`_balanced_counts`). Returns the kept cells
+    (:func:`_kept_cells`).
     """
-    if instances.label is None:
-        raise ConfigError("sampling needs labeled instances")
     rng = substream(seed, rng_mod.STREAM_KAGGLE_SAMPLE)
-    keep = []
-    for d in _sorted_unique(instances.distance):
-        in_bucket = instances.distance == d
-        pos = np.flatnonzero(in_bucket & instances.label)
-        if pos.size == 0:
-            continue
-        neg = np.flatnonzero(in_bucket & ~instances.label)
-        if neg.size > pos.size:
-            neg = rng.choice(neg, size=pos.size, replace=False)
-        keep.append(pos)
-        keep.append(neg)
-    if not keep:
-        return instances.take(np.empty(0, dtype=np.int64))
-    return instances.take(np.sort(np.concatenate(keep)))
+    return _kept_cells(rank, _balanced_counts(rank.pos, rank.neg, rng))
 
 
 def analytic_sampling_variance(n_negatives, n_classifiable, rate):
@@ -311,9 +296,10 @@ def kaggle_compare(rank, rate, repeat_seeds):
     ``(rs, STREAM_KAGGLE_SAMPLE)``, both as kept negatives per tie group
     (:func:`_kept_counts`, :func:`_balanced_counts`) over ``rank``, the
     :class:`~lpeval.metrics.Ranking` of the scored set with its distance
-    buckets; a draw without a positive or a negative gives no value. The
-    draws have the distributions of :func:`sample_fair` and
-    :func:`sample_kaggle`.
+    buckets; a draw without a positive or a negative gives no value. Each
+    draw has the distribution of the row draw it stands for: every negative
+    row kept with probability ``rate``, or as many of each bucket's negative
+    rows as it has positives.
     """
     if not 0 < rate <= 1:
         raise ConfigError(f"rate {rate} outside (0, 1]", field="kaggle.rate")

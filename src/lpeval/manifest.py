@@ -15,11 +15,20 @@ import os
 import tempfile
 
 
+# Bytes of a file hashed at a time, read into one reused buffer.
+_HASH_BLOCK = 1 << 20
+
+
 def sha256_file(path):
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        # No larger than the file, since a bytearray touches every page; a
+        # size of 0 may be a stream's, read a whole block at a time.
+        block = bytearray(min(_HASH_BLOCK, os.fstat(fh.fileno()).st_size)
+                          or _HASH_BLOCK)
+        view = memoryview(block)
+        while size := fh.readinto(block):
+            h.update(view[:size])
     return "sha256:" + h.hexdigest()
 
 

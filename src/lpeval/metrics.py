@@ -51,10 +51,10 @@ class Ranking:
     metric that needs a class raises :class:`UndefinedMetricError`.
 
     With ``counts`` each entry of ``scores``, ``labels`` and ``distance``
-    stands for that many rows (int64, at least 0), as the cells of a
-    score file read with ``counted`` do
-    (:func:`~lpeval.stratify.read_instances_csv`); entries may repeat a
-    cell, whose counts then add up. The counts are summed exactly, in
+    stands for that many rows (int64, at least 0), as the cells of a score
+    file (:func:`~lpeval.stratify.read_instances_csv`) or of a sampling
+    draw (:func:`~lpeval.experiments.sample_fair`) do; entries may repeat
+    a cell, whose counts then add up. The counts are summed exactly, in
     int64.
 
     The groups are the sorted distinct scores and the buckets the sorted

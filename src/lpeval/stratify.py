@@ -351,8 +351,8 @@ def _label_cell(text):
 # error.
 _CELL_DTYPE = np.dtype([("distance", "S13"), ("label", "S3")])
 # Records read by one np.loadtxt call. Its structured chunk (40 B a record
-# with one score column) is the only copy of the rows besides the result
-# columns, so the read holds the result plus one chunk.
+# with one score column) is the only copy of the rows, so the read holds one
+# chunk besides the table of distinct rows.
 _READ_ROWS = 1 << 13
 # Rows of a chunk whose cells are decoded at a time: each temporary of a
 # block takes at most 64 KiB, small enough for the allocator to reuse from
@@ -361,8 +361,6 @@ _DECODE_ROWS = 1 << 12
 # The most distinct values that _ranks finds a value's rank among by a
 # binary search.
 _SEARCH_VALUES = 8
-# Characters read at a time while counting line ends.
-_COUNT_CHARS = 1 << 16
 
 
 def _ranks(col):
@@ -507,24 +505,6 @@ class _CellCounts:
         return rows, counts
 
 
-def _records_bound(src, body):
-    """An upper bound on the data records from offset ``body`` on.
-
-    A record takes at least one line, and ``np.loadtxt`` ends a line at
-    ``\\n``, ``\\r\\n`` or a lone ``\\r``: the bound counts those line ends,
-    plus one for a last line without one. ``src`` is left at ``body``.
-    """
-    ends, last = 0, "\n"
-    for block in iter(lambda: src.read(_COUNT_CHARS), ""):
-        ends += block.count("\n")
-        if "\r" in block:  # rare; a two-character count is slow
-            ends += block.count("\r") - block.count("\r\n")
-        ends -= last == "\r" and block[0] == "\n"  # a \r\n cut in two
-        last = block[-1]
-    src.seek(body)
-    return ends + (last not in "\r\n")
-
-
 def _record_line(fh, body, record):
     """1-based line on which data record ``record`` starts.
 
@@ -600,40 +580,34 @@ def _first_bad_cell(src, body, first, record, known):
     return None
 
 
-def read_instances_csv(path_or_file, id_index=None, counted=False):
-    """Read instances written by :func:`write_instances_csv`.
+def read_instances_csv(path_or_file, id_index=None):
+    """The :class:`InstanceCounts` of the instances in a file written by
+    :func:`write_instances_csv`: its distinct (distance, label, score...)
+    rows and how many rows each stands for. No row is kept.
 
     Third-party score files in the same format are accepted, which is how
     externally produced (e.g. supervised) predictors enter the evaluation
     pipeline. ``id_index`` maps external id strings to interned ints; without
-    it ids must already be integers.
+    it ids must already be integers. The ids are checked, not returned.
 
-    One count of the line ends bounds the records, and the result columns
-    are allocated once at that length. ``np.loadtxt`` then parses the body
-    in chunks of _READ_ROWS records from the same handle: ids into int64
-    (through ``id_index`` when given, the only Python converter), scores
-    into float64, and the distance and label cells as ASCII bytes of a
-    fixed width (at most 12 and 2 bytes), which are decoded once per
-    distinct pair of cells, not once per row. Each chunk goes into the
-    columns before the next is read, so the read holds its result (33 B a
-    row with one score column) plus one chunk. A malformed row raises
-    :class:`~lpeval.errors.IngestError` with its line number, the first
-    such row if there are several, and so does a label column that is
-    empty on some rows but not all. A stream that cannot seek is read into
-    memory first, since the count and an error make second passes over
-    the records.
+    ``np.loadtxt`` parses the body in chunks of _READ_ROWS records: ids
+    into int64 (through ``id_index`` when given, the only Python
+    converter), scores into float64, and the distance and label cells as
+    ASCII bytes of a fixed width (at most 12 and 2 bytes), which are
+    decoded once per distinct pair of cells, not once per row. Each block
+    of a chunk is reduced to its distinct rows by the pass that groups the
+    byte cells, with the scores' bit patterns as further words, and the
+    blocks are merged into one table as they come (:class:`_CellCounts`),
+    and once more at the end. So the read holds one chunk plus a few times
+    that table. The cells are joint over every score column: with several
+    columns there may be as many as the product of each column's cells, up
+    to one a row.
 
-    With ``counted`` no row is kept, and the result is the
-    :class:`InstanceCounts` of the file's distinct (distance, label,
-    score...) rows. These cells are joint over every score column: with
-    several columns there may be as many as the product of each column's
-    cells, up to one a row. The chunks are parsed as above, ids included,
-    and each block's rows are reduced to its distinct rows by the pass
-    that groups the byte cells, with the scores' bit patterns as further
-    words; the blocks are merged into one table as they come
-    (:class:`_CellCounts`), and once more at the end. So the read needs no
-    count of the line ends and holds one chunk plus a few times that
-    table, and it raises the errors of the row mode.
+    A malformed row raises :class:`~lpeval.errors.IngestError` with its
+    line number, the first such row if there are several, and so does a
+    label column that is empty on some rows but not all. A stream that
+    cannot seek is read into memory first, since an error makes second
+    passes over the records.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
@@ -642,10 +616,9 @@ def read_instances_csv(path_or_file, id_index=None, counted=False):
         try:
             first = fh.readline()
             src = fh if fh.seekable() else io.StringIO(fh.read())
-            body = src.tell()
-            bound = 0 if counted else _records_bound(src, body)
         except UnicodeDecodeError as exc:
             raise _not_text(exc) from None
+        body = src.tell()
         header = next(csv.reader([first]), None)
         if header is None or header[:4] != ["u", "v", "distance", "label"]:
             raise IngestError("expected header u,v,distance,label[,score...]", line=1)
@@ -659,31 +632,21 @@ def read_instances_csv(path_or_file, id_index=None, counted=False):
         if id_index is not None:
             converters = {0: id_index.__getitem__, 1: id_index.__getitem__}
         known = {}
-        if counted:
-            width = 2 + len(score_names)
-            table = _CellCounts(width)
-            empty = []  # the first record with an empty label cell
+        width = 2 + len(score_names)
+        table = _CellCounts(width)
+        empty = []  # the first record with an empty label cell
 
-            def put(first, index, cells):
-                table.add(cells, np.bincount(index, minlength=len(cells)))
-                if not empty and cells[:, 1].min() < 0:
-                    empty.append(first + int(np.argmax(cells[index, 1] < 0)))
-        else:
-            width = 2
-            u, v, distance = (np.empty(bound, dtype=np.int64) for _ in range(3))
-            label = np.empty(bound, dtype=np.int8)
-            scores = [np.empty(bound, dtype=np.float64) for _ in score_names]
-
-            def put(first, index, cells):
-                distance[first:first + index.size] = cells[index, 0]
-                label[first:first + index.size] = cells[index, 1]
+        def put(first, index, cells):
+            table.add(cells, np.bincount(index, minlength=len(cells)))
+            if not empty and cells[:, 1].min() < 0:
+                empty.append(first + int(np.argmax(cells[index, 1] < 0)))
 
         n, read = 0, _READ_ROWS
         while read == _READ_ROWS:
             try:
                 rows = _loadtxt(src, dtype, converters=converters,
                                 max_rows=_READ_ROWS)
-            except UnicodeDecodeError as exc:  # counted: no count read it first
+            except UnicodeDecodeError as exc:
                 raise _not_text(exc) from None
             except ValueError as exc:
                 message, record = _loadtxt_failure(exc)
@@ -701,37 +664,21 @@ def read_instances_csv(path_or_file, id_index=None, counted=False):
             bad = _decode_cells(rows, n, known, put, width)
             if bad is not None:
                 raise IngestError(bad[1], line=_record_line(src, body, bad[0]))
-            if not counted:
-                u[n:n + read], v[n:n + read] = rows["u"], rows["v"]
-                for i, column in enumerate(scores):
-                    column[n:n + read] = rows[f"score{i}"]
             del rows  # before the next chunk is read, or the table merged
-            if counted:
-                table.settle()
+            table.settle()
             n += read
-        if counted:
-            cells, count = table.merge()
-            distance = np.ascontiguousarray(cells[:, 0])
-            label = cells[:, 1].astype(np.int8)
-            scores = [np.ascontiguousarray(cells[:, 2 + i]).view(np.float64)
-                      for i in range(len(score_names))]
-        elif n < bound:  # blank lines, or records over several lines
-            u, v, distance, label = u[:n], v[:n], distance[:n], label[:n]
-            scores = [column[:n] for column in scores]
+        cells, count = table.merge()
+        label = cells[:, 1]
         if label.max(initial=-1) < 0:
             label = None
         elif label.min() < 0:
-            record = empty[0] if counted else int(np.argmax(label < 0))
             raise IngestError("empty label in a labeled score file",
-                              line=_record_line(src, body, record))
+                              line=_record_line(src, body, empty[0]))
         else:
-            label = label.view(bool)  # every value is 0 or 1
-        if counted:
-            return InstanceCounts(distance, label, dict(zip(score_names, scores)),
-                                  count)
-        inst = InstanceSet(u, v, distance, label)
-        inst.scores.update(zip(score_names, scores))
-        return inst
+            label = label.astype(bool)
+        scores = {name: np.ascontiguousarray(cells[:, 2 + i]).view(np.float64)
+                  for i, name in enumerate(score_names)}
+        return InstanceCounts(np.ascontiguousarray(cells[:, 0]), label, scores, count)
     finally:
         if close:
             fh.close()

@@ -403,6 +403,24 @@ def fair_sample_indices(labels, rate, rng, exact_counts):
     return np.sort(np.concatenate([np.flatnonzero(labels), kept]))
 
 
+def kaggle_sample_indices(labels, distance, rng):
+    """Rows a per-distance-bucket balanced draw keeps: in each bucket with
+    positives, every positive and as many of its negatives as positives,
+    drawn without replacement (all of them if there are no more); in
+    increasing order of distance, over each bucket's rows in row order."""
+    keep = []
+    for d in sorted(set(distance.tolist())):
+        in_bucket = distance == d
+        pos = np.flatnonzero(in_bucket & labels)
+        if pos.size == 0:
+            continue
+        neg = np.flatnonzero(in_bucket & ~labels)
+        if neg.size > pos.size:
+            neg = rng.choice(neg, size=pos.size, replace=False)
+        keep += [pos, neg]
+    return np.sort(np.concatenate(keep)) if keep else np.empty(0, dtype=np.int64)
+
+
 def _negatives_by_group(scores, labels, rows):
     """The negative rows among ``rows``, in row order, listed per tie group:
     one list per distinct score of the whole column, highest first (Python
@@ -419,6 +437,18 @@ def _negatives_by_group(scores, labels, rows):
 def _first_kept(by_group, kept):
     """The first ``kept[g]`` rows of each group's list."""
     return [i for rows, k in zip(by_group, kept) for i in rows[:k]]
+
+
+def first_kept_indices(scores, labels, distance, kept):
+    """Every positive row, and the first ``kept[b, g]`` negative rows in row
+    order of each (distance bucket b, tie group g): the buckets in
+    increasing order of distance, the groups those of the whole column."""
+    idx = [int(i) for i in np.flatnonzero(labels)]
+    for b, d in enumerate(sorted(set(distance.tolist()))):
+        idx += _first_kept(_negatives_by_group(scores, labels,
+                                               np.flatnonzero(distance == d)),
+                           kept[b])
+    return np.sort(np.array(idx, dtype=np.int64))
 
 
 def count_sample_indices(scores, labels, rate, rng, exact_counts):

@@ -1,11 +1,13 @@
 import ast
 import builtins
 import dis
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -14,9 +16,11 @@ import pytest
 import lpeval
 from lpeval import (BEYOND, DISCONNECTED, InstanceSet, PredictorId,
                     build_snapshot, cli, experiments, generate_test_set, stratify,
-                    ingest_events, read_instances_csv, score_instances,
-                    synthetic_event_log, write_event_file, write_instances_csv)
+                    ingest_events, score_instances, synthetic_event_log,
+                    write_event_file, write_instances_csv)
 from lpeval.manifest import sha256_file
+
+from oracles import read_instances_rows
 
 
 def test_threads_setting_is_a_config_error(capsys):
@@ -82,8 +86,8 @@ def test_evaluate_and_score_rerun_identically(tmp_path):
     for text in ("cn", "pa", "pf:2"):
         pred = PredictorId.parse(text)
         want = score_instances(feature, inst, pred)
-        back = read_instances_csv(str(out / f"scores_{pred.name}.csv"),
-                                  id_index=index)
+        back = read_instances_rows(str(out / f"scores_{pred.name}.csv"),
+                                   id_index=index)
         assert np.array_equal(back.u, want.u)
         assert np.array_equal(back.v, want.v)
         assert np.array_equal(back.distance, want.distance)
@@ -153,6 +157,8 @@ def test_evaluate_sampling_modes(tmp_path, mode, rate, exact):
         assert cli.main(args) == 0
         manifests.append((out / "manifest.json").read_text())
     assert manifests[0] == manifests[1]
+    # A score file's rows are not written back, and a sample has none.
+    assert not [*out.glob("instances_*"), *(tmp_path / "full").glob("instances_*")]
     entry = evaluation_entry(out)
     assert entry["sampling_mode"] == mode
     assert entry["n_pos"] == full["n_pos"] == inst.n_pos
@@ -166,6 +172,23 @@ def test_evaluate_sampling_modes(tmp_path, mode, rate, exact):
         assert entry["n_neg"] == round(full["n_neg"] * float(rate))
     else:
         assert 0 < entry["n_neg"] < full["n_neg"]
+
+
+def test_evaluate_samples_graph_input_as_counts(tmp_path):
+    # Graph input writes its rows, unless a sampling mode draws counts.
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    args = ["--set", f"dataset.path={events}", *WINDOWS,
+            "--set", "prediction.predictors=cn,pa", "--set", "prediction.lmax=3"]
+    assert cli.main(["evaluate", "--out", str(tmp_path / "full"), *args]) == 0
+    assert cli.main(["evaluate", "--out", str(tmp_path / "out"), *args,
+                     "--set", "sampling.mode=kaggle-balanced"]) == 0
+    assert len(list((tmp_path / "full").glob("instances_*.csv"))) == 2
+    assert not list((tmp_path / "out").glob("instances_*"))
+    full = json.loads((tmp_path / "full" / "evaluation.json").read_text())
+    sampled = json.loads((tmp_path / "out" / "evaluation.json").read_text())
+    for name, entry in sampled["predictors"].items():
+        assert entry["n_pos"] == entry["n_neg"] == full["predictors"][name]["n_pos"]
 
 
 @pytest.mark.parametrize("settings, field", [
@@ -214,7 +237,7 @@ def test_nan_score_is_refused_after_the_file_is_read(tmp_path, capsys, command):
 
 
 @pytest.mark.filterwarnings("ignore:N\\*p")
-@pytest.mark.parametrize("command", ["variance", "kaggle-compare"])
+@pytest.mark.parametrize("command", ["evaluate", "variance", "kaggle-compare"])
 def test_counted_score_file_writes_the_bytes_of_its_rows(tmp_path, monkeypatch,
                                                          command):
     # A score file ranked from the counts of its distinct rows, and forced
@@ -242,27 +265,34 @@ def test_counted_score_file_writes_the_bytes_of_its_rows(tmp_path, monkeypatch,
     shipped = artifacts()
     calls = []
 
-    def read_rows(path, counted=False):
-        # The row mode; asked for counts, the rows as entries of one row
-        # each (count None), which Ranking ranks as rows.
-        calls.append(counted)
-        rows = stratify.read_instances_csv(path)
-        return stratify.InstanceCounts(rows.distance, rows.label, rows.scores,
-                                       None) if counted else rows
+    def read_rows(path):
+        # The file's rows as entries of one row each (count None), which
+        # Ranking ranks as rows.
+        calls.append(path)
+        rows = read_instances_rows(path)
+        return stratify.InstanceCounts(rows.distance, rows.label, rows.scores, None)
 
     monkeypatch.setattr(cli, "read_instances_csv", read_rows)
     assert artifacts() == shipped
-    assert calls == [True]
+    assert calls == [str(scores)]
     assert "manifest.json" in shipped and len(shipped) > 2
 
 
-@pytest.mark.parametrize("command", ["evaluate", "score", "variance",
-                                     "kaggle-compare"])
+@pytest.mark.parametrize("command", ["evaluate", "variance", "kaggle-compare"])
 def test_missing_score_file_exits_3(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert cli.main([command, "--out", str(out),
                      "--set", f"dataset.scores={tmp_path / 'absent.csv'}"]) == 3
     assert "data error: cannot read score file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_needs_the_dataset_path(tmp_path, capsys):
+    # A score file holds scores already; score exits before reading it.
+    out = tmp_path / "out"
+    assert cli.main(["score", "--out", str(out),
+                     "--set", f"dataset.scores={tmp_path / 'absent.csv'}"]) == 2
+    assert "config error: dataset.path:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -465,6 +495,29 @@ def test_manifest_hashes_only_inputs(tmp_path, monkeypatch):
                      "--set", f"dataset.scores={scores}",
                      "--set", "variance.repeats=2"]) == 0
     assert hashed == [str(events), str(scores)]
+
+
+BLOCK = lpeval.manifest._HASH_BLOCK
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+def test_sha256_file_hashes_every_byte(tmp_path, size):
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert sha256_file(path) == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_file_holds_one_block(tmp_path):
+    path = tmp_path / "input.bin"
+    path.write_bytes(bytes(3 * BLOCK))
+    tracemalloc.start()
+    try:
+        sha256_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * BLOCK
 
 
 WRITERS = {"makedirs", "atomic_write_text", "write_json"}

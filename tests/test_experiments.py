@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,20 @@ from lpeval import (ConfigError, InstanceSet, PredictorId, Ranking, SamplingSpec
                     per_distance_eval, sample_fair, sample_kaggle,
                     score_instances, surrogate_simulation, synthetic_event_log,
                     temporal_eval, variance_experiment)
-from lpeval import BEYOND, DISCONNECTED
+from lpeval import BEYOND, DISCONNECTED, pr_curve, roc_curve
+from lpeval import rng as rng_mod
 from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
                                 CONDMAT_STANDIN_COUNTS, KaggleCompareReport,
-                                _balanced_counts,
+                                _balanced_counts, _kept_cells,
                                 _kept_counts, slice_intervals, variance_slope)
+from lpeval.metrics import write_curve_csv
+from lpeval.rng import substream
 
+from conftest import assert_same_ranking
 from oracles import (auroc_from_positions, auroc_pair_count, bucket_mixture_auroc,
-                     classifiable_by_rows, fair_sample_indices,
-                     filtered_rows_resorted, kaggle_compare_resorted,
+                     classifiable_by_rows, curve_csv_text, fair_sample_indices,
+                     filtered_rows_resorted, first_kept_indices,
+                     kaggle_compare_resorted, kaggle_sample_indices,
                      per_distance_rows_resorted, random_ranking,
                      surrogate_monte_carlo, variance_report_resorted)
 
@@ -39,36 +46,51 @@ def ranked(inst, scores=None):
                    inst.distance)
 
 
+def drawn(cells):
+    """The Ranking of a draw's kept cells, as evaluate builds it."""
+    return Ranking(cells.scores["score"], cells.label, cells.distance,
+                   counts=cells.count)
+
+
+def kept_negatives(cells):
+    """The kept negative count of each (bucket, tie group) cell of a draw."""
+    return cells.count[~cells.label]
+
+
 class TestFairSampling:
     def test_rate_one_is_identity(self, rng):
         inst = make_instances(rng, 20, 200)
-        out = sample_fair(inst, SamplingSpec("fair-random", 1.0, seed=3))
-        assert len(out) == len(inst)
-        assert np.array_equal(out.u, inst.u)
+        rank = ranked(inst)
+        assert_same_ranking(
+            drawn(sample_fair(rank, SamplingSpec("fair-random", 1.0, seed=3))), rank)
 
     def test_all_positives_kept(self, rng):
         inst = make_instances(rng, 50, 500)
-        out = sample_fair(inst, SamplingSpec("fair-random", 0.2, seed=3))
+        rank = ranked(inst)
+        cells = sample_fair(rank, SamplingSpec("fair-random", 0.2, seed=3))
+        out = drawn(cells)
         assert out.n_pos == 50
+        assert np.all((0 <= kept_negatives(cells)) &
+                      (kept_negatives(cells) <= rank.neg.ravel()))
 
     def test_binomial_bound(self, rng):
         inst = make_instances(rng, 10, 10_000)
-        out = sample_fair(inst, SamplingSpec("fair-random", 0.5, seed=11))
+        out = drawn(sample_fair(ranked(inst), SamplingSpec("fair-random", 0.5, seed=11)))
         sigma = np.sqrt(10_000 * 0.25)
         assert abs(out.n_neg - 5000) < 4 * sigma
 
     def test_deterministic_under_seed(self, rng):
-        inst = make_instances(rng, 10, 1000)
-        a = sample_fair(inst, SamplingSpec("fair-random", 0.5, seed=7))
-        b = sample_fair(inst, SamplingSpec("fair-random", 0.5, seed=7))
-        assert np.array_equal(a.u, b.u)
-        c = sample_fair(inst, SamplingSpec("fair-random", 0.5, seed=8))
-        assert not np.array_equal(a.u, c.u)
+        rank = ranked(make_instances(rng, 10, 1000))
+        a = sample_fair(rank, SamplingSpec("fair-random", 0.5, seed=7))
+        b = sample_fair(rank, SamplingSpec("fair-random", 0.5, seed=7))
+        assert np.array_equal(a.count, b.count)
+        c = sample_fair(rank, SamplingSpec("fair-random", 0.5, seed=8))
+        assert not np.array_equal(a.count, c.count)
 
     def test_exact_counts_flag(self, rng):
         inst = make_instances(rng, 10, 1000)
-        out = sample_fair(inst, SamplingSpec("fair-random", 0.25, seed=7,
-                                             exact_counts=True))
+        out = drawn(sample_fair(ranked(inst), SamplingSpec("fair-random", 0.25, seed=7,
+                                                           exact_counts=True)))
         assert out.n_neg == 250
 
     def test_spec_validation(self):
@@ -80,20 +102,24 @@ class TestFairSampling:
             SamplingSpec("typo", 0.5)
 
 
+def kaggle_drawn(label, dist, seed, scores=None):
+    """The Ranking of sample_kaggle's draw over rows of ``label`` and
+    ``dist``, scored by ``scores`` (default: two tie groups)."""
+    scores = np.arange(label.size) % 2 if scores is None else scores
+    return drawn(sample_kaggle(Ranking(scores, label, dist), seed=seed))
+
+
 class TestKaggleSampling:
     def test_bucket_balanced(self, rng):
         label = np.array([True] * 5 + [False] * 100)
-        inst = InstanceSet(np.arange(105), np.arange(105) + 200,
-                           np.full(105, 2), label)
-        out = sample_kaggle(inst, seed=5)
+        out = kaggle_drawn(label, np.full(105, 2), seed=5)
         assert (out.n_pos, out.n_neg) == (5, 5)
 
     def test_zero_positive_bucket_dropped(self, rng):
         label = np.array([True, False, False, False])
         dist = np.array([2, 2, 3, 3])
-        inst = InstanceSet(np.arange(4), np.arange(4) + 10, dist, label)
-        out = sample_kaggle(inst, seed=5)
-        assert np.all(out.distance == 2)
+        out = kaggle_drawn(label, dist, seed=5)
+        assert out.distances.tolist() == [2]
         assert (out.n_pos, out.n_neg) == (1, 1)
 
     def test_two_bucket_overall_ratio(self, rng):
@@ -101,15 +127,21 @@ class TestKaggleSampling:
         label = np.concatenate([np.ones(4, bool), np.zeros(50, bool),
                                 np.ones(7, bool), np.zeros(90, bool)])
         dist = np.concatenate([np.full(54, 2), np.full(97, 3)])
-        inst = InstanceSet(np.arange(151), np.arange(151) + 500, dist, label)
-        out = sample_kaggle(inst, seed=1)
+        out = kaggle_drawn(label, dist, seed=1, scores=rng.normal(size=151))
         assert out.n_pos == out.n_neg == 11
+        assert out.pos.sum(axis=1).tolist() == out.neg.sum(axis=1).tolist() == [4, 7]
 
     def test_small_negative_bucket_kept_whole(self, rng):
         label = np.array([True, True, True, False])
-        inst = InstanceSet(np.arange(4), np.arange(4) + 10, np.full(4, 2), label)
-        out = sample_kaggle(inst, seed=5)
+        out = kaggle_drawn(label, np.full(4, 2), seed=5)
         assert (out.n_pos, out.n_neg) == (3, 1)
+
+    def test_deterministic_under_seed(self, rng):
+        label = rng.random(500) < 0.1
+        rank = Ranking(rng.normal(size=500), label, rng.choice([2, 3, 4], 500))
+        a, b, c = (sample_kaggle(rank, seed=seed) for seed in (7, 7, 8))
+        assert np.array_equal(a.count, b.count)
+        assert not np.array_equal(a.count, c.count)
 
 
 class TestAnalyticVariance:
@@ -354,10 +386,12 @@ class TestCountDraws:
     @pytest.mark.filterwarnings("ignore:N\\*p")
     @pytest.mark.parametrize("exact_counts", [False, True])
     def test_fair_counts_match_row_draws(self, exact_counts):
+        # The variance experiment's draws and evaluate's (sample_fair), each
+        # against the row draws.
         inst, scores = distance_tied_instances(0)
         labels = inst.label
-        row = variance_experiment(ranked(inst, scores), rates=[0.3],
-                                  repeats=self.REPEATS, seed=11,
+        rank = ranked(inst, scores)
+        row = variance_experiment(rank, rates=[0.3], repeats=self.REPEATS, seed=11,
                                   exact_counts=exact_counts).rows[0]
         rows = []
         for rep in range(self.REPEATS):
@@ -365,17 +399,66 @@ class TestCountDraws:
                                       exact_counts)
             rows.append(auroc(scores[idx], labels[idx]))
         self.assert_same_distribution(row.mean, row.variance, row.n_valid, rows)
+        sampled = [auroc(drawn(sample_fair(rank, SamplingSpec(
+                       "fair-random", 0.3, seed=s, exact_counts=exact_counts))))
+                   for s in range(self.REPEATS)]
+        self.assert_same_distribution(np.mean(sampled), np.var(sampled, ddof=1),
+                                      len(sampled), rows)
 
     def test_balanced_counts_match_row_draws(self):
+        # kaggle_compare's balanced draws and evaluate's (sample_kaggle),
+        # each against the row draws; sample_kaggle(rank, seed=s) is the
+        # draw of kaggle_compare's repeat seed s, so its seeds differ.
         inst, scores = distance_tied_instances(0)
-        inst.scores["s"] = scores
-        counted = kaggle_compare(ranked(inst), 0.3, range(self.REPEATS)).kaggle_values
+        rank = ranked(inst, scores)
+        counted = kaggle_compare(rank, 0.3, range(self.REPEATS)).kaggle_values
         rows = []
         for s in range(self.REPEATS, 2 * self.REPEATS):
-            k = sample_kaggle(inst, seed=s)
-            rows.append(auroc(k.scores["s"], k.label))
+            idx = kaggle_sample_indices(inst.label, inst.distance,
+                                        substream(s, rng_mod.STREAM_KAGGLE_SAMPLE))
+            rows.append(auroc(scores[idx], inst.label[idx]))
         self.assert_same_distribution(np.mean(counted), np.var(counted, ddof=1),
                                       len(counted), rows)
+        sampled = [auroc(drawn(sample_kaggle(rank, seed=s)))
+                   for s in range(2 * self.REPEATS, 3 * self.REPEATS)]
+        self.assert_same_distribution(np.mean(sampled), np.var(sampled, ddof=1),
+                                      len(sampled), rows)
+
+    def test_evaluate_draws_use_the_named_substreams(self):
+        # sample_fair draws from (seed, STREAM_FAIR_SAMPLE) and sample_kaggle
+        # from (seed, STREAM_KAGGLE_SAMPLE), as kaggle_compare's repeats do.
+        inst, scores = distance_tied_instances(0)
+        rank = ranked(inst, scores)
+        for s in range(5):
+            want = _balanced_counts(rank.pos, rank.neg,
+                                    substream(s, rng_mod.STREAM_KAGGLE_SAMPLE))
+            assert np.array_equal(kept_negatives(sample_kaggle(rank, seed=s)),
+                                  want.ravel())
+            for exact in (False, True):
+                want = _kept_counts(rank.neg.ravel(), 0.3,
+                                    substream(s, rng_mod.STREAM_FAIR_SAMPLE), exact)
+                spec = SamplingSpec("fair-random", 0.3, seed=s, exact_counts=exact)
+                assert np.array_equal(kept_negatives(sample_fair(rank, spec)), want)
+
+    def test_kept_cells_rank_as_their_first_rows(self):
+        # For any kept table, the cells rank into the curves of the rows they
+        # stand for: every positive and the first kept[b, g] negatives of
+        # each (bucket, tie group).
+        gen = np.random.default_rng(31)
+        for seed in range(6):
+            inst, scores = tie_heavy_instances(seed)
+            rank = ranked(inst, scores)
+            kept = gen.integers(0, rank.neg + 1)
+            kept[0, np.argmax(rank.neg[0])] = rank.neg[0].max()  # a negative
+            got = drawn(_kept_cells(rank, kept))
+            idx = first_kept_indices(scores, inst.label, inst.distance, kept)
+            want = Ranking(scores[idx], inst.label[idx], inst.distance[idx])
+            assert_same_ranking(got, want)
+            for curve in (roc_curve, pr_curve):
+                buf = io.StringIO()
+                write_curve_csv(curve(got), buf)
+                assert buf.getvalue() == curve_csv_text(curve(want))
+            assert per_distance_eval(got) == per_distance_eval(want)
 
     def test_count_draw_invariants(self):
         gen = np.random.default_rng(23)
@@ -718,7 +801,7 @@ class TestKaggleDirection:
         # With g(d) the AUROC of all positives against the negatives of bucket
         # d, E[AUROC] is sum_d pi_neg(d) g(d) under fair sampling and, as long
         # as every bucket holds at least as many negatives as positives,
-        # sum_d pi_pos(d) g(d) under sample_kaggle (pi: the share of negatives
+        # sum_d pi_pos(d) g(d) under balanced sampling (pi: the share of negatives
         # or positives in bucket d). A distance-blind scorer thus moves only
         # as far as g varies with d. For PA on this locality log g rises with
         # distance (0.433 at d=2, 0.441 at 3, 0.460 at 4, 0.474 at 5, 0.470 at
@@ -743,8 +826,10 @@ class TestKaggleDirection:
         wins = 0
         fair_pa, kag_pa = [], []
         for s in range(20):
-            fair = sample_fair(inst, SamplingSpec("fair-random", 0.2, seed=s))
-            kag = sample_kaggle(inst, seed=s)
+            fair = inst.take(fair_sample_indices(
+                inst.label, 0.2, substream(s, rng_mod.STREAM_FAIR_SAMPLE), False))
+            kag = inst.take(kaggle_sample_indices(
+                inst.label, inst.distance, substream(s, rng_mod.STREAM_KAGGLE_SAMPLE)))
             f_pa, f_cn = (auroc(fair.scores[k], fair.label) for k in (pa, cn))
             k_pa, k_cn = (auroc(kag.scores[k], kag.label) for k in (pa, cn))
             fair_pa.append(f_pa)

@@ -17,7 +17,7 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, IngestError, InstanceSet,
                     geodesic_bucket_enumerate, label_instances,
                     new_link_distance_distribution, parse_distance,
                     read_instances_csv, synthetic_event_log, write_instances_csv)
-from lpeval import predictors, stratify
+from lpeval import cli, predictors, stratify
 
 from conftest import assert_same_ranking, random_graph
 from oracles import (hop_distances, instances_csv_text, lowest_reachable,
@@ -134,7 +134,7 @@ def cell_counter(inst):
 
 
 def assert_read_as_rows(got, want):
-    """``got``, read in the counted mode, holds the rows of ``want``."""
+    """``got``, the counts read from a file, holds the rows of ``want``."""
     assert isinstance(got, stratify.InstanceCounts)
     assert got.distance.dtype == got.count.dtype == np.int64
     assert (got.label is None) == (want.label is None)
@@ -146,17 +146,10 @@ def assert_read_as_rows(got, want):
 
 
 def ingest_error(read):
-    """The IngestError that ``read(counted)`` raises in both modes of
-    read_instances_csv: the counted mode must give the row mode's line and
-    message."""
-    errors = []
-    for counted in (False, True):
-        with pytest.raises(IngestError) as exc:
-            read(counted)
-        errors.append(exc.value)
-    rows, cells = errors
-    assert (cells.line, str(cells)) == (rows.line, str(rows))
-    return rows
+    """The IngestError that ``read()`` raises."""
+    with pytest.raises(IngestError) as exc:
+        read()
+    return exc.value
 
 
 class TestEnumeration:
@@ -444,11 +437,12 @@ class TestInstanceCsv:
         inst.scores["demo"] = np.arange(len(inst), dtype=float) / 7.0
         buf = io.StringIO()
         write_instances_csv(buf, inst, score_keys=["demo"])
-        back = read_instances_csv(io.StringIO(buf.getvalue()))
+        back = read_instances_rows(io.StringIO(buf.getvalue()))
         assert back.u.tolist() == inst.u.tolist()
         assert back.distance.tolist() == inst.distance.tolist()
         assert back.label.tolist() == inst.label.tolist()
         assert np.array_equal(back.scores["score"], inst.scores["demo"])
+        assert_read_as_rows(read_instances_csv(io.StringIO(buf.getvalue())), back)
 
     @settings(max_examples=150, deadline=None)
     @given(instance_sets(), st.sampled_from([1, 3, 8192]))
@@ -462,7 +456,8 @@ class TestInstanceCsv:
 
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
-        back = read_instances_csv(io.StringIO(text), id_index=index)
+        back = read_instances_rows(io.StringIO(text), id_index=index)
+        assert_read_as_rows(read_instances_csv(io.StringIO(text), id_index=index), back)
         assert np.array_equal(back.u, inst.u)
         assert np.array_equal(back.v, inst.v)
         assert np.array_equal(back.distance, inst.distance)
@@ -481,7 +476,7 @@ class TestInstanceCsv:
     def test_reader_matches_row_reader(self, case, data):
         # CRLF line ends and blank lines, quoted ids (CR, LF, ',' and '"')
         # through id_index, 0 to 3 score columns; from a stream or a file,
-        # read in chunks of 1, 3 or 4,096 records, as rows and counted.
+        # read in chunks of 1, 3 or 4,096 records.
         inst, id_labels, keys = case
         buf = io.StringIO()
         write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
@@ -498,43 +493,26 @@ class TestInstanceCsv:
                     path = os.path.join(tmp, "scores.csv")
                     with open(path, "w", encoding="utf-8", newline="") as fh:
                         fh.write(text)
-                    got, cells = (read_instances_csv(path, id_index=index,
-                                                     counted=counted)
-                                  for counted in (False, True))
+                    cells = read_instances_csv(path, id_index=index)
             else:
-                got, cells = (read_instances_csv(io.StringIO(text), id_index=index,
-                                                 counted=counted)
-                              for counted in (False, True))
+                cells = read_instances_csv(io.StringIO(text), id_index=index)
         assert_read_as_rows(cells, want)
-        for name in ("u", "v", "distance"):
-            assert getattr(got, name).dtype == np.int64
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        if want.label is None:
-            assert got.label is None
-        else:
-            assert got.label.dtype == bool
-            assert np.array_equal(got.label, want.label)
-        assert list(got.scores) == list(want.scores)
-        for name in want.scores:
-            assert np.array_equal(score_bits(got.scores[name]),
-                                  score_bits(want.scores[name]))
 
     @settings(max_examples=150, deadline=None)
     @given(instance_sets(), st.sampled_from([1, 3, 8192]),
            st.sampled_from([1, 3, 4096]))
     def test_counted_ranking_equals_row_ranking(self, case, read_rows, decode_rows):
-        # Each score column of a file read in the counted mode ranks into
-        # the Ranking of the file's rows; a NaN score is refused by both.
+        # Each score column of a file ranks from its counts into the Ranking
+        # of the file's rows; a NaN score is refused by both.
         inst, id_labels, keys = case
         buf = io.StringIO()
         write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
-        rows = read_instances_csv(io.StringIO(buf.getvalue()), id_index=index)
+        rows = read_instances_rows(io.StringIO(buf.getvalue()), id_index=index)
         with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
                 mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
-            cells = read_instances_csv(io.StringIO(buf.getvalue()), id_index=index,
-                                       counted=True)
+            cells = read_instances_csv(io.StringIO(buf.getvalue()), id_index=index)
         assert_read_as_rows(cells, rows)
         if rows.label is None:
             return
@@ -565,7 +543,7 @@ class TestInstanceCsv:
         buf = io.StringIO()
         write_instances_csv(buf, inst)
         with mock.patch.object(stratify, "_READ_ROWS", 1000):
-            cells = read_instances_csv(io.StringIO(buf.getvalue()), counted=True)
+            cells = read_instances_csv(io.StringIO(buf.getvalue()))
         assert cells.count.size == n and set(cells.count.tolist()) == {2}
         assert_read_as_rows(cells, inst)
         for name in ("a", "b"):
@@ -586,24 +564,20 @@ class TestInstanceCsv:
         assert np.array_equal(distinct[index], words)
         assert len(distinct) == len({tuple(row) for row in words.tolist()})
 
-    @pytest.mark.parametrize("count_chars", [1, 2, 3, 1 << 20])
-    def test_records_bound_counts_every_line_end(self, tmp_path, count_chars):
-        # np.loadtxt ends a record at \n, \r\n or a lone \r; the bound that
-        # sizes the columns counts each once, however the text is cut.
+    @pytest.mark.parametrize("read_rows", [1, 2, 3, 1 << 20])
+    def test_records_bound_counts_every_line_end(self, tmp_path, read_rows):
+        # np.loadtxt ends a record at \n, \r\n or a lone \r; the counted
+        # cells hold each record once, however the body is cut into chunks.
         rows = ["0,1,2,1,0.5", "0,2,3,0,0.25", "1,2,beyond,0,0.0", "1,3,2,1,1.0"]
+        want = read_instances_rows(io.StringIO(HEADER + "\n".join(rows)))
         for ends in (["\n"] * 4, ["\r"] * 4, ["\r\n"] * 4, ["\r", "\r\n", "\n", ""]):
             text = HEADER + "".join(r + e for r, e in zip(rows, ends))
             path = tmp_path / "scores.csv"
             path.write_bytes(text.encode())
-            with mock.patch.object(stratify, "_COUNT_CHARS", count_chars):
-                with open(path, encoding="utf-8", newline="") as fh:
-                    fh.readline()
-                    assert stratify._records_bound(fh, fh.tell()) == len(rows)
-                with mock.patch.object(stratify, "_READ_ROWS", 1):
-                    back = read_instances_csv(str(path))
-            assert back.u.tolist() == [0, 0, 1, 1]
-            assert back.distance.tolist() == [2, 3, BEYOND, 2]
-            assert back.scores["score"].tolist() == [0.5, 0.25, 0.0, 1.0]
+            with mock.patch.object(stratify, "_READ_ROWS", read_rows):
+                back = read_instances_csv(str(path))
+            assert back.count.sum() == len(rows)
+            assert_read_as_rows(back, want)
 
     def test_underscore_digits_are_rejected(self):
         # Python's int() and float() read "1_0" as 10; the typed reader,
@@ -632,16 +606,22 @@ class TestInstanceCsv:
                 assert exc.line == 3
                 return None
 
-        as_id = read(f"{cell},2,2,1,0.5")
-        rows = [("distance", f"0,2,{cell},1,0.5")]
+        try:
+            as_id = int(np.loadtxt(io.StringIO(f"{cell},2\n"), dtype=np.int64,
+                                   delimiter=",", usecols=0, ndmin=1)[0])
+        except ValueError:
+            as_id = None
+        assert (read(f"{cell},2,2,1,0.5") is None) == (as_id is None)
+        rows = [("distance", f"0,2,{cell},1,0.5", 2)]
         if len(cell) <= 2:  # a label cell has at most 2 bytes
-            rows.append(("label", f"0,2,2,{cell},0.5"))
-        for column, row in rows:
+            rows.append(("label", f"0,2,2,{cell},0.5", False))
+        for column, row, first in rows:
             back = read(row)
             assert (back is None) == (as_id is None)
             if back is not None:
-                want = as_id.u[1] != 0 if column == "label" else as_id.u[1]
-                assert getattr(back, column)[1] == want
+                want = as_id != 0 if column == "label" else as_id
+                assert sorted(np.repeat(getattr(back, column), back.count).tolist()) \
+                    == sorted([first, want])
 
     @pytest.mark.parametrize("body, line", [
         ("99999999999999999999,2,2,1,0.5\n", 2),        # id outside int64
@@ -655,8 +635,7 @@ class TestInstanceCsv:
         ("0,1,2,,0.5\n\n0,2,2,1,0.5\n", 2),
     ])
     def test_malformed_row_names_its_line(self, body, line):
-        exc = ingest_error(lambda counted: read_instances_csv(
-            io.StringIO(HEADER + body), counted=counted))
+        exc = ingest_error(lambda: read_instances_csv(io.StringIO(HEADER + body)))
         assert exc.line == line
 
     @pytest.mark.parametrize("body, line", [
@@ -681,8 +660,8 @@ class TestInstanceCsv:
             for read_rows, stream in itertools.product([1, 2, 3, 8192],
                                                        (io.StringIO, Unseekable)):
                 with mock.patch.object(stratify, "_READ_ROWS", read_rows):
-                    exc = ingest_error(lambda counted: read_instances_csv(
-                        stream(HEADER + body), counted=counted))
+                    exc = ingest_error(lambda: read_instances_csv(
+                        stream(HEADER + body)))
                 assert exc.line == line
 
     @pytest.mark.parametrize("cell", ["٣", "１", "é", "2\u00a0"])
@@ -705,8 +684,7 @@ class TestInstanceCsv:
         text = HEADER + "0,1,2,1,0.5\n" + row + "\n"
         if ok:
             back = read_instances_csv(io.StringIO(text))
-            assert back.distance[1] == read_instances_rows(io.StringIO(text)).distance[1]
-            assert back.label.tolist() == [True, row.split(",")[3] == "1"]
+            assert_read_as_rows(back, read_instances_rows(io.StringIO(text)))
         else:
             with pytest.raises(IngestError, match="too long") as exc:
                 read_instances_csv(io.StringIO(text))
@@ -741,11 +719,7 @@ class TestInstanceCsv:
         want = read_instances_rows(io.StringIO(text))
         with mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
             got = read_instances_csv(io.StringIO(text))
-        assert np.array_equal(got.distance, want.distance)
-        if want.label is None:
-            assert got.label is None
-        else:
-            assert np.array_equal(got.label, want.label)
+        assert_read_as_rows(got, want)
 
     def test_unknown_id_names_its_line(self):
         # The first record spans lines 2 and 3.
@@ -757,13 +731,11 @@ class TestInstanceCsv:
     @pytest.mark.parametrize("rows", [1, 5000])
     def test_bytes_that_are_not_utf8(self, tmp_path, rows):
         # The first chunk decoded holds the header and, in a short file,
-        # the bad byte too; in a long one the count of the line ends meets
-        # it, or counted, loadtxt.
+        # the bad byte too; in a long one loadtxt meets it.
         path = tmp_path / "scores.csv"
         path.write_bytes((HEADER + "0,1,2,1,0.5\n" * rows).encode()
                          + b"0,2,2,0,\xff\n")
-        exc = ingest_error(lambda counted: read_instances_csv(str(path),
-                                                              counted=counted))
+        exc = ingest_error(lambda: read_instances_csv(str(path)))
         assert "utf-8" in str(exc)
 
     def test_stream_that_cannot_seek(self):
@@ -771,27 +743,21 @@ class TestInstanceCsv:
             def seekable(self):
                 return False
 
-        for counted in (False, True):
-            back = read_instances_csv(Pipe(HEADER + "0,1,2,1,0.5\n"), counted=counted)
-            assert back.label.tolist() == [True]
-        exc = ingest_error(lambda counted: read_instances_csv(
-            Pipe(HEADER + "0,1,2,1,0.5\n0,2,far,0,0.5\n"), counted=counted))
+        back = read_instances_csv(Pipe(HEADER + "0,1,2,1,0.5\n"))
+        assert back.label.tolist() == [True]
+        exc = ingest_error(lambda: read_instances_csv(
+            Pipe(HEADER + "0,1,2,1,0.5\n0,2,far,0,0.5\n")))
         assert exc.line == 3
 
     def test_empty_body_and_unlabeled_rows(self):
-        for counted in (False, True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                empty = read_instances_csv(io.StringIO(HEADER), counted=counted)
-                unlabeled = read_instances_csv(io.StringIO(HEADER + "0,1,2,,0.5\n"),
-                                               counted=counted)
-            assert len(empty.distance) == 0 and empty.label is None
-            assert empty.scores["score"].shape == (0,)
-            assert unlabeled.label is None
-            if counted:
-                assert empty.count.size == 0 and unlabeled.count.tolist() == [1]
-            else:
-                assert len(empty) == 0 and unlabeled.u.tolist() == [0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = read_instances_csv(io.StringIO(HEADER))
+            unlabeled = read_instances_csv(io.StringIO(HEADER + "0,1,2,,0.5\n"))
+        assert len(empty.distance) == 0 and empty.label is None
+        assert empty.scores["score"].shape == (0,)
+        assert unlabeled.label is None
+        assert empty.count.size == 0 and unlabeled.count.tolist() == [1]
 
     def test_negative_zero_keeps_its_sign(self):
         inst = InstanceSet([0, 0], [2, 3], [2, 2], None,
@@ -806,10 +772,12 @@ class TestInstanceCsv:
         buf = io.StringIO()
         write_instances_csv(buf, inst, id_labels=ids)
         assert buf.getvalue().splitlines()[1] == '"a,b","q""x",2,1'
-        back = read_instances_csv(io.StringIO(buf.getvalue()),
-                                  id_index={name: i for i, name in enumerate(ids)})
+        index = {name: i for i, name in enumerate(ids)}
+        back = read_instances_rows(io.StringIO(buf.getvalue()), id_index=index)
         assert back.u.tolist() == [0, 1]
         assert back.v.tolist() == [2, 2]
+        assert_read_as_rows(read_instances_csv(io.StringIO(buf.getvalue()),
+                                               id_index=index), back)
 
     def test_distance_string_round_trip(self):
         for d in (2, 7, BEYOND, DISCONNECTED):
@@ -834,10 +802,10 @@ class TestInstanceCsv:
 
 
 def test_score_path_memory_budget(tmp_path):
-    # A score file is read in chunks straight into its columns, and ranked
-    # with two 8-byte temporaries a row; a whole-file np.loadtxt (40 B a
-    # row on top of the columns) or np.unique's inverse (~49 B a row) would
-    # not fit.
+    # A score file is read into the counts of its distinct rows, in chunks,
+    # so no command holds its rows; rows in memory rank with two 8-byte
+    # temporaries a row, where np.unique's inverse (~49 B a row) would not
+    # fit.
     rng = np.random.default_rng(5)
     n = 50_000
     inst = InstanceSet(rng.integers(0, 1000, n), rng.integers(1000, 2000, n),
@@ -848,28 +816,20 @@ def test_score_path_memory_budget(tmp_path):
         write_instances_csv(fh, inst)
     tracemalloc.start()
     try:
-        back = read_instances_csv(str(path))
-        _, read_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        rank = Ranking(back.scores["score"], back.label, back.distance)
+        rank = Ranking(inst.scores["s"], inst.label, inst.distance)
         _, rank_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    result = sum(a.nbytes for a in (back.u, back.v, back.distance, back.label,
-                                    back.scores["score"]))
-    assert result == 33 * n
-    chunk = stratify._READ_ROWS * 40  # u, v, the two byte cells, one score
-    assert n >= 4 * stratify._READ_ROWS
-    # One chunk, and as much again for decoding a block of its cells.
-    assert read_peak <= result + 2 * chunk
     assert rank_peak - before <= 24 * n
     assert len(rank) == n and rank.n_pos == inst.n_pos
 
-    # Counted, the read keeps no row: it holds one chunk and the table of
-    # distinct rows, which a merge holds with as many rows waiting (at least
+    # The read keeps no row: it holds one chunk and the table of distinct
+    # rows, which a merge holds with as many rows waiting (at least
     # _READ_ROWS) and a few int64 columns of both. The same rows four times
     # over make the same table and the same peak.
+    chunk = stratify._READ_ROWS * 40  # u, v, the two byte cells, one score
+    assert n >= 4 * stratify._READ_ROWS
     text = path.read_text(encoding="utf-8")
     head, _, body = text.partition("\n")
     path4 = tmp_path / "scores4.csv"
@@ -878,7 +838,7 @@ def test_score_path_memory_budget(tmp_path):
     for source in (path, path4):
         tracemalloc.start()
         try:
-            cells = read_instances_csv(str(source), counted=True)
+            cells = read_instances_csv(str(source))
             counted = Ranking(cells.scores["score"], cells.label, cells.distance,
                               counts=cells.count)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -889,6 +849,19 @@ def test_score_path_memory_budget(tmp_path):
     assert cells.count.size < n // 8
     assert peaks[0] <= chunk + 128 * merge_rows
     assert peaks[1] <= peaks[0] + n  # under a byte for each row added
+
+    # So does evaluate, which ranks the file's counts and writes its curves
+    # and per-distance rows from that ranking.
+    peaks = []
+    for source in (path, path4):
+        tracemalloc.start()
+        try:
+            assert cli.main(["evaluate", "--out", str(tmp_path / source.stem),
+                             "--set", f"dataset.scores={source}"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + n
 
 
 def test_counted_read_of_a_varied_head_stays_with_its_cells(tmp_path):
@@ -912,7 +885,7 @@ def test_counted_read_of_a_varied_head_stays_with_its_cells(tmp_path):
         with mock.patch.object(stratify, "_READ_ROWS", 1000):
             tracemalloc.start()
             try:
-                cells = read_instances_csv(str(path), counted=True)
+                cells = read_instances_csv(str(path))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -44,8 +44,8 @@ def test_traced_pass_counts_tie_groups(tmp_path, tracing):
     # cli calls the surrogate experiment by name, where the tracer swaps it
     assert traced("surrogate")["experiments.surrogate_s"] > 0
     # kaggle-compare reads a score file and ranks it through the names the
-    # tracer swaps in cli: read_instances_csv and Ranking, whose wrappers
-    # pass the counted mode's keywords on
+    # tracer swaps in cli: read_instances_csv and Ranking, whose wrapper
+    # passes the counts on
     rng = np.random.default_rng(7)
     n = 400
     scores = tmp_path / "scores.csv"
@@ -58,12 +58,19 @@ def test_traced_pass_counts_tie_groups(tmp_path, tracing):
     assert kaggle["stratify.read_instances_s"] > 0
     assert kaggle["metrics.tie_groups"] > 0
     assert kaggle["experiments.kaggle_s"] > 0
-    # and so does variance, which reads the file in its counted mode
+    # and so does variance
     variance = traced("variance", config=[f"dataset.scores={scores}",
                                           "variance.rates=0.5,1",
                                           "variance.repeats=3"])
     assert variance["stratify.read_instances_s"] > 0
     assert variance["metrics.tie_groups"] > 0
+    # evaluate draws one sample per predictor through the sampler names the
+    # tracer swaps in cli
+    sampled = traced("evaluate", config=settings + [
+        "prediction.predictors=cn,pa", "sampling.mode=fair-random",
+        "sampling.rate=0.5"])
+    assert sampled["experiments.samples_drawn"] == 2
+    assert sampled["experiments.sample_s"] > 0
 
 
 def test_traced_snapshot_counts_nodes_and_edges(tmp_path, tracing):
