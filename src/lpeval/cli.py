@@ -32,13 +32,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import functools
 import importlib
-import io
 import sys
 
 from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, LpevalError
-from .manifest import atomic_write_text, sha256_file, write_json, write_manifest
+from .manifest import (atomic_write, atomic_write_text, sha256_file, write_json,
+                       write_manifest)
 from .render import curve_svg
 from .surrogate import SurrogateParams, surrogate_simulation
 
@@ -125,10 +125,11 @@ class _Output:
             os.path.join(self.cfg.out_dir, name), text)
 
     def render(self, name, write):
-        """Render an artifact with ``write(buffer)``."""
-        buf = io.StringIO()
-        write(buf)
-        self.text(name, buf.getvalue())
+        """Render an artifact with ``write(sink)``, which streams its text
+        into the artifact's temporary file (:func:`~lpeval.manifest.atomic_write`),
+        so no copy of the text is held."""
+        self.digests[name] = atomic_write(os.path.join(self.cfg.out_dir, name),
+                                          write)
 
     def csv(self, name, header, rows):
         self.text(name, ",".join(header) + "\n" + "".join(
@@ -163,16 +164,24 @@ def _test_snapshots(cfg, log):
                  for interval in (cfg.windows.test_feature, cfg.windows.test_label))
 
 
-def _graph_instance_sets(cfg, log):
-    """One labeled, scored instance set per predictor name, all on the
-    candidates of the test windows; also the feature snapshot."""
+def _graph_scored(cfg, log, use):
+    """``{name: use(name, instances, feature)}`` per predictor, where
+    ``instances`` are the labeled candidates of the test windows scored by
+    that predictor and ``feature`` is the feature snapshot.
+
+    The predictors are scored one at a time, each after ``use`` has
+    returned for the one before, so a caller that keeps no scored set holds
+    one at a time; the sets share the candidates' columns
+    (:func:`~lpeval.predictors.score_instances`).
+    """
     feature, label = _test_snapshots(cfg, log)
     instances = generate_test_set(feature, label, mode=cfg.mode, l_max=cfg.lmax,
                                   include_beyond=cfg.include_beyond,
                                   include_disconnected=cfg.include_disconnected)
-    return {pred.name: score_instances(feature, instances, pred, policy=cfg.policy,
-                                       query_mode=cfg.mode == "query")
-            for pred in cfg.predictors}, feature
+    return {pred.name: use(pred.name, score_instances(
+                feature, instances, pred, policy=cfg.policy,
+                query_mode=cfg.mode == "query"), feature)
+            for pred in cfg.predictors}
 
 
 def _score_file(cfg):
@@ -203,18 +212,18 @@ def _rankings(cfg, rows=None):
     A ``dataset.scores`` file is ranked from the counts of its distinct
     rows, so no column of the file's rows is held. Graph input is ranked
     from each predictor's scored rows, which ``rows(name, instances,
-    feature)``, when given, sees first.
+    feature)``, when given, sees first; only the rankings are kept.
     """
     if cfg.scores_path:
         return _ranked(_score_file(cfg)), sha256_file(cfg.scores_path)
     log, digest = _load_log(cfg)
-    sets, feature = _graph_instance_sets(cfg, log)
-    ranks = {}
-    for name, inst in sets.items():
+
+    def rank(name, inst, feature):
         if rows is not None:
             rows(name, inst, feature)
-        ranks[name] = Ranking(inst.scores[name], inst.label, inst.distance)
-    return ranks, digest
+        return Ranking(inst.scores[name], inst.label, inst.distance)
+
+    return _graph_scored(cfg, log, rank), digest
 
 
 def _sampled(cfg, rank):
@@ -256,11 +265,13 @@ def cmd_score(cfg):
     error, found before any file is read.
     """
     log, digest = _load_log(cfg)
-    sets, feature = _graph_instance_sets(cfg, log)
     out = _Output(cfg, "score")
-    for name in sorted(sets):
+
+    def write(name, inst, feature):
         out.render(f"scores_{name}.csv", lambda fh: write_instances_csv(
-            fh, sets[name], id_labels=feature.id_labels, score_keys=[name]))
+            fh, inst, id_labels=feature.id_labels, score_keys=[name]))
+
+    _graph_scored(cfg, log, write)
     out.manifest(digest)
 
 
@@ -396,7 +407,7 @@ def cmd_temporal(cfg):
     cfg.require_windows()
     slice_intervals(cfg.windows.test_label, cfg.temporal.slices)
     log, digest = _load_log(cfg)
-    sets, _ = _graph_instance_sets(cfg, log)
+    sets = _graph_scored(cfg, log, lambda name, inst, feature: inst)
     reports = temporal_eval(sets, log, cfg.windows.test_label, cfg.temporal,
                             weight_rule=cfg.weight_rule)
     out = _Output(cfg, "temporal")

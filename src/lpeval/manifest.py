@@ -1,10 +1,13 @@
 """Run manifests, content digests, and the one atomic artifact writer.
 
-Every artifact goes through ``atomic_write_text``: it writes temp-then-rename
-so a crashed run never leaves a partial file, and returns the sha256 of the
-bytes it wrote. The manifest lists each artifact with that digest, so a
-rerun (same config, same inputs) is checkable bit-for-bit and no artifact
-is read back to hash it; ``sha256_file`` is for input files.
+Every artifact goes through ``atomic_write``: its writer streams the text
+into a temporary file in the target directory, which is renamed into place
+only when the writer returns, so a crashed run never leaves a partial
+file. Each chunk is encoded and hashed as it passes, so no copy of the
+artifact's text is held, and the sha256 of the bytes written is returned.
+The manifest lists each artifact with that digest, so a rerun (same
+config, same inputs) is checkable bit-for-bit and no artifact is read back
+to hash it; ``sha256_file`` is for input files.
 """
 
 from __future__ import annotations
@@ -32,21 +35,66 @@ def sha256_file(path):
     return "sha256:" + h.hexdigest()
 
 
-def atomic_write_text(path, text):
-    """Write ``text`` as UTF-8 to ``path`` atomically; returns its sha256."""
-    data = text.encode("utf-8")
+class _Sink:
+    """The text stream an :func:`atomic_write` writer writes to: each string
+    is encoded as UTF-8, hashed and written through to the temporary file."""
+
+    def __init__(self, fh, path):
+        self._fh = fh
+        self._path = path
+        self._hash = hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode("utf-8")
+        self._hash.update(data)
+        self._fh.write(data)
+        return len(text)
+
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
+
+    def getvalue(self):
+        """The text written so far, read back from the temporary file.
+
+        The benchmark's tracer (``lpbench/tracing.py``) counts the bytes of
+        each instance CSV with it. It holds the whole text, so no ``lpeval``
+        code calls it.
+        """
+        self._fh.flush()
+        with open(self._path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+
+    def digest(self):
+        return "sha256:" + self._hash.hexdigest()
+
+
+def atomic_write(path, write):
+    """Write an artifact to ``path`` atomically with ``write(sink)``; returns
+    the sha256 of its bytes.
+
+    ``sink`` takes text through ``write`` and ``writelines``, like a text
+    file opened with ``newline=""``. If ``write`` raises, the temporary
+    file is removed and any file already at ``path`` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            sink = _Sink(fh, tmp)
+            write(sink)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return sink.digest()
+
+
+def atomic_write_text(path, text):
+    """Write ``text`` as UTF-8 to ``path`` atomically; returns its sha256."""
+    return atomic_write(path, lambda sink: sink.write(text))
 
 
 def write_json(path, payload):

@@ -17,6 +17,7 @@ any permutation or split of a pair list gives bit-identical scores.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -463,11 +464,16 @@ def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False):
 def score_instances(s, instances, predictor, policy="mean", query_mode=False):
     """Attach a score column (named after the predictor) to an instance set.
 
-    Under list-both with a directional predictor the instance rows are
-    duplicated, one per ordering.
+    Returns a new set. When each pair gives one row, it shares the input's
+    ``u``, ``v``, ``distance``, ``label`` and other score columns, so
+    scoring adds only the 8-byte score column. Under list-both every pair
+    gives two rows, one per ordering, and the columns are copied.
     """
     index, scores = score_pairs(s, instances.u, instances.v, predictor,
                                 policy=policy, query_mode=query_mode)
-    expanded = instances.take(index)
+    if index.size == len(instances):  # the identity: one row per pair
+        expanded = dataclasses.replace(instances, scores=dict(instances.scores))
+    else:
+        expanded = instances.take(index)
     expanded.scores[predictor.name] = scores
     return expanded

@@ -14,6 +14,7 @@ import csv
 import io
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +30,10 @@ from .predictors import (_blocks, _sorted_unique, _walk, bfs_level_blocks, bfs_l
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
 
-# Rows joined into one string per write of the instance CSV writer: large
-# enough that the per-chunk calls cost nothing, small enough that no
-# whole-file list of row strings is held.
+# Rows joined into one string per write of the instance CSV writer, and
+# rows labeled at a time: large enough that the per-chunk calls cost
+# nothing, small enough that no whole-set temporary (a whole-file list of
+# row strings, a key per candidate) is held.
 _CHUNK_ROWS = 8192
 
 
@@ -150,11 +152,17 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
     (distance, u, v). A pair still unreached at ``l_max`` is in the beyond
     bucket if its ends share a component and in the disconnected bucket if
     not; each sentinel bucket is emitted on request.
+
+    The blocks are consecutive runs of the ascending node ids and each is
+    read row-major, so its rows arrive in (u, v) order. Each block's rows
+    are appended to the lists of their distances, which are then joined in
+    distance order: besides the result, the enumeration holds the ``u`` and
+    ``v`` of its rows once, and temporaries of one block.
     """
     if l_max < 2:
         raise ConfigError("l_max must be >= 2", field="lmax")
     nodes = s.node_ids
-    us, vs, ds = [], [], []
+    us, vs = defaultdict(list), defaultdict(list)
     component = (_components(s) if include_beyond or include_disconnected
                  else None)
     for block, levels in bfs_level_blocks(s, nodes, l_max):
@@ -172,19 +180,30 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
             far = d < 0
             d[far] = np.where(component[block[rows[far]]]
                               == component[nodes[cols[far]]], BEYOND, DISCONNECTED)
-        us.append(block[rows])
-        vs.append(nodes[cols])
-        ds.append(d)
+        order = np.argsort(d, kind="stable")
+        d, u, v = d[order], block[rows[order]], nodes[cols[order]]
+        starts = np.flatnonzero(np.diff(d, prepend=-1)).tolist()  # d >= 2
+        for lo, hi in zip(starts, starts[1:] + [d.size]):
+            us[int(d[lo])].append(u[lo:hi])
+            vs[int(d[lo])].append(v[lo:hi])
     if not us:
         empty = np.empty(0, dtype=np.int64)
         return InstanceSet(empty, empty, empty)
-    # The rows already arrive in (u, v) order: blocks are consecutive runs
-    # of the ascending node ids, and np.nonzero walks each block row-major.
-    # A stable sort by distance alone therefore gives (distance, u, v).
-    d_arr = np.concatenate(ds)
-    order = np.argsort(d_arr, kind="stable")
-    return InstanceSet(np.concatenate(us)[order], np.concatenate(vs)[order],
-                       d_arr[order])
+    values = sorted(us)
+    sizes = [sum(part.size for part in us[value]) for value in values]
+    # Each column's lists are freed once joined, before the next column is.
+    u = np.concatenate([part for value in values for part in us.pop(value)])
+    v = np.concatenate([part for value in values for part in vs.pop(value)])
+    return InstanceSet(u, v, np.repeat(np.array(values, dtype=np.int64), sizes))
+
+
+def _in_sorted(keys, table):
+    """``np.isin(keys, table)`` for integer arrays and a sorted ``table``,
+    by binary search."""
+    if not table.size:
+        return np.zeros(np.shape(keys), dtype=bool)
+    at = np.searchsorted(table, keys)
+    return table[np.minimum(at, table.size - 1)] == keys
 
 
 def _isin(keys, table):
@@ -193,23 +212,25 @@ def _isin(keys, table):
     On wide key ranges ``np.isin`` deduplicates ``table`` with a hashing
     ``np.unique`` that imports ``numpy.ma``; a sorted table needs neither.
     """
-    table = np.sort(table, axis=None)
-    if not table.size:
-        return np.zeros(np.shape(keys), dtype=bool)
-    at = np.searchsorted(table, keys)
-    return table[np.minimum(at, table.size - 1)] == keys
+    return _in_sorted(keys, np.sort(table, axis=None))
 
 
 def label_instances(candidates, label_snapshot):
-    """Label each candidate positive iff it is an edge of the label snapshot."""
+    """Label each candidate positive iff it is an edge of the label snapshot.
+
+    The edge keys are sorted once; the candidates' keys are built and looked
+    up _CHUNK_ROWS rows at a time, so the temporaries are those of a chunk.
+    """
     n = max(label_snapshot.n_universe, 1)
     eu, ev, _ = label_snapshot.edge_arrays()
-    edge_keys = eu * np.int64(n) + ev
-    lo = np.minimum(candidates.u, candidates.v)
-    hi = np.maximum(candidates.u, candidates.v)
-    in_range = (lo >= 0) & (hi < n)
-    keys = np.where(in_range, lo * np.int64(n) + hi, -1)
-    labels = _isin(keys, edge_keys)
+    edge_keys = np.sort(eu * np.int64(n) + ev)
+    labels = np.empty(len(candidates), dtype=bool)
+    for start in range(0, labels.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        u, v = candidates.u[rows], candidates.v[rows]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = np.where((lo >= 0) & (hi < n), lo * np.int64(n) + hi, -1)
+        labels[rows] = _in_sorted(keys, edge_keys)
     return InstanceSet(candidates.u, candidates.v, candidates.distance, labels,
                        dict(candidates.scores))
 

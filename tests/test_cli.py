@@ -2,6 +2,7 @@ import ast
 import builtins
 import dis
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -189,6 +190,35 @@ def test_evaluate_samples_graph_input_as_counts(tmp_path):
     sampled = json.loads((tmp_path / "out" / "evaluation.json").read_text())
     for name, entry in sampled["predictors"].items():
         assert entry["n_pos"] == entry["n_neg"] == full["predictors"][name]["n_pos"]
+
+
+def test_evaluate_holds_one_scored_set(tmp_path, monkeypatch):
+    # Each predictor is scored, written and ranked in turn, on a set that
+    # shares the candidates' columns, so three predictors peak where the
+    # largest of them alone does. The input has the benchmark's full shape:
+    # 79,200 candidates over every bucket.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]
+                                    / "lpbench"))
+    gen = importlib.import_module("gen")
+    full = importlib.import_module("workloads").WORKLOADS["full"]
+    events = tmp_path / "events.tsv"
+    getattr(gen, full.generator)(21, str(events), **full.params)
+    args = ["--set", f"dataset.path={events}"] + [
+        arg for section, keys in full.config.items() for key, value in keys.items()
+        for arg in ("--set", f"{section}.{key}={value}")]
+
+    def peak(predictors):
+        tracemalloc.start()
+        try:
+            assert cli.main(["evaluate", "--out", str(tmp_path / "out"), *args,
+                             "--set", f"prediction.predictors={predictors}"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("cn,aa,pa")  # the modules a run imports are loaded outside the peaks
+    single = max(peak(name) for name in ("cn", "aa", "pa"))
+    assert peak("cn,aa,pa") <= single + (1 << 18)
 
 
 @pytest.mark.parametrize("settings, field", [
@@ -553,7 +583,7 @@ def test_direct_write_guard_sees_each_form():
                                    ("cmd_a", "write_json")]
 
 
-# Candidate building and scoring have one home, cli._graph_instance_sets:
+# Candidate building and scoring have one home, cli._graph_scored:
 # the experiments take scored instance sets and build or score none.
 PIPELINE_CALLS = {"geodesic_bucket_enumerate", "generate_test_set",
                   "score_instances", "score_pairs"}
@@ -1069,6 +1099,35 @@ def test_numpy_ma_guard_sees_each_form():
     assert numpy_ma_calls("m.py", code) == [
         ("m.py", 2, "median"), ("m.py", 3, "isin"), ("m.py", 4, "unique"),
         ("m.py", 5, "unique"), ("m.py", 6, "median")]
+
+
+# Every artifact streams into its temporary file (manifest.atomic_write);
+# a text buffer in cli would hold a whole artifact, and its copies, again.
+def string_buffers(text):
+    """``(line, name)`` of each ``StringIO`` the code names: a call, an
+    attribute read or an import."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and node.id == "StringIO":
+            found.append((node.lineno, "StringIO"))
+        elif isinstance(node, ast.Attribute) and node.attr == "StringIO":
+            found.append((node.lineno, "StringIO"))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name == "StringIO"]
+    return sorted(found)
+
+
+def test_cli_renders_no_artifact_in_memory():
+    assert string_buffers(pathlib.Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_string_buffer_guard_sees_each_form():
+    code = ("from io import StringIO as Buffer\n"
+            "def f(io, lib):\n    io.StringIO()\n    StringIO()\n"
+            "    make = lib.io.StringIO\n    Buffer()\n    io.BytesIO()\n")
+    assert string_buffers(code) == [(1, "StringIO"), (3, "StringIO"),
+                                    (4, "StringIO"), (5, "StringIO")]
 
 
 @pytest.mark.filterwarnings("ignore:N\\*p")

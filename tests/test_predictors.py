@@ -6,8 +6,9 @@ import pytest
 from lpeval import predictors
 from lpeval import (DataCorruptionError, InvalidPairError, PredictorId, Snapshot,
                     UnknownNodeError, adamic_adar, aggregate_directional,
-                    common_neighbors, preferential_attachment, propflow,
-                    propflow_accounting, propflow_all, score_pairs)
+                    common_neighbors, generate_test_set, preferential_attachment,
+                    propflow, propflow_accounting, propflow_all, score_instances,
+                    score_pairs)
 
 from conftest import random_graph
 from oracles import propflow_path_sum
@@ -300,3 +301,23 @@ class TestScorePairs:
         s = Snapshot.from_edges([(0, 1)])
         with pytest.raises(InvalidPairError):
             score_pairs(s, np.array([1]), np.array([1]), PredictorId.parse("cn"))
+
+
+class TestScoreInstancesShareColumns:
+    @pytest.mark.parametrize("policy", ["mean", "max", "min"])
+    @pytest.mark.parametrize("kind", ["cn", "aa", "pa", "pf:3"])
+    def test_one_row_per_pair_shares_the_columns(self, rng, kind, policy):
+        s, _, _ = random_graph(rng, n=20, p=0.2)
+        inst = generate_test_set(s, Snapshot.from_edges([(0, 5), (2, 9)], n=20),
+                                 l_max=3)
+        inst.scores["other"] = np.arange(len(inst), dtype=float)
+        pred = PredictorId.parse(kind)
+        scored = score_instances(s, inst, pred, policy=policy)
+        for column in ("u", "v", "distance", "label"):
+            assert np.shares_memory(getattr(scored, column), getattr(inst, column))
+        assert scored.scores["other"] is inst.scores["other"]
+        # the input set gains no column
+        assert list(inst.scores) == ["other"]
+        _, want = score_pairs(s, inst.u, inst.v, pred, policy=policy)
+        assert np.array_equal(scored.scores[pred.name], want)
+        assert not np.shares_memory(scored.scores[pred.name], inst.u)

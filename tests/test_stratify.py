@@ -254,6 +254,35 @@ class TestEnumeration:
                             inst.v.tolist()))
             assert all(a < b for a, b in zip(rows, rows[1:]))
 
+    @pytest.mark.parametrize("beyond, disconnected",
+                             itertools.product((True, False), repeat=2))
+    def test_small_blocks_match_allpairs_oracle(self, rng, monkeypatch,
+                                                beyond, disconnected):
+        # Each block's rows join the lists of their distances; across many
+        # blocks the joined columns are the oracle's rows in (distance, u, v)
+        # order.
+        for _ in range(10):
+            s, edges, n = multi_component_graph(rng)
+            small_blocks(monkeypatch, rng, s)
+            l_max = int(rng.integers(2, 5))
+            dist = hop_distances(n, edges)
+            want = []
+            for u, v in itertools.combinations(s.node_ids.tolist(), 2):
+                d = dist[u, v]
+                if np.isinf(d):
+                    if disconnected:
+                        want.append((DISCONNECTED, u, v))
+                elif d > l_max:
+                    if beyond:
+                        want.append((BEYOND, u, v))
+                elif d >= 2:
+                    want.append((int(d), u, v))
+            inst = geodesic_bucket_enumerate(s, l_max, include_beyond=beyond,
+                                             include_disconnected=disconnected)
+            assert inst.u.dtype == inst.v.dtype == inst.distance.dtype == np.int64
+            assert list(zip(inst.distance.tolist(), inst.u.tolist(),
+                            inst.v.tolist())) == sorted(want)
+
 
 class TestComponents:
     def check(self, s):
@@ -311,6 +340,27 @@ class TestLabeling:
                                           include_disconnected=True)
         inst = label_instances(cands, label)
         assert inst.n_pos + inst.n_neg == len(cands)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, stratify._CHUNK_ROWS])
+    def test_chunked_labels_match_edge_lookup(self, rng, chunk_rows):
+        # Query-mode candidates touch nodes the feature snapshot lacks; the
+        # extra pairs here also hold ids outside the label universe (at or
+        # past it, negative) and pairs given as (v, u).
+        feature, _, _ = random_graph(rng, n=15)
+        label, label_edges, n = random_graph(rng, n=18, p=0.3)
+        qry = generate_test_set(feature, label, mode="query", l_max=3)
+        extra_u = rng.integers(-2, n + 3, 40)
+        extra_v = rng.integers(-2, n + 3, 40)
+        u = np.concatenate([qry.u, qry.v[:20], extra_u])
+        v = np.concatenate([qry.v, qry.u[:20], extra_v])
+        cands = InstanceSet(u, v, np.full(u.size, DISCONNECTED))
+        edges = {(a, b) for a, b, _ in label_edges}
+        want = [(min(a, b), max(a, b)) in edges
+                for a, b in zip(u.tolist(), v.tolist())]
+        with mock.patch.object(stratify, "_CHUNK_ROWS", chunk_rows):
+            got = label_instances(cands, label)
+        assert got.label.tolist() == want
+        assert any(want) and not all(want)
 
 
 class TestGenerateTestSet:
