@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 
 # Bytes of a file hashed at a time, read into one reused buffer.
@@ -79,7 +78,12 @@ def atomic_write(path, write):
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    # Created exclusively, as tempfile.mkstemp does, but with the mode a
+    # plain open() gives (0o666 less the umask), which the rename keeps;
+    # mkstemp's would make every artifact readable by its owner only.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             sink = _Sink(fh, tmp)

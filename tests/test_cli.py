@@ -691,17 +691,24 @@ EXPORTS = {
 }
 
 
-def run_child(code, blas_threads=None):
-    """Run ``code`` in a fresh interpreter that imports this checkout's
-    lpeval, with ``OPENBLAS_NUM_THREADS`` unset unless given; its stdout."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def child(*args, blas_threads=None):
+    """``python *args`` run to completion in a fresh interpreter that imports
+    this checkout's lpeval, with ``OPENBLAS_NUM_THREADS`` unset unless
+    given, and with buffered standard streams: ``PYTHONUNBUFFERED`` unset."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     src = str(pathlib.Path(lpeval.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_child(code, blas_threads=None):
+    """Run ``code`` in a fresh interpreter (:func:`child`); its stdout."""
+    proc = child("-c", code, blas_threads=blas_threads)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -761,25 +768,44 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
 """
 
 # ``python -m lpeval.cli`` runs the module as __main__ after importing the
-# package; the ``lpeval`` console script imports ``lpeval.cli:main``. Each
-# runs the command line ``{argv}`` and must exit 0.
-ENTRIES = {
-    "python -m": """
-import runpy, sys
+# package; the ``lpeval`` console script calls ``lpeval.cli:run`` (the
+# script that ``pyproject.toml`` declares). Each runs the command line
+# ``{argv}`` and must exit 0. ``cli.run`` ends the process with
+# ``os._exit``, so the child records that call and raises SystemExit in its
+# place, then goes on to its report: a command must have left through it
+# with code 0, and ``--version`` and ``--help`` through argparse's exit.
+RECORD_EXIT = """
+import os, sys
+exits = []
+def record_exit(code):
+    exits.append(code)
+    raise SystemExit(code)
+os._exit = record_exit
 sys.argv = ["lpeval", *{argv!r}]
 try:
+"""
+LEFT_THROUGH_RUN = """
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code
+assert exits == ([] if {argv!r}[0].startswith("--") else [0]), exits
+"""
+ENTRIES = {
+    "python -m": RECORD_EXIT + """
+    import runpy
     runpy.run_module("lpeval.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    assert exc.code in (0, None), exc.code
-""",
-    "console script": """
-from lpeval.cli import main
-try:
-    assert main({argv!r}) == 0
-except SystemExit as exc:
-    assert exc.code in (0, None), exc.code
-""",
+""" + LEFT_THROUGH_RUN,
+    "console script": RECORD_EXIT + """
+    from lpeval.cli import run
+    run()
+""" + LEFT_THROUGH_RUN,
 }
+
+
+def test_console_script_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(pathlib.Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"lpeval": "lpeval.cli:run"}
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -845,6 +871,81 @@ def test_snapshot_loads_no_numpy(tmp_path, entry):
     assert run_child(ENTRIES[entry].format(argv=argv) + ARRAYS_LOADED) == "[]\n"
     report = json.loads((tmp_path / "out" / "snapshot_report.json").read_text())
     assert report["snapshots"]["test_feature"]["edges"] > 0
+
+
+@pytest.mark.parametrize("command", ["score", "distance-dist"])
+def test_command_loads_only_the_modules_it_binds(tmp_path, command):
+    # Neither command reads a name of metrics, experiments or rng.
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    argv = [command, "--out", str(tmp_path / "out"), "--set",
+            f"dataset.path={events}", *WINDOWS, "--set", "prediction.lmax=3"]
+    code = f"""
+from lpeval import cli
+assert cli.main({argv!r}) == 0
+""" + ARRAYS_LOADED
+    assert run_child(code) == str(
+        ["lpeval.predictors", "lpeval.stratify", "numpy"]) + "\n"
+
+
+def run_module(*argv):
+    """``python -m lpeval.cli *argv`` run to completion."""
+    return child("-m", "lpeval.cli", *argv)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["surrogate", "--seed", "-1"], 2, "config error: "),
+    (["variance", "--set", "dataset.scores=missing.csv"], 3,
+     "data error: cannot read score file: "),
+], ids=["config-error", "data-error"])
+def test_module_exits_with_the_code_of_main(tmp_path, argv, code, message):
+    proc = run_module(*argv, "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(message) and proc.stderr.endswith("\n")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_run_lists_every_artifact_and_prints_its_warnings(tmp_path):
+    scores, _ = sampling_score_file(tmp_path)
+    out = tmp_path / "out"
+    proc = run_module("variance", "--out", str(out), "--set",
+                      f"dataset.scores={scores}", "--set", "variance.repeats=3")
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    assert "UserWarning: N*p = " in proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    listed = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+    # No temporary file is left beside the artifacts.
+    assert sorted(os.listdir(out)) == sorted([*listed, "manifest.json"])
+    assert {path: sha256_file(out / path) for path in listed} == listed
+
+
+@pytest.mark.parametrize("broken, code", [(None, 0), ("stdout", 120), ("stderr", 120)])
+def test_run_flushes_both_streams_before_it_exits(tmp_path, broken, code):
+    # Pending text without a newline stays in each stream's buffer until a
+    # flush; a stream whose flush fails makes the exit code 120, as the
+    # interpreter's own teardown does.
+    code_text = f"""
+import io, sys
+from lpeval import cli
+
+class Broken(io.StringIO):
+    def flush(self):
+        raise OSError("flush failed")
+
+if {broken!r}:
+    setattr(sys, {broken!r}, Broken())
+sys.stdout.write("pending out")
+sys.stderr.write("pending err")
+sys.argv = ["lpeval", "surrogate", "--out", {str(tmp_path / "out")!r}]
+cli.run()
+raise AssertionError("run returned")
+"""
+    proc = child("-c", code_text)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ("" if broken == "stdout" else "pending out")
+    assert proc.stderr == ("" if broken == "stderr" else "pending err")
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_config_loads_no_numpy():
@@ -918,6 +1019,38 @@ def global_reads(text):
     return sorted(found)
 
 
+def command_reads(text):
+    """``{command: (modules, names)}`` for each ``cmd_*`` function of the
+    module ``text``: the literal arguments of its ``@_arrays(...)`` mark
+    (None when it has none), and every global name it reads, with the names
+    that the module's own functions and classes it reads read in turn."""
+    module = compile(text, "<cli>", "exec")
+    reads = {}
+    for top in module.co_consts:
+        if not isinstance(top, types.CodeType):
+            continue
+        todo, names = [top], set()
+        while todo:
+            code = todo.pop()
+            todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            names |= {ins.argval for ins in dis.get_instructions(code)
+                      if ins.opname == "LOAD_GLOBAL"}
+        reads[top.co_name] = names
+    found = {}
+    for node in ast.parse(text).body:
+        if not isinstance(node, ast.FunctionDef) or not node.name.startswith("cmd_"):
+            continue
+        marks = [tuple(arg.value for arg in d.args) for d in node.decorator_list
+                 if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_arrays"]
+        names, todo = set(), [node.name]
+        while todo:
+            new = reads.get(todo.pop(), set()) - names
+            names |= new
+            todo += sorted(new)
+        found[node.name] = (marks[0] if marks else None, names)
+    return found
+
+
 def test_cli_reads_only_bound_names():
     # A name the array commands read but the binding misses fails only in a
     # fresh process that reaches it; resolve every read name up front.
@@ -928,8 +1061,36 @@ cli._bind_arrays()
 print(json.dumps(sorted(vars(cli))))
 """
     bound = set(json.loads(run_child(code))) | set(dir(builtins))
-    reads = global_reads(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    text = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    reads = global_reads(text)
     assert [read for read in reads if read[1] not in bound] == []
+    # Each command, through the helpers it calls, reads only cli's own
+    # names and those of the array modules its @_arrays(...) binds.
+    own = set(vars(cli)) - cli._ARRAY_BOUND | set(dir(builtins))
+    unbound = {}
+    for command, (modules, names) in command_reads(text).items():
+        modules = cli._ARRAY_NAMES if modules == () else modules or ()
+        allowed = own | {name for module in modules
+                         for name in cli._ARRAY_NAMES[module]}
+        if "rng" in modules:
+            allowed.add("rng_mod")
+        unbound[command] = sorted(names - allowed)
+    assert unbound == {command: [] for command in unbound}
+    assert len(unbound) == len(cli._COMMANDS)
+
+
+def test_command_read_guard_sees_each_form():
+    code = ("def _arrays(*modules):\n    return lambda f: f\n"
+            "def helper(x):\n    return g(x) + [k(y) for y in x]\n"
+            "class Out:\n    def write(self):\n        return writer()\n"
+            "@_arrays('a', 'b')\ndef cmd_one(cfg):\n"
+            "    return helper(cfg), Out(), lambda: inner()\n"
+            "def cmd_two(cfg):\n    return plain()\n"
+            "@_arrays()\ndef cmd_three(cfg):\n    return cmd_two(cfg)\n")
+    assert command_reads(code) == {
+        "cmd_one": (("a", "b"), {"helper", "g", "k", "Out", "writer", "inner"}),
+        "cmd_two": (None, {"plain"}),
+        "cmd_three": ((), {"cmd_two", "plain"})}
 
 
 def test_global_read_guard_sees_each_form():

@@ -78,6 +78,20 @@ def test_getvalue_reads_the_text_written(tmp_path):
     assert path.read_text(encoding="utf-8") == seen[-1]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_artifact_mode_is_that_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "artifact.csv", "u,v\n")
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "artifact.csv").st_mode & 0o777
+    assert mode == os.stat(tmp_path / "plain.csv").st_mode & 0o777 \
+        == 0o666 & ~umask
+
+
 def test_render_holds_no_copy_of_the_text(tmp_path):
     # Written straight to an open file, the instance CSV writer holds one
     # chunk of rows, and whatever its column formatting holds; rendered as
