@@ -6,13 +6,16 @@ outward-moving flow propagation over edge weights). PropFlow is directional:
 ``propflow(s, u, v, l)`` and ``propflow(s, v, u, l)`` may differ, so pair
 scoring resolves the two orderings through a direction policy.
 
-All graph work goes through one kernel, :func:`_walk`, which expands a
-block of sources one BFS level at a time over the snapshot's CSR arrays
-with whole-block numpy calls. CN and AA are the row block of A·A reached at
-the second level, PropFlow pushes flow along each level's forward edges,
-and stratification reads the hop levels. Pairs are scored grouped by
-source, and a pair's score depends only on its own source row, so scoring
-any permutation or split of a pair list gives bit-identical scores.
+CN and AA look each pair up in a sorted table of the two-hop paths from the
+pairs' sources (:mod:`lpeval.twohop`): a key's run of paths counts its
+common neighbors (CN) or sums their 1/ln deg (AA). PA reads the degree of
+each end. PropFlow and stratification go through the block kernel
+:func:`_walk`, which expands a block of sources one BFS level at a time over
+the snapshot's CSR arrays with whole-block numpy calls: PropFlow pushes flow
+along each level's forward edges, and stratification reads the hop levels.
+Pairs are scored chunk by chunk or grouped by source, and a pair's score
+depends only on the pair, so scoring any permutation or split of a pair
+list gives bit-identical scores.
 """
 
 from __future__ import annotations
@@ -23,12 +26,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DIRECTION_POLICIES, PredictorId  # noqa: F401 (re-exported)
-from .errors import ConfigError, DataCorruptionError, InvalidPairError, UnknownNodeError
+from .errors import ConfigError, InvalidPairError, UnknownNodeError
 
 # Cells of one block of sources: each source owns a dense row over the
 # universe plus room for one level's expansion (at most every CSR entry), so
-# this bounds the memory of every block-at-a-time walk below.
+# this bounds the memory of every block-at-a-time walk below. It also bounds
+# the two-hop paths gathered for one run of sources (``twohop._path_runs``),
+# unless a single source has more.
 _BLOCK_CELLS = 1 << 18
+
+# Rows scored, labeled or written at a time: large enough that the
+# per-chunk calls cost nothing, small enough that no whole-set temporary (a
+# whole-file list of row strings, a key per candidate) is held.
+_CHUNK_ROWS = 8192
 
 
 def _check_pair(u, v):
@@ -48,9 +58,11 @@ def _check_known(s, u, query_mode):
 
 def _validate_known(s, u_arr, v_arr):
     for arr in (u_arr, v_arr):
-        bad = arr[(arr < 0) | (arr >= s.n_universe)]
-        if bad.size:
-            _check_known(s, int(bad[0]), False)
+        for rows in _row_chunks(arr.size):
+            a = arr[rows]
+            bad = a[(a < 0) | (a >= s.n_universe)]
+            if bad.size:
+                _check_known(s, int(bad[0]), False)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +123,24 @@ def _blocks(s, sources):
         yield sources[lo:lo + size]
 
 
+def _row_chunks(n):
+    """Slices of ``n`` rows, _CHUNK_ROWS at a time."""
+    for lo in range(0, n, _CHUNK_ROWS):
+        yield slice(lo, min(n, lo + _CHUNK_ROWS))
+
+
+def _slices(s, nodes):
+    """The CSR slices of ``nodes``, concatenated in order, as ``(counts,
+    pos)``: ``pos`` lists the CSR positions and ``counts[i]`` the length of
+    ``nodes[i]``'s slice, so ``np.repeat(x, counts)`` spreads a value per
+    node over its positions."""
+    starts = s.indptr[nodes]
+    counts = s.indptr[nodes + 1] - starts
+    pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    pos += np.arange(pos.size)
+    return counts, pos
+
+
 class _Level(NamedTuple):
     """One BFS level of a block walk.
 
@@ -135,11 +165,11 @@ def _walk(s, sources, depth_limit=None):
     """Walk a block of sources one BFS level at a time; yield each _Level.
 
     Every level is expanded with whole-block numpy calls: the frontier's
-    neighbor slices are gathered with ``np.repeat`` on ``indptr``, masked
-    against the hop matrix, and deduplicated with :func:`_sorted_unique`. The
-    level at ``depth_limit`` is yielded with an empty expansion, and the walk
-    ends after a level with no forward edge. Sources outside the universe
-    reach nothing.
+    neighbor slices are gathered (:func:`_slices`), masked against the hop
+    matrix, and deduplicated with :func:`_sorted_unique`. The level at
+    ``depth_limit`` is yielded with an empty expansion, and the walk ends
+    after a level with no forward edge. Sources outside the universe reach
+    nothing.
     """
     n = s.n_universe
     levels = np.full((sources.size, n), -1, dtype=np.int64)
@@ -149,11 +179,8 @@ def _walk(s, sources, depth_limit=None):
     depth = 0
     while True:
         expand = nodes[:0] if depth == depth_limit else nodes
-        starts = s.indptr[expand]
-        counts = s.indptr[expand + 1] - starts
+        counts, pos = _slices(s, expand)
         entry = np.repeat(np.arange(expand.size), counts)
-        pos = np.arange(entry.size) + np.repeat(starts - np.cumsum(counts) + counts,
-                                                counts)
         nbr = s.indices[pos]
         fwd = levels[rows[entry], nbr] < 0
         yield _Level(depth, levels, rows, nodes, entry, pos, fwd)
@@ -181,41 +208,6 @@ def bfs_level_blocks(s, sources, depth_limit=None):
 def bfs_levels(s, source, depth_limit=None):
     """Hop distance from ``source`` to every node; -1 where unreached."""
     return next(bfs_level_blocks(s, [source], depth_limit))[1][0]
-
-
-def _two_hop(s, block, weighted):
-    """Row block of A·A (CN) or, ``weighted``, of A·diag(1/ln deg)·A (AA).
-
-    The walk's second level expands every neighbor of every source, so each
-    cell sums one term per common neighbor. AA adds its terms in ascending
-    degree order, one at a time: pairs whose common neighbors have the same
-    degree multiset get bit-equal scores, whatever their node ids.
-    """
-    n = s.n_universe
-    for level in _walk(s, block, depth_limit=2):
-        if level.depth == 1:
-            break
-    else:
-        return np.zeros((block.size, n))
-    mid = level.nodes[level.entry]
-    row = level.rows[level.entry]
-    tgt = s.indices[level.pos]
-    cells = row * n + tgt
-    if not weighted:
-        return np.bincount(cells, minlength=block.size * n).reshape(
-            block.size, n).astype(np.float64)
-    deg = np.diff(s.indptr)
-    # A true common neighbor touches both ends, so it has degree >= 2; a
-    # degree-1 middle node on a walk that does not return to its source
-    # means the snapshot is corrupt.
-    if np.any((deg[mid] < 2) & (tgt != block[row])):
-        raise DataCorruptionError("common neighbor with degree < 2")
-    inv_log = np.zeros(n)
-    many = deg >= 2
-    inv_log[many] = 1.0 / np.log(deg[many])
-    order = np.argsort(deg[mid], kind="stable")
-    return np.bincount(cells[order], weights=inv_log[mid[order]],
-                       minlength=block.size * n).reshape(block.size, n)
 
 
 def _propflow_block(s, block, l_max, targets=None):
@@ -276,7 +268,28 @@ def _by_source(s, src, dst, kernel):
 
 
 def _two_hop_pairs(s, u_arr, v_arr, weighted):
-    return _by_source(s, u_arr, v_arr, lambda b: _two_hop(s, b, weighted))
+    """CN (or, ``weighted``, AA) of each pair, looked up in the two-hop
+    table of the pairs' sources a chunk of rows at a time; 0 off the
+    universe."""
+    # Imported here: every array command loads this module, and the ones
+    # that score no CN or AA need not compile the table.
+    from .twohop import two_hop_table
+    n = s.n_universe
+    seen = np.zeros(n, dtype=bool)
+    for rows in _row_chunks(u_arr.size):
+        u = u_arr[rows]
+        seen[u[(u >= 0) & (u < n)]] = True
+    keys, values = two_hop_table(s, np.flatnonzero(seen), weighted)
+    out = np.zeros(u_arr.size)
+    if not keys.size:
+        return out
+    for rows in _row_chunks(u_arr.size):
+        u, v = u_arr[rows], v_arr[rows]
+        key = u * n + v
+        at = np.minimum(keys.searchsorted(key), keys.size - 1)
+        hit = (keys[at] == key) & (u >= 0) & (u < n) & (v >= 0) & (v < n)
+        out[rows][hit] = values[at[hit]]
+    return out
 
 
 def _propflow_pairs(s, src, dst, l_max):
@@ -411,15 +424,45 @@ def aggregate_directional(forward, reverse, policy):
 
 
 def _preferential_attachment_pairs(s, u_arr, v_arr, query_mode):
-    degs = np.zeros(s.n_universe + 1, dtype=np.int64)
-    degs[:s.n_universe] = s.degrees()
-    in_universe = lambda a: np.where((a >= 0) & (a < s.n_universe), a,
-                                     s.n_universe)
-    du = degs[in_universe(u_arr)]
-    dv = degs[in_universe(v_arr)]
-    if query_mode:
-        du, dv = np.maximum(du, 1), np.maximum(dv, 1)
-    return (du * dv).astype(np.float64)
+    n = s.n_universe
+    degs = np.zeros(n + 1, dtype=np.int64)
+    degs[:n] = s.degrees()
+    out = np.empty(u_arr.size)
+    for rows in _row_chunks(u_arr.size):
+        du, dv = (degs[np.where((a >= 0) & (a < n), a, n)]
+                  for a in (u_arr[rows], v_arr[rows]))
+        if query_mode:
+            du, dv = np.maximum(du, 1), np.maximum(dv, 1)
+        out[rows] = du * dv
+    return out
+
+
+def _scores(s, u_arr, v_arr, predictor, policy, query_mode):
+    """Check the pairs and score them: one score per pair, or under
+    list-both the (forward, reverse) pair of score arrays.
+
+    A symmetric predictor scores each pair once; the policies other than
+    list-both all resolve two equal scores to that score, so it is returned
+    as it is.
+    """
+    if any(np.any(u_arr[rows] == v_arr[rows]) for rows in _row_chunks(u_arr.size)):
+        raise InvalidPairError("candidate pair with u == v")
+    if policy not in DIRECTION_POLICIES:
+        raise ConfigError(f"unknown direction policy {policy!r}", field="policy")
+    if not query_mode:
+        _validate_known(s, u_arr, v_arr)
+
+    if predictor.kind == "propflow":
+        # Both directions in one call: each distinct end is walked once.
+        fwd, rev = np.split(_propflow_pairs(s, np.concatenate([u_arr, v_arr]),
+                                            np.concatenate([v_arr, u_arr]),
+                                            predictor.l_max), 2)
+        return aggregate_directional(fwd, rev, policy)
+    if predictor.kind == "preferential-attachment":
+        scores = _preferential_attachment_pairs(s, u_arr, v_arr, query_mode)
+    else:
+        scores = _two_hop_pairs(s, u_arr, v_arr, predictor.kind == "adamic-adar")
+    return (scores, scores) if policy == "list-both" else scores
 
 
 def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False):
@@ -433,47 +476,34 @@ def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False):
     """
     u_arr = np.asarray(u_arr, dtype=np.int64)
     v_arr = np.asarray(v_arr, dtype=np.int64)
-    if np.any(u_arr == v_arr):
-        raise InvalidPairError("candidate pair with u == v")
-    if policy not in DIRECTION_POLICIES:
-        raise ConfigError(f"unknown direction policy {policy!r}", field="policy")
-    if not query_mode:
-        _validate_known(s, u_arr, v_arr)
-
-    if predictor.kind == "propflow":
-        # Both directions in one call: each distinct end is walked once.
-        fwd, rev = np.split(_propflow_pairs(s, np.concatenate([u_arr, v_arr]),
-                                            np.concatenate([v_arr, u_arr]),
-                                            predictor.l_max), 2)
-    elif predictor.kind == "preferential-attachment":
-        fwd = rev = _preferential_attachment_pairs(s, u_arr, v_arr, query_mode)
-    else:
-        fwd = rev = _two_hop_pairs(s, u_arr, v_arr,
-                                   predictor.kind == "adamic-adar")
-
+    scores = _scores(s, u_arr, v_arr, predictor, policy, query_mode)
     n = u_arr.size
     if policy == "list-both":
         index = np.repeat(np.arange(n, dtype=np.int64), 2)
-        scores = np.empty(2 * n, dtype=np.float64)
-        scores[0::2] = fwd
-        scores[1::2] = rev
-        return index, scores
-    return np.arange(n, dtype=np.int64), aggregate_directional(fwd, rev, policy)
+        both = np.empty(2 * n, dtype=np.float64)
+        both[0::2], both[1::2] = scores
+        return index, both
+    return np.arange(n, dtype=np.int64), scores
 
 
 def score_instances(s, instances, predictor, policy="mean", query_mode=False):
     """Attach a score column (named after the predictor) to an instance set.
 
-    Returns a new set. When each pair gives one row, it shares the input's
-    ``u``, ``v``, ``distance``, ``label`` and other score columns, so
-    scoring adds only the 8-byte score column. Under list-both every pair
-    gives two rows, one per ordering, and the columns are copied.
+    Returns a new set. Under ``mean``, ``max`` and ``min`` each pair gives
+    one row: the set shares the input's ``u``, ``v``, ``distance``,
+    ``label`` and other score columns, and scoring adds only the 8-byte
+    score column, with no per-row index. CN, AA and PA work through the
+    pairs a chunk of rows at a time, so their other temporaries do not grow
+    with the rows. Under list-both every pair gives two rows, one per
+    ordering, and the columns are copied.
     """
-    index, scores = score_pairs(s, instances.u, instances.v, predictor,
-                                policy=policy, query_mode=query_mode)
-    if index.size == len(instances):  # the identity: one row per pair
-        expanded = dataclasses.replace(instances, scores=dict(instances.scores))
-    else:
+    if policy == "list-both":
+        index, scores = score_pairs(s, instances.u, instances.v, predictor,
+                                    policy=policy, query_mode=query_mode)
         expanded = instances.take(index)
+    else:
+        scores = _scores(s, instances.u, instances.v, predictor, policy,
+                         query_mode)
+        expanded = dataclasses.replace(instances, scores=dict(instances.scores))
     expanded.scores[predictor.name] = scores
     return expanded

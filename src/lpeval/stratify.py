@@ -24,17 +24,11 @@ from .errors import ConfigError, IngestError
 from .graphstore import csv_field
 # lpbench/tracing.py counts BFS sources by swapping ``stratify.bfs_levels``,
 # so the name stays importable here although enumeration walks in blocks.
-from .predictors import (_blocks, _sorted_unique, _walk, bfs_level_blocks, bfs_levels,
-                         csv_cells, csv_chunks)
+from .predictors import (_CHUNK_ROWS, _blocks, _sorted_unique, _walk, bfs_level_blocks,
+                         bfs_levels, csv_cells, csv_chunks)
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
-
-# Rows joined into one string per write of the instance CSV writer, and
-# rows labeled at a time: large enough that the per-chunk calls cost
-# nothing, small enough that no whole-set temporary (a whole-file list of
-# row strings, a key per candidate) is held.
-_CHUNK_ROWS = 8192
 
 
 def distance_str(d):

@@ -14,11 +14,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from lpeval import rng as rng_mod
-from lpeval.errors import IngestError
+from lpeval.errors import DataCorruptionError, IngestError
 from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
                                 VarianceRateRow, VarianceReport,
                                 analytic_sampling_variance, variance_slope)
 from lpeval.metrics import _pr_segment_areas, auroc, auroc_from_counts
+from lpeval.predictors import _by_source, _walk
 from lpeval.rng import substream
 from lpeval.stratify import BEYOND, DISCONNECTED, InstanceSet
 
@@ -177,6 +178,46 @@ def common_neighbor_sets(n, edges):
 def adamic_adar_fsum(common, degree):
     """Adamic/Adar as a correctly rounded sum (math.fsum) of 1/ln(deg)."""
     return math.fsum(1.0 / math.log(degree[m]) for m in common)
+
+
+def two_hop_rows(s, block, weighted):
+    """Row block of A·A (CN) or, ``weighted``, of A·diag(1/ln deg)·A (AA).
+
+    This is the library's former dense kernel, kept as the bit-exact
+    reference of the two-hop table: the walk's second level expands every
+    neighbor of every source, so each cell sums one term per common
+    neighbor. AA adds its terms in ascending degree order, one at a time.
+    """
+    n = s.n_universe
+    for level in _walk(s, block, depth_limit=2):
+        if level.depth == 1:
+            break
+    else:
+        return np.zeros((block.size, n))
+    mid = level.nodes[level.entry]
+    row = level.rows[level.entry]
+    tgt = s.indices[level.pos]
+    cells = row * n + tgt
+    if not weighted:
+        return np.bincount(cells, minlength=block.size * n).reshape(
+            block.size, n).astype(np.float64)
+    deg = np.diff(s.indptr)
+    if np.any((deg[mid] < 2) & (tgt != block[row])):
+        raise DataCorruptionError("common neighbor with degree < 2")
+    inv_log = np.zeros(n)
+    many = deg >= 2
+    inv_log[many] = 1.0 / np.log(deg[many])
+    order = np.argsort(deg[mid], kind="stable")
+    return np.bincount(cells[order], weights=inv_log[mid[order]],
+                       minlength=block.size * n).reshape(block.size, n)
+
+
+def two_hop_scores(s, u, v, weighted):
+    """CN (or, ``weighted``, AA) of each pair (u[i], v[i]) read from the
+    dense rows of its source; 0 where an end is off the universe."""
+    return _by_source(s, np.asarray(u, dtype=np.int64),
+                      np.asarray(v, dtype=np.int64),
+                      lambda block: two_hop_rows(s, block, weighted))
 
 
 def propflow_path_sum(n, weighted_edges, source, target, l_max):

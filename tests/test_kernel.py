@@ -1,4 +1,5 @@
-"""The block kernel behind every graph computation, against the oracles."""
+"""The graph kernels (the block walk and the two-hop table), against the
+oracles."""
 
 import math
 import os
@@ -8,15 +9,17 @@ import sys
 import numpy as np
 import pytest
 
-from lpeval import (EventLog, PredictorId, Snapshot, adamic_adar, build_snapshot,
-                    common_neighbors, geodesic_bucket_enumerate,
-                    new_link_distance_distribution, predictors,
-                    propflow_accounting, score_pairs)
+from lpeval import (EventLog, InstanceSet, PredictorId, Snapshot, adamic_adar,
+                    build_snapshot, common_neighbors, generate_test_set,
+                    geodesic_bucket_enumerate, new_link_distance_distribution,
+                    predictors, propflow_accounting, score_instances, score_pairs)
+from lpeval import twohop
 from lpeval.predictors import bfs_level_blocks
+from lpeval.synth import synthetic_event_log
 
 from conftest import random_graph
 from oracles import (adamic_adar_fsum, common_neighbor_sets, hop_distances,
-                     propflow_path_sum)
+                     propflow_path_sum, two_hop_scores)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -129,6 +132,112 @@ class TestTwoHop:
         assert scores[0] == scores[1] == first
 
 
+def hub_graph(rng):
+    """A random graph, a hub linked to half of its nodes and a few isolated
+    nodes after them; returns the snapshot and its universe size."""
+    _, edges, n = random_graph(rng, n=int(rng.integers(6, 20)))
+    hub = [(n, int(x), 1.0) for x in rng.choice(n, size=n // 2, replace=False)]
+    size = n + 1 + int(rng.integers(1, 4))
+    return Snapshot.from_edges(edges + hub, n=size), size
+
+
+def bits(scores):
+    return scores.view(np.int64)
+
+
+class TestTwoHopTable:
+    """CN and AA from the sorted table of two-hop paths are bit-equal to
+    the dense rows of A·A that they replaced (``oracles.two_hop_rows``)."""
+
+    @pytest.mark.parametrize("block_cells", [1, 3, None])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, None])
+    def test_bit_equal_to_dense_rows(self, rng, monkeypatch, chunk_rows,
+                                     block_cells):
+        for _ in range(4):
+            s, n = hub_graph(rng)
+            assert (s.degrees() == 0).any()
+            # every ordered pair, so each as (u, v) and as (v, u), some twice
+            u, v = np.nonzero(~np.eye(n, dtype=bool))
+            again = rng.choice(u.size, size=25)
+            order = rng.permutation(u.size + again.size)
+            u = np.concatenate([u, u[again]])[order]
+            v = np.concatenate([v, v[again]])[order]
+            want = {w: two_hop_scores(s, u, v, w) for w in (False, True)}
+            if chunk_rows is not None:
+                monkeypatch.setattr(predictors, "_CHUNK_ROWS", chunk_rows)
+            if block_cells is not None:
+                monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
+            for weighted, name in ((False, "cn"), (True, "aa")):
+                pred = PredictorId.parse(name)
+                index, got = score_pairs(s, u, v, pred)
+                assert np.array_equal(index, np.arange(u.size))
+                assert np.array_equal(bits(got), bits(want[weighted]))
+                index, got = score_pairs(s, u[:0], v[:0], pred)
+                assert index.size == got.size == 0
+            monkeypatch.undo()
+
+    def test_ids_outside_the_universe_score_zero_in_query_mode(self, rng):
+        for _ in range(5):
+            s, n = hub_graph(rng)
+            inside = np.arange(n)
+            # Off-universe ends whose keys u * n + v would alias the keys of
+            # other sources' paths: v = n + y reads as (u + 1, y), v = -1
+            # as (u - 1, n - 1).
+            outside = np.array([-3, -1, n, n + 2, 2 * n + 1])
+            u = np.concatenate([np.repeat(inside, outside.size),
+                                np.repeat(outside, n), [-1, n]])
+            v = np.concatenate([np.tile(outside, n), np.tile(inside, outside.size),
+                                [n, -1]])
+            for weighted, name in ((False, "cn"), (True, "aa")):
+                _, got = score_pairs(s, u, v, PredictorId.parse(name),
+                                     query_mode=True)
+                assert np.array_equal(bits(got), bits(two_hop_scores(s, u, v,
+                                                                     weighted)))
+                assert not got.any()
+
+    def test_graph_without_two_hop_paths_gives_an_empty_table(self):
+        s = Snapshot.from_edges([], n=5)
+        u, v = np.triu_indices(5, 1)
+        for weighted, name in ((False, "cn"), (True, "aa")):
+            keys, values = twohop.two_hop_table(s, np.arange(5), weighted)
+            assert keys.size == values.size == 0
+            _, got = score_pairs(s, u, v, PredictorId.parse(name))
+            assert np.array_equal(bits(got), bits(two_hop_scores(s, u, v, weighted)))
+            assert not got.any()
+
+    def test_scaled_down_stand_in(self):
+        # The paper-scale stand-in's shape at n=1,500: l_max 3 with both
+        # sentinel buckets, so most rows are in ``beyond``.
+        log = synthetic_event_log(1500, 6.0, 100, locality=0.8, seed=3)
+        feature = build_snapshot(log, (0, 79))
+        inst = generate_test_set(feature, build_snapshot(log, (80, 100)), l_max=3)
+        assert len(inst) > 10 ** 6
+        deg = feature.degrees()
+        want = {"common-neighbors": two_hop_scores(feature, inst.u, inst.v, False),
+                "adamic-adar": two_hop_scores(feature, inst.u, inst.v, True),
+                "preferential-attachment":
+                    (deg[inst.u] * deg[inst.v]).astype(np.float64)}
+        for name in ("cn", "aa", "pa"):
+            pred = PredictorId.parse(name)
+            got = score_instances(feature, inst, pred).scores[pred.name]
+            assert np.array_equal(bits(got), bits(want[pred.kind]))
+
+
+def test_cn_and_aa_never_walk(rng, monkeypatch):
+    s, _, n = random_graph(rng, n=25, p=0.2)
+    u, v = np.triu_indices(n, 1)
+    inst = InstanceSet(u, v, np.full(u.size, 2))
+    walks = count_walks(monkeypatch)
+    for name in ("cn", "aa"):
+        pred = PredictorId.parse(name)
+        for policy in ("mean", "list-both"):
+            score_pairs(s, u, v, pred, policy=policy)
+            score_instances(s, inst, pred, policy=policy)
+    common_neighbors(s, 0, 1)
+    adamic_adar(s, 0, 1)
+    assert walks == []
+
+
 class TestPropFlowBlock:
     def test_path_sum_and_conservation_on_clique_graphs(self, rng):
         for _ in range(3):
@@ -188,3 +297,23 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_two_hop_module_loads_with_the_first_cn_or_aa_score():
+    # Every array command loads predictors, since stratify and metrics
+    # import its kernel; only a CN or AA score loads the two-hop table.
+    code = """
+import sys
+import numpy as np
+from lpeval import PredictorId, Snapshot, metrics, predictors, stratify
+s = Snapshot.from_edges([(0, 1), (1, 2)])
+seen = ["lpeval.twohop" in sys.modules]
+for name in ("pa", "pf:2", "cn"):
+    predictors.score_pairs(s, np.array([0]), np.array([2]), PredictorId.parse(name))
+    seen.append("lpeval.twohop" in sys.modules)
+print(seen)
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[False, False, False, True]"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,3 +323,35 @@ class TestScoreInstancesShareColumns:
         _, want = score_pairs(s, inst.u, inst.v, pred, policy=policy)
         assert np.array_equal(scored.scores[pred.name], want)
         assert not np.shares_memory(scored.scores[pred.name], inst.u)
+
+
+class TestScoreInstancesBoundedTemporaries:
+    @pytest.mark.parametrize("policy", ["mean", "max", "min"])
+    @pytest.mark.parametrize("kind", ["cn", "aa", "pa"])
+    def test_holds_its_score_column_and_no_other_per_row_bytes(self, rng, kind,
+                                                               policy):
+        # Over its input, scoring may hold the 8 B/row score column plus an
+        # amount that does not grow with the rows: the same pairs repeated
+        # 5 and 20 times, several row chunks each, peak alike once the
+        # column is taken off.
+        s, _, n = random_graph(rng, n=120, p=0.05)
+        inst = generate_test_set(s, Snapshot.from_edges([(0, 5)], n=n), l_max=3)
+        pred = PredictorId.parse(kind)
+        score_instances(s, inst, pred, policy=policy)  # lazy imports happen here
+
+        def held(times):
+            tiled = dataclasses.replace(
+                inst, u=np.tile(inst.u, times), v=np.tile(inst.v, times),
+                distance=np.tile(inst.distance, times),
+                label=np.tile(inst.label, times))
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                scored = score_instances(s, tiled, pred, policy=policy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - live - scored.scores[pred.name].nbytes
+
+        assert 5 * len(inst) > 3 * predictors._CHUNK_ROWS
+        assert held(20) <= held(5) + (1 << 13)
