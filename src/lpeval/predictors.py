@@ -9,13 +9,14 @@ scoring resolves the two orderings through a direction policy.
 CN and AA look each pair up in a sorted table of the two-hop paths from the
 pairs' sources (:mod:`lpeval.twohop`): a key's run of paths counts its
 common neighbors (CN) or sums their 1/ln deg (AA). PA reads the degree of
-each end. PropFlow and stratification go through the block kernel
-:func:`_walk`, which expands a block of sources one BFS level at a time over
-the snapshot's CSR arrays with whole-block numpy calls: PropFlow pushes flow
-along each level's forward edges, and stratification reads the hop levels.
-Pairs are scored chunk by chunk or grouped by source, and a pair's score
-depends only on the pair, so scoring any permutation or split of a pair
-list gives bit-identical scores.
+each end. PropFlow and stratification go through the cell walk
+:func:`_walk`, which expands a run of sources one BFS level at a time over
+the snapshot's CSR arrays with whole-run numpy calls, each level a sorted
+list of (source, node) cells. PropFlow carries flow along each level's
+forward edges into a sorted table of inflows, and stratification reads the
+cells of each depth. Pairs are looked up in their table a chunk of rows at
+a time, so scoring any permutation or split of a pair list gives
+bit-identical scores.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import numpy as np
 from .config import DIRECTION_POLICIES, PredictorId  # noqa: F401 (re-exported)
 from .errors import ConfigError, InvalidPairError, UnknownNodeError
 
-# Cells of one block of sources: each source owns a dense row over the
-# universe plus room for one level's expansion (at most every CSR entry), so
-# this bounds the memory of every block-at-a-time walk below. It also bounds
-# the two-hop paths gathered for one run of sources (``twohop._path_runs``),
-# unless a single source has more.
+# Cells of one run of sources, 8 bytes a cell: :func:`_runs` bounds what
+# each source's walk touches and cuts the sources into runs under this
+# budget, for the walks below and for the two-hop paths gathered at once
+# (``twohop``), unless a single source touches more.
 _BLOCK_CELLS = 1 << 18
 
 # Rows scored, labeled or written at a time: large enough that the
@@ -66,7 +66,7 @@ def _validate_known(s, u_arr, v_arr):
 
 
 # ---------------------------------------------------------------------------
-# The block kernel
+# The cell walk
 
 
 def _sorted_unique(a):
@@ -116,13 +116,6 @@ def csv_chunks(columns, n, chunk_rows):
         yield "".join(rows.ravel().tolist())
 
 
-def _blocks(s, sources):
-    """Consecutive runs of ``sources``, _BLOCK_CELLS cells at most."""
-    size = max(1, _BLOCK_CELLS // (s.n_universe + s.indices.size))
-    for lo in range(0, sources.size, size):
-        yield sources[lo:lo + size]
-
-
 def _row_chunks(n):
     """Slices of ``n`` rows, _CHUNK_ROWS at a time."""
     for lo in range(0, n, _CHUNK_ROWS):
@@ -141,19 +134,43 @@ def _slices(s, nodes):
     return counts, pos
 
 
-class _Level(NamedTuple):
-    """One BFS level of a block walk.
+def _runs(s, sources, depth):
+    """Consecutive runs of ``sources`` whose walks to ``depth`` hops (None:
+    no limit) touch at most _BLOCK_CELLS cells in all, or single sources.
 
-    The frontier holds the cells ``(rows[k], nodes[k])`` first reached at
-    ``depth``, sorted by (row, node). ``pos`` lists the CSR positions of the
-    frontier's neighbor slices, concatenated in frontier order; ``entry``
-    maps each position to its frontier cell and ``fwd`` marks the edges into
-    nodes first reached at ``depth + 1``. ``levels`` is the walk's (block x
-    universe) hop matrix, -1 where not yet reached.
+    A walk reaches at most one cell and gathers at most one CSR entry per
+    walk of length 0..depth from its source, and at most n + nnz of each;
+    its 1-byte ``seen`` row adds n / 8 cells.
+    """
+    n, cap = s.n_universe, s.n_universe + s.indices.size
+    cost = walks = np.ones(n, dtype=np.int64)  # the walks of length 0 from each node
+    for _ in range(depth or 0):
+        reach = np.concatenate(([0], np.cumsum(walks[s.indices])))
+        walks = np.minimum(np.diff(reach[s.indptr]), cap)
+        cost = cost + walks
+    cost = np.full(n, cap) if depth is None else np.minimum(cost, cap)
+    cost = np.append(cost, 0) + -(-n // 8)  # cost[n]: off the universe
+    ends = np.cumsum(cost[np.where((sources >= 0) & (sources < n), sources, n)])
+    lo = 0
+    while lo < sources.size:
+        limit = (ends[lo - 1] if lo else 0) + _BLOCK_CELLS
+        hi = max(lo + 1, int(ends.searchsorted(limit, side="right")))
+        yield sources[lo:hi]
+        lo = hi
+
+
+class _Level(NamedTuple):
+    """One BFS level of a run's walk: the cells ``(rows[k], nodes[k])``
+    first reached at ``depth``, sorted by (row, node), row i being the walk
+    from the run's i-th source. ``pos`` lists the CSR positions of their
+    neighbor slices in frontier order, ``entry`` each position's frontier
+    cell, and ``fwd`` marks the edges into nodes first reached at ``depth +
+    1``. ``seen`` is the walk's (run x universe) bool matrix of the cells
+    reached so far; after the last level, of every cell the walk reached.
     """
 
     depth: int
-    levels: np.ndarray
+    seen: np.ndarray
     rows: np.ndarray
     nodes: np.ndarray
     entry: np.ndarray
@@ -162,105 +179,116 @@ class _Level(NamedTuple):
 
 
 def _walk(s, sources, depth_limit=None):
-    """Walk a block of sources one BFS level at a time; yield each _Level.
+    """Walk a run of sources one BFS level at a time; yield each _Level.
 
-    Every level is expanded with whole-block numpy calls: the frontier's
-    neighbor slices are gathered (:func:`_slices`), masked against the hop
-    matrix, and deduplicated with :func:`_sorted_unique`. The level at
+    A level gathers its frontier's CSR slices (:func:`_slices`), masks
+    them against ``seen`` and deduplicates the new cells. The level at
     ``depth_limit`` is yielded with an empty expansion, and the walk ends
-    after a level with no forward edge. Sources outside the universe reach
+    after a level with no forward edge. Sources off the universe reach
     nothing.
     """
     n = s.n_universe
-    levels = np.full((sources.size, n), -1, dtype=np.int64)
+    seen = np.zeros((sources.size, n), dtype=bool)
     rows = np.flatnonzero((sources >= 0) & (sources < n))
     nodes = sources[rows]
-    levels[rows, nodes] = 0
+    seen[rows, nodes] = True
     depth = 0
     while True:
         expand = nodes[:0] if depth == depth_limit else nodes
         counts, pos = _slices(s, expand)
         entry = np.repeat(np.arange(expand.size), counts)
-        nbr = s.indices[pos]
-        fwd = levels[rows[entry], nbr] < 0
-        yield _Level(depth, levels, rows, nodes, entry, pos, fwd)
+        cell = rows[entry] * n + s.indices[pos]  # row * n + neighbor
+        fwd = ~seen.reshape(-1)[cell]
+        yield _Level(depth, seen, rows, nodes, entry, pos, fwd)
         if not fwd.any():
             return
-        cells = _sorted_unique(rows[entry[fwd]] * n + nbr[fwd])
+        cells = _sorted_unique(cell[fwd])
         rows, nodes = np.divmod(cells, n)
         depth += 1
-        levels.flat[cells] = depth
-
-
-def bfs_level_blocks(s, sources, depth_limit=None):
-    """Yield ``(block, levels)`` over consecutive blocks of ``sources``.
-
-    ``levels[i, x]`` is the hop distance from ``block[i]`` to node ``x``,
-    -1 where unreached within ``depth_limit`` hops.
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    for block in _blocks(s, sources):
-        for level in _walk(s, block, depth_limit):
-            pass
-        yield block, level.levels
+        seen.reshape(-1)[cells] = True
 
 
 def bfs_levels(s, source, depth_limit=None):
     """Hop distance from ``source`` to every node; -1 where unreached."""
-    return next(bfs_level_blocks(s, [source], depth_limit))[1][0]
+    out = np.full(s.n_universe, -1, dtype=np.int64)
+    for level in _walk(s, np.array([source], dtype=np.int64), depth_limit):
+        out[level.nodes] = level.depth
+    return out
 
 
-def _propflow_block(s, block, l_max, targets=None):
-    """Level-synchronous PropFlow from every source of a block.
+def _propflow_walk(s, run, l_max, targets=None, dead=None):
+    """Level-synchronous PropFlow from every source of a run: yield each
+    level of the walk to ``l_max`` with the inflow of its cells.
 
-    Returns ``(levels, inflow, dead_ended)``: the walk's hop matrix, the
-    inflow each node accumulates, and per source the flow stuck at nodes
-    below ``l_max`` without a forward edge. With ``targets``, row i's target
-    absorbs: it passes nothing on. Forward edges are visited by (source,
-    node id), so each node adds its inflow in the order of its
-    predecessors' ids, one term at a time.
+    Flow is carried per frontier cell and split along its forward edges by
+    weight. Each new cell adds its terms with ``np.bincount`` in entry
+    order, by (source, predecessor id), one term at a time. With
+    ``targets``, row i's target absorbs: it passes nothing on. With
+    ``dead`` (a float per source), the flow stuck at cells below ``l_max``
+    without a forward edge is added to it.
     """
     n = s.n_universe
-    inflow = np.zeros((block.size, n))
-    dead = np.zeros(block.size)
-    for level in _walk(s, block, l_max):
+    for level in _walk(s, run, l_max):
         if level.depth == 0:
-            inflow[level.rows, level.nodes] = 1.0
+            inflow = np.ones(level.nodes.size)
+        else:  # the terms the last level sent, keyed by their cells
+            inflow = np.bincount(np.searchsorted(level.rows * n + level.nodes, key),
+                                 weights=share, minlength=level.nodes.size)
+        yield level, inflow
         if level.depth == l_max:
-            break
-        flow = inflow[level.rows, level.nodes]
+            return
+        flow = inflow
         if targets is not None:
-            flow[level.nodes == targets[level.rows]] = 0.0
+            flow = np.where(level.nodes == targets[level.rows], 0.0, inflow)
         e = level.entry[level.fwd]
         pos = level.pos[level.fwd]
         total = np.bincount(e, weights=s.weights[pos], minlength=level.nodes.size)
-        stuck = total == 0.0
-        dead += np.bincount(level.rows[stuck], weights=flow[stuck],
-                            minlength=block.size)
+        if dead is not None:
+            stuck = total == 0.0
+            dead += np.bincount(level.rows[stuck], weights=flow[stuck],
+                                minlength=run.size)
         share = flow[e] * (s.weights[pos] / total[e])
-        inflow += np.bincount(level.rows[e] * n + s.indices[pos], weights=share,
-                              minlength=inflow.size).reshape(inflow.shape)
-    return level.levels, inflow, dead
+        key = level.rows[e] * n + s.indices[pos]
 
 
-def _by_source(s, src, dst, kernel):
-    """``out[i] = kernel(block)[row of src[i], dst[i]]``, 0 off the universe.
-
-    Pairs are grouped by distinct source, and the kernel runs once per
-    block of sources.
-    """
+def _propflow_table(s, sources, l_max):
+    """The PropFlow inflow of every cell the walks from ``sources``
+    (distinct, ascending) reach within ``l_max`` hops, as ``(keys,
+    values)``, keyed ``source * n + node`` ascending: the runs' tables join
+    in key order."""
     n = s.n_universe
-    out = np.zeros(src.size)
-    idx = np.flatnonzero((src >= 0) & (src < n) & (dst >= 0) & (dst < n))
-    idx = idx[np.argsort(src[idx], kind="stable")]
-    ends = src[idx]
-    for block in _blocks(s, _sorted_unique(ends)):
-        lo = np.searchsorted(ends, block[0])
-        hi = np.searchsorted(ends, block[-1], side="right")
-        pairs = idx[lo:hi]
-        out[pairs] = kernel(block)[np.searchsorted(block, ends[lo:hi]),
-                                   dst[pairs]]
+    keys, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for run in _runs(s, sources, l_max):
+        key, value = map(np.concatenate, zip(*(
+            (run[level.rows] * n + level.nodes, inflow)
+            for level, inflow in _propflow_walk(s, run, l_max))))
+        order = np.argsort(key)
+        keys.append(key[order])
+        values.append(value[order])
+    return np.concatenate(keys), np.concatenate(values)
+
+
+def _lookup(s, keys, values, u, v):
+    """The value of each pair's key ``u * n + v`` in a sorted table, 0 where
+    the table has no such key or an end is off the universe."""
+    n = s.n_universe
+    out = np.zeros(u.size)
+    if keys.size:
+        key = u * n + v
+        at = np.minimum(keys.searchsorted(key), keys.size - 1)
+        hit = (keys[at] == key) & (u >= 0) & (u < n) & (v >= 0) & (v < n)
+        out[hit] = values[at[hit]]
     return out
+
+
+def _ends(s, *columns):
+    """The distinct ends in the universe of the pair columns, ascending."""
+    seen = np.zeros(s.n_universe, dtype=bool)
+    for col in columns:
+        for rows in _row_chunks(col.size):
+            a = col[rows]
+            seen[a[(a >= 0) & (a < s.n_universe)]] = True
+    return np.flatnonzero(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +302,26 @@ def _two_hop_pairs(s, u_arr, v_arr, weighted):
     # Imported here: every array command loads this module, and the ones
     # that score no CN or AA need not compile the table.
     from .twohop import two_hop_table
-    n = s.n_universe
-    seen = np.zeros(n, dtype=bool)
+    keys, values = two_hop_table(s, _ends(s, u_arr), weighted)
+    out = np.empty(u_arr.size)
     for rows in _row_chunks(u_arr.size):
-        u = u_arr[rows]
-        seen[u[(u >= 0) & (u < n)]] = True
-    keys, values = two_hop_table(s, np.flatnonzero(seen), weighted)
-    out = np.zeros(u_arr.size)
-    if not keys.size:
-        return out
-    for rows in _row_chunks(u_arr.size):
-        u, v = u_arr[rows], v_arr[rows]
-        key = u * n + v
-        at = np.minimum(keys.searchsorted(key), keys.size - 1)
-        hit = (keys[at] == key) & (u >= 0) & (u < n) & (v >= 0) & (v < n)
-        out[rows][hit] = values[at[hit]]
+        out[rows] = _lookup(s, keys, values, u_arr[rows], v_arr[rows])
     return out
 
 
-def _propflow_pairs(s, src, dst, l_max):
-    return _by_source(s, src, dst, lambda b: _propflow_block(s, b, l_max)[1])
+def _propflow_pairs(s, u_arr, v_arr, l_max, policy):
+    """PropFlow of each pair in both directions, resolved by ``policy`` a
+    chunk of rows at a time (under list-both, forward then reverse). Both
+    are looked up in one table of the walks from every distinct end."""
+    keys, values = _propflow_table(s, _ends(s, u_arr, v_arr), l_max)
+    width = 2 if policy == "list-both" else 1
+    out = np.empty(u_arr.size * width)
+    for rows in _row_chunks(u_arr.size):
+        u, v = u_arr[rows], v_arr[rows]
+        scores = aggregate_directional(_lookup(s, keys, values, u, v),
+                                       _lookup(s, keys, values, v, u), policy)
+        out[width * rows.start:width * rows.stop] = np.ravel(scores, order="F")
+    return out
 
 
 def _single(fn, s, u, v, *args):
@@ -366,17 +394,15 @@ def propflow_accounting(s, source, target, l_max):
     _check_l_max(l_max)
     if not s.contains(source):
         return FlowAccounting(0.0, 0.0, 1.0)
-    levels, inflow, dead = _propflow_block(
-        s, np.array([source], dtype=np.int64), l_max,
-        targets=np.array([target], dtype=np.int64))
-    levels, inflow = levels[0], inflow[0]
-    parked = levels == l_max
-    absorbed = 0.0
-    if 0 <= target < s.n_universe:
-        absorbed = inflow[target]
-        parked[target] = False
-    return FlowAccounting(float(absorbed), float(inflow[parked].sum()),
-                          float(dead[0]))
+    dead = np.zeros(1)
+    absorbed = remaining = 0.0
+    for level, inflow in _propflow_walk(s, np.array([source], dtype=np.int64), l_max,
+                                        targets=np.array([target]), dead=dead):
+        at = level.nodes == target
+        absorbed += inflow[at].sum()
+        if level.depth == l_max:
+            remaining = inflow[~at].sum()
+    return FlowAccounting(float(absorbed), float(remaining), float(dead[0]))
 
 
 def propflow(s, source, target, l_max, query_mode=False):
@@ -389,7 +415,7 @@ def propflow(s, source, target, l_max, query_mode=False):
     _check_known(s, source, query_mode)
     _check_known(s, target, query_mode)
     _check_l_max(l_max)
-    return _single(_propflow_pairs, s, source, target, l_max)
+    return _single(_propflow_pairs, s, source, target, l_max, "list-both")
 
 
 def propflow_all(s, source, l_max):
@@ -399,9 +425,10 @@ def propflow_all(s, source, l_max):
     accumulates is identical whether or not any other node absorbs, so one
     sweep yields ``propflow(s, source, t, l_max)`` for every target t.
     """
-    inflow = _propflow_block(s, np.array([source], dtype=np.int64), l_max)[1][0]
-    if 0 <= source < s.n_universe:
-        inflow[source] = 0.0
+    inflow = np.zeros(s.n_universe)
+    for level, flow in _propflow_walk(s, np.array([source], dtype=np.int64), l_max):
+        if level.depth:
+            inflow[level.nodes] = flow
     return inflow
 
 
@@ -438,12 +465,12 @@ def _preferential_attachment_pairs(s, u_arr, v_arr, query_mode):
 
 
 def _scores(s, u_arr, v_arr, predictor, policy, query_mode):
-    """Check the pairs and score them: one score per pair, or under
-    list-both the (forward, reverse) pair of score arrays.
+    """Check the pairs and score them: one score per output row of
+    :func:`score_pairs`.
 
     A symmetric predictor scores each pair once; the policies other than
     list-both all resolve two equal scores to that score, so it is returned
-    as it is.
+    as it is, and list-both repeats it.
     """
     if any(np.any(u_arr[rows] == v_arr[rows]) for rows in _row_chunks(u_arr.size)):
         raise InvalidPairError("candidate pair with u == v")
@@ -453,16 +480,12 @@ def _scores(s, u_arr, v_arr, predictor, policy, query_mode):
         _validate_known(s, u_arr, v_arr)
 
     if predictor.kind == "propflow":
-        # Both directions in one call: each distinct end is walked once.
-        fwd, rev = np.split(_propflow_pairs(s, np.concatenate([u_arr, v_arr]),
-                                            np.concatenate([v_arr, u_arr]),
-                                            predictor.l_max), 2)
-        return aggregate_directional(fwd, rev, policy)
+        return _propflow_pairs(s, u_arr, v_arr, predictor.l_max, policy)
     if predictor.kind == "preferential-attachment":
         scores = _preferential_attachment_pairs(s, u_arr, v_arr, query_mode)
     else:
         scores = _two_hop_pairs(s, u_arr, v_arr, predictor.kind == "adamic-adar")
-    return (scores, scores) if policy == "list-both" else scores
+    return np.repeat(scores, 2) if policy == "list-both" else scores
 
 
 def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False):
@@ -477,13 +500,10 @@ def score_pairs(s, u_arr, v_arr, predictor, policy="mean", query_mode=False):
     u_arr = np.asarray(u_arr, dtype=np.int64)
     v_arr = np.asarray(v_arr, dtype=np.int64)
     scores = _scores(s, u_arr, v_arr, predictor, policy, query_mode)
-    n = u_arr.size
+    index = np.arange(u_arr.size, dtype=np.int64)
     if policy == "list-both":
-        index = np.repeat(np.arange(n, dtype=np.int64), 2)
-        both = np.empty(2 * n, dtype=np.float64)
-        both[0::2], both[1::2] = scores
-        return index, both
-    return np.arange(n, dtype=np.int64), scores
+        index = np.repeat(index, 2)
+    return index, scores
 
 
 def score_instances(s, instances, predictor, policy="mean", query_mode=False):
@@ -492,18 +512,15 @@ def score_instances(s, instances, predictor, policy="mean", query_mode=False):
     Returns a new set. Under ``mean``, ``max`` and ``min`` each pair gives
     one row: the set shares the input's ``u``, ``v``, ``distance``,
     ``label`` and other score columns, and scoring adds only the 8-byte
-    score column, with no per-row index. CN, AA and PA work through the
-    pairs a chunk of rows at a time, so their other temporaries do not grow
+    score column, with no per-row index. Every predictor works through the
+    pairs a chunk of rows at a time, so its other temporaries do not grow
     with the rows. Under list-both every pair gives two rows, one per
     ordering, and the columns are copied.
     """
+    scores = _scores(s, instances.u, instances.v, predictor, policy, query_mode)
     if policy == "list-both":
-        index, scores = score_pairs(s, instances.u, instances.v, predictor,
-                                    policy=policy, query_mode=query_mode)
-        expanded = instances.take(index)
+        expanded = instances.take(np.repeat(np.arange(len(instances)), 2))
     else:
-        scores = _scores(s, instances.u, instances.v, predictor, policy,
-                         query_mode)
         expanded = dataclasses.replace(instances, scores=dict(instances.scores))
     expanded.scores[predictor.name] = scores
     return expanded

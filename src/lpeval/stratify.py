@@ -14,7 +14,7 @@ import csv
 import io
 import re
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +23,9 @@ from .config import GENERATION_MODES
 from .errors import ConfigError, IngestError
 from .graphstore import csv_field
 # lpbench/tracing.py counts BFS sources by swapping ``stratify.bfs_levels``,
-# so the name stays importable here although enumeration walks in blocks.
-from .predictors import (_CHUNK_ROWS, _blocks, _sorted_unique, _walk, bfs_level_blocks,
-                         bfs_levels, csv_cells, csv_chunks)
+# so the name stays importable here although enumeration walks in runs.
+from .predictors import (_CHUNK_ROWS, _runs, _sorted_unique, _walk, bfs_levels,
+                         csv_cells, csv_chunks)
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
@@ -141,17 +141,20 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
                               include_disconnected=False):
     """Enumerate candidate pairs grouped by geodesic distance.
 
-    Breadth-first expansion from blocks of sources, bounded at ``l_max``,
+    Breadth-first expansion from runs of sources, bounded at ``l_max``,
     emits each unordered non-adjacent pair exactly once, ordered by
     (distance, u, v). A pair still unreached at ``l_max`` is in the beyond
     bucket if its ends share a component and in the disconnected bucket if
     not; each sentinel bucket is emitted on request.
 
-    The blocks are consecutive runs of the ascending node ids and each is
-    read row-major, so its rows arrive in (u, v) order. Each block's rows
-    are appended to the lists of their distances, which are then joined in
-    distance order: besides the result, the enumeration holds the ``u`` and
-    ``v`` of its rows once, and temporaries of one block.
+    The runs are consecutive runs of the ascending node ids. Each level's
+    cells with u < v, and then the cells left unseen, read row-major, come
+    in (u, v) order; one gather of components splits the unseen ones into
+    the sentinel buckets (with one bucket kept, a component test on the
+    run's mask first drops the other side). They are appended to the lists
+    of their distances, which are then joined in distance order: besides
+    the result, the enumeration holds the ``u`` and ``v`` of its rows
+    once, and temporaries of one run.
     """
     if l_max < 2:
         raise ConfigError("l_max must be >= 2", field="lmax")
@@ -159,35 +162,30 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
     us, vs = defaultdict(list), defaultdict(list)
     component = (_components(s) if include_beyond or include_disconnected
                  else None)
-    for block, levels in bfs_level_blocks(s, nodes, l_max):
-        lv = levels[:, nodes]
-        keep = lv >= 2
-        if include_beyond and include_disconnected:
-            keep |= lv < 0
-        elif component is not None:
-            same = component[block][:, None] == component[nodes][None, :]
-            keep |= (lv < 0) & (same if include_beyond else ~same)
-        keep &= nodes[None, :] > block[:, None]
-        rows, cols = np.nonzero(keep)
-        d = lv[rows, cols]
-        if component is not None:
-            far = d < 0
-            d[far] = np.where(component[block[rows[far]]]
-                              == component[nodes[cols[far]]], BEYOND, DISCONNECTED)
-        order = np.argsort(d, kind="stable")
-        d, u, v = d[order], block[rows[order]], nodes[cols[order]]
-        starts = np.flatnonzero(np.diff(d, prepend=-1)).tolist()  # d >= 2
-        for lo, hi in zip(starts, starts[1:] + [d.size]):
-            us[int(d[lo])].append(u[lo:hi])
-            vs[int(d[lo])].append(v[lo:hi])
-    if not us:
-        empty = np.empty(0, dtype=np.int64)
-        return InstanceSet(empty, empty, empty)
+    for run in _runs(s, nodes, l_max):
+        for level in _walk(s, run, l_max):
+            if level.depth >= 2:
+                u = run[level.rows]
+                keep = level.nodes > u
+                us[level.depth].append(u[keep])
+                vs[level.depth].append(level.nodes[keep])
+        if component is None:
+            continue
+        far = ~level.seen[:, nodes] & (nodes > run[:, None])
+        if include_beyond != include_disconnected:  # one bucket: its side only
+            far &= (component[nodes] == component[run][:, None]) == include_beyond
+        rows, cols = np.nonzero(far)
+        u, v = run[rows], nodes[cols]
+        same = component[v] == component[u]
+        for d, part in ((BEYOND, same), (DISCONNECTED, ~same)):
+            us[d].append(u[part])
+            vs[d].append(v[part])
     values = sorted(us)
     sizes = [sum(part.size for part in us[value]) for value in values]
+    none = [np.empty(0, dtype=np.int64)]  # for a graph without candidates
     # Each column's lists are freed once joined, before the next column is.
-    u = np.concatenate([part for value in values for part in us.pop(value)])
-    v = np.concatenate([part for value in values for part in vs.pop(value)])
+    u = np.concatenate(none + [part for value in values for part in us.pop(value)])
+    v = np.concatenate(none + [part for value in values for part in vs.pop(value)])
     return InstanceSet(u, v, np.repeat(np.array(values, dtype=np.int64), sizes))
 
 
@@ -272,8 +270,10 @@ def new_link_distance_distribution(feature, label):
     snapshot and that are not already feature edges; returns a dict mapping
     distance (finite hop count or DISCONNECTED) to probability. Empty when
     no such edge exists. An edge across components is disconnected without
-    a walk; the walk from each block of sources ends at the level that
-    reaches its last target.
+    a walk. The others are keyed ``u * n + v`` and sorted, so each run of
+    sources owns one contiguous slice of them; after each level of the
+    run's walk, the targets it has just seen are at that distance, and the
+    walk ends at the level that reaches the run's last target.
     """
     eu, ev, _ = label.edge_arrays()
     n = feature.n_universe
@@ -283,25 +283,23 @@ def new_link_distance_distribution(feature, label):
     fu, fv, _ = feature.edge_arrays()
     new = (deg[eu] > 0) & (deg[ev] > 0) & ~_isin(eu * n + ev, fu * n + fv)
     eu, ev = eu[new], ev[new]
-    dist = np.full(eu.size, DISCONNECTED, dtype=np.int64)
     component = _components(feature)
-    joined = np.flatnonzero(component[eu] == component[ev])
-    sources, inverse = np.unique(eu[joined], return_inverse=True)
-    first = 0
-    for block in _blocks(feature, sources):
-        sel = (inverse >= first) & (inverse < first + block.size)
-        rows, pairs = inverse[sel] - first, joined[sel]
-        # Each target shares its source's component, so the walk reaches it;
-        # it ends at the level that reaches the block's last target.
-        for level in _walk(feature, block):
-            hops = level.levels[rows, ev[pairs]]
-            if np.all(hops >= 0):
+    joined = component[eu] == component[ev]
+    keys = np.sort(eu[joined] * n + ev[joined])
+    counts = Counter({DISCONNECTED: eu.size - keys.size})
+    for run in _runs(feature, _sorted_unique(keys // n), None):
+        lo, hi = keys.searchsorted([run[0] * n, (run[-1] + 1) * n])
+        # Each target as a cell of the run's walk (row * n + node). It
+        # shares its source's component, so the walk reaches it.
+        src, dst = np.divmod(keys[lo:hi], n)
+        pending = np.searchsorted(run, src) * n + dst
+        for level in _walk(feature, run):
+            hit = level.seen.reshape(-1)[pending]
+            counts[level.depth] += int(np.count_nonzero(hit))
+            pending = pending[~hit]
+            if not pending.size:
                 break
-        dist[pairs] = hops
-        first += block.size
-    values, counts = np.unique(dist, return_counts=True)
-    total = int(counts.sum())
-    return {d: c / total for d, c in zip(values.tolist(), counts.tolist())}
+    return {d: counts[d] / eu.size for d in sorted(counts) if counts[d]}
 
 
 def _id_cells(id_labels, *columns):

@@ -2,35 +2,19 @@
 
 Each path source → middle → target is keyed ``source * n + target``, and a
 key's run of paths counts the pair's common neighbors (CN) or sums their
-1/ln(deg) (AA). The sources are taken in runs of at most
-``predictors._BLOCK_CELLS`` paths. :mod:`lpeval.predictors` imports this
-module when it first scores CN or AA, so the commands that score neither
-do not compile it.
+1/ln(deg) (AA). The sources are taken in the runs that
+:func:`lpeval.predictors._runs` cuts for walks of two hops, so a run's
+paths stay within ``predictors._BLOCK_CELLS`` unless a single source has
+more. :mod:`lpeval.predictors` imports this module when it first scores CN
+or AA, so the commands that score neither do not compile it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import predictors
 from .errors import DataCorruptionError
-from .predictors import _slices
-
-
-def _path_runs(s, sources):
-    """Consecutive runs of ``sources`` with at most
-    ``predictors._BLOCK_CELLS`` two-hop paths, or a single source that has
-    more."""
-    # reach[p]: the two-hop paths through the CSR positions before p
-    reach = np.zeros(s.indices.size + 1, dtype=np.int64)
-    np.cumsum(np.diff(s.indptr)[s.indices], out=reach[1:])
-    ends = np.cumsum(reach[s.indptr[sources + 1]] - reach[s.indptr[sources]])
-    lo = 0
-    while lo < sources.size:
-        cap = (ends[lo - 1] if lo else 0) + predictors._BLOCK_CELLS
-        hi = max(lo + 1, int(ends.searchsorted(cap, side="right")))
-        yield sources[lo:hi]
-        lo = hi
+from .predictors import _runs, _slices
 
 
 def _two_hop_paths(s, run, deg, weights):
@@ -68,8 +52,8 @@ def two_hop_table(s, sources, weighted):
     paths in ascending degree of the middle node (:func:`_two_hop_paths`),
     so AA adds its terms in that order, one at a time: pairs whose common
     neighbors have the same degree multiset get bit-equal scores, whatever
-    their node ids. The sources are taken in runs (:func:`_path_runs`),
-    whose tables join in key order.
+    their node ids. The sources are taken in runs, whose tables join in key
+    order.
     """
     deg = np.diff(s.indptr)
     inv_log = None
@@ -78,7 +62,7 @@ def two_hop_table(s, sources, weighted):
         many = deg >= 2
         inv_log[many] = 1.0 / np.log(deg[many])
     keys, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for run in _path_runs(s, sources):
+    for run in _runs(s, sources, 2):
         key, w = _two_hop_paths(s, run, deg, inv_log)
         if weighted:
             order = np.argsort(key, kind="stable")

@@ -8,18 +8,19 @@ disagreement always points at the implementation.
 import csv
 import math
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from lpeval import predictors
 from lpeval import rng as rng_mod
 from lpeval.errors import DataCorruptionError, IngestError
 from lpeval.experiments import (DistanceRow, FilteredNegativeRow,
                                 VarianceRateRow, VarianceReport,
                                 analytic_sampling_variance, variance_slope)
 from lpeval.metrics import _pr_segment_areas, auroc, auroc_from_counts
-from lpeval.predictors import _by_source, _walk
 from lpeval.rng import substream
 from lpeval.stratify import BEYOND, DISCONNECTED, InstanceSet
 
@@ -180,6 +181,166 @@ def adamic_adar_fsum(common, degree):
     return math.fsum(1.0 / math.log(degree[m]) for m in common)
 
 
+# ---------------------------------------------------------------------------
+# The dense block kernel: the library's former walk, kept as the bit-exact
+# reference of the cell walk. Each block of sources owns an int64 hop row
+# and, for PropFlow, a float64 inflow row over the whole universe.
+
+
+def _blocks(s, sources):
+    """Consecutive runs of ``sources``, ``predictors._BLOCK_CELLS`` cells at
+    most, a dense row over the universe and one level's expansion each."""
+    size = max(1, predictors._BLOCK_CELLS // (s.n_universe + s.indices.size))
+    for lo in range(0, sources.size, size):
+        yield sources[lo:lo + size]
+
+
+def _slices(s, nodes):
+    """The CSR slices of ``nodes``, concatenated in order, as ``(counts,
+    pos)``."""
+    starts = s.indptr[nodes]
+    counts = s.indptr[nodes + 1] - starts
+    pos = np.concatenate([np.arange(a, a + c) for a, c in
+                          zip(starts.tolist(), counts.tolist())] + [[]]).astype(np.int64)
+    return counts, pos
+
+
+class _Level(NamedTuple):
+    """One BFS level of a dense block walk: the frontier cells ``(rows,
+    nodes)`` first reached at ``depth``, sorted; ``pos`` the CSR positions
+    of their slices in frontier order, ``entry`` each position's frontier
+    cell, ``fwd`` the edges into the next level; ``levels`` the (block x
+    universe) hop matrix, -1 where not yet reached."""
+
+    depth: int
+    levels: np.ndarray
+    rows: np.ndarray
+    nodes: np.ndarray
+    entry: np.ndarray
+    pos: np.ndarray
+    fwd: np.ndarray
+
+
+def _walk(s, sources, depth_limit=None):
+    """Walk a block of sources one BFS level at a time over an int64 hop
+    matrix; yield each _Level. The level at ``depth_limit`` is yielded with
+    an empty expansion; sources outside the universe reach nothing."""
+    n = s.n_universe
+    levels = np.full((sources.size, n), -1, dtype=np.int64)
+    rows = np.flatnonzero((sources >= 0) & (sources < n))
+    nodes = sources[rows]
+    levels[rows, nodes] = 0
+    depth = 0
+    while True:
+        expand = nodes[:0] if depth == depth_limit else nodes
+        counts, pos = _slices(s, expand)
+        entry = np.repeat(np.arange(expand.size), counts)
+        nbr = s.indices[pos]
+        fwd = levels[rows[entry], nbr] < 0
+        yield _Level(depth, levels, rows, nodes, entry, pos, fwd)
+        if not fwd.any():
+            return
+        cells = np.unique(rows[entry[fwd]] * n + nbr[fwd])
+        rows, nodes = np.divmod(cells, n)
+        depth += 1
+        levels.flat[cells] = depth
+
+
+def hop_matrix(s, sources, depth_limit=None):
+    """The dense walk's (sources x universe) hop matrix; -1 where
+    unreached within ``depth_limit`` hops."""
+    sources = np.asarray(sources, dtype=np.int64)
+    out = np.full((sources.size, s.n_universe), -1, dtype=np.int64)
+    first = 0
+    for block in _blocks(s, sources):
+        for level in _walk(s, block, depth_limit):
+            pass
+        out[first:first + block.size] = level.levels
+        first += block.size
+    return out
+
+
+def _propflow_block(s, block, l_max, targets=None):
+    """Level-synchronous PropFlow from every source of a block.
+
+    Returns ``(levels, inflow, dead_ended)``: the walk's hop matrix, the
+    inflow each node accumulates, and per source the flow stuck at nodes
+    below ``l_max`` without a forward edge. With ``targets``, row i's target
+    absorbs.
+    """
+    n = s.n_universe
+    inflow = np.zeros((block.size, n))
+    dead = np.zeros(block.size)
+    for level in _walk(s, block, l_max):
+        if level.depth == 0:
+            inflow[level.rows, level.nodes] = 1.0
+        if level.depth == l_max:
+            break
+        flow = inflow[level.rows, level.nodes]
+        if targets is not None:
+            flow[level.nodes == targets[level.rows]] = 0.0
+        e = level.entry[level.fwd]
+        pos = level.pos[level.fwd]
+        total = np.bincount(e, weights=s.weights[pos], minlength=level.nodes.size)
+        stuck = total == 0.0
+        dead += np.bincount(level.rows[stuck], weights=flow[stuck],
+                            minlength=block.size)
+        share = flow[e] * (s.weights[pos] / total[e])
+        inflow += np.bincount(level.rows[e] * n + s.indices[pos], weights=share,
+                              minlength=inflow.size).reshape(inflow.shape)
+    return level.levels, inflow, dead
+
+
+def _by_source(s, src, dst, kernel):
+    """``out[i] = kernel(block)[row of src[i], dst[i]]``, 0 off the universe;
+    the kernel runs once per block of the distinct sources."""
+    n = s.n_universe
+    out = np.zeros(src.size)
+    idx = np.flatnonzero((src >= 0) & (src < n) & (dst >= 0) & (dst < n))
+    idx = idx[np.argsort(src[idx], kind="stable")]
+    ends = src[idx]
+    for block in _blocks(s, np.unique(ends)):
+        lo = np.searchsorted(ends, block[0])
+        hi = np.searchsorted(ends, block[-1], side="right")
+        pairs = idx[lo:hi]
+        out[pairs] = kernel(block)[np.searchsorted(block, ends[lo:hi]),
+                                   dst[pairs]]
+    return out
+
+
+def propflow_scores(s, u, v, l_max):
+    """PropFlow from u[i] to v[i] read from the dense inflow rows; 0 where
+    an end is off the universe."""
+    return _by_source(s, np.asarray(u, dtype=np.int64),
+                      np.asarray(v, dtype=np.int64),
+                      lambda block: _propflow_block(s, block, l_max)[1])
+
+
+def propflow_accounting_dense(s, source, target, l_max):
+    """``(absorbed, remaining, dead_ended)`` from the dense block kernel,
+    with the target absorbing; ``(0, 0, 1)`` for a source without edges."""
+    if not s.contains(source):
+        return 0.0, 0.0, 1.0
+    levels, inflow, dead = _propflow_block(
+        s, np.array([source], dtype=np.int64), l_max,
+        targets=np.array([target], dtype=np.int64))
+    levels, inflow = levels[0], inflow[0]
+    parked = levels == l_max
+    absorbed = 0.0
+    if 0 <= target < s.n_universe:
+        absorbed = inflow[target]
+        parked[target] = False
+    return float(absorbed), float(inflow[parked].sum()), float(dead[0])
+
+
+def propflow_all_dense(s, source, l_max):
+    """The dense inflow row of one source, 0 at the source itself."""
+    inflow = _propflow_block(s, np.array([source], dtype=np.int64), l_max)[1][0]
+    if 0 <= source < s.n_universe:
+        inflow[source] = 0.0
+    return inflow
+
+
 def two_hop_rows(s, block, weighted):
     """Row block of A·A (CN) or, ``weighted``, of A·diag(1/ln deg)·A (AA).
 
@@ -218,6 +379,25 @@ def two_hop_scores(s, u, v, weighted):
     return _by_source(s, np.asarray(u, dtype=np.int64),
                       np.asarray(v, dtype=np.int64),
                       lambda block: two_hop_rows(s, block, weighted))
+
+
+def distance_distribution_oracle(feature, label):
+    """The new-link distance distribution from scipy all-pairs hop counts."""
+    fu, fv, _ = feature.edge_arrays()
+    oracle = hop_distances(feature.n_universe, list(zip(fu, fv)))
+    lu, lv, _ = label.edge_arrays()
+    counts = {}
+    feat_keys = feature.edge_key_set()
+    for u, v in zip(lu.tolist(), lv.tolist()):
+        if not (feature.contains(u) and feature.contains(v)):
+            continue
+        if u * feature.n_universe + v in feat_keys:
+            continue
+        d = oracle[u, v]
+        d = DISCONNECTED if np.isinf(d) else int(d)
+        counts[d] = counts.get(d, 0) + 1
+    total = sum(counts.values())
+    return {d: c / total for d, c in counts.items()}
 
 
 def propflow_path_sum(n, weighted_edges, source, target, l_max):

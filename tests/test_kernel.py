@@ -1,10 +1,12 @@
-"""The graph kernels (the block walk and the two-hop table), against the
+"""The graph kernels (the cell walk and the two-hop table), against the
 oracles."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,21 +14,26 @@ import pytest
 from lpeval import (EventLog, InstanceSet, PredictorId, Snapshot, adamic_adar,
                     build_snapshot, common_neighbors, generate_test_set,
                     geodesic_bucket_enumerate, new_link_distance_distribution,
-                    predictors, propflow_accounting, score_instances, score_pairs)
-from lpeval import twohop
-from lpeval.predictors import bfs_level_blocks
+                    predictors, propflow_accounting, propflow_all, score_instances,
+                    score_pairs)
+from lpeval import stratify, twohop
+from lpeval.predictors import bfs_levels
+from lpeval.stratify import BEYOND, DISCONNECTED
 from lpeval.synth import synthetic_event_log
 
 from conftest import random_graph
-from oracles import (adamic_adar_fsum, common_neighbor_sets, hop_distances,
-                     propflow_path_sum, two_hop_scores)
+from oracles import (adamic_adar_fsum, common_neighbor_sets,
+                     distance_distribution_oracle, hop_distances, hop_matrix,
+                     propflow_accounting_dense, propflow_all_dense, propflow_path_sum,
+                     propflow_scores, two_hop_scores)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
 def count_walks(monkeypatch):
-    """Count the kernel's block walks from here on."""
+    """Count the library's walks (PropFlow's and stratification's) from here
+    on: the number of sources of each run walked."""
     calls = []
     walk = predictors._walk
 
@@ -35,6 +42,7 @@ def count_walks(monkeypatch):
         return walk(s, sources, depth_limit)
 
     monkeypatch.setattr(predictors, "_walk", counted)
+    monkeypatch.setattr(stratify, "_walk", counted)
     return calls
 
 
@@ -55,9 +63,34 @@ def clique_graph(rng, n=22, events=30, hub_events=8):
     return s, list(zip(u.tolist(), v.tolist(), w.tolist())), n
 
 
+def walk_runs(s, sources, limit):
+    """Walk ``sources`` in the runs that ``predictors._runs`` cuts; return
+    the runs and the hop matrix read from the level cells (-1 unreached).
+    Each run's ``seen`` holds exactly the cells its levels list, and the
+    cells and gathered entries of its sources stay within the budget
+    unless the run is a single source."""
+    n = s.n_universe
+    runs, hops = [], []
+    for run in predictors._runs(s, sources, limit):
+        hop = np.full((run.size, n), -1)
+        cells = np.zeros(run.size, dtype=np.int64)
+        entries = np.zeros(run.size, dtype=np.int64)
+        for level in predictors._walk(s, run, limit):
+            assert (hop[level.rows, level.nodes] == -1).all()
+            hop[level.rows, level.nodes] = level.depth
+            cells += np.bincount(level.rows, minlength=run.size)
+            entries += np.bincount(level.rows[level.entry], minlength=run.size)
+        assert np.array_equal(level.seen, hop >= 0)
+        if run.size > 1:
+            assert (np.maximum(cells, entries) + -(-n // 8)).sum() \
+                <= predictors._BLOCK_CELLS
+        runs.append(run)
+        hops.append(hop)
+    return runs, np.concatenate(hops)
+
+
 class TestBlockBFS:
     def test_levels_match_hop_distances(self, rng, monkeypatch):
-        walks = count_walks(monkeypatch)
         default = predictors._BLOCK_CELLS
         for _ in range(15):
             s, edges, n = random_graph(rng, n=int(rng.integers(5, 30)))
@@ -65,25 +98,21 @@ class TestBlockBFS:
             want = np.where(np.isinf(hops), -1, hops).astype(np.int64)
             # ids outside the universe reach nothing
             sources = np.arange(-1, n + 1)
-            for per_block in (None, 1, 4):
-                monkeypatch.setattr(predictors, "_BLOCK_CELLS", default
-                                    if per_block is None
-                                    else per_block * (n + s.indices.size))
+            for block_cells in (default, 1, 3 * (n + s.indices.size)):
+                monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
                 for limit in (None, 1, int(rng.integers(2, 5))):
-                    walks.clear()
-                    got = np.full((sources.size, n), -2)
-                    first = 0
-                    for block, levels in bfs_level_blocks(s, sources, limit):
-                        assert np.array_equal(
-                            block, sources[first:first + block.size])
-                        got[first:first + block.size] = levels
-                        first += block.size
-                    assert first == sources.size
-                    assert len(walks) == (1 if per_block is None
-                                          else -(-sources.size // per_block))
+                    runs, got = walk_runs(s, sources, limit)
+                    assert np.array_equal(np.concatenate(runs), sources)
+                    if block_cells == default:
+                        assert len(runs) == 1
+                    elif block_cells == 1:
+                        assert len(runs) == sources.size
                     cut = want if limit is None else np.where(want > limit, -1, want)
                     assert np.array_equal(got[1:-1], cut)
                     assert (got[[0, -1]] == -1).all()
+                    assert np.array_equal(got, hop_matrix(s, sources, limit))
+                    for i, x in enumerate(sources.tolist()):
+                        assert np.array_equal(bfs_levels(s, x, limit), got[i])
 
 
 class TestTwoHop:
@@ -281,13 +310,154 @@ class TestBlocks:
 
         whole, whole_dist = everything()
         walks = count_walks(monkeypatch)
+        # Room for 3 sources whose walks reach every cell and entry; the
+        # unbounded walks of distance-dist are cut exactly there.
         monkeypatch.setattr(predictors, "_BLOCK_CELLS",
-                            3 * (s.n_universe + s.indices.size))
+                            3 * (n + s.indices.size + -(-n // 8)))
         blocked, blocked_dist = everything()
-        assert max(walks) == 3 and len(walks) > len(preds) + 3
+        assert 3 <= max(walks) < n and len(walks) > len(preds) + 3
         for a, b in zip(whole, blocked):
             assert np.array_equal(a, b)
         assert blocked_dist == whole_dist
+
+
+def mixed_graph(rng):
+    """A weighted snapshot of 2-3 components, each a random graph with a hub
+    linked to half of its nodes and dead-end leaves hanging off it, with
+    isolated universe nodes between them, on shuffled ids. Returns the
+    snapshot, its weighted edges and the universe size."""
+    edges, n = [], 0
+    for _ in range(int(rng.integers(2, 4))):
+        size = int(rng.integers(3, 12))
+        part = [(a, b) for a, b in itertools.combinations(range(size), 2)
+                if rng.random() < 0.3]
+        part += [(size, int(x)) for x in rng.choice(size, size=size // 2 + 1,
+                                                    replace=False)]
+        leaves = int(rng.integers(1, 4))
+        part += [(int(rng.integers(0, size + 1)), size + 1 + i) for i in range(leaves)]
+        edges += [(a + n, b + n, float(rng.choice([1 / 3, 0.5, 1.0, 2.5])))
+                  for a, b in part]
+        n += size + 1 + leaves + int(rng.integers(0, 3))
+    ids = rng.permutation(n).tolist()
+    edges = [(ids[a], ids[b], w) for a, b, w in edges]
+    return Snapshot.from_edges(edges, n=n), edges, n
+
+
+class TestCellWalkMatchesDenseOracle:
+    """Every consumer of the cell walk against the dense (block x universe)
+    kernel it replaced (``oracles._walk``), at run budgets forcing one
+    source a run, a few, and the default."""
+
+    @pytest.mark.parametrize("block_cells", [1, 3, None])
+    def test_enumeration_matches_allpairs_oracle(self, rng, monkeypatch,
+                                                 block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
+        for _ in range(8):
+            s, edges, n = mixed_graph(rng)
+            dist = hop_distances(n, edges)
+            for l_max in (2, 3, 4):
+                for beyond, disconnected in itertools.product((True, False), repeat=2):
+                    want = []
+                    for u, v in itertools.combinations(s.node_ids.tolist(), 2):
+                        d = dist[u, v]
+                        if np.isinf(d):
+                            if disconnected:
+                                want.append((DISCONNECTED, u, v))
+                        elif d > l_max:
+                            if beyond:
+                                want.append((BEYOND, u, v))
+                        elif d >= 2:
+                            want.append((int(d), u, v))
+                    inst = geodesic_bucket_enumerate(s, l_max, include_beyond=beyond,
+                                                     include_disconnected=disconnected)
+                    got = list(zip(inst.distance.tolist(), inst.u.tolist(),
+                                   inst.v.tolist()))
+                    assert got == sorted(want)
+
+    @pytest.mark.parametrize("block_cells", [1, 3, None])
+    def test_propflow_bit_equal_to_dense_kernel(self, rng, monkeypatch, block_cells):
+        for _ in range(4):
+            s, _, n = mixed_graph(rng)
+            # every ordered pair of ids, off-universe ones (query mode) included
+            u, v = np.nonzero(~np.eye(n + 3, dtype=bool))
+            u, v = u - 1, v - 1
+            want = {l_max: (propflow_scores(s, u, v, l_max),
+                            propflow_scores(s, v, u, l_max)) for l_max in range(1, 6)}
+            if block_cells is not None:
+                monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
+            for l_max, (fwd, rev) in want.items():
+                pred = PredictorId("propflow", l_max)
+                for policy in ("mean", "max", "min", "list-both"):
+                    index, got = score_pairs(s, u, v, pred, policy=policy,
+                                             query_mode=True)
+                    if policy == "list-both":
+                        assert np.array_equal(index, np.repeat(np.arange(u.size), 2))
+                        assert np.array_equal(bits(got[0::2]), bits(fwd))
+                        assert np.array_equal(bits(got[1::2]), bits(rev))
+                    else:
+                        assert np.array_equal(index, np.arange(u.size))
+                        assert np.array_equal(
+                            bits(got), bits(predictors.aggregate_directional(
+                                fwd, rev, policy)))
+            monkeypatch.undo()
+
+    def test_accounting_and_sweep_bit_equal_to_dense_kernel(self, rng):
+        for _ in range(6):
+            s, _, n = mixed_graph(rng)
+            for l_max in range(1, 6):
+                for source in range(-1, n + 1):
+                    sweep = propflow_all(s, source, l_max)
+                    assert np.array_equal(bits(sweep),
+                                          bits(propflow_all_dense(s, source, l_max)))
+                    for target in (-1, (source + 2) % n, n):
+                        if target == source:
+                            continue
+                        acc = propflow_accounting(s, source, target, l_max)
+                        assert tuple(acc) == propflow_accounting_dense(
+                            s, source, target, l_max)
+                        assert acc.total == pytest.approx(1.0, abs=1e-12)
+                        assert min(acc) >= 0.0
+                        if 0 <= target < n and s.contains(source):
+                            assert acc.absorbed == sweep[target]
+
+    @pytest.mark.parametrize("block_cells", [1, 3, None])
+    def test_distance_distribution_matches_oracle(self, rng, monkeypatch,
+                                                  block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
+        for _ in range(10):
+            feature, _, n = mixed_graph(rng)
+            pairs = rng.integers(0, n + 2, size=(int(rng.integers(1, 30)), 2))
+            label = Snapshot.from_edges([(a, b) for a, b in pairs.tolist() if a != b],
+                                        n=n + 2)
+            assert new_link_distance_distribution(feature, label) == \
+                distance_distribution_oracle(feature, label)
+
+
+def test_runs_stay_far_below_the_dense_blocks(monkeypatch):
+    # 5,000 disjoint 4-node paths: at l_max 2 each source's walk holds at
+    # most 1 + 2 + 4 = 7 cells, plus 2,500 for its ``seen`` row, so a run
+    # takes 104 sources of the 2^18-cell budget: 193 runs. A dense int64
+    # row per source (n + nnz = 50,000 cells) allowed 5 a block, 4,000
+    # blocks.
+    n = 20_000
+    s = Snapshot.from_edges([(i, i + 1) for i in range(n) if i % 4 != 3], n=n)
+    walks = count_walks(monkeypatch)
+    inst = geodesic_bucket_enumerate(s, 2)
+    assert len(inst) == 2 * n // 4
+    assert len(walks) == 193 and max(walks) == 104
+    assert len(walks) < n / (predictors._BLOCK_CELLS // (n + s.indices.size)) / 20
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        inst = geodesic_bucket_enumerate(s, 2)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    # below one int64 row over the universe per source of a run
+    assert peak < 104 * n * 8
 
 
 def test_cli_import_loads_no_scipy():

@@ -13,7 +13,7 @@ from lpeval import (DataCorruptionError, InvalidPairError, PredictorId, Snapshot
                     score_pairs)
 
 from conftest import random_graph
-from oracles import propflow_path_sum
+from oracles import propflow_path_sum, propflow_scores
 
 
 def toy_feature_network():
@@ -286,15 +286,15 @@ class TestScorePairs:
         s, _, _ = random_graph(rng, n=25, p=0.2)
         u_arr, v_arr = np.array([0, 0, 3, 7, 9]), np.array([3, 5, 7, 1, 0])
         pred = PredictorId.parse("pf:3")
-        fwd = predictors._propflow_pairs(s, u_arr, v_arr, pred.l_max)
-        rev = predictors._propflow_pairs(s, v_arr, u_arr, pred.l_max)
+        fwd = propflow_scores(s, u_arr, v_arr, pred.l_max)
+        rev = propflow_scores(s, v_arr, u_arr, pred.l_max)
         walked = []
 
-        def counted(s, block, *args, block_fn=predictors._propflow_block):
-            walked.extend(block.tolist())
-            return block_fn(s, block, *args)
+        def counted(s, sources, *args, walk=predictors._walk):
+            walked.extend(sources.tolist())
+            return walk(s, sources, *args)
 
-        monkeypatch.setattr(predictors, "_propflow_block", counted)
+        monkeypatch.setattr(predictors, "_walk", counted)
         got = score_pairs(s, u_arr, v_arr, pred, policy="list-both")[1]
         assert sorted(walked) == [0, 1, 3, 5, 7, 9]
         assert np.array_equal(got[0::2], fwd) and np.array_equal(got[1::2], rev)
@@ -327,7 +327,7 @@ class TestScoreInstancesShareColumns:
 
 class TestScoreInstancesBoundedTemporaries:
     @pytest.mark.parametrize("policy", ["mean", "max", "min"])
-    @pytest.mark.parametrize("kind", ["cn", "aa", "pa"])
+    @pytest.mark.parametrize("kind", ["cn", "aa", "pa", "pf:3"])
     def test_holds_its_score_column_and_no_other_per_row_bytes(self, rng, kind,
                                                                policy):
         # Over its input, scoring may hold the 8 B/row score column plus an

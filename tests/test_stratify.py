@@ -20,8 +20,8 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, IngestError, InstanceSet,
 from lpeval import cli, predictors, stratify
 
 from conftest import assert_same_ranking, random_graph
-from oracles import (hop_distances, instances_csv_text, lowest_reachable,
-                     read_instances_rows)
+from oracles import (distance_distribution_oracle, hop_distances, instances_csv_text,
+                     lowest_reachable, read_instances_rows)
 
 
 def pair_set(inst):
@@ -75,28 +75,11 @@ def multi_component_graph(rng):
 
 
 def small_blocks(monkeypatch, rng, s):
-    """Patch the block size to 1-3 sources of ``s``."""
+    """Patch the run budget to 1-3 sources of ``s`` whose walks reach every
+    cell and entry (``predictors._runs``)."""
+    n = s.n_universe
     monkeypatch.setattr(predictors, "_BLOCK_CELLS", int(rng.integers(1, 4))
-                        * (s.n_universe + s.indices.size))
-
-
-def distance_distribution_oracle(feature, label):
-    """The new-link distance distribution from scipy all-pairs hop counts."""
-    fu, fv, _ = feature.edge_arrays()
-    oracle = hop_distances(feature.n_universe, list(zip(fu, fv)))
-    lu, lv, _ = label.edge_arrays()
-    counts = {}
-    feat_keys = feature.edge_key_set()
-    for u, v in zip(lu.tolist(), lv.tolist()):
-        if not (feature.contains(u) and feature.contains(v)):
-            continue
-        if u * feature.n_universe + v in feat_keys:
-            continue
-        d = oracle[u, v]
-        d = DISCONNECTED if np.isinf(d) else int(d)
-        counts[d] = counts.get(d, 0) + 1
-    total = sum(counts.values())
-    return {d: c / total for d, c in counts.items()}
+                        * (n + s.indices.size + -(-n // 8)))
 
 
 def score_bits(a):
@@ -227,13 +210,13 @@ class TestEnumeration:
     def test_walk_is_cut_at_lmax(self, beyond, disconnected):
         s = Snapshot.from_edges([(i, i + 1) for i in range(7)] + [(8, 9)])
         limits = []
-        blocks = stratify.bfs_level_blocks
+        cells = stratify._walk
 
         def walk(snapshot, sources, depth_limit=None):
             limits.append(depth_limit)
-            return blocks(snapshot, sources, depth_limit)
+            return cells(snapshot, sources, depth_limit)
 
-        with mock.patch.object(stratify, "bfs_level_blocks", walk):
+        with mock.patch.object(stratify, "_walk", walk):
             inst = geodesic_bucket_enumerate(s, 3, include_beyond=beyond,
                                              include_disconnected=disconnected)
         assert limits and set(limits) == {3}
