@@ -122,13 +122,12 @@ def _row_chunks(n):
         yield slice(lo, min(n, lo + _CHUNK_ROWS))
 
 
-def _slices(s, nodes):
-    """The CSR slices of ``nodes``, concatenated in order, as ``(counts,
-    pos)``: ``pos`` lists the CSR positions and ``counts[i]`` the length of
-    ``nodes[i]``'s slice, so ``np.repeat(x, counts)`` spreads a value per
-    node over its positions."""
-    starts = s.indptr[nodes]
-    counts = s.indptr[nodes + 1] - starts
+def _ranges(starts, stops):
+    """The ranges ``starts[i]:stops[i]`` as ``(counts, pos)``: ``pos``
+    lists their positions in order and ``counts[i]`` the length of range i,
+    so ``np.repeat(x, counts)`` spreads a value per range over its
+    positions. A node's CSR slice is ``indptr[node]:indptr[node + 1]``."""
+    counts = stops - starts
     pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
     pos += np.arange(pos.size)
     return counts, pos
@@ -181,7 +180,7 @@ class _Level(NamedTuple):
 def _walk(s, sources, depth_limit=None):
     """Walk a run of sources one BFS level at a time; yield each _Level.
 
-    A level gathers its frontier's CSR slices (:func:`_slices`), masks
+    A level gathers its frontier's CSR slices (:func:`_ranges`), masks
     them against ``seen`` and deduplicates the new cells. The level at
     ``depth_limit`` is yielded with an empty expansion, and the walk ends
     after a level with no forward edge. Sources off the universe reach
@@ -195,7 +194,7 @@ def _walk(s, sources, depth_limit=None):
     depth = 0
     while True:
         expand = nodes[:0] if depth == depth_limit else nodes
-        counts, pos = _slices(s, expand)
+        counts, pos = _ranges(s.indptr[expand], s.indptr[expand + 1])
         entry = np.repeat(np.arange(expand.size), counts)
         cell = rows[entry] * n + s.indices[pos]  # row * n + neighbor
         fwd = ~seen.reshape(-1)[cell]
@@ -268,16 +267,18 @@ def _propflow_table(s, sources, l_max):
     return np.concatenate(keys), np.concatenate(values)
 
 
-def _lookup(s, keys, values, u, v):
-    """The value of each pair's key ``u * n + v`` in a sorted table, 0 where
-    the table has no such key or an end is off the universe."""
+def _lookup(s, keys, values, u_arr, v_arr):
+    """The value of each pair's key ``u * n + v`` in a sorted table, looked
+    up a chunk of rows at a time; 0 where the table has no such key or an
+    end is off the universe."""
     n = s.n_universe
-    out = np.zeros(u.size)
-    if keys.size:
+    out = np.zeros(u_arr.size)
+    for rows in _row_chunks(u_arr.size if keys.size else 0):
+        u, v = u_arr[rows], v_arr[rows]
         key = u * n + v
         at = np.minimum(keys.searchsorted(key), keys.size - 1)
         hit = (keys[at] == key) & (u >= 0) & (u < n) & (v >= 0) & (v < n)
-        out[hit] = values[at[hit]]
+        out[rows][hit] = values[at[hit]]
     return out
 
 
@@ -297,23 +298,24 @@ def _ends(s, *columns):
 
 def _two_hop_pairs(s, u_arr, v_arr, weighted):
     """CN (or, ``weighted``, AA) of each pair, looked up in the two-hop
-    table of the pairs' sources a chunk of rows at a time; 0 off the
-    universe."""
+    table of the pairs' sources; 0 off the universe."""
     # Imported here: every array command loads this module, and the ones
     # that score no CN or AA need not compile the table.
     from .twohop import two_hop_table
     keys, values = two_hop_table(s, _ends(s, u_arr), weighted)
-    out = np.empty(u_arr.size)
-    for rows in _row_chunks(u_arr.size):
-        out[rows] = _lookup(s, keys, values, u_arr[rows], v_arr[rows])
-    return out
+    return _lookup(s, keys, values, u_arr, v_arr)
 
 
-def _propflow_pairs(s, u_arr, v_arr, l_max, policy):
-    """PropFlow of each pair in both directions, resolved by ``policy`` a
-    chunk of rows at a time (under list-both, forward then reverse). Both
-    are looked up in one table of the walks from every distinct end."""
-    keys, values = _propflow_table(s, _ends(s, u_arr, v_arr), l_max)
+def _propflow_pairs(s, u_arr, v_arr, l_max, policy=None):
+    """PropFlow of each pair from ``u`` to ``v``, from a table of the walks
+    from the pairs' sources. Given ``policy``, both directions come from one
+    table of the walks from every distinct end and are resolved by it a
+    chunk of rows at a time (under list-both, forward then reverse)."""
+    _check_l_max(l_max)
+    keys, values = _propflow_table(
+        s, _ends(s, u_arr) if policy is None else _ends(s, u_arr, v_arr), l_max)
+    if policy is None:
+        return _lookup(s, keys, values, u_arr, v_arr)
     width = 2 if policy == "list-both" else 1
     out = np.empty(u_arr.size * width)
     for rows in _row_chunks(u_arr.size):
@@ -324,17 +326,18 @@ def _propflow_pairs(s, u_arr, v_arr, l_max, policy):
     return out
 
 
-def _single(fn, s, u, v, *args):
+def _single(fn, s, u, v, query_mode, *args):
+    """Check one pair and score it with ``fn``, a scorer of pair arrays."""
+    _check_pair(u, v)
+    _check_known(s, u, query_mode)
+    _check_known(s, v, query_mode)
     return float(fn(s, np.array([u], dtype=np.int64),
                     np.array([v], dtype=np.int64), *args)[0])
 
 
 def common_neighbors(s, u, v, query_mode=False):
     """|Γ(u) ∩ Γ(v)| as a float."""
-    _check_pair(u, v)
-    _check_known(s, u, query_mode)
-    _check_known(s, v, query_mode)
-    return _single(_two_hop_pairs, s, u, v, False)
+    return _single(_two_hop_pairs, s, u, v, query_mode, False)
 
 
 def adamic_adar(s, u, v, query_mode=False):
@@ -346,21 +349,12 @@ def adamic_adar(s, u, v, query_mode=False):
     neighbor means the snapshot is corrupt and raises rather than returning
     infinity.
     """
-    _check_pair(u, v)
-    _check_known(s, u, query_mode)
-    _check_known(s, v, query_mode)
-    return _single(_two_hop_pairs, s, u, v, True)
+    return _single(_two_hop_pairs, s, u, v, query_mode, True)
 
 
 def preferential_attachment(s, u, v, query_mode=False):
     """deg(u) * deg(v); in query mode unknown nodes count as degree 1."""
-    _check_pair(u, v)
-    _check_known(s, u, query_mode)
-    _check_known(s, v, query_mode)
-    du, dv = s.degree(u), s.degree(v)
-    if query_mode:
-        du, dv = max(du, 1), max(dv, 1)
-    return float(du * dv)
+    return _single(_preferential_attachment_pairs, s, u, v, query_mode, query_mode)
 
 
 class FlowAccounting(NamedTuple):
@@ -411,11 +405,7 @@ def propflow(s, source, target, l_max, query_mode=False):
     Path predictors have no basis for nodes without feature-window edges;
     such sources or targets score 0 (query mode) rather than erroring.
     """
-    _check_pair(source, target)
-    _check_known(s, source, query_mode)
-    _check_known(s, target, query_mode)
-    _check_l_max(l_max)
-    return _single(_propflow_pairs, s, source, target, l_max, "list-both")
+    return _single(_propflow_pairs, s, source, target, query_mode, l_max)
 
 
 def propflow_all(s, source, l_max):

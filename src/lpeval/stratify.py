@@ -24,8 +24,8 @@ from .errors import ConfigError, IngestError
 from .graphstore import csv_field
 # lpbench/tracing.py counts BFS sources by swapping ``stratify.bfs_levels``,
 # so the name stays importable here although enumeration walks in runs.
-from .predictors import (_CHUNK_ROWS, _runs, _sorted_unique, _walk, bfs_levels,
-                         csv_cells, csv_chunks)
+from .predictors import (_CHUNK_ROWS, _ranges, _runs, _sorted_unique, _walk,
+                         bfs_levels, csv_cells, csv_chunks)
 
 BEYOND = 1_000_000_000
 DISCONNECTED = 2_000_000_000
@@ -147,14 +147,14 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
     bucket if its ends share a component and in the disconnected bucket if
     not; each sentinel bucket is emitted on request.
 
-    The runs are consecutive runs of the ascending node ids. Each level's
-    cells with u < v, and then the cells left unseen, read row-major, come
-    in (u, v) order; one gather of components splits the unseen ones into
-    the sentinel buckets (with one bucket kept, a component test on the
-    run's mask first drops the other side). They are appended to the lists
-    of their distances, which are then joined in distance order: besides
-    the result, the enumeration holds the ``u`` and ``v`` of its rows
-    once, and temporaries of one run.
+    The runs are consecutive runs of the ascending node ids, and each
+    run's cells come in (u, v) order: each level's cells with u < v, and,
+    read row-major, the cells left unseen (with the disconnected bucket
+    alone, the other components' cells), which one gather of components
+    splits. With the beyond bucket alone, each source's same-component
+    nodes above it are one range of the nodes grouped by component. Rows
+    join in distance order: besides the result, the enumeration holds
+    ``u`` and ``v`` once, and temporaries of one run.
     """
     if l_max < 2:
         raise ConfigError("l_max must be >= 2", field="lmax")
@@ -162,6 +162,11 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
     us, vs = defaultdict(list), defaultdict(list)
     component = (_components(s) if include_beyond or include_disconnected
                  else None)
+    if include_beyond and not include_disconnected:  # x's: grouped[above[x]:stop[x]]
+        grouped = nodes[np.argsort(component[nodes], kind="stable")]
+        above, stop = np.empty((2, s.n_universe), dtype=np.int64)
+        above[grouped] = np.arange(1, grouped.size + 1)
+        stop[grouped] = component[grouped].searchsorted(component[grouped], "right")
     for run in _runs(s, nodes, l_max):
         for level in _walk(s, run, l_max):
             if level.depth >= 2:
@@ -169,17 +174,22 @@ def geodesic_bucket_enumerate(s, l_max, include_beyond=False,
                 keep = level.nodes > u
                 us[level.depth].append(u[keep])
                 vs[level.depth].append(level.nodes[keep])
-        if component is None:
-            continue
-        far = ~level.seen[:, nodes] & (nodes > run[:, None])
-        if include_beyond != include_disconnected:  # one bucket: its side only
-            far &= (component[nodes] == component[run][:, None]) == include_beyond
-        rows, cols = np.nonzero(far)
-        u, v = run[rows], nodes[cols]
-        same = component[v] == component[u]
-        for d, part in ((BEYOND, same), (DISCONNECTED, ~same)):
-            us[d].append(u[part])
-            vs[d].append(v[part])
+        if include_beyond and not include_disconnected:
+            counts, at = _ranges(above[run], stop[run])
+            rows, v = np.repeat(np.arange(run.size), counts), grouped[at]
+            far = ~level.seen[rows, v]
+            us[BEYOND].append(run[rows[far]])
+            vs[BEYOND].append(v[far])
+        elif include_disconnected:
+            far = (~level.seen[:, nodes] if include_beyond  # else disconnected alone
+                   else component[nodes] != component[run][:, None])
+            far &= nodes > run[:, None]
+            rows, cols = np.nonzero(far)
+            u, v = run[rows], nodes[cols]
+            same = component[v] == component[u]
+            for d, part in ((BEYOND, same), (DISCONNECTED, ~same)):
+                us[d].append(u[part])
+                vs[d].append(v[part])
     values = sorted(us)
     sizes = [sum(part.size for part in us[value]) for value in values]
     none = [np.empty(0, dtype=np.int64)]  # for a graph without candidates

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataCorruptionError
-from .predictors import _runs, _slices
+from .predictors import _ranges, _runs
 
 
 def _two_hop_paths(s, run, deg, weights):
@@ -28,7 +28,7 @@ def _two_hop_paths(s, run, deg, weights):
     ends, so it has degree >= 2, and such a node means the snapshot is
     corrupt.
     """
-    counts, pos = _slices(s, run)
+    counts, pos = _ranges(s.indptr[run], s.indptr[run + 1])
     src, mid = np.repeat(run, counts), s.indices[pos]
     order = np.lexsort((deg[mid], src))
     src, mid = src[order], mid[order]
@@ -36,7 +36,7 @@ def _two_hop_paths(s, run, deg, weights):
         lone = deg[mid] == 1
         if np.any(s.indices[s.indptr[mid[lone]]] != src[lone]):
             raise DataCorruptionError("common neighbor with degree < 2")
-    counts, pos = _slices(s, mid)
+    counts, pos = _ranges(s.indptr[mid], s.indptr[mid + 1])
     key = np.repeat(src * s.n_universe, counts)
     key += s.indices[pos]
     return key, None if weights is None else np.repeat(weights[mid], counts)

@@ -31,14 +31,17 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def count_walks(monkeypatch):
+def count_walks(monkeypatch, depths=None):
     """Count the library's walks (PropFlow's and stratification's) from here
-    on: the number of sources of each run walked."""
+    on: the number of sources of each run walked, and in ``depths``, if
+    given, each run's depth limit."""
     calls = []
     walk = predictors._walk
 
     def counted(s, sources, depth_limit=None):
         calls.append(sources.size)
+        if depths is not None:
+            depths.append(depth_limit)
         return walk(s, sources, depth_limit)
 
     monkeypatch.setattr(predictors, "_walk", counted)
@@ -61,6 +64,34 @@ def clique_graph(rng, n=22, events=30, hub_events=8):
                        (0, events + hub_events))
     u, v, w = s.edge_arrays()
     return s, list(zip(u.tolist(), v.tolist(), w.tolist())), n
+
+
+def run_sizes(s, sources, depth, budget):
+    """The sizes of the runs that ``sources`` take under ``budget`` cells,
+    from dense walk counts. A source in the universe costs its walks of
+    length 0..depth from it, each length's count and the sum capped at
+    n + nnz (n + nnz with no depth); every source adds n / 8 for its
+    ``seen`` row. A run takes sources while their costs fit the budget,
+    and at least one."""
+    n = s.n_universe
+    cap = n + s.indices.size
+    adj = np.zeros((n, n), dtype=np.int64)
+    np.add.at(adj, (np.repeat(np.arange(n), np.diff(s.indptr)), s.indices), 1)
+    walks = cost = np.ones(n, dtype=np.int64)
+    for _ in range(depth or 0):
+        walks = np.minimum(adj @ walks, cap)
+        cost = cost + walks
+    cost = np.full(n, cap) if depth is None else np.minimum(cost, cap)
+    sizes, total = [], 0
+    for x in sources.tolist():
+        c = (int(cost[x]) if 0 <= x < n else 0) + -(-n // 8)
+        if sizes and total + c <= budget:
+            sizes[-1] += 1
+            total += c
+        else:
+            sizes.append(1)
+            total = c
+    return sizes
 
 
 def walk_runs(s, sources, limit):
@@ -103,6 +134,8 @@ class TestBlockBFS:
                 for limit in (None, 1, int(rng.integers(2, 5))):
                     runs, got = walk_runs(s, sources, limit)
                     assert np.array_equal(np.concatenate(runs), sources)
+                    assert [run.size for run in runs] == run_sizes(
+                        s, sources, limit, block_cells)
                     if block_cells == default:
                         assert len(runs) == 1
                     elif block_cells == 1:
@@ -267,6 +300,17 @@ def test_cn_and_aa_never_walk(rng, monkeypatch):
     assert walks == []
 
 
+def test_single_propflow_walks_its_source_only(rng, monkeypatch):
+    s, _, n = random_graph(rng, n=25, p=0.2)
+    u, v = np.array([3]), np.array([7])
+    want = [propflow_scores(s, u, v, l_max)[0] for l_max in (1, 3)]
+    depths = []
+    walks = count_walks(monkeypatch, depths)
+    got = [predictors.propflow(s, 3, 7, l_max) for l_max in (1, 3)]
+    assert walks == [1, 1] and depths == [1, 3]
+    assert got == want
+
+
 class TestPropFlowBlock:
     def test_path_sum_and_conservation_on_clique_graphs(self, rng):
         for _ in range(3):
@@ -309,13 +353,30 @@ class TestBlocks:
                     new_link_distance_distribution(s, label))
 
         whole, whole_dist = everything()
-        walks = count_walks(monkeypatch)
-        # Room for 3 sources whose walks reach every cell and entry; the
-        # unbounded walks of distance-dist are cut exactly there.
-        monkeypatch.setattr(predictors, "_BLOCK_CELLS",
-                            3 * (n + s.indices.size + -(-n // 8)))
+        depths = []
+        walks = count_walks(monkeypatch, depths)
+        # Room for 3 sources whose walks reach every cell and entry, with
+        # their ``seen`` rows: distance-dist's unbounded walks cost exactly
+        # that, so their runs hold 3 sources but the last.
+        budget = 3 * (n + s.indices.size + -(-n // 8))
+        monkeypatch.setattr(predictors, "_BLOCK_CELLS", budget)
         blocked, blocked_dist = everything()
-        assert 3 <= max(walks) < n and len(walks) > len(preds) + 3
+        fu, fv, _ = s.edge_arrays()
+        hops = hop_distances(n, list(zip(fu.tolist(), fv.tolist())))
+        feature = set(zip(fu.tolist(), fv.tolist()))
+        lu, lv, _ = label.edge_arrays()
+        sources = np.unique([a for a, b in zip(lu.tolist(), lv.tolist())
+                             if (a, b) not in feature and np.isfinite(hops[a, b])])
+        unbounded = [k for k, d in zip(walks, depths) if d is None]
+        assert len(unbounded) >= 2 and sum(unbounded) == sources.size
+        assert set(unbounded[:-1]) == {3} and 1 <= unbounded[-1] <= 3
+        # enumeration to 2 and 3 hops, PropFlow:3 from every end, distance-dist
+        calls = [(s.node_ids, 2), (s.node_ids, 3), (np.arange(n), 3), (sources, None)]
+        assert walks == [k for nodes, depth in calls
+                         for k in run_sizes(s, nodes, depth, budget)]
+        assert depths == [depth for nodes, depth in calls
+                          for _ in run_sizes(s, nodes, depth, budget)]
+        assert len(walks) > len(preds) + 3
         for a, b in zip(whole, blocked):
             assert np.array_equal(a, b)
         assert blocked_dist == whole_dist
