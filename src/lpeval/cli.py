@@ -21,8 +21,12 @@ code first reads a snapshot's arrays, so ``snapshot``, ``surrogate``,
 A ``dataset.scores`` file (a third-party predictor's scores in the instance
 CSV format) is read into the counts of its distinct (distance, label,
 score) rows, never into its rows: ``evaluate``, ``variance`` and
-``kaggle-compare`` rank each score column from those counts. ``score`` and
-``temporal`` work on candidates, and so need ``dataset.path``.
+``kaggle-compare`` rank each score column from those counts. The read
+counts rows by the raw bytes of those cells and parses each block's
+distinct cells once (:func:`~lpeval.stratify.read_instances_csv`). Its ids
+may be any non-empty strings, so the node labels that ``score`` writes
+read back. ``score`` and ``temporal`` work on candidates, and so need
+``dataset.path``.
 
 A process started as ``lpeval`` or ``python -m lpeval.cli`` enters through
 :func:`run`: once ``main`` has returned its exit code, and stdout and

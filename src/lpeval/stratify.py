@@ -40,7 +40,7 @@ def distance_str(d):
 
 
 def _int_cell(text):
-    """An integer cell as np.loadtxt reads the id columns: blanks, an
+    """An integer cell as np.loadtxt reads an int64 column: blanks, an
     optional sign and ASCII digits. Python's int() alone also takes "1_0"
     and non-ASCII digits."""
     digits = text.strip()
@@ -373,9 +373,10 @@ def _label_cell(text):
 # most 2; a cell that fills its width may have been cut short, so it is an
 # error.
 _CELL_DTYPE = np.dtype([("distance", "S13"), ("label", "S3")])
-# Records read by one np.loadtxt call. Its structured chunk (40 B a record
-# with one score column) is the only copy of the rows, so the read holds one
-# chunk besides the table of distinct rows.
+# Records read by one np.loadtxt call of the loadtxt path. Its structured
+# chunk (32 B a record with one score column) is the only copy of the rows,
+# so the read holds one chunk besides the table of distinct rows. The block
+# path parses at most as many distinct tails at once, besides one block's.
 _READ_ROWS = 1 << 13
 # Rows of a chunk whose cells are decoded at a time: each temporary of a
 # block takes at most 64 KiB, small enough for the allocator to reuse from
@@ -384,6 +385,18 @@ _DECODE_ROWS = 1 << 12
 # The most distinct values that _ranks finds a value's rank among by a
 # binary search.
 _SEARCH_VALUES = 8
+# The id cells, read only to check that they are there: one character of
+# each (a longer id is cut, an empty cell reads ""). Unlike S1, U1 takes a
+# character outside latin-1.
+_ID_DTYPE = np.dtype([("u", "U1"), ("v", "U1")])
+# Characters of the body that the block path reads at a time, extended to
+# the end of the line they cut. A block's temporaries take a few times its
+# size, so a larger block holds more and reads no faster.
+_BLOCK_CHARS = 1 << 16
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# An odd multiplier of the mix that block rows are sorted by.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _ranks(col):
@@ -500,6 +513,7 @@ class _CellCounts:
     """
 
     def __init__(self, width):
+        self.width = width
         self.rows = [np.empty((0, width), dtype=np.int64)]
         self.counts = [np.empty(0, dtype=np.int64)]
         self.waiting, self.due = 0, _READ_ROWS
@@ -526,6 +540,184 @@ class _CellCounts:
         self.due = max(len(rows) if 2 * len(rows) <= len(index) else 3 * len(rows),
                        _READ_ROWS)
         return rows, counts
+
+
+
+
+def _tail_words(data, lo, size):
+    """The bytes ``data[lo:lo + size]`` of each row as little-endian uint64
+    columns, 8 bytes a column as far as the longest row, each row's bytes
+    past its end zero. ``data`` ends in 8 bytes that no row holds."""
+    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    words = []
+    for j in range(-(-int(size.max()) // 8)):
+        at = np.minimum(size, 8 * j)  # a row that has ended keeps no byte
+        words.append(word_at[lo + at] & _LOW_BYTES[np.minimum(size - at, 8)])
+    return words
+
+
+def _group_rows(columns):
+    """Rows grouped by equal values in every one of ``columns`` (uint64):
+    the first row of each group and how many rows it has, or None if two
+    unequal rows share the mix the rows are sorted by.
+
+    The mix of a row's values keeps its high bits, above a field of the
+    row's index, so one sort of the keys sorts the rows by mix and a group's
+    rows by index.
+    """
+    n = len(columns[0])
+    mix = np.zeros(n, dtype=np.uint64)
+    for col in columns:
+        mix ^= col
+        mix *= _MIX
+        mix ^= mix >> np.uint64(29)
+    bits = np.uint64(n.bit_length())
+    mix >>= bits
+    mix <<= bits
+    mix |= np.arange(n, dtype=np.uint64)
+    mix.sort()
+    order = (mix & np.uint64((1 << n.bit_length()) - 1)).astype(np.intp)
+    mix >>= bits
+    same = mix[1:] == mix[:-1]
+    for col in columns:
+        col = col[order]
+        if (col[1:] != col[:-1])[same].any():
+            return None
+    first = np.flatnonzero(np.concatenate(([True], ~same)))
+    count = np.empty_like(first)
+    count[:-1] = first[1:] - first[:-1]
+    count[-1:] = n - first[-1]
+    return order[first], count
+
+
+def _tail_lines(words, size):
+    """The bytes of the tails that ``words`` hold (one row each, as
+    :func:`_tail_words` gives them), one line each."""
+    width = 8 * len(words) + 1
+    text = np.zeros((len(size), width), dtype=np.uint8)
+    text[:, :-1] = np.column_stack(words).view(np.uint8)
+    text.ravel()[np.arange(0, text.size, width) + size] = ord("\n")
+    return text[text != 0].tobytes()
+
+
+def _block_tails(data, fields):
+    """The distinct tails of a block of whole lines, the UTF-8 bytes
+    ``data``, as the cells from the distance on, one line each, and how
+    many rows carry each; None if the block has a quote, a CR or a NUL, a
+    row that has not ``fields`` cells (a blank line has one) or has an
+    empty id, tails that are not ASCII, or two unequal tails of one mix.
+
+    The rows are cut at the bytes ',' and '\\n' and grouped by the bytes of
+    their tails (:func:`_group_rows`).
+    """
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    # A last line without a newline gets one, and _tail_words 8 more bytes.
+    data += (b"" if data.endswith(b"\n") else b"\n") + bytes(8)
+    byte = np.frombuffer(data, dtype=np.uint8, count=len(data) - 8)
+    cut = np.flatnonzero((byte == ord(",")) | (byte == ord("\n")))
+    if cut.size % fields:
+        return None
+    cut = cut.reshape(-1, fields)
+    ends = np.full(fields, ord(","), dtype=np.uint8)
+    ends[-1] = ord("\n")
+    if (byte[cut] != ends).any():
+        return None  # a row with fewer cells than ``fields`` or more
+    end = cut[:, -1]
+    if cut[0, 0] == 0 or (cut[1:, 0] == end[:-1] + 1).any() \
+            or (cut[:, 1] == cut[:, 0] + 1).any():
+        return None  # an empty id
+    lo = cut[:, 1] + 1
+    size = end - lo
+    del cut, end
+    words = _tail_words(data, lo, size)
+    group = _group_rows(words + [size.astype(np.uint64)])
+    if group is None:
+        return None
+    row, count = group
+    lines = _tail_lines([w[row] for w in words], size[row])
+    return (lines, count) if lines.isascii() else None
+
+
+def _count_blocks(src, body, fields, dtype, known, table):
+    """Count the rows of the body from offset ``body`` on into ``table``
+    by their distinct (distance, label, score...) cells, and return its
+    merged rows and counts, or None if a block cannot be read this way.
+
+    The body is read _BLOCK_CHARS characters at a time, to the end of the
+    line the block cuts, and each block is reduced to its distinct tails
+    (:func:`_block_tails`). Tails wait until the next block's would take
+    them past _READ_ROWS; then ``np.loadtxt`` parses them into ``dtype``,
+    :func:`_decode_cells` decodes them, and each adds the count of its rows
+    to the table. None also stands for bytes that are not UTF-8 and a tail
+    that cannot be read.
+
+    Once _READ_ROWS rows are read and more than half of them are their
+    block's distinct tails, grouping costs more than the parses it saves,
+    and the rest of the body is read by :func:`_count_records`; None if
+    it finds a malformed record.
+    """
+    tails, counts = [], []  # the blocks' distinct tails, not yet parsed
+    rows = distinct = 0  # the rows read, and their blocks' distinct tails
+
+    def parse():
+        """Parse the waiting tails into the table; False if one cannot be."""
+        count = np.concatenate(counts)
+        try:  # ASCII lines, which np.loadtxt reads from bytes as latin-1
+            parsed = _loadtxt(io.BytesIO(b"".join(tails)), dtype)
+        except ValueError:
+            return False
+        tails.clear()
+        counts.clear()
+
+        def put(first, index, cells):
+            table.add(cells, np.bincount(index, count[first:first + len(index)],
+                                         len(cells)).astype(np.int64))
+
+        if _decode_cells(parsed, 0, known, put, table.width) is not None:
+            return False
+        del parsed, count  # before the table is merged
+        table.settle()
+        return True
+
+    while True:
+        try:
+            text = src.read(_BLOCK_CHARS)
+            if text[-1:] not in ("", "\n"):
+                text += src.readline()
+        except UnicodeDecodeError:
+            return None
+        if not text:
+            break
+        data = text.encode("utf-8")
+        del text
+        block = _block_tails(data, fields)
+        del data
+        if block is None:
+            return None
+        lines, count = block
+        if tails and sum(map(len, counts)) + len(count) > _READ_ROWS \
+                and not parse():
+            return None
+        tails.append(lines)
+        counts.append(count)
+        rows += int(count.sum())
+        distinct += len(count)
+        if rows >= _READ_ROWS and 2 * distinct > rows:
+            if not parse():
+                return None
+            # The cells so far wait in a new table, as a read from the first
+            # record holds them: its merges then come when that read's do.
+            rest = _CellCounts(table.width)
+            rest.add(*table.merge())
+            try:
+                return _count_records(src, body, _ID_DTYPE.descr + dtype, known,
+                                      rest, rows)
+            except IngestError:
+                return None
+    if tails and not parse():
+        return None
+    return table.merge()
 
 
 def _record_line(fh, body, record):
@@ -587,50 +779,128 @@ def _loadtxt(fh, dtype, **kwargs):
                           comments=None, ndmin=1, **kwargs)
 
 
+def _first_bad_record(rows, start, known, sink, width=2):
+    """The first of ``rows``, records ``start`` on, with an empty id or a
+    cell that cannot be read, and why, or None; ``sink`` takes the decoded
+    cells as of :func:`_decode_cells`."""
+    bad = _decode_cells(rows, start, known, sink, width)
+    empty = np.flatnonzero((rows["u"] == "") | (rows["v"] == ""))
+    if empty.size and (bad is None or start + empty[0] < bad[0]):
+        name = "u" if rows["u"][empty[0]] == "" else "v"
+        return start + int(empty[0]), f"empty {name} cell"
+    return bad
+
+
 def _first_bad_cell(src, body, first, record, known):
-    """The first of records ``first`` to ``record - 1`` with a cell that
-    cannot be read, and why, or None. The records are re-read from offset
-    ``body`` in the chunks of the first pass; the chunks before ``first``
-    are read but not decoded."""
+    """The first of records ``first`` to ``record - 1`` with an empty id or
+    a cell that cannot be read, and why, or None. The records are re-read
+    from offset ``body`` in the chunks of the first pass; the chunks before
+    ``first`` are read but not decoded."""
     src.seek(body)
+    dtype = _ID_DTYPE.descr + _CELL_DTYPE.descr
     for start in range(0, record, _READ_ROWS):
-        cells = _loadtxt(src, _CELL_DTYPE, usecols=(2, 3),
+        cells = _loadtxt(src, dtype, usecols=(0, 1, 2, 3),
                          max_rows=min(_READ_ROWS, record - start))
         if start >= first:
-            bad = _decode_cells(cells, start, known, lambda *_: None)
+            bad = _first_bad_record(cells, start, known, lambda *_: None)
             if bad is not None:
                 return bad
     return None
 
 
-def read_instances_csv(path_or_file, id_index=None):
+def _count_records(src, body, dtype, known, table, n=0):
+    """Count the records of the body, record ``n`` on, into ``table`` by
+    their distinct (distance, label, score...) cells, and return its merged
+    rows and counts. ``src`` is at record ``n`` of the body, which starts at
+    offset ``body``.
+
+    ``np.loadtxt`` reads the records in chunks of _READ_ROWS into
+    ``dtype``, and each chunk's cells are decoded by :func:`_decode_cells`
+    into distinct rows, which the table merges as they come
+    (:class:`_CellCounts`). The first malformed record raises an
+    :class:`~lpeval.errors.IngestError` with its line.
+    """
+    def put(_, index, cells):
+        table.add(cells, np.bincount(index, minlength=len(cells)))
+
+    read = _READ_ROWS
+    while read == _READ_ROWS:
+        try:
+            rows = _loadtxt(src, dtype, max_rows=_READ_ROWS)
+        except UnicodeDecodeError as exc:
+            raise _not_text(exc) from None
+        except ValueError as exc:
+            message, record = _loadtxt_failure(exc)
+            if record is not None:
+                record += n
+                # The chunk's records before the failed one are not
+                # checked yet; the first malformed record may be there.
+                bad = (_first_bad_cell(src, body, n, record, known)
+                       if record > n else None)
+                if bad is not None:
+                    record, message = bad
+            raise IngestError(message, line=None if record is None
+                              else _record_line(src, body, record)) from None
+        read = len(rows)
+        bad = _first_bad_record(rows, n, known, put, table.width)
+        if bad is not None:
+            raise IngestError(bad[1], line=_record_line(src, body, bad[0]))
+        del rows  # before the next chunk is read, or the table merged
+        table.settle()
+        n += read
+    return table.merge()
+
+
+def _first_empty_label(src, body, records):
+    """The first of the ``records`` records of the body, which starts at
+    offset ``body``, whose label cell is empty, or None."""
+    src.seek(body)
+    for start in range(0, records, _READ_ROWS):
+        label = _loadtxt(src, "U1", usecols=3, max_rows=_READ_ROWS)
+        empty = np.flatnonzero(label == "")
+        if empty.size:
+            return start + int(empty[0])
+    return None
+
+
+def read_instances_csv(path_or_file):
     """The :class:`InstanceCounts` of the instances in a file written by
     :func:`write_instances_csv`: its distinct (distance, label, score...)
     rows and how many rows each stands for. No row is kept.
 
     Third-party score files in the same format are accepted, which is how
     externally produced (e.g. supervised) predictors enter the evaluation
-    pipeline. ``id_index`` maps external id strings to interned ints; without
-    it ids must already be integers. The ids are checked, not returned.
+    pipeline. Ids may be any strings (``score`` writes node labels); they
+    are checked for presence only, and an empty id cell is an error.
 
-    ``np.loadtxt`` parses the body in chunks of _READ_ROWS records: ids
-    into int64 (through ``id_index`` when given, the only Python
-    converter), scores into float64, and the distance and label cells as
-    ASCII bytes of a fixed width (at most 12 and 2 bytes), which are
-    decoded once per distinct pair of cells, not once per row. Each block
-    of a chunk is reduced to its distinct rows by the pass that groups the
-    byte cells, with the scores' bit patterns as further words, and the
-    blocks are merged into one table as they come (:class:`_CellCounts`),
-    and once more at the end. So the read holds one chunk plus a few times
-    that table. The cells are joint over every score column: with several
-    columns there may be as many as the product of each column's cells, up
-    to one a row.
+    The block path reads the body in blocks of _BLOCK_CHARS characters,
+    each to the end of the line it cuts (:func:`_count_blocks`). A block's
+    rows are cut at ',' and '\\n' by byte compares and grouped by the raw
+    bytes of their tails, the cells from the distance on, so only each
+    block's distinct tails are parsed, by ``np.loadtxt``: scores into
+    float64, the distance and label cells as ASCII bytes of a fixed width
+    (at most 12 and 2 bytes), which are decoded once per distinct pair of
+    cells (:func:`_decode_cells`). Each tail adds the count of the rows
+    that carry it to a table of distinct rows, which is merged as blocks
+    come (:class:`_CellCounts`) and once more at the end. Once _READ_ROWS
+    rows are read and more than half of them were distinct tails of their
+    block, as in a continuous score column, the rest of the body is read by
+    the loadtxt path.
+
+    The loadtxt path (:func:`_count_records`) parses every record with
+    ``np.loadtxt`` in chunks of _READ_ROWS, the id cells as one character
+    each. A quote, a CR line end or a blank line in a block, and any block
+    that cannot be read by bytes (a malformed row, bytes that are not
+    UTF-8), send the whole read back to the first record on this path,
+    which finds the malformed row. Both paths give the same counts. The
+    cells are joint over every score column: with several columns there
+    may be as many as the product of each column's cells, up to one a row.
 
     A malformed row raises :class:`~lpeval.errors.IngestError` with its
     line number, the first such row if there are several, and so does a
     label column that is empty on some rows but not all. A stream that
-    cannot seek is read into memory first, since an error makes second
-    passes over the records.
+    cannot seek is read into memory first, since the read may start over
+    and an error makes second passes over the records.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
@@ -647,56 +917,25 @@ def read_instances_csv(path_or_file, id_index=None):
             raise IngestError("expected header u,v,distance,label[,score...]", line=1)
         score_names = [h[6:] if h.startswith("score_") else "score"
                        for h in header[4:]]
-        # The score columns follow the byte cells, so that a chunk's rows
-        # can be grouped by the words from the distance cell on.
-        dtype = ([("u", np.int64), ("v", np.int64)] + _CELL_DTYPE.descr
-                 + [(f"score{i}", np.float64) for i in range(len(score_names))])
-        converters = None
-        if id_index is not None:
-            converters = {0: id_index.__getitem__, 1: id_index.__getitem__}
+        # The score columns follow the byte cells, so that rows can be
+        # grouped by the words from the distance cell on.
+        tail = _CELL_DTYPE.descr + [(f"score{i}", np.float64)
+                                    for i in range(len(score_names))]
         known = {}
         width = 2 + len(score_names)
-        table = _CellCounts(width)
-        empty = []  # the first record with an empty label cell
-
-        def put(first, index, cells):
-            table.add(cells, np.bincount(index, minlength=len(cells)))
-            if not empty and cells[:, 1].min() < 0:
-                empty.append(first + int(np.argmax(cells[index, 1] < 0)))
-
-        n, read = 0, _READ_ROWS
-        while read == _READ_ROWS:
-            try:
-                rows = _loadtxt(src, dtype, converters=converters,
-                                max_rows=_READ_ROWS)
-            except UnicodeDecodeError as exc:
-                raise _not_text(exc) from None
-            except ValueError as exc:
-                message, record = _loadtxt_failure(exc)
-                if record is not None:
-                    record += n
-                    # The chunk's records before the failed one are not
-                    # decoded yet; the first malformed record may be there.
-                    bad = (_first_bad_cell(src, body, n, record, known)
-                           if record > n else None)
-                    if bad is not None:
-                        record, message = bad
-                raise IngestError(message, line=None if record is None
-                                  else _record_line(src, body, record)) from None
-            read = len(rows)
-            bad = _decode_cells(rows, n, known, put, width)
-            if bad is not None:
-                raise IngestError(bad[1], line=_record_line(src, body, bad[0]))
-            del rows  # before the next chunk is read, or the table merged
-            table.settle()
-            n += read
-        cells, count = table.merge()
+        counted = _count_blocks(src, body, len(header), tail, known, _CellCounts(width))
+        if counted is None:
+            src.seek(body)
+            counted = _count_records(src, body, _ID_DTYPE.descr + tail, known,
+                                     _CellCounts(width))
+        cells, count = counted
         label = cells[:, 1]
         if label.max(initial=-1) < 0:
             label = None
         elif label.min() < 0:
             raise IngestError("empty label in a labeled score file",
-                              line=_record_line(src, body, empty[0]))
+                              line=_record_line(src, body, _first_empty_label(
+                                  src, body, int(count.sum()))))
         else:
             label = label.astype(bool)
         scores = {name: np.ascontiguousarray(cells[:, 2 + i]).view(np.float64)

@@ -97,6 +97,27 @@ def test_evaluate_and_score_rerun_identically(tmp_path):
                               want.scores[pred.name].view(np.uint64))
 
 
+def test_score_output_with_string_ids_reads_back(tmp_path):
+    # score writes node labels (n00042) as ids; evaluate on that file
+    # through dataset.scores gives the graph evaluate's AUROCs and curves.
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    args = ["--set", f"dataset.path={events}", *WINDOWS,
+            "--set", "prediction.predictors=cn", "--set", "prediction.lmax=3"]
+    assert cli.main(["score", "--out", str(tmp_path / "score"), *args]) == 0
+    assert cli.main(["evaluate", "--out", str(tmp_path / "graph"), *args]) == 0
+    scores = tmp_path / "score" / "scores_common-neighbors.csv"
+    rows = [line.split(",") for line in scores.read_text(encoding="utf-8").splitlines()]
+    assert all(u.startswith("n") and v.startswith("n") for u, v, *_ in rows[1:])
+    assert cli.main(["evaluate", "--out", str(tmp_path / "file"),
+                     "--set", f"dataset.scores={scores}"]) == 0
+    for kind in ("per_distance", "roc", "pr"):
+        want = (tmp_path / "graph" / f"{kind}_common-neighbors.csv").read_text(
+            encoding="utf-8")
+        assert want.count("\n") > 2
+        assert (tmp_path / "file" / f"{kind}_score.csv").read_text(encoding="utf-8") == want
+
+
 @pytest.mark.filterwarnings("ignore:N\\*p")
 def test_sampling_commands_rerun_identically(tmp_path):
     rng = np.random.default_rng(5)
@@ -240,7 +261,7 @@ def test_evaluate_sampling_config_errors_exit_2(tmp_path, capsys, settings, fiel
 
 @pytest.mark.parametrize("body, line", [
     ("0,1,2,1,0.5\n0,2,far,0,0.5\n", 3),
-    ("99999999999999999999,2,2,1,0.5\n", 2),
+    ("0,,2,1,0.5\n", 2),  # an empty id
     ("0,1,2,1,0.5\n0,2,2,,0.5\n", 3),
 ])
 @pytest.mark.parametrize("command", ["variance", "kaggle-compare"])

@@ -240,7 +240,8 @@ class TestVarianceExperiment:
 
     def test_zero_negative_repeats_flagged(self, rng):
         inst = make_instances(rng, 5, 3)
-        report = variance_experiment(ranked(inst), rates=[1e-4], repeats=20, seed=4)
+        with pytest.warns(UserWarning, match="not integral"):
+            report = variance_experiment(ranked(inst), rates=[1e-4], repeats=20, seed=4)
         row = report.rows[0]
         assert row.n_valid + row.n_invalid == 20
         assert row.n_invalid > 0

@@ -55,8 +55,10 @@ def instance_sets(draw):
                        column(st.sampled_from([2, 3, 7, BEYOND, DISCONNECTED])),
                        label,
                        {k: np.array(column(score), dtype=float) for k in keys})
+    # Node ids are never empty (ingest refuses them), and the reader refuses
+    # an empty id cell.
     id_labels = draw(st.none() | st.lists(
-        st.text(st.sampled_from(list('ab ,"\r\n\xe9')), max_size=4),
+        st.text(st.sampled_from(list('ab ,"\r\n\xe9')), min_size=1, max_size=4),
         min_size=n_ids, max_size=n_ids, unique=True))
     return inst, id_labels, keys
 
@@ -490,7 +492,7 @@ class TestInstanceCsv:
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
         back = read_instances_rows(io.StringIO(text), id_index=index)
-        assert_read_as_rows(read_instances_csv(io.StringIO(text), id_index=index), back)
+        assert_read_as_rows(read_instances_csv(io.StringIO(text)), back)
         assert np.array_equal(back.u, inst.u)
         assert np.array_equal(back.v, inst.v)
         assert np.array_equal(back.distance, inst.distance)
@@ -507,9 +509,9 @@ class TestInstanceCsv:
     @settings(max_examples=150, deadline=None)
     @given(instance_sets(), st.data())
     def test_reader_matches_row_reader(self, case, data):
-        # CRLF line ends and blank lines, quoted ids (CR, LF, ',' and '"')
-        # through id_index, 0 to 3 score columns; from a stream or a file,
-        # read in chunks of 1, 3 or 4,096 records.
+        # CRLF line ends and blank lines, quoted ids (CR, LF, ',' and '"'),
+        # which the row reader maps through id_index, 0 to 3 score columns;
+        # from a stream or a file, read in chunks of 1, 3 or 4,096 records.
         inst, id_labels, keys = case
         buf = io.StringIO()
         write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
@@ -526,9 +528,9 @@ class TestInstanceCsv:
                     path = os.path.join(tmp, "scores.csv")
                     with open(path, "w", encoding="utf-8", newline="") as fh:
                         fh.write(text)
-                    cells = read_instances_csv(path, id_index=index)
+                    cells = read_instances_csv(path)
             else:
-                cells = read_instances_csv(io.StringIO(text), id_index=index)
+                cells = read_instances_csv(io.StringIO(text))
         assert_read_as_rows(cells, want)
 
     @settings(max_examples=150, deadline=None)
@@ -545,7 +547,7 @@ class TestInstanceCsv:
         rows = read_instances_rows(io.StringIO(buf.getvalue()), id_index=index)
         with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
                 mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
-            cells = read_instances_csv(io.StringIO(buf.getvalue()), id_index=index)
+            cells = read_instances_csv(io.StringIO(buf.getvalue()))
         assert_read_as_rows(cells, rows)
         if rows.label is None:
             return
@@ -614,7 +616,8 @@ class TestInstanceCsv:
 
     def test_underscore_digits_are_rejected(self):
         # Python's int() and float() read "1_0" as 10; the typed reader,
-        # like the writer, knows only plain digits.
+        # like the writer, knows only plain digits in the distance and score
+        # cells. An id is any string, so "1_0" is one.
         for row, col, value in (("1_0,2,2,1,0.5", "u", 10),
                                 ("1,2,1_0,1,0.5", "distance", 10),
                                 ("1,2,2,1,1_0.5", "score", 10.5)):
@@ -622,6 +625,9 @@ class TestInstanceCsv:
             back = read_instances_rows(io.StringIO(text))
             column = back.scores["score"] if col == "score" else getattr(back, col)
             assert column[1] == value
+            if col == "u":
+                assert_read_as_rows(read_instances_csv(io.StringIO(text)), back)
+                continue
             with pytest.raises(IngestError) as exc:
                 read_instances_csv(io.StringIO(text))
             assert exc.value.line == 3
@@ -629,8 +635,9 @@ class TestInstanceCsv:
     @pytest.mark.parametrize("cell", ["+2", " 2", "2\t", " -0 ", "-1", "+", "2 2",
                                       "0x2", "2.0", "1e1", " ", "1_0"])
     def test_distance_and_label_cells_read_as_ids(self, cell):
-        # Distance and label cells take the grammar np.loadtxt reads the id
-        # columns with: blanks, an optional sign and ASCII digits.
+        # Distance and label cells take the grammar np.loadtxt reads int64
+        # columns with: blanks, an optional sign and ASCII digits. An id
+        # cell that holds anything is read.
         def read(row):
             try:
                 return read_instances_csv(io.StringIO(HEADER + "0,1,2,0,0.5\n"
@@ -644,7 +651,7 @@ class TestInstanceCsv:
                                    delimiter=",", usecols=0, ndmin=1)[0])
         except ValueError:
             as_id = None
-        assert (read(f"{cell},2,2,1,0.5") is None) == (as_id is None)
+        assert read(f"{cell},2,2,1,0.5") is not None
         rows = [("distance", f"0,2,{cell},1,0.5", 2)]
         if len(cell) <= 2:  # a label cell has at most 2 bytes
             rows.append(("label", f"0,2,2,{cell},0.5", False))
@@ -657,7 +664,8 @@ class TestInstanceCsv:
                     == sorted([first, want])
 
     @pytest.mark.parametrize("body, line", [
-        ("99999999999999999999,2,2,1,0.5\n", 2),        # id outside int64
+        (",2,2,1,0.5\n", 2),                            # empty id
+        ("0,1,2,1,0.5\n\n0,,2,0,0.5\n", 4),
         ("0,1,2,1,0.5\n0,2,far,0,0.5\n", 3),            # bad distance token
         ("0,1,2,1,0.5\n0,2,99999999999999999999,0,0.5\n", 3),
         ("0,1,2,1,0.5\n\n\n0,2,2,0\n", 5),              # too few fields
@@ -724,8 +732,8 @@ class TestInstanceCsv:
             assert exc.value.line == 3
 
     def test_loadtxt_converts_only_ids(self):
-        # The distance and label cells are read as bytes, not through a
-        # per-cell Python converter; a failed read's second pass too.
+        # No cell is read through a per-cell Python converter, ids included,
+        # on either path; a failed read's second pass neither.
         calls = []
         loadtxt = np.loadtxt
 
@@ -735,12 +743,13 @@ class TestInstanceCsv:
 
         with mock.patch.object(stratify.np, "loadtxt", spy):
             read_instances_csv(io.StringIO(HEADER + "0,1,beyond,1,0.5\n"))
-            read_instances_csv(io.StringIO(HEADER + "a,b,2,,0.5\n"),
-                               id_index={"a": 0, "b": 1})
+            read_instances_csv(io.StringIO(HEADER + '"a",b,2,,0.5\n'))
             with pytest.raises(IngestError):
                 read_instances_csv(io.StringIO(HEADER + "0,1,2,1,0.5\n0,2,2,0,x\n"))
-        assert len(calls) == 4
-        assert all(2 not in c and 3 not in c for c in calls)
+        # The first read parses its tails; the quoted one, on the loadtxt
+        # path, one chunk; the failed one its tails, one chunk and the
+        # second pass.
+        assert calls == [{}] * 5
 
     @settings(max_examples=100, deadline=None)
     @given(instance_sets(), st.sampled_from([1, 3, 4096]))
@@ -755,11 +764,14 @@ class TestInstanceCsv:
         assert_read_as_rows(got, want)
 
     def test_unknown_id_names_its_line(self):
-        # The first record spans lines 2 and 3.
-        text = HEADER + '"a\nb",c,2,1,0.5\n"a\nb",zz,2,0,0.5\n'
-        with pytest.raises(IngestError) as exc:
-            read_instances_csv(io.StringIO(text), id_index={"a\nb": 0, "c": 1})
-        assert exc.value.line == 4
+        # Any id that is there is read; an empty one is an error. The first
+        # record spans lines 2 and 3.
+        text = HEADER + '"a\nb",zz,2,1,0.5\n"a\nb",c,2,0,0.5\n'
+        assert read_instances_csv(io.StringIO(text)).count.tolist() == [1, 1]
+        for empty in ('""', ""):
+            with pytest.raises(IngestError, match="empty v cell") as exc:
+                read_instances_csv(io.StringIO(text.replace(",c,", f",{empty},")))
+            assert exc.value.line == 4
 
     @pytest.mark.parametrize("rows", [1, 5000])
     def test_bytes_that_are_not_utf8(self, tmp_path, rows):
@@ -809,8 +821,7 @@ class TestInstanceCsv:
         back = read_instances_rows(io.StringIO(buf.getvalue()), id_index=index)
         assert back.u.tolist() == [0, 1]
         assert back.v.tolist() == [2, 2]
-        assert_read_as_rows(read_instances_csv(io.StringIO(buf.getvalue()),
-                                               id_index=index), back)
+        assert_read_as_rows(read_instances_csv(io.StringIO(buf.getvalue())), back)
 
     def test_distance_string_round_trip(self):
         for d in (2, 7, BEYOND, DISCONNECTED):
@@ -832,6 +843,167 @@ class TestInstanceCsv:
         buf = io.StringIO()
         write_instances_csv(buf, cands, id_labels=s.id_labels)
         assert buf.getvalue().splitlines()[1].startswith("ann,cat")
+
+
+def loadtxt_path():
+    """Patch the read onto its loadtxt path, every record parsed."""
+    return mock.patch.object(stratify, "_count_blocks", lambda *_: None)
+
+
+def assert_same_counts(got, want):
+    """Two reads give the same InstanceCounts arrays."""
+    assert np.array_equal(got.distance, want.distance)
+    assert (got.label is None) == (want.label is None)
+    if got.label is not None:
+        assert np.array_equal(got.label, want.label)
+    assert list(got.scores) == list(want.scores)
+    for name, scores in got.scores.items():
+        assert np.array_equal(scores.view(np.int64), want.scores[name].view(np.int64))
+    assert np.array_equal(got.count, want.count)
+
+
+class TestBlockPath:
+    @settings(max_examples=150, deadline=None)
+    @given(instance_sets(), st.sampled_from([1, 7, stratify._BLOCK_CHARS]))
+    def test_blocks_match_loadtxt_path_and_rows(self, case, block_chars):
+        # Several score columns, -0.0 and NaN, sentinel buckets, labelled and
+        # unlabelled rows; a block of 1 or 7 characters reaches the end of
+        # its first line, so it holds one or a few rows.
+        inst, id_labels, keys = case
+        buf = io.StringIO()
+        write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
+        text = buf.getvalue()
+        index = None if id_labels is None else \
+            {name: i for i, name in enumerate(id_labels)}
+        with loadtxt_path():
+            want = read_instances_csv(io.StringIO(text))
+        records = mock.Mock(wraps=stratify._count_records)
+        with mock.patch.object(stratify, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(stratify, "_count_records", records):
+            got = read_instances_csv(io.StringIO(text))
+        assert_same_counts(got, want)
+        assert_read_as_rows(got, read_instances_rows(io.StringIO(text), id_index=index))
+        # Only a quote or a CR sends these bodies to the loadtxt path.
+        assert records.called == ('"' in text or "\r" in text)
+
+    @pytest.mark.parametrize("body, ids", [
+        ("0,1,2,1,0.5\r\n0,2,3,0,0.25\r\n1,2,beyond,0,0.5\r\n", None),  # CRLF
+        ("0,1,2,1,0.5\r0,2,3,0,0.25\r1,2,beyond,0,0.5\r", None),        # lone CR
+        ('"a,b",c,2,1,0.5\nc,"a,b",3,0,0.25\n"d,",c,2,0,0.5\n', ["a,b", "c", "d,"]),
+        ("0,1,2,1,0.5\n\n0,2,3,0,0.25\n\n\n1,2,2,0,0.5\n", None),       # blank lines
+        ("0,1,2,1,0.5\n0,2,3,0,0.25\n1,2,2,1,0.5", None),               # no last newline
+        ("é,ü,2,1,0.5\nü,n00042,3,0,0.25\n€,é,2,1,0.5\n", ["é", "ü", "n00042", "€"]),
+    ])
+    @pytest.mark.parametrize("block_chars", [1, 7, None])
+    def test_bodies_read_as_rows(self, tmp_path, body, ids, block_chars):
+        text = HEADER + body
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode("utf-8"))
+        index = None if ids is None else {name: i for i, name in enumerate(ids)}
+        want = read_instances_rows(io.StringIO(text, newline=""), id_index=index)
+        with mock.patch.object(stratify, "_BLOCK_CHARS",
+                               block_chars or stratify._BLOCK_CHARS):
+            for source in (str(path), io.StringIO(text, newline="")):
+                got = read_instances_csv(source)
+                assert got.count.sum() == 3
+                assert_read_as_rows(got, want)
+
+    def test_rows_of_one_mix_are_compared_cell_by_cell(self):
+        # With a mix of 0 every row of a block shares one key: the words
+        # of the rows tell the tails apart, so a block with two tails goes
+        # back to the loadtxt path, and one with one tail keeps its count.
+        text = HEADER + "0,1,2,1,0.5\n0,2,2,0,0.5\n0,3,2,1,0.5\n"
+        with mock.patch.object(stratify, "_MIX", np.uint64(0)):
+            for body in (text, text.replace(",0,", ",1,")):
+                want = read_instances_rows(io.StringIO(body))
+                records = mock.Mock(wraps=stratify._count_records)
+                with mock.patch.object(stratify, "_count_records", records):
+                    assert_read_as_rows(read_instances_csv(io.StringIO(body)), want)
+                assert records.called == (want.label.sum() < 3)
+
+    def test_plain_file_parses_only_distinct_tails(self):
+        # 10,000 rows of 2 distances, 2 labels and 11 scores: no np.loadtxt
+        # call parses all the rows, as a silent return to the loadtxt path
+        # would.
+        rng = np.random.default_rng(3)
+        n = 10_000
+        inst = InstanceSet(rng.integers(0, 500, n), rng.integers(500, 1000, n),
+                           rng.choice([2, BEYOND], n), rng.random(n) < 0.1,
+                           {"score": np.round(rng.random(n), 1)})
+        buf = io.StringIO()
+        write_instances_csv(buf, inst)
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            rows = loadtxt(*args, **kwargs)
+            parsed.append(len(rows))
+            return rows
+
+        with mock.patch.object(stratify.np, "loadtxt", spy):
+            got = read_instances_csv(io.StringIO(buf.getvalue()))
+        assert_read_as_rows(got, inst)
+        blocks = -(-len(buf.getvalue()) // stratify._BLOCK_CHARS)
+        assert 0 < sum(parsed) <= 2 * 2 * 11 * (blocks + 1)
+
+    def test_distinct_tails_move_to_the_loadtxt_path(self, rng):
+        # A continuous score column: once _READ_ROWS rows are read, most of
+        # them distinct, the rest of the body is parsed in loadtxt chunks,
+        # from the record after the last block; a malformed record there
+        # still names its line.
+        n = 3 * stratify._READ_ROWS
+        inst = InstanceSet(np.arange(n), np.arange(n) + 1, np.full(n, 2),
+                           rng.random(n) < 0.5, {"score": rng.normal(size=n)})
+        buf = io.StringIO()
+        write_instances_csv(buf, inst)
+        text = buf.getvalue()
+        records = mock.Mock(wraps=stratify._count_records)
+        with mock.patch.object(stratify, "_count_records", records):
+            got = read_instances_csv(io.StringIO(text))
+        assert_read_as_rows(got, inst)
+        (*_, start), _ = records.call_args
+        assert stratify._READ_ROWS <= start < n
+        for line in (start + 2, n + 1):
+            lines = text.splitlines(keepends=True)
+            cells = lines[line - 1].split(",")
+            lines[line - 1] = ",".join(cells[:2] + ["far"] + cells[3:])
+            exc = ingest_error(lambda: read_instances_csv(io.StringIO("".join(lines))))
+            assert exc.line == line
+
+
+def sampling_shaped_file(path, rows, seed):
+    """A labeled score file shaped like lpbench's ``sampling`` input: a
+    two-decimal score, mostly tied, over two finite and two sentinel
+    buckets, with integer ids."""
+    rng = np.random.default_rng(seed)
+    distance = rng.choice([2, 3, BEYOND, DISCONNECTED], rows, p=[0.3, 0.3, 0.25, 0.15])
+    label = rng.random(rows) < 0.002
+    score = np.round(np.where(label, rng.beta(2.0, 3.0, rows), rng.beta(1.0, 6.0, rows)), 2)
+    inst = InstanceSet(rng.integers(0, 1500, rows), rng.integers(0, 1500, rows),
+                       distance, label, {"score": score})
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_instances_csv(fh, inst)
+    return inst
+
+
+def test_block_path_peaks_no_higher_than_loadtxt_path(tmp_path):
+    path = tmp_path / "scores.csv"
+    inst = sampling_shaped_file(path, 100_000, 2811)
+    peaks, reads = [], []
+    records = mock.Mock(wraps=stratify._count_records)
+    for forced in (False, True):
+        with loadtxt_path() if forced else \
+                mock.patch.object(stratify, "_count_records", records):
+            tracemalloc.start()
+            try:
+                reads.append(read_instances_csv(str(path)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert not records.called
+    assert_same_counts(*reads)
+    assert_read_as_rows(reads[0], inst)
+    assert peaks[0] <= peaks[1]
 
 
 def test_score_path_memory_budget(tmp_path):
