@@ -395,8 +395,6 @@ _ID_DTYPE = np.dtype([("u", "U1"), ("v", "U1")])
 _BLOCK_CHARS = 1 << 16
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# An odd multiplier of the mix that block rows are sorted by.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _ranks(col):
@@ -542,8 +540,6 @@ class _CellCounts:
         return rows, counts
 
 
-
-
 def _tail_words(data, lo, size):
     """The bytes ``data[lo:lo + size]`` of each row as little-endian uint64
     columns, 8 bytes a column as far as the longest row, each row's bytes
@@ -556,47 +552,12 @@ def _tail_words(data, lo, size):
     return words
 
 
-def _group_rows(columns):
-    """Rows grouped by equal values in every one of ``columns`` (uint64):
-    the first row of each group and how many rows it has, or None if two
-    unequal rows share the mix the rows are sorted by.
-
-    The mix of a row's values keeps its high bits, above a field of the
-    row's index, so one sort of the keys sorts the rows by mix and a group's
-    rows by index.
-    """
-    n = len(columns[0])
-    mix = np.zeros(n, dtype=np.uint64)
-    for col in columns:
-        mix ^= col
-        mix *= _MIX
-        mix ^= mix >> np.uint64(29)
-    bits = np.uint64(n.bit_length())
-    mix >>= bits
-    mix <<= bits
-    mix |= np.arange(n, dtype=np.uint64)
-    mix.sort()
-    order = (mix & np.uint64((1 << n.bit_length()) - 1)).astype(np.intp)
-    mix >>= bits
-    same = mix[1:] == mix[:-1]
-    for col in columns:
-        col = col[order]
-        if (col[1:] != col[:-1])[same].any():
-            return None
-    first = np.flatnonzero(np.concatenate(([True], ~same)))
-    count = np.empty_like(first)
-    count[:-1] = first[1:] - first[:-1]
-    count[-1:] = n - first[-1]
-    return order[first], count
-
-
-def _tail_lines(words, size):
-    """The bytes of the tails that ``words`` hold (one row each, as
-    :func:`_tail_words` gives them), one line each."""
-    width = 8 * len(words) + 1
-    text = np.zeros((len(size), width), dtype=np.uint8)
-    text[:, :-1] = np.column_stack(words).view(np.uint8)
-    text.ravel()[np.arange(0, text.size, width) + size] = ord("\n")
+def _tail_lines(words):
+    """The bytes of the tails that ``words`` hold, one line each: a row is a
+    tail's words, as :func:`_tail_words` gives them, and a tail has no NUL,
+    so its bytes are the row's bytes that are not 0."""
+    text = np.full((len(words), 8 * words.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = words.view(np.uint8)
     return text[text != 0].tobytes()
 
 
@@ -605,10 +566,10 @@ def _block_tails(data, fields):
     ``data``, as the cells from the distance on, one line each, and how
     many rows carry each; None if the block has a quote, a CR or a NUL, a
     row that has not ``fields`` cells (a blank line has one) or has an
-    empty id, tails that are not ASCII, or two unequal tails of one mix.
+    empty id, or tails that are not ASCII.
 
     The rows are cut at the bytes ',' and '\\n' and grouped by the bytes of
-    their tails (:func:`_group_rows`).
+    their tails (:func:`_distinct_rows`).
     """
     if b'"' in data or b"\r" in data or b"\0" in data:
         return None
@@ -630,13 +591,9 @@ def _block_tails(data, fields):
     lo = cut[:, 1] + 1
     size = end - lo
     del cut, end
-    words = _tail_words(data, lo, size)
-    group = _group_rows(words + [size.astype(np.uint64)])
-    if group is None:
-        return None
-    row, count = group
-    lines = _tail_lines([w[row] for w in words], size[row])
-    return (lines, count) if lines.isascii() else None
+    index, rows = _distinct_rows(np.column_stack(_tail_words(data, lo, size)))
+    lines = _tail_lines(rows)
+    return (lines, np.bincount(index)) if lines.isascii() else None
 
 
 def _count_blocks(src, body, fields, dtype, known, table):
@@ -653,9 +610,11 @@ def _count_blocks(src, body, fields, dtype, known, table):
     that cannot be read.
 
     Once _READ_ROWS rows are read and more than half of them are their
-    block's distinct tails, grouping costs more than the parses it saves,
-    and the rest of the body is read by :func:`_count_records`; None if
-    it finds a malformed record.
+    block's distinct tails, as in a continuous score column, the rest of
+    the body is read by :func:`_count_records`; None if it finds a
+    malformed record. Grouping such rows saves few parses: on 1M rows of
+    one continuous column the block path alone reads about a quarter
+    slower than the loadtxt path (``BENCH_27.json``, ``switch``).
     """
     tails, counts = [], []  # the blocks' distinct tails, not yet parsed
     rows = distinct = 0  # the rows read, and their blocks' distinct tails

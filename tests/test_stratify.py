@@ -55,10 +55,8 @@ def instance_sets(draw):
                        column(st.sampled_from([2, 3, 7, BEYOND, DISCONNECTED])),
                        label,
                        {k: np.array(column(score), dtype=float) for k in keys})
-    # Node ids are never empty (ingest refuses them), and the reader refuses
-    # an empty id cell.
     id_labels = draw(st.none() | st.lists(
-        st.text(st.sampled_from(list('ab ,"\r\n\xe9')), min_size=1, max_size=4),
+        st.text(st.sampled_from(list('ab ,"\r\n\xe9')), max_size=4),
         min_size=n_ids, max_size=n_ids, unique=True))
     return inst, id_labels, keys
 
@@ -98,6 +96,30 @@ def with_line_ends(text, ends):
             quoted = not quoted
         out.append(next(ends) if ch == "\n" and not quoted else ch)
     return "".join(out)
+
+
+def empty_id_record(inst, id_labels):
+    """The first record of ``inst`` whose id cell is empty under
+    ``id_labels``, and that cell's name, or None."""
+    if id_labels is not None:
+        for record, ids in enumerate(zip(inst.u.tolist(), inst.v.tolist())):
+            for name, i in zip("uv", ids):
+                if id_labels[i] == "":
+                    return record, name
+    return None
+
+
+def assert_empty_id_error(read, prefix, name, universal=False):
+    """``read()`` raises the error of an empty ``name`` cell on the line of
+    the record that follows ``prefix``, the text before it: lines end at
+    '\n', and also at a lone '\r' if ``universal`` (a file opened with
+    ``newline=""``)."""
+    breaks = prefix.count("\n")
+    if universal:
+        breaks += prefix.count("\r") - prefix.count("\r\n")
+    with pytest.raises(IngestError, match=f"empty {name} cell") as exc:
+        read()
+    assert exc.value.line == breaks + 1
 
 
 LINE_ENDS = ["\n", "\r\n", "\n\n", "\r\n\r\n", "\n\r\n"]
@@ -492,7 +514,14 @@ class TestInstanceCsv:
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
         back = read_instances_rows(io.StringIO(text), id_index=index)
-        assert_read_as_rows(read_instances_csv(io.StringIO(text)), back)
+        empty = empty_id_record(inst, id_labels)
+        if empty is None:
+            assert_read_as_rows(read_instances_csv(io.StringIO(text)), back)
+        else:
+            record, name = empty
+            assert_empty_id_error(
+                lambda: read_instances_csv(io.StringIO(text)),
+                instances_csv_text(inst.take(np.arange(record)), id_labels, keys), name)
         assert np.array_equal(back.u, inst.u)
         assert np.array_equal(back.v, inst.v)
         assert np.array_equal(back.distance, inst.distance)
@@ -522,15 +551,24 @@ class TestInstanceCsv:
             {name: i for i, name in enumerate(id_labels)}
         want = read_instances_rows(io.StringIO(text), id_index=index)
         read_rows = data.draw(st.sampled_from([1, 3, 4096]))
-        with mock.patch.object(stratify, "_READ_ROWS", read_rows):
-            if data.draw(st.booleans()):
-                with tempfile.TemporaryDirectory() as tmp:
-                    path = os.path.join(tmp, "scores.csv")
-                    with open(path, "w", encoding="utf-8", newline="") as fh:
-                        fh.write(text)
-                    cells = read_instances_csv(path)
-            else:
-                cells = read_instances_csv(io.StringIO(text))
+        from_file = data.draw(st.booleans())
+        with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
+                tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scores.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+
+            def read():
+                return read_instances_csv(path if from_file else io.StringIO(text))
+
+            empty = empty_id_record(inst, id_labels)
+            if empty is not None:
+                record, name = empty
+                prefix = instances_csv_text(inst.take(np.arange(record)), id_labels, keys)
+                assert_empty_id_error(read, with_line_ends(prefix, iter(ends)), name,
+                                      universal=from_file)
+                return
+            cells = read()
         assert_read_as_rows(cells, want)
 
     @settings(max_examples=150, deadline=None)
@@ -547,6 +585,14 @@ class TestInstanceCsv:
         rows = read_instances_rows(io.StringIO(buf.getvalue()), id_index=index)
         with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
                 mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
+            empty = empty_id_record(inst, id_labels)
+            if empty is not None:
+                record, name = empty
+                assert_empty_id_error(
+                    lambda: read_instances_csv(io.StringIO(buf.getvalue())),
+                    instances_csv_text(inst.take(np.arange(record)), id_labels, keys),
+                    name)
+                return
             cells = read_instances_csv(io.StringIO(buf.getvalue()))
         assert_read_as_rows(cells, rows)
         if rows.label is None:
@@ -875,9 +921,24 @@ class TestBlockPath:
         text = buf.getvalue()
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
+        records = mock.Mock(wraps=stratify._count_records)
+        empty = empty_id_record(inst, id_labels)
+        if empty is not None:
+            # Both paths name the line of the first empty id; the block
+            # path sends the read back to the loadtxt path to find it.
+            record, name = empty
+            prefix = instances_csv_text(inst.take(np.arange(record)), id_labels, keys)
+            with loadtxt_path():
+                assert_empty_id_error(lambda: read_instances_csv(io.StringIO(text)),
+                                      prefix, name)
+            with mock.patch.object(stratify, "_BLOCK_CHARS", block_chars), \
+                    mock.patch.object(stratify, "_count_records", records):
+                assert_empty_id_error(lambda: read_instances_csv(io.StringIO(text)),
+                                      prefix, name)
+            assert records.called
+            return
         with loadtxt_path():
             want = read_instances_csv(io.StringIO(text))
-        records = mock.Mock(wraps=stratify._count_records)
         with mock.patch.object(stratify, "_BLOCK_CHARS", block_chars), \
                 mock.patch.object(stratify, "_count_records", records):
             got = read_instances_csv(io.StringIO(text))
@@ -907,19 +968,6 @@ class TestBlockPath:
                 got = read_instances_csv(source)
                 assert got.count.sum() == 3
                 assert_read_as_rows(got, want)
-
-    def test_rows_of_one_mix_are_compared_cell_by_cell(self):
-        # With a mix of 0 every row of a block shares one key: the words
-        # of the rows tell the tails apart, so a block with two tails goes
-        # back to the loadtxt path, and one with one tail keeps its count.
-        text = HEADER + "0,1,2,1,0.5\n0,2,2,0,0.5\n0,3,2,1,0.5\n"
-        with mock.patch.object(stratify, "_MIX", np.uint64(0)):
-            for body in (text, text.replace(",0,", ",1,")):
-                want = read_instances_rows(io.StringIO(body))
-                records = mock.Mock(wraps=stratify._count_records)
-                with mock.patch.object(stratify, "_count_records", records):
-                    assert_read_as_rows(read_instances_csv(io.StringIO(body)), want)
-                assert records.called == (want.label.sum() < 3)
 
     def test_plain_file_parses_only_distinct_tails(self):
         # 10,000 rows of 2 distances, 2 labels and 11 scores: no np.loadtxt
