@@ -13,12 +13,15 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The submodules exported by name; ``config`` and ``surrogate`` are not.
+# The submodules exported by name; ``cells``, ``config``, ``scorefile`` and
+# ``surrogate`` are not.
 _MODULES = ("errors", "experiments", "graphstore", "metrics", "predictors", "rng",
             "stratify", "synth")
 # Each exported name by the module that defines it, so that a name from a
-# module without numpy (``config``, ``surrogate``) loads no numpy.
+# module without numpy (``config``, ``surrogate``) loads no numpy, and the
+# score-file reader and the distance cells load no graph module.
 _EXPORTS = {
+    "cells": ("BEYOND", "DISCONNECTED", "distance_str", "parse_distance"),
     "config": ("PredictorId", "SamplingSpec", "TemporalSliceSpec", "WindowConfig"),
     "errors": ("ConfigError", "DataCorruptionError", "IngestError",
                "InvalidPairError", "LpevalError", "UndefinedMetricError",
@@ -36,10 +39,10 @@ _EXPORTS = {
                    "common_neighbors", "preferential_attachment", "propflow",
                    "propflow_accounting", "propflow_all", "score_instances",
                    "score_pairs"),
-    "stratify": ("BEYOND", "DISCONNECTED", "InstanceSet", "distance_str",
-                 "generate_test_set", "geodesic_bucket_enumerate",
+    "scorefile": ("read_instances_csv",),
+    "stratify": ("InstanceSet", "generate_test_set", "geodesic_bucket_enumerate",
                  "label_instances", "new_link_distance_distribution",
-                 "parse_distance", "read_instances_csv", "write_instances_csv"),
+                 "write_instances_csv"),
     "surrogate": ("SurrogateParams", "surrogate_grid", "surrogate_simulation"),
     "synth": ("synthetic_event_log", "write_event_file"),
 }

@@ -6,24 +6,26 @@ with a manifest listing each artifact's sha256. Reruns with the same config
 and inputs produce identical digests. Undefined metrics are written as
 explicit ``undefined`` markers, not errors.
 
-Only the commands that work on arrays load numpy: ``score``, ``evaluate``,
-``variance``, ``kaggle-compare``, ``temporal`` and ``distance-dist``. When
-a command first runs it binds into this module the names of the array
-modules its ``@_arrays(...)`` lists, and only those: ``snapshot``
-graphstore; ``distance-dist`` graphstore and stratify; ``score`` those and
-predictors; ``evaluate``, ``variance``, ``kaggle-compare`` and
-``temporal`` all six. A caller that first reads one of those names here
-binds them all. :mod:`~lpeval.graphstore` imports numpy only when graph
-code first reads a snapshot's arrays, so ``snapshot``, ``surrogate``,
-``--help`` and ``--version`` load no numpy, and ``score`` and
-``distance-dist`` never load metrics, experiments or rng.
+Each command loads only the modules its input needs: a command, or a
+helper of one, binds into this module the names of the modules its
+``@_arrays(...)`` lists when it first runs. ``snapshot`` loads graphstore,
+which imports numpy only when graph code reads a snapshot's arrays, and
+``surrogate`` surrogate: neither, nor ``--help`` or ``--version``, loads
+numpy. On ``dataset.path``, :func:`_load_log` loads graphstore and
+:func:`_graph_scored` predictors and stratify; ``score`` and
+``distance-dist`` never load metrics, experiments or rng. On
+``dataset.scores``, :func:`_score_file` loads the reader, and
+``evaluate``, ``variance`` and ``kaggle-compare`` load cells, metrics,
+experiments and rng, never graphstore, predictors, stratify or twohop. No
+graph command loads the reader, and only ``evaluate`` with ``run.svg``
+loads render. A caller that first reads a bound name here binds them all.
 
 A ``dataset.scores`` file (a third-party predictor's scores in the instance
 CSV format) is read into the counts of its distinct (distance, label,
 score) rows, never into its rows: ``evaluate``, ``variance`` and
 ``kaggle-compare`` rank each score column from those counts. The read
 counts rows by the raw bytes of those cells and parses each block's
-distinct cells once (:func:`~lpeval.stratify.read_instances_csv`). Its ids
+distinct cells once (:func:`~lpeval.scorefile.read_instances_csv`). Its ids
 may be any non-empty strings, so the node labels that ``score`` writes
 read back. ``score`` and ``temporal`` work on candidates, and so need
 ``dataset.path``.
@@ -57,11 +59,11 @@ from .config import RunConfig
 from .errors import ConfigError, LpevalError
 from .manifest import (atomic_write, atomic_write_text, sha256_file, write_json,
                        write_manifest)
-from .render import curve_svg
-from .surrogate import SurrogateParams, surrogate_simulation
 
-# The names the array commands read from the modules that import numpy.
+# The names the commands read from the modules that they load on first use:
+# the array modules, and surrogate and render, which one command each runs.
 _ARRAY_NAMES = {
+    "cells": ("distance_str",),
     "experiments": ("filtered_negative_eval", "kaggle_compare", "per_distance_eval",
                     "sample_fair", "sample_kaggle", "slice_intervals",
                     "temporal_eval", "variance_experiment"),
@@ -69,10 +71,12 @@ _ARRAY_NAMES = {
     "metrics": ("Ranking", "pr_curve", "roc_curve", "write_curve_csv",
                 "write_curve_json"),
     "predictors": ("score_instances",),
+    "render": ("curve_svg",),
     "rng": ("substream",),
-    "stratify": ("distance_str", "generate_test_set",
-                 "new_link_distance_distribution", "read_instances_csv",
+    "scorefile": ("read_instances_csv",),
+    "stratify": ("generate_test_set", "new_link_distance_distribution",
                  "write_instances_csv"),
+    "surrogate": ("SurrogateParams", "surrogate_simulation"),
 }
 _ARRAY_BOUND = {"rng_mod", *(name for names in _ARRAY_NAMES.values()
                               for name in names)}
@@ -104,16 +108,15 @@ def __getattr__(name):
 
 
 def _arrays(*modules):
-    """Mark a command that reads the names of the array ``modules`` (all of
-    them when none are given): it binds them before it runs, whether
-    ``main`` calls it or a caller calls ``_COMMANDS[name]``."""
-    modules = modules or tuple(_ARRAY_NAMES)
-
-    def mark(command):
-        @functools.wraps(command)
-        def run(cfg):
+    """Mark a command, or a helper, that reads the names of ``modules``: it
+    binds them before it runs, whether ``main`` calls it or a caller calls
+    ``_COMMANDS[name]``. A helper binds the modules of its own input kind,
+    so a command loads those only on the path it takes."""
+    def mark(function):
+        @functools.wraps(function)
+        def run(*args, **kwargs):
             _bind_arrays(modules)
-            return command(cfg)
+            return function(*args, **kwargs)
         return run
     return mark
 
@@ -165,6 +168,7 @@ class _Output:
                        toolkit_version=__version__)
 
 
+@_arrays("graphstore")
 def _load_log(cfg):
     """The dataset's event log and its digest; every caller needs windows."""
     cfg.require_dataset()
@@ -182,6 +186,7 @@ def _test_snapshots(cfg, log):
                  for interval in (cfg.windows.test_feature, cfg.windows.test_label))
 
 
+@_arrays("graphstore", "predictors", "stratify")
 def _graph_scored(cfg, log, use):
     """``{name: use(name, instances, feature)}`` per predictor, where
     ``instances`` are the labeled candidates of the test windows scored by
@@ -202,6 +207,7 @@ def _graph_scored(cfg, log, use):
             for pred in cfg.predictors}
 
 
+@_arrays("scorefile")
 def _score_file(cfg):
     """The counts of the ``dataset.scores`` file's distinct (distance,
     label, score...) rows."""
@@ -214,6 +220,19 @@ def _score_file(cfg):
     if not cells.scores:
         raise LpevalError("external score file has no score column")
     return cells
+
+
+@_arrays("stratify")
+def _write_scored(out, prefix, name, inst, feature):
+    """Write ``inst``, scored by predictor ``name``, as ``<prefix>_<name>.csv``;
+    a ``use`` of :func:`_graph_scored`."""
+    out.render(f"{prefix}_{name}.csv", lambda fh: write_instances_csv(
+        fh, inst, id_labels=feature.id_labels, score_keys=[name]))
+
+
+@_arrays("render")
+def _svg(curve):
+    return curve_svg(curve)
 
 
 def _ranked(cells):
@@ -275,7 +294,6 @@ def cmd_snapshot(cfg):
     out.manifest(digest)
 
 
-@_arrays("graphstore", "predictors", "stratify")
 def cmd_score(cfg):
     """Write scored (and labeled) candidate instances per predictor.
 
@@ -284,16 +302,11 @@ def cmd_score(cfg):
     """
     log, digest = _load_log(cfg)
     out = _Output(cfg, "score")
-
-    def write(name, inst, feature):
-        out.render(f"scores_{name}.csv", lambda fh: write_instances_csv(
-            fh, inst, id_labels=feature.id_labels, score_keys=[name]))
-
-    _graph_scored(cfg, log, write)
+    _graph_scored(cfg, log, functools.partial(_write_scored, out, "scores"))
     out.manifest(digest)
 
 
-@_arrays()
+@_arrays("cells", "experiments", "metrics")
 def cmd_evaluate(cfg):
     """Threshold curves and the per-distance report for each predictor.
 
@@ -305,12 +318,8 @@ def cmd_evaluate(cfg):
     sample is drawn as counts, not rows.
     """
     out = _Output(cfg, "evaluate")
-
-    def write_rows(name, inst, feature):
-        out.render(f"instances_{name}.csv", lambda fh: write_instances_csv(
-            fh, inst, id_labels=feature.id_labels, score_keys=[name]))
-
-    ranks, digest = _rankings(cfg, write_rows if cfg.sampling.mode == "none" else None)
+    ranks, digest = _rankings(cfg, functools.partial(_write_scored, out, "instances")
+                              if cfg.sampling.mode == "none" else None)
     summary = {}
     for name in sorted(ranks):
         rank = _sampled(cfg, ranks[name])
@@ -329,7 +338,7 @@ def cmd_evaluate(cfg):
                 out.render(f"{tag}_{name}.json",
                            lambda fh: write_curve_json(curve, fh))
                 if cfg.svg:
-                    out.text(f"{tag}_{name}.svg", curve_svg(curve))
+                    out.text(f"{tag}_{name}.svg", _svg(curve))
         rows = per_distance_eval(rank)
         out.csv(f"per_distance_{name}.csv",
                 ["distance", "n_pos", "n_neg", "auroc", "aupr", "sufficient"],
@@ -341,7 +350,7 @@ def cmd_evaluate(cfg):
     out.manifest(digest)
 
 
-@_arrays()
+@_arrays("cells", "experiments", "metrics")
 def cmd_variance(cfg):
     """Fair-sampling AUROC spread per rate, with the analytic reference."""
     ranks, digest = _rankings(cfg)
@@ -368,6 +377,7 @@ def cmd_variance(cfg):
     out.manifest(digest)
 
 
+@_arrays("surrogate")
 def cmd_surrogate(cfg):
     """Sigma-separation grid of the sub-problem vs. full-problem rankings."""
     # surrogate_grid's cells, with surrogate_simulation read from this
@@ -388,7 +398,7 @@ def cmd_surrogate(cfg):
     out.manifest()
 
 
-@_arrays()
+@_arrays("experiments", "metrics", "rng")
 def cmd_kaggle_compare(cfg):
     """Fair random sampling vs. per-distance-bucket balanced sampling."""
     # Ranked before the first draw imports numpy.random, so that the
@@ -412,7 +422,7 @@ def cmd_kaggle_compare(cfg):
     out.manifest(digest)
 
 
-@_arrays()
+@_arrays("experiments")
 def cmd_temporal(cfg):
     """Per-slice AUROC/AUPR over the sliced test-label interval.
 
@@ -440,7 +450,7 @@ def cmd_temporal(cfg):
     out.manifest(digest)
 
 
-@_arrays("graphstore", "stratify")
+@_arrays("cells", "graphstore", "stratify")
 def cmd_distance_dist(cfg):
     """Distribution of prior geodesic distance over newly formed links."""
     log, digest = _load_log(cfg)

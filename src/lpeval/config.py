@@ -13,7 +13,6 @@ import configparser
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .surrogate import CONDMAT_STANDIN_COUNTS
 
 GENERATION_MODES = ("recommendation", "query")
 
@@ -165,6 +164,11 @@ class TemporalSliceSpec:
             raise ConfigError(f"unknown slice mode {self.mode!r}",
                               field="temporal.slice_mode")
 
+
+# Full-problem / 2-hop sub-problem instance counts of the Condmat corpus,
+# used as the documented stand-in when no corpus is available.
+CONDMAT_STANDIN_COUNTS = {"p_sub": 1196, "n_sub": 214_616,
+                          "p_full": 29_898, "n_full": 148_200_000}
 
 _DEFAULTS = {
     "dataset": {"path": "", "format": "pair", "scores": "",

@@ -7,6 +7,7 @@ distance-filtered negative removal, per-distance evaluation, and temporal
 slicing of the test-label window. The surrogate experiment, which needs no
 arrays, lives in :mod:`lpeval.surrogate`; its names and the sampling and
 slicing specs (from :mod:`lpeval.config`) are importable from here too.
+The graph modules and the surrogate load on first use (PEP 562).
 
 Every experiment is a pure function of (inputs, seed): repeats draw from
 named substreams so results are reproducible in any execution order.
@@ -14,25 +15,39 @@ named substreams so results are reproducible in any execution order.
 
 from __future__ import annotations
 
+import importlib
+import sys
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rng_mod
+from .cells import BEYOND, InstanceCounts
 from .errors import ConfigError, UndefinedMetricError
-from .graphstore import build_snapshot
 from .metrics import Ranking, aupr, auroc, auroc_from_counts
 from .rng import substream
-from .stratify import BEYOND, InstanceCounts, label_instances
 
-# Defined in the numpy-free config and surrogate modules; importable here too.
+# Defined in the numpy-free config module; importable here too.
 from .config import SamplingSpec, TemporalSliceSpec  # noqa: F401
-from .surrogate import (CONDMAT_STANDIN_COUNTS, SIGMA_FORMULA,  # noqa: F401
-                        SurrogateParams, SurrogateResult, surrogate_grid,
-                        surrogate_simulation)
+
+# Names bound from their modules on first access: the graph functions that
+# temporal_eval reads from this module's namespace, where a traced pass
+# swaps them, and the surrogate experiment's names, importable here too.
+_LAZY = {"build_snapshot": "graphstore", "label_instances": "stratify",
+         **dict.fromkeys(("CONDMAT_STANDIN_COUNTS", "SIGMA_FORMULA",
+                          "SurrogateParams", "SurrogateResult", "surrogate_grid",
+                          "surrogate_simulation"), "surrogate")}
 
 DEFAULT_RATES = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _kept_counts(neg, rate, rng, exact_counts):
@@ -77,7 +92,7 @@ def _bucketed(rank):
 def _kept_cells(rank, kept):
     """The positives of ``rank`` and ``kept`` negatives of each of its
     (distance bucket, tie group) cells, as
-    :class:`~lpeval.stratify.InstanceCounts`: one entry per cell and class,
+    :class:`~lpeval.cells.InstanceCounts`: one entry per cell and class,
     with the group's score under the name ``score``."""
     buckets, groups = kept.shape
     distance = np.repeat(_bucketed(rank), groups)
@@ -431,6 +446,9 @@ def temporal_eval(sets, log, interval, slice_spec, weight_rule="1/(k-1)"):
     every set. A slice without positives or negatives is flagged invalid
     and carries no areas. Returns ``{name: TemporalReport}``.
     """
+    # Read from this module, where a traced pass may have swapped them.
+    module = sys.modules[__name__]
+    build_snapshot, label_instances = module.build_snapshot, module.label_instances
     slices, remainder = slice_intervals(interval, slice_spec.slices)
     rows = {name: [] for name in sets}
     for i, (lo, hi) in enumerate(slices):

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cells import _sorted_unique, csv_cells, csv_chunks
 from .errors import ConfigError, UndefinedMetricError
-from .predictors import _sorted_unique, csv_cells, csv_chunks
 
 TIE_POLICY = "group-atomic"
 
@@ -52,7 +52,7 @@ class Ranking:
 
     With ``counts`` each entry of ``scores``, ``labels`` and ``distance``
     stands for that many rows (int64, at least 0), as the cells of a score
-    file (:func:`~lpeval.stratify.read_instances_csv`) or of a sampling
+    file (:func:`~lpeval.scorefile.read_instances_csv`) or of a sampling
     draw (:func:`~lpeval.experiments.sample_fair`) do; entries may repeat
     a cell, whose counts then add up. The counts are summed exactly, in
     int64.

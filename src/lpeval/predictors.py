@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cells import _CHUNK_ROWS, _sorted_unique
 from .config import DIRECTION_POLICIES, PredictorId  # noqa: F401 (re-exported)
 from .errors import ConfigError, InvalidPairError, UnknownNodeError
 
@@ -34,11 +35,6 @@ from .errors import ConfigError, InvalidPairError, UnknownNodeError
 # budget, for the walks below and for the two-hop paths gathered at once
 # (``twohop``), unless a single source touches more.
 _BLOCK_CELLS = 1 << 18
-
-# Rows scored, labeled or written at a time: large enough that the
-# per-chunk calls cost nothing, small enough that no whole-set temporary (a
-# whole-file list of row strings, a key per candidate) is held.
-_CHUNK_ROWS = 8192
 
 
 def _check_pair(u, v):
@@ -67,53 +63,6 @@ def _validate_known(s, u_arr, v_arr):
 
 # ---------------------------------------------------------------------------
 # The cell walk
-
-
-def _sorted_unique(a):
-    """The distinct values of an integer array, ascending.
-
-    ``np.unique`` without a ``return_*`` flag hashes integers (numpy >= 2.3),
-    which is several times slower than this sort, and imports ``numpy.ma``.
-    """
-    a = np.sort(a, axis=None)
-    keep = np.empty(a.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
-
-
-def csv_cells(values, fmt, sep):
-    """One CSV column of 8-byte ``values`` as ``(cells, distinct)``:
-    ``distinct`` holds the column's distinct bit patterns (int64, sorted)
-    and ``cells[j]`` the text of ``distinct[j]``.
-
-    ``fmt`` runs once per distinct bit pattern, so ``-0.0`` and ``0.0``
-    keep their own text, and each cell ends with ``sep``, the separator
-    that follows the column in a row. :func:`csv_chunks` looks the rows up.
-    """
-    distinct = _sorted_unique(values.view(np.int64))
-    cells = [fmt(x) + sep for x in distinct.view(values.dtype).tolist()]
-    return np.array(cells, dtype=object), distinct
-
-
-def csv_chunks(columns, n, chunk_rows):
-    """The text of ``n`` CSV rows, ``chunk_rows`` rows a string.
-
-    Each column is ``(cells, distinct, values)``. Row i reads
-    ``cells[values[i]]``, or with ``distinct`` (:func:`csv_cells`) the cell
-    of ``values[i]``'s bit pattern, found by a binary search per chunk, so
-    no index runs the length of the column. A chunk fills one
-    (rows x columns) array of cells, joined at once.
-    """
-    for lo in range(0, n, chunk_rows):
-        hi = min(n, lo + chunk_rows)
-        rows = np.empty((hi - lo, len(columns)), dtype=object)
-        for c, (cells, distinct, values) in enumerate(columns):
-            index = values[lo:hi]
-            if distinct is not None:
-                index = distinct.searchsorted(index.view(np.int64))
-            rows[:, c] = cells[index]
-        yield "".join(rows.ravel().tolist())
 
 
 def _row_chunks(n):

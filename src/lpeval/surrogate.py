@@ -6,8 +6,8 @@ near the top of each ranking; this module gives the exact AUROC means and
 variances of both problems and the sigma separation of their mean AUROCs
 over ``trials`` simulations, without drawing a sample.
 
-Pure Python with no numpy: ``lpeval.config`` imports this module in every
-process, and the ``surrogate`` command loads nothing heavier.
+Pure Python with no numpy: the ``surrogate`` command loads nothing
+heavier, and no other command loads this module.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+# Defined in config, whose defaults read it; importable here too.
+from .config import CONDMAT_STANDIN_COUNTS  # noqa: F401
 from .errors import ConfigError
 
 SIGMA_FORMULA = "(mean_full - mean_sub) / sqrt(var_full/trials + var_sub/trials)"
@@ -167,9 +169,3 @@ def surrogate_grid(alphas, betas, p_sub, n_sub, p_full, n_full, trials=100_000):
     return [surrogate_simulation(SurrogateParams(p_sub, n_sub, p_full, n_full,
                                                  alpha, beta, trials))
             for alpha in alphas for beta in betas]
-
-
-# Full-problem / 2-hop sub-problem instance counts of the Condmat corpus,
-# used as the documented stand-in when no corpus is available.
-CONDMAT_STANDIN_COUNTS = {"p_sub": 1196, "n_sub": 214_616,
-                          "p_full": 29_898, "n_full": 148_200_000}

@@ -16,9 +16,10 @@ import pytest
 
 import lpeval
 from lpeval import (BEYOND, DISCONNECTED, InstanceSet, PredictorId,
-                    build_snapshot, cli, experiments, generate_test_set, stratify,
+                    build_snapshot, cli, experiments, generate_test_set,
                     ingest_events, score_instances, synthetic_event_log,
                     write_event_file, write_instances_csv)
+from lpeval.cells import InstanceCounts
 from lpeval.manifest import sha256_file
 
 from oracles import read_instances_rows
@@ -321,7 +322,7 @@ def test_counted_score_file_writes_the_bytes_of_its_rows(tmp_path, monkeypatch,
         # Ranking ranks as rows.
         calls.append(path)
         rows = read_instances_rows(path)
-        return stratify.InstanceCounts(rows.distance, rows.label, rows.scores, None)
+        return InstanceCounts(rows.distance, rows.label, rows.scores, None)
 
     monkeypatch.setattr(cli, "read_instances_csv", read_rows)
     assert artifacts() == shipped
@@ -872,12 +873,14 @@ def test_version_and_help_load_no_numpy(entry, argv):
                      ).endswith("False False\n")
 
 
-# numpy and the lpeval modules that import it at module level.
+# numpy and the lpeval modules that cli loads on first use, with the ones
+# they load in turn.
 ARRAYS_LOADED = """
 import sys
 print(sorted(m for m in sys.modules if m == "numpy" or m in {
-    "lpeval.predictors", "lpeval.stratify", "lpeval.metrics", "lpeval.experiments",
-    "lpeval.rng"}))
+    "lpeval.cells", "lpeval.experiments", "lpeval.graphstore", "lpeval.metrics",
+    "lpeval.predictors", "lpeval.render", "lpeval.rng", "lpeval.scorefile",
+    "lpeval.stratify", "lpeval.surrogate", "lpeval.twohop"}))
 """
 
 
@@ -889,24 +892,67 @@ def test_snapshot_loads_no_numpy(tmp_path, entry):
     write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
     argv = ["snapshot", "--out", str(tmp_path / "out"),
             "--set", f"dataset.path={events}", *WINDOWS]
-    assert run_child(ENTRIES[entry].format(argv=argv) + ARRAYS_LOADED) == "[]\n"
+    assert run_child(ENTRIES[entry].format(argv=argv) + ARRAYS_LOADED) \
+        == "['lpeval.graphstore']\n"
     report = json.loads((tmp_path / "out" / "snapshot_report.json").read_text())
     assert report["snapshots"]["test_feature"]["edges"] > 0
 
 
-@pytest.mark.parametrize("command", ["score", "distance-dist"])
-def test_command_loads_only_the_modules_it_binds(tmp_path, command):
-    # Neither command reads a name of metrics, experiments or rng.
+GRAPH = ["lpeval.cells", "lpeval.graphstore", "lpeval.predictors",
+         "lpeval.stratify", "numpy"]
+RANKED = ["lpeval.experiments", "lpeval.metrics", "lpeval.rng"]
+SCORED = ["lpeval.cells", *RANKED, "lpeval.scorefile", "numpy"]
+# The modules each command loads, by its input: graph commands never the
+# score-file reader, score-file commands no graph module; CN loads twohop.
+COMMAND_LOADS = {
+    ("snapshot", "path"): ["lpeval.graphstore"],
+    ("distance-dist", "path"): GRAPH,
+    ("score", "path"): GRAPH + ["lpeval.twohop"],
+    ("temporal", "path"): GRAPH + RANKED + ["lpeval.twohop"],
+    # run.svg is set: evaluate loads render for it.
+    ("evaluate", "path"): GRAPH + RANKED + ["lpeval.render", "lpeval.twohop"],
+    ("variance", "path"): GRAPH + RANKED + ["lpeval.twohop"],
+    ("kaggle-compare", "path"): GRAPH + RANKED + ["lpeval.twohop"],
+    ("evaluate", "scores"): SCORED,
+    ("variance", "scores"): SCORED,
+    ("kaggle-compare", "scores"): SCORED,
+    ("surrogate", None): ["lpeval.surrogate"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:N\\*p")
+@pytest.mark.parametrize("command, source", sorted(COMMAND_LOADS, key=str),
+                         ids=lambda v: v if v is not None else "none")
+def test_command_loads_only_the_modules_it_binds(tmp_path, command, source):
     events = tmp_path / "events.tsv"
     write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
-    argv = [command, "--out", str(tmp_path / "out"), "--set",
-            f"dataset.path={events}", *WINDOWS, "--set", "prediction.lmax=3"]
+    scores, _ = sampling_score_file(tmp_path)
+    inputs = {"path": ["--set", f"dataset.path={events}", *WINDOWS,
+                       "--set", "prediction.lmax=3", "--set", "run.svg=true"],
+              "scores": ["--set", f"dataset.scores={scores}"], None: []}
+    argv = [command, "--out", str(tmp_path / "out"), *inputs[source],
+            "--set", "variance.repeats=3", "--set", "kaggle.repeats=3",
+            "--set", "surrogate.trials=500"]
     code = f"""
+import warnings
 from lpeval import cli
+warnings.simplefilter("ignore")
 assert cli.main({argv!r}) == 0
 """ + ARRAYS_LOADED
-    assert run_child(code) == str(
-        ["lpeval.predictors", "lpeval.stratify", "numpy"]) + "\n"
+    assert run_child(code) == str(sorted(COMMAND_LOADS[command, source])) + "\n"
+
+
+def test_package_exports_of_the_reader_load_no_graph_module():
+    code = """
+import sys
+from lpeval import (BEYOND, DISCONNECTED, distance_str, parse_distance,
+                    read_instances_csv)
+print(read_instances_csv.__module__, distance_str.__module__, sorted(
+    m for m in sys.modules if m.startswith("lpeval.")))
+"""
+    assert run_child(code) == \
+        "lpeval.scorefile lpeval.cells ['lpeval.cells', 'lpeval.errors', " \
+        "'lpeval.scorefile']\n"
 
 
 def run_module(*argv):
@@ -1041,10 +1087,13 @@ def global_reads(text):
 
 
 def command_reads(text):
-    """``{command: (modules, names)}`` for each ``cmd_*`` function of the
-    module ``text``: the literal arguments of its ``@_arrays(...)`` mark
-    (None when it has none), and every global name it reads, with the names
-    that the module's own functions and classes it reads read in turn."""
+    """``{function: (modules, names)}`` for each ``cmd_*`` function of the
+    module ``text`` and each function with an ``@_arrays(...)`` mark: the
+    literal arguments of its mark (None when it has none), and every global
+    name it reads, with the names that the module's own functions and
+    classes it reads read in turn. A marked function binds its own modules
+    before it runs, so what it reads is its own entry's, not its caller's:
+    the caller reads only its name."""
     module = compile(text, "<cli>", "exec")
     reads = {}
     for top in module.co_consts:
@@ -1057,18 +1106,24 @@ def command_reads(text):
             names |= {ins.argval for ins in dis.get_instructions(code)
                       if ins.opname == "LOAD_GLOBAL"}
         reads[top.co_name] = names
-    found = {}
+    marks, checked = {}, []
     for node in ast.parse(text).body:
-        if not isinstance(node, ast.FunctionDef) or not node.name.startswith("cmd_"):
+        if not isinstance(node, ast.FunctionDef):
             continue
-        marks = [tuple(arg.value for arg in d.args) for d in node.decorator_list
-                 if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_arrays"]
-        names, todo = set(), [node.name]
+        mark = [tuple(arg.value for arg in d.args) for d in node.decorator_list
+                if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_arrays"]
+        if mark:
+            marks[node.name] = mark[0]
+        if mark or node.name.startswith("cmd_"):
+            checked.append(node.name)
+    found = {}
+    for function in checked:
+        names, todo = set(), [function]
         while todo:
             new = reads.get(todo.pop(), set()) - names
             names |= new
-            todo += sorted(new)
-        found[node.name] = (marks[0] if marks else None, names)
+            todo += sorted(new - set(marks))
+        found[function] = (marks.get(function), names)
     return found
 
 
@@ -1085,31 +1140,37 @@ print(json.dumps(sorted(vars(cli))))
     text = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
     reads = global_reads(text)
     assert [read for read in reads if read[1] not in bound] == []
-    # Each command, through the helpers it calls, reads only cli's own
-    # names and those of the array modules its @_arrays(...) binds.
+    # Each command and each marked helper, through the unmarked helpers it
+    # calls, reads only cli's own names and those of the modules its
+    # @_arrays(...) binds.
     own = set(vars(cli)) - cli._ARRAY_BOUND | set(dir(builtins))
     unbound = {}
-    for command, (modules, names) in command_reads(text).items():
-        modules = cli._ARRAY_NAMES if modules == () else modules or ()
+    for function, (modules, names) in command_reads(text).items():
+        modules = modules or ()
         allowed = own | {name for module in modules
                          for name in cli._ARRAY_NAMES[module]}
         if "rng" in modules:
             allowed.add("rng_mod")
-        unbound[command] = sorted(names - allowed)
-    assert unbound == {command: [] for command in unbound}
-    assert len(unbound) == len(cli._COMMANDS)
+        unbound[function] = sorted(names - allowed)
+    assert unbound == {function: [] for function in unbound}
+    assert sorted(f for f in unbound if not f.startswith("cmd_")) == [
+        "_graph_scored", "_load_log", "_score_file", "_svg", "_write_scored"]
+    assert sum(f.startswith("cmd_") for f in unbound) == len(cli._COMMANDS)
 
 
 def test_command_read_guard_sees_each_form():
     code = ("def _arrays(*modules):\n    return lambda f: f\n"
             "def helper(x):\n    return g(x) + [k(y) for y in x]\n"
             "class Out:\n    def write(self):\n        return writer()\n"
+            "@_arrays('c')\ndef marked(cfg):\n    return helper(cfg), m()\n"
             "@_arrays('a', 'b')\ndef cmd_one(cfg):\n"
-            "    return helper(cfg), Out(), lambda: inner()\n"
+            "    return helper(cfg), Out(), lambda: inner(), marked(cfg)\n"
             "def cmd_two(cfg):\n    return plain()\n"
             "@_arrays()\ndef cmd_three(cfg):\n    return cmd_two(cfg)\n")
     assert command_reads(code) == {
-        "cmd_one": (("a", "b"), {"helper", "g", "k", "Out", "writer", "inner"}),
+        "marked": (("c",), {"helper", "g", "k", "m"}),
+        "cmd_one": (("a", "b"), {"helper", "g", "k", "Out", "writer", "inner",
+                                 "marked"}),
         "cmd_two": (None, {"plain"}),
         "cmd_three": ((), {"cmd_two", "plain"})}
 
@@ -1124,8 +1185,8 @@ def test_global_read_guard_sees_each_form():
 # The modules that the surrogate command and the config load: none of them
 # may import numpy or an lpeval module that imports it, at any depth.
 NUMPY_FREE = ("config", "surrogate", "errors", "manifest", "render")
-ARRAY_MODULES = {"graphstore", "predictors", "stratify", "metrics",
-                 "experiments", "rng"}
+ARRAY_MODULES = {"cells", "graphstore", "predictors", "scorefile", "stratify",
+                 "metrics", "experiments", "rng", "twohop"}
 
 
 def array_imports(text):
@@ -1182,6 +1243,62 @@ def test_array_import_guard_sees_each_form():
         (8, "lpeval.experiments"), (8, "lpeval.experiments.x"),
         (10, "lpeval.graphstore"), (10, "lpeval.graphstore.build_snapshot"),
         (11, "lpeval.metrics"), (12, "numpy")]
+
+
+# A score-file process loads the reader, the shared cells, metrics,
+# experiments and rng; a graph process the graph modules. Neither side may
+# import the other's modules when it is imported.
+SCORE_FILE_PATH = ("scorefile", "cells", "metrics", "experiments", "rng")
+GRAPH_MODULES = ("graphstore", "predictors", "stratify", "twohop")
+
+
+def import_time_imports(text):
+    """The lpeval modules that the module ``text`` imports when it is
+    imported: its import statements outside function bodies."""
+    found = set()
+    todo = list(ast.parse(text).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        todo += ast.iter_child_nodes(node)
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"lpeval.{base}".rstrip(".")
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {parts[1] for parts in (t.split(".") for t in targets)
+                  if parts[0] == "lpeval" and len(parts) > 1}
+    return found
+
+
+def test_score_file_path_imports_no_graph_module():
+    src = pathlib.Path(cli.__file__).parent
+
+    def imports(name):
+        return import_time_imports((src / f"{name}.py").read_text(encoding="utf-8"))
+
+    assert {name: sorted(imports(name) & set(GRAPH_MODULES))
+            for name in SCORE_FILE_PATH} == {name: [] for name in SCORE_FILE_PATH}
+    assert [name for name in GRAPH_MODULES if "scorefile" in imports(name)] == []
+
+
+def test_import_time_guard_sees_each_form():
+    code = ("import lpeval.graphstore, json\nfrom . import rng as r, errors\n"
+            "from .cells import BEYOND\nfrom lpeval import stratify\n"
+            "from lpeval.twohop import two_hop_table\n"
+            "try:\n    from .predictors import _walk\nexcept ImportError:\n    pass\n"
+            "class C:\n    from .metrics import Ranking\n"
+            "    def m(self):\n        from .scorefile import x\n"
+            "def f():\n    from .experiments import y\n"
+            "g = lambda: __import__('lpeval.synth')\n")
+    assert import_time_imports(code) == {
+        "graphstore", "rng", "errors", "cells", "stratify", "twohop",
+        "predictors", "metrics"}
 
 
 # One thread is enough only while lpeval makes no BLAS-sized call. polyfit in
@@ -1244,7 +1361,7 @@ def test_blas_guard_sees_each_form():
 # np.median, np.isin and np.unique without a return_* flag import numpy.ma
 # at run time, which costs every process that reaches them ~16 ms of CPU;
 # flagless np.unique also hashes integers, several times slower than a
-# sort. The sort-based helpers (predictors._sorted_unique, stratify._isin,
+# sort. The sort-based helpers (cells._sorted_unique, stratify._isin,
 # the median in experiments.estimate_classifiable) give the same results.
 NUMPY_MA_CALLS = {"median", "isin", "unique"}
 

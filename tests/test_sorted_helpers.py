@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpeval import ConfigError, Ranking, estimate_classifiable
-from lpeval.predictors import _sorted_unique
+from lpeval.cells import _sorted_unique
 from lpeval.stratify import _isin
 
 # Keys as the kernels make them: small ids, the -1 sentinel, negatives and

@@ -17,7 +17,8 @@ from lpeval import (BEYOND, DISCONNECTED, ConfigError, IngestError, InstanceSet,
                     geodesic_bucket_enumerate, label_instances,
                     new_link_distance_distribution, parse_distance,
                     read_instances_csv, synthetic_event_log, write_instances_csv)
-from lpeval import cli, predictors, stratify
+from lpeval import cli, predictors, scorefile, stratify
+from lpeval.cells import InstanceCounts
 
 from conftest import assert_same_ranking, random_graph
 from oracles import (distance_distribution_oracle, hop_distances, instances_csv_text,
@@ -142,7 +143,7 @@ def cell_counter(inst):
 
 def assert_read_as_rows(got, want):
     """``got``, the counts read from a file, holds the rows of ``want``."""
-    assert isinstance(got, stratify.InstanceCounts)
+    assert isinstance(got, InstanceCounts)
     assert got.distance.dtype == got.count.dtype == np.int64
     assert (got.label is None) == (want.label is None)
     if got.label is not None:
@@ -552,7 +553,7 @@ class TestInstanceCsv:
         want = read_instances_rows(io.StringIO(text), id_index=index)
         read_rows = data.draw(st.sampled_from([1, 3, 4096]))
         from_file = data.draw(st.booleans())
-        with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
+        with mock.patch.object(scorefile, "_READ_ROWS", read_rows), \
                 tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "scores.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -583,8 +584,8 @@ class TestInstanceCsv:
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
         rows = read_instances_rows(io.StringIO(buf.getvalue()), id_index=index)
-        with mock.patch.object(stratify, "_READ_ROWS", read_rows), \
-                mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
+        with mock.patch.object(scorefile, "_READ_ROWS", read_rows), \
+                mock.patch.object(scorefile, "_DECODE_ROWS", decode_rows):
             empty = empty_id_record(inst, id_labels)
             if empty is not None:
                 record, name = empty
@@ -623,7 +624,7 @@ class TestInstanceCsv:
         inst = inst.take(np.tile(np.arange(n), 2))
         buf = io.StringIO()
         write_instances_csv(buf, inst)
-        with mock.patch.object(stratify, "_READ_ROWS", 1000):
+        with mock.patch.object(scorefile, "_READ_ROWS", 1000):
             cells = read_instances_csv(io.StringIO(buf.getvalue()))
         assert cells.count.size == n and set(cells.count.tolist()) == {2}
         assert_read_as_rows(cells, inst)
@@ -641,7 +642,7 @@ class TestInstanceCsv:
         i = np.arange(1 << 16)
         words = np.column_stack([i % 32] + [i // 32 * 7 + j for j in range(6)])
         words = words[rng.integers(0, len(words), size=100_000)]
-        index, distinct = stratify._distinct_rows(words)
+        index, distinct = scorefile._distinct_rows(words)
         assert np.array_equal(distinct[index], words)
         assert len(distinct) == len({tuple(row) for row in words.tolist()})
 
@@ -655,7 +656,7 @@ class TestInstanceCsv:
             text = HEADER + "".join(r + e for r, e in zip(rows, ends))
             path = tmp_path / "scores.csv"
             path.write_bytes(text.encode())
-            with mock.patch.object(stratify, "_READ_ROWS", read_rows):
+            with mock.patch.object(scorefile, "_READ_ROWS", read_rows):
                 back = read_instances_csv(str(path))
             assert back.count.sum() == len(rows)
             assert_read_as_rows(back, want)
@@ -743,10 +744,10 @@ class TestInstanceCsv:
     def test_first_malformed_row_wins(self, body, line, decode_rows):
         # Chunks of 1 and 2 records put each bad row just after a chunk
         # boundary, and a bad row of one chunk after a good earlier chunk.
-        with mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
+        with mock.patch.object(scorefile, "_DECODE_ROWS", decode_rows):
             for read_rows, stream in itertools.product([1, 2, 3, 8192],
                                                        (io.StringIO, Unseekable)):
-                with mock.patch.object(stratify, "_READ_ROWS", read_rows):
+                with mock.patch.object(scorefile, "_READ_ROWS", read_rows):
                     exc = ingest_error(lambda: read_instances_csv(
                         stream(HEADER + body)))
                 assert exc.line == line
@@ -787,7 +788,7 @@ class TestInstanceCsv:
             calls.append(kwargs.get("converters") or {})
             return loadtxt(*args, **kwargs)
 
-        with mock.patch.object(stratify.np, "loadtxt", spy):
+        with mock.patch.object(scorefile.np, "loadtxt", spy):
             read_instances_csv(io.StringIO(HEADER + "0,1,beyond,1,0.5\n"))
             read_instances_csv(io.StringIO(HEADER + '"a",b,2,,0.5\n'))
             with pytest.raises(IngestError):
@@ -805,7 +806,7 @@ class TestInstanceCsv:
         write_instances_csv(buf, inst, score_keys=keys)
         text = buf.getvalue()
         want = read_instances_rows(io.StringIO(text))
-        with mock.patch.object(stratify, "_DECODE_ROWS", decode_rows):
+        with mock.patch.object(scorefile, "_DECODE_ROWS", decode_rows):
             got = read_instances_csv(io.StringIO(text))
         assert_read_as_rows(got, want)
 
@@ -893,7 +894,7 @@ class TestInstanceCsv:
 
 def loadtxt_path():
     """Patch the read onto its loadtxt path, every record parsed."""
-    return mock.patch.object(stratify, "_count_blocks", lambda *_: None)
+    return mock.patch.object(scorefile, "_count_blocks", lambda *_: None)
 
 
 def assert_same_counts(got, want):
@@ -910,7 +911,7 @@ def assert_same_counts(got, want):
 
 class TestBlockPath:
     @settings(max_examples=150, deadline=None)
-    @given(instance_sets(), st.sampled_from([1, 7, stratify._BLOCK_CHARS]))
+    @given(instance_sets(), st.sampled_from([1, 7, scorefile._BLOCK_CHARS]))
     def test_blocks_match_loadtxt_path_and_rows(self, case, block_chars):
         # Several score columns, -0.0 and NaN, sentinel buckets, labelled and
         # unlabelled rows; a block of 1 or 7 characters reaches the end of
@@ -921,7 +922,7 @@ class TestBlockPath:
         text = buf.getvalue()
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
-        records = mock.Mock(wraps=stratify._count_records)
+        records = mock.Mock(wraps=scorefile._count_records)
         empty = empty_id_record(inst, id_labels)
         if empty is not None:
             # Both paths name the line of the first empty id; the block
@@ -931,16 +932,16 @@ class TestBlockPath:
             with loadtxt_path():
                 assert_empty_id_error(lambda: read_instances_csv(io.StringIO(text)),
                                       prefix, name)
-            with mock.patch.object(stratify, "_BLOCK_CHARS", block_chars), \
-                    mock.patch.object(stratify, "_count_records", records):
+            with mock.patch.object(scorefile, "_BLOCK_CHARS", block_chars), \
+                    mock.patch.object(scorefile, "_count_records", records):
                 assert_empty_id_error(lambda: read_instances_csv(io.StringIO(text)),
                                       prefix, name)
             assert records.called
             return
         with loadtxt_path():
             want = read_instances_csv(io.StringIO(text))
-        with mock.patch.object(stratify, "_BLOCK_CHARS", block_chars), \
-                mock.patch.object(stratify, "_count_records", records):
+        with mock.patch.object(scorefile, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(scorefile, "_count_records", records):
             got = read_instances_csv(io.StringIO(text))
         assert_same_counts(got, want)
         assert_read_as_rows(got, read_instances_rows(io.StringIO(text), id_index=index))
@@ -962,12 +963,40 @@ class TestBlockPath:
         path.write_bytes(text.encode("utf-8"))
         index = None if ids is None else {name: i for i, name in enumerate(ids)}
         want = read_instances_rows(io.StringIO(text, newline=""), id_index=index)
-        with mock.patch.object(stratify, "_BLOCK_CHARS",
-                               block_chars or stratify._BLOCK_CHARS):
+        with mock.patch.object(scorefile, "_BLOCK_CHARS",
+                               block_chars or scorefile._BLOCK_CHARS):
             for source in (str(path), io.StringIO(text, newline="")):
                 got = read_instances_csv(source)
                 assert got.count.sum() == 3
                 assert_read_as_rows(got, want)
+
+    @pytest.mark.parametrize("read_rows", [1, 2, 5])
+    def test_waiting_tails_are_parsed_between_blocks(self, read_rows):
+        # About six rows a block, of one or two tails: the tails of a few
+        # blocks wait, and are parsed while later blocks are still to be
+        # read; each is counted once, and no read leaves the block path.
+        n = 300
+        inst = InstanceSet(np.arange(n) + 1000, np.arange(n) + 2000, np.full(n, 2),
+                           np.arange(n) % 20 == 0, {"score": np.full(n, 0.5)})
+        buf = io.StringIO()
+        write_instances_csv(buf, inst)
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            rows = loadtxt(*args, **kwargs)
+            parsed.append(len(rows))
+            return rows
+
+        records = mock.Mock(wraps=scorefile._count_records)
+        with mock.patch.object(scorefile, "_BLOCK_CHARS", 100), \
+                mock.patch.object(scorefile, "_READ_ROWS", read_rows), \
+                mock.patch.object(scorefile, "_count_records", records), \
+                mock.patch.object(scorefile.np, "loadtxt", spy):
+            got = read_instances_csv(io.StringIO(buf.getvalue()))
+        assert_read_as_rows(got, inst)
+        assert not records.called
+        assert len(parsed) > 2
 
     def test_plain_file_parses_only_distinct_tails(self):
         # 10,000 rows of 2 distances, 2 labels and 11 scores: no np.loadtxt
@@ -988,10 +1017,10 @@ class TestBlockPath:
             parsed.append(len(rows))
             return rows
 
-        with mock.patch.object(stratify.np, "loadtxt", spy):
+        with mock.patch.object(scorefile.np, "loadtxt", spy):
             got = read_instances_csv(io.StringIO(buf.getvalue()))
         assert_read_as_rows(got, inst)
-        blocks = -(-len(buf.getvalue()) // stratify._BLOCK_CHARS)
+        blocks = -(-len(buf.getvalue()) // scorefile._BLOCK_CHARS)
         assert 0 < sum(parsed) <= 2 * 2 * 11 * (blocks + 1)
 
     def test_distinct_tails_move_to_the_loadtxt_path(self, rng):
@@ -999,18 +1028,18 @@ class TestBlockPath:
         # them distinct, the rest of the body is parsed in loadtxt chunks,
         # from the record after the last block; a malformed record there
         # still names its line.
-        n = 3 * stratify._READ_ROWS
+        n = 3 * scorefile._READ_ROWS
         inst = InstanceSet(np.arange(n), np.arange(n) + 1, np.full(n, 2),
                            rng.random(n) < 0.5, {"score": rng.normal(size=n)})
         buf = io.StringIO()
         write_instances_csv(buf, inst)
         text = buf.getvalue()
-        records = mock.Mock(wraps=stratify._count_records)
-        with mock.patch.object(stratify, "_count_records", records):
+        records = mock.Mock(wraps=scorefile._count_records)
+        with mock.patch.object(scorefile, "_count_records", records):
             got = read_instances_csv(io.StringIO(text))
         assert_read_as_rows(got, inst)
         (*_, start), _ = records.call_args
-        assert stratify._READ_ROWS <= start < n
+        assert scorefile._READ_ROWS <= start < n
         for line in (start + 2, n + 1):
             lines = text.splitlines(keepends=True)
             cells = lines[line - 1].split(",")
@@ -1038,10 +1067,10 @@ def test_block_path_peaks_no_higher_than_loadtxt_path(tmp_path):
     path = tmp_path / "scores.csv"
     inst = sampling_shaped_file(path, 100_000, 2811)
     peaks, reads = [], []
-    records = mock.Mock(wraps=stratify._count_records)
+    records = mock.Mock(wraps=scorefile._count_records)
     for forced in (False, True):
         with loadtxt_path() if forced else \
-                mock.patch.object(stratify, "_count_records", records):
+                mock.patch.object(scorefile, "_count_records", records):
             tracemalloc.start()
             try:
                 reads.append(read_instances_csv(str(path)))
@@ -1081,8 +1110,8 @@ def test_score_path_memory_budget(tmp_path):
     # rows, which a merge holds with as many rows waiting (at least
     # _READ_ROWS) and a few int64 columns of both. The same rows four times
     # over make the same table and the same peak.
-    chunk = stratify._READ_ROWS * 40  # u, v, the two byte cells, one score
-    assert n >= 4 * stratify._READ_ROWS
+    chunk = scorefile._READ_ROWS * 40  # u, v, the two byte cells, one score
+    assert n >= 4 * scorefile._READ_ROWS
     text = path.read_text(encoding="utf-8")
     head, _, body = text.partition("\n")
     path4 = tmp_path / "scores4.csv"
@@ -1098,7 +1127,7 @@ def test_score_path_memory_budget(tmp_path):
         finally:
             tracemalloc.stop()
         assert np.array_equal(counted.bounds, rank.bounds * (4 if peaks[1:] else 1))
-    merge_rows = 2 * max(cells.count.size, stratify._READ_ROWS) + stratify._READ_ROWS
+    merge_rows = 2 * max(cells.count.size, scorefile._READ_ROWS) + scorefile._READ_ROWS
     assert cells.count.size < n // 8
     assert peaks[0] <= chunk + 128 * merge_rows
     assert peaks[1] <= peaks[0] + n  # under a byte for each row added
@@ -1135,7 +1164,7 @@ def test_counted_read_of_a_varied_head_stays_with_its_cells(tmp_path):
         path = tmp_path / f"scores{body}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_instances_csv(fh, inst.take(take))
-        with mock.patch.object(stratify, "_READ_ROWS", 1000):
+        with mock.patch.object(scorefile, "_READ_ROWS", 1000):
             tracemalloc.start()
             try:
                 cells = read_instances_csv(str(path))
