@@ -7,9 +7,9 @@ experiments, behind both a library API and the ``lpeval`` command line.
 The names below are exported lazily (PEP 562): ``import lpeval`` loads no
 submodule and so not numpy, which lets ``lpeval.cli`` configure numpy's
 BLAS before it is loaded. The first access to a name imports its module.
+Inside the package, a module binds the names it calls from a module it
+loads only on first use with :func:`_lazy`.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -51,12 +51,32 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_MODULES, *_ORIGIN])
 
 
+def _load(module):
+    """The submodule ``module``, imported on first use. ``__import__``, not
+    ``importlib.import_module``, so that ``python -X importtime`` lists it."""
+    return __import__(f"{__name__}.{module}", fromlist=("*",))
+
+
+def _lazy(module, *names):
+    """One function per name of ``names``, to bind at module level in place
+    of ``from .module import name``: each call imports ``module`` and calls
+    the name's current value there, so ``module`` loads at the first call,
+    and a name that a caller sets on the binding module (a traced pass, a
+    test's monkeypatch) replaces the whole function."""
+    def bind(name):
+        def call(*args, **kwargs):
+            return getattr(_load(module), name)(*args, **kwargs)
+        call.__name__ = call.__qualname__ = name
+        return call
+    return tuple(bind(name) for name in names)
+
+
 def __getattr__(name):
     if name in _MODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _load(name)
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    value = getattr(_load(_ORIGIN[name]), name)
     globals()[name] = value
     return value
 

@@ -6,19 +6,20 @@ with a manifest listing each artifact's sha256. Reruns with the same config
 and inputs produce identical digests. Undefined metrics are written as
 explicit ``undefined`` markers, not errors.
 
-Each command loads only the modules its input needs: a command, or a
-helper of one, binds into this module the names of the modules its
-``@_arrays(...)`` lists when it first runs. ``snapshot`` loads graphstore,
-which imports numpy only when graph code reads a snapshot's arrays, and
-``surrogate`` surrogate: neither, nor ``--help`` or ``--version``, loads
-numpy. On ``dataset.path``, :func:`_load_log` loads graphstore and
-:func:`_graph_scored` predictors and stratify; ``score`` and
-``distance-dist`` never load metrics, experiments or rng. On
-``dataset.scores``, :func:`_score_file` loads the reader, and
-``evaluate``, ``variance`` and ``kaggle-compare`` load cells, metrics,
-experiments and rng, never graphstore, predictors, stratify or twohop. No
-graph command loads the reader, and only ``evaluate`` with ``run.svg``
-loads render. A caller that first reads a bound name here binds them all.
+Each command loads only the modules its input needs: the names it calls
+from the array modules, surrogate and render are bound here with
+:func:`lpeval._lazy`, so each of those modules loads at the first call of
+one of its names. ``snapshot`` loads graphstore, which imports numpy only
+when graph code reads a snapshot's arrays, and ``surrogate`` surrogate:
+neither, nor ``--help`` or ``--version``, loads numpy. On
+``dataset.path`` the commands load graphstore, predictors and stratify;
+``score`` and ``distance-dist`` never load metrics, experiments or rng. On
+``dataset.scores``, ``evaluate``, ``variance`` and ``kaggle-compare`` load
+the reader, cells, metrics, experiments and rng, never graphstore,
+predictors, stratify or twohop. No graph command loads the reader, and only
+``evaluate`` with ``run.svg`` loads render. Every bound name is a function
+of this module from import on, which a caller may replace (a traced pass,
+a test's monkeypatch) before any command runs.
 
 A ``dataset.scores`` file (a third-party predictor's scores in the instance
 CSV format) is read into the counts of its distinct (distance, label,
@@ -51,74 +52,34 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import functools
-import importlib
 import sys
 
-from . import __version__
+from . import __version__, _lazy
 from .config import RunConfig
 from .errors import ConfigError, LpevalError
 from .manifest import (atomic_write, atomic_write_text, sha256_file, write_json,
                        write_manifest)
 
-# The names the commands read from the modules that they load on first use:
-# the array modules, and surrogate and render, which one command each runs.
-_ARRAY_NAMES = {
-    "cells": ("distance_str",),
-    "experiments": ("filtered_negative_eval", "kaggle_compare", "per_distance_eval",
-                    "sample_fair", "sample_kaggle", "slice_intervals",
-                    "temporal_eval", "variance_experiment"),
-    "graphstore": ("build_snapshot", "ingest_events", "write_snapshot_csv"),
-    "metrics": ("Ranking", "pr_curve", "roc_curve", "write_curve_csv",
-                "write_curve_json"),
-    "predictors": ("score_instances",),
-    "render": ("curve_svg",),
-    "rng": ("substream",),
-    "scorefile": ("read_instances_csv",),
-    "stratify": ("generate_test_set", "new_link_distance_distribution",
-                 "write_instances_csv"),
-    "surrogate": ("SurrogateParams", "surrogate_simulation"),
-}
-_ARRAY_BOUND = {"rng_mod", *(name for names in _ARRAY_NAMES.values()
-                              for name in names)}
-
-
-def _bind_arrays(modules=tuple(_ARRAY_NAMES)):
-    """Bind the names of the array ``modules`` into this module, and
-    ``rng_mod`` with ``rng``'s.
-
-    A name already bound is kept, so a wrapper that a caller put in its
-    place (a traced pass, a test's monkeypatch) stays in force.
-    """
-    scope = globals()
-    for module in modules:
-        mod = importlib.import_module(f".{module}", __package__)
-        for name in _ARRAY_NAMES[module]:
-            scope.setdefault(name, getattr(mod, name))
-        if module == "rng":
-            scope.setdefault("rng_mod", mod)
-
-
-def __getattr__(name):
-    # ``hasattr(cli, "Ranking")`` and library callers see every name that
-    # the array commands read, bound on first access.
-    if name not in _ARRAY_BOUND:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_arrays()
-    return globals()[name]
-
-
-def _arrays(*modules):
-    """Mark a command, or a helper, that reads the names of ``modules``: it
-    binds them before it runs, whether ``main`` calls it or a caller calls
-    ``_COMMANDS[name]``. A helper binds the modules of its own input kind,
-    so a command loads those only on the path it takes."""
-    def mark(function):
-        @functools.wraps(function)
-        def run(*args, **kwargs):
-            _bind_arrays(modules)
-            return function(*args, **kwargs)
-        return run
-    return mark
+# The names the commands call from the modules that load at their first call.
+(distance_str,) = _lazy("cells", "distance_str")
+(filtered_negative_eval, kaggle_compare, per_distance_eval, sample_fair,
+ sample_kaggle, slice_intervals, temporal_eval, variance_experiment) = _lazy(
+    "experiments", "filtered_negative_eval", "kaggle_compare", "per_distance_eval",
+    "sample_fair", "sample_kaggle", "slice_intervals", "temporal_eval",
+    "variance_experiment")
+build_snapshot, ingest_events, write_snapshot_csv = _lazy(
+    "graphstore", "build_snapshot", "ingest_events", "write_snapshot_csv")
+Ranking, pr_curve, roc_curve, write_curve_csv, write_curve_json = _lazy(
+    "metrics", "Ranking", "pr_curve", "roc_curve", "write_curve_csv",
+    "write_curve_json")
+(score_instances,) = _lazy("predictors", "score_instances")
+(curve_svg,) = _lazy("render", "curve_svg")
+(read_instances_csv,) = _lazy("scorefile", "read_instances_csv")
+generate_test_set, new_link_distance_distribution, write_instances_csv = _lazy(
+    "stratify", "generate_test_set", "new_link_distance_distribution",
+    "write_instances_csv")
+SurrogateParams, surrogate_simulation = _lazy(
+    "surrogate", "SurrogateParams", "surrogate_simulation")
 
 
 def _fmt(value):
@@ -168,7 +129,6 @@ class _Output:
                        toolkit_version=__version__)
 
 
-@_arrays("graphstore")
 def _load_log(cfg):
     """The dataset's event log and its digest; every caller needs windows."""
     cfg.require_dataset()
@@ -186,7 +146,6 @@ def _test_snapshots(cfg, log):
                  for interval in (cfg.windows.test_feature, cfg.windows.test_label))
 
 
-@_arrays("graphstore", "predictors", "stratify")
 def _graph_scored(cfg, log, use):
     """``{name: use(name, instances, feature)}`` per predictor, where
     ``instances`` are the labeled candidates of the test windows scored by
@@ -207,7 +166,6 @@ def _graph_scored(cfg, log, use):
             for pred in cfg.predictors}
 
 
-@_arrays("scorefile")
 def _score_file(cfg):
     """The counts of the ``dataset.scores`` file's distinct (distance,
     label, score...) rows."""
@@ -222,17 +180,11 @@ def _score_file(cfg):
     return cells
 
 
-@_arrays("stratify")
 def _write_scored(out, prefix, name, inst, feature):
     """Write ``inst``, scored by predictor ``name``, as ``<prefix>_<name>.csv``;
     a ``use`` of :func:`_graph_scored`."""
     out.render(f"{prefix}_{name}.csv", lambda fh: write_instances_csv(
         fh, inst, id_labels=feature.id_labels, score_keys=[name]))
-
-
-@_arrays("render")
-def _svg(curve):
-    return curve_svg(curve)
 
 
 def _ranked(cells):
@@ -276,7 +228,6 @@ def _sampled(cfg, rank):
     return rank
 
 
-@_arrays("graphstore")
 def cmd_snapshot(cfg):
     """Materialize the four window snapshots as edge CSVs."""
     log, digest = _load_log(cfg)
@@ -306,7 +257,6 @@ def cmd_score(cfg):
     out.manifest(digest)
 
 
-@_arrays("cells", "experiments", "metrics")
 def cmd_evaluate(cfg):
     """Threshold curves and the per-distance report for each predictor.
 
@@ -338,7 +288,7 @@ def cmd_evaluate(cfg):
                 out.render(f"{tag}_{name}.json",
                            lambda fh: write_curve_json(curve, fh))
                 if cfg.svg:
-                    out.text(f"{tag}_{name}.svg", _svg(curve))
+                    out.text(f"{tag}_{name}.svg", curve_svg(curve))
         rows = per_distance_eval(rank)
         out.csv(f"per_distance_{name}.csv",
                 ["distance", "n_pos", "n_neg", "auroc", "aupr", "sufficient"],
@@ -350,7 +300,6 @@ def cmd_evaluate(cfg):
     out.manifest(digest)
 
 
-@_arrays("cells", "experiments", "metrics")
 def cmd_variance(cfg):
     """Fair-sampling AUROC spread per rate, with the analytic reference."""
     ranks, digest = _rankings(cfg)
@@ -377,7 +326,6 @@ def cmd_variance(cfg):
     out.manifest(digest)
 
 
-@_arrays("surrogate")
 def cmd_surrogate(cfg):
     """Sigma-separation grid of the sub-problem vs. full-problem rankings."""
     # surrogate_grid's cells, with surrogate_simulation read from this
@@ -398,13 +346,14 @@ def cmd_surrogate(cfg):
     out.manifest()
 
 
-@_arrays("experiments", "metrics", "rng")
 def cmd_kaggle_compare(cfg):
     """Fair random sampling vs. per-distance-bucket balanced sampling."""
     # Ranked before the first draw imports numpy.random, so that the
     # rankings' temporaries do not add to the memory that module holds.
     ranks, digest = _rankings(cfg)
-    master = substream(cfg.seed, rng_mod.STREAM_KAGGLE_SAMPLE, 999)
+    from .rng import STREAM_KAGGLE_SAMPLE, substream
+
+    master = substream(cfg.seed, STREAM_KAGGLE_SAMPLE, 999)
     repeat_seeds = master.integers(0, 2 ** 62, size=cfg.kaggle_repeats)
     rows = []
     detail = {}
@@ -422,7 +371,6 @@ def cmd_kaggle_compare(cfg):
     out.manifest(digest)
 
 
-@_arrays("experiments")
 def cmd_temporal(cfg):
     """Per-slice AUROC/AUPR over the sliced test-label interval.
 
@@ -450,7 +398,6 @@ def cmd_temporal(cfg):
     out.manifest(digest)
 
 
-@_arrays("cells", "graphstore", "stratify")
 def cmd_distance_dist(cfg):
     """Distribution of prior geodesic distance over newly formed links."""
     log, digest = _load_log(cfg)

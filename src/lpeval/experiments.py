@@ -5,9 +5,11 @@ balanced negative sampling, the analytic variance of performance measured on
 a sampled negative class (with its Monte-Carlo validation hooks),
 distance-filtered negative removal, per-distance evaluation, and temporal
 slicing of the test-label window. The surrogate experiment, which needs no
-arrays, lives in :mod:`lpeval.surrogate`; its names and the sampling and
-slicing specs (from :mod:`lpeval.config`) are importable from here too.
-The graph modules and the surrogate load on first use (PEP 562).
+arrays, lives in :mod:`lpeval.surrogate`; ``surrogate_simulation`` and the
+sampling and slicing specs (from :mod:`lpeval.config`) are importable from
+here too. The graph functions that ``temporal_eval`` calls and the
+surrogate are bound with :func:`lpeval._lazy`: their modules load at the
+first call, so a score-file process loads no graph module.
 
 Every experiment is a pure function of (inputs, seed): repeats draw from
 named substreams so results are reproducible in any execution order.
@@ -15,39 +17,26 @@ named substreams so results are reproducible in any execution order.
 
 from __future__ import annotations
 
-import importlib
-import sys
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 
-from . import rng as rng_mod
+from . import _lazy, rng as rng_mod
 from .cells import BEYOND, InstanceCounts
 from .errors import ConfigError, UndefinedMetricError
 from .metrics import Ranking, aupr, auroc, auroc_from_counts
 from .rng import substream
 
 # Defined in the numpy-free config module; importable here too.
-from .config import SamplingSpec, TemporalSliceSpec  # noqa: F401
+from .config import (CONDMAT_STANDIN_COUNTS, SamplingSpec,  # noqa: F401
+                     TemporalSliceSpec)
 
-# Names bound from their modules on first access: the graph functions that
-# temporal_eval reads from this module's namespace, where a traced pass
-# swaps them, and the surrogate experiment's names, importable here too.
-_LAZY = {"build_snapshot": "graphstore", "label_instances": "stratify",
-         **dict.fromkeys(("CONDMAT_STANDIN_COUNTS", "SIGMA_FORMULA",
-                          "SurrogateParams", "SurrogateResult", "surrogate_grid",
-                          "surrogate_simulation"), "surrogate")}
+(build_snapshot,) = _lazy("graphstore", "build_snapshot")
+(label_instances,) = _lazy("stratify", "label_instances")
+(surrogate_simulation,) = _lazy("surrogate", "surrogate_simulation")
 
 DEFAULT_RATES = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-    globals()[name] = value
-    return value
 
 
 def _kept_counts(neg, rate, rng, exact_counts):
@@ -446,9 +435,6 @@ def temporal_eval(sets, log, interval, slice_spec, weight_rule="1/(k-1)"):
     every set. A slice without positives or negatives is flagged invalid
     and carries no areas. Returns ``{name: TemporalReport}``.
     """
-    # Read from this module, where a traced pass may have swapped them.
-    module = sys.modules[__name__]
-    build_snapshot, label_instances = module.build_snapshot, module.label_instances
     slices, remainder = slice_intervals(interval, slice_spec.slices)
     rows = {name: [] for name in sets}
     for i, (lo, hi) in enumerate(slices):

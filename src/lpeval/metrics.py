@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cells import _sorted_unique, csv_cells, csv_chunks
+from .cells import _CHUNK_ROWS, _sorted_unique, csv_cells, csv_chunks
 from .errors import ConfigError, UndefinedMetricError
 
 TIE_POLICY = "group-atomic"
@@ -32,9 +32,6 @@ RATE_NAMES = ("sensitivity", "specificity", "precision", "recall", "fallout",
 # Entries counted at a time by Ranking: each temporary of a piece takes at
 # most 128 KiB.
 _RANK_ROWS = 1 << 14
-
-# Rows of a curve CSV joined into one string per write.
-_CURVE_ROWS = 8192
 
 
 class Ranking:
@@ -436,12 +433,12 @@ def write_curve_csv(curve, fh):
     """Write the points as ``x,y`` rows, each coordinate as its ``repr``.
 
     Each column is formatted once per distinct bit pattern, and the rows
-    are written _CURVE_ROWS at a time (:func:`csv_chunks`).
+    are written _CHUNK_ROWS at a time (:func:`csv_chunks`).
     """
     columns = [(*csv_cells(curve.points[:, c], repr, sep), curve.points[:, c])
                for c, sep in enumerate((",", "\n"))]
     fh.write("x,y\n")
-    fh.writelines(csv_chunks(columns, len(curve.points), _CURVE_ROWS))
+    fh.writelines(csv_chunks(columns, len(curve.points), _CHUNK_ROWS))
 
 
 def write_curve_json(curve, fh):

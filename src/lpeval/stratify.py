@@ -5,8 +5,9 @@ partitioned by shortest-path distance: finite buckets 2..L_max, plus two
 sentinel buckets for pairs farther than L_max in the same component
 (``BEYOND``) and pairs in different components or involving feature-unknown
 nodes (``DISCONNECTED``). Sentinels are large integers so any finite
-distance sorts and compares below them. ``read_instances_csv`` is served
-from :mod:`lpeval.scorefile` on first access, so no graph process loads it.
+distance sorts and compares below them. ``read_instances_csv`` is bound
+from :mod:`lpeval.scorefile` with :func:`lpeval._lazy`, so no graph process
+loads the reader.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lazy
 # Defined in cells, which the score-file reader shares; importable here too.
 from .cells import (BEYOND, DISCONNECTED, _CHUNK_ROWS, _sorted_unique,  # noqa: F401
                     csv_cells, csv_chunks, distance_str, parse_distance)
@@ -26,13 +28,9 @@ from .graphstore import csv_field
 # so the name stays importable here although enumeration walks in runs.
 from .predictors import _ranges, _runs, _walk, bfs_levels
 
-
-def __getattr__(name):
-    # The reader, from its own module on first access (PEP 562).
-    if name != "read_instances_csv":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .scorefile import read_instances_csv
-    return read_instances_csv
+# Importable here for lpbench/tracing.py, which times the reader under
+# ``stratify.read_instances``.
+(read_instances_csv,) = _lazy("scorefile", "read_instances_csv")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 # Defined in config, whose defaults read it; importable here too.
@@ -79,10 +80,6 @@ class SurrogateParams:
         """ceil(alpha * count * beta), alpha and beta read as the decimals
         they print as: alpha 0.07 of 100 is 7 slots, not the 8 of the float
         product 7.000000000000001."""
-        # Imported here: config imports this module in every process, and
-        # only the surrogate command pays fractions' start-up cost.
-        from fractions import Fraction
-
         return math.ceil(Fraction(str(self.alpha)) * count * Fraction(str(beta)))
 
 
@@ -125,9 +122,6 @@ def surrogate_simulation(params):
     2**53 at the paper's counts, so every moment is an exact rational,
     rounded once to the reported float.
     """
-    # Imported here, as in SurrogateParams._slots (~2 ms of start-up).
-    from fractions import Fraction
-
     def subset_sum(k, m):
         """Mean and variance of the sum of a uniform k-subset of range(m)."""
         return Fraction(k * (m - 1), 2), Fraction(k * (m - k) * (m + 1), 12)

@@ -688,15 +688,15 @@ def test_ranking_guard_sees_each_form():
         (9, "Ranking"), (10, "Ranking")]
 
 
-# The package's exports, module by module, as the eager imports bound them.
+# The package's exports, module by module, as the eager imports bound them;
+# the score-file reader and the surrogate experiment by their own modules.
 EXPORTS = {
     "errors": "ConfigError DataCorruptionError IngestError InvalidPairError "
               "LpevalError UndefinedMetricError UnknownNodeError",
-    "experiments": "SamplingSpec SurrogateParams TemporalSliceSpec "
+    "experiments": "SamplingSpec TemporalSliceSpec "
                    "analytic_sampling_variance estimate_classifiable "
                    "filtered_negative_eval kaggle_compare per_distance_eval "
-                   "sample_fair sample_kaggle surrogate_grid surrogate_simulation "
-                   "temporal_eval variance_experiment",
+                   "sample_fair sample_kaggle temporal_eval variance_experiment",
     "graphstore": "EventLog Snapshot WindowConfig build_snapshot ingest_events "
                   "write_snapshot_csv",
     "metrics": "ConfusionCounts Ranking ThresholdCurve aupr auroc average_precision "
@@ -705,12 +705,17 @@ EXPORTS = {
                   "common_neighbors preferential_attachment propflow "
                   "propflow_accounting propflow_all score_instances score_pairs",
     "rng": "",
+    "scorefile": "read_instances_csv",
     "stratify": "BEYOND DISCONNECTED InstanceSet distance_str generate_test_set "
                 "geodesic_bucket_enumerate label_instances "
-                "new_link_distance_distribution parse_distance read_instances_csv "
+                "new_link_distance_distribution parse_distance "
                 "write_instances_csv",
+    "surrogate": "SurrogateParams surrogate_grid surrogate_simulation",
     "synth": "synthetic_event_log write_event_file",
 }
+# The submodules the package exports by name.
+EXPORTED_MODULES = ("errors", "experiments", "graphstore", "metrics", "predictors",
+                    "rng", "stratify", "synth")
 
 
 def child(*args, blas_threads=None):
@@ -767,15 +772,15 @@ del ns["__builtins__"]
 want = {{name: getattr(importlib.import_module("lpeval." + module), name)
         for module, names in exports.items() for name in names.split()}}
 want.update((module, importlib.import_module("lpeval." + module))
-            for module in exports)
+            for module in {EXPORTED_MODULES!r})
 print(json.dumps([sorted(ns), sorted(name for name in want
                                      if ns.get(name) is not want[name])]))
 """
     names, different = json.loads(run_child(code))
     assert len(names) == 71
     assert names == sorted(lpeval.__all__)
-    assert names == sorted(set(EXPORTS) | {n for v in EXPORTS.values()
-                                           for n in v.split()})
+    assert names == sorted(set(EXPORTED_MODULES) | {n for v in EXPORTS.values()
+                                                    for n in v.split()})
     assert different == []
 
 
@@ -942,6 +947,21 @@ assert cli.main({argv!r}) == 0
     assert run_child(code) == str(sorted(COMMAND_LOADS[command, source])) + "\n"
 
 
+def test_importtime_lists_each_module_a_score_file_command_loads(tmp_path):
+    # Every module that loads at its first call is imported through
+    # __import__, which python -X importtime reports (importlib.import_module
+    # would not).
+    scores, _ = sampling_score_file(tmp_path)
+    proc = child("-X", "importtime", "-m", "lpeval.cli", "variance",
+                 "--out", str(tmp_path / "out"), "--set", f"dataset.scores={scores}",
+                 "--set", "variance.repeats=3")
+    assert proc.returncode == 0, proc.stderr
+    listed = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert {module: listed.count(f"lpeval.{module}") for module in SCORE_FILE_PATH} \
+        == dict.fromkeys(SCORE_FILE_PATH, 1)
+
+
 def test_package_exports_of_the_reader_load_no_graph_module():
     code = """
 import sys
@@ -1060,19 +1080,6 @@ print("numpy" in sys.modules)
     assert manifest["command"] == command and manifest["artifacts"]
 
 
-def test_cli_binds_array_names_on_first_read():
-    # lpbench's tracer and monkeypatching callers look names up with
-    # hasattr before any command has run.
-    code = """
-import sys
-from lpeval import cli
-print("numpy" in sys.modules, hasattr(cli, "read_instances_csv"),
-      hasattr(cli, "no_such_name"), "numpy" in sys.modules, cli.rng_mod.__name__)
-"""
-    assert run_child(code).split() == ["False", "True", "False", "True",
-                                       "lpeval.rng"]
-
-
 def global_reads(text):
     """``(function, name)`` of each global name a function of ``text`` reads,
     nested functions, lambdas and comprehensions included."""
@@ -1086,93 +1093,44 @@ def global_reads(text):
     return sorted(found)
 
 
-def command_reads(text):
-    """``{function: (modules, names)}`` for each ``cmd_*`` function of the
-    module ``text`` and each function with an ``@_arrays(...)`` mark: the
-    literal arguments of its mark (None when it has none), and every global
-    name it reads, with the names that the module's own functions and
-    classes it reads read in turn. A marked function binds its own modules
-    before it runs, so what it reads is its own entry's, not its caller's:
-    the caller reads only its name."""
-    module = compile(text, "<cli>", "exec")
-    reads = {}
-    for top in module.co_consts:
-        if not isinstance(top, types.CodeType):
-            continue
-        todo, names = [top], set()
-        while todo:
-            code = todo.pop()
-            todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
-            names |= {ins.argval for ins in dis.get_instructions(code)
-                      if ins.opname == "LOAD_GLOBAL"}
-        reads[top.co_name] = names
-    marks, checked = {}, []
-    for node in ast.parse(text).body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        mark = [tuple(arg.value for arg in d.args) for d in node.decorator_list
-                if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_arrays"]
-        if mark:
-            marks[node.name] = mark[0]
-        if mark or node.name.startswith("cmd_"):
-            checked.append(node.name)
-    found = {}
-    for function in checked:
-        names, todo = set(), [function]
-        while todo:
-            new = reads.get(todo.pop(), set()) - names
-            names |= new
-            todo += sorted(new - set(marks))
-        found[function] = (marks.get(function), names)
-    return found
-
-
 def test_cli_reads_only_bound_names():
-    # A name the array commands read but the binding misses fails only in a
-    # fresh process that reaches it; resolve every read name up front.
+    # A name a command reads but cli does not bind fails only in a fresh
+    # process that reaches it: every name cli reads is bound when it is
+    # imported, before any module that a command loads at its first call.
     code = """
-import json
+import json, sys
 from lpeval import cli
-cli._bind_arrays()
-print(json.dumps(sorted(vars(cli))))
+print(json.dumps([sorted(vars(cli)), "numpy" in sys.modules]))
 """
-    bound = set(json.loads(run_child(code))) | set(dir(builtins))
+    bound, numpy_loaded = json.loads(run_child(code))
+    assert not numpy_loaded
+    bound = set(bound) | set(dir(builtins))
     text = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
-    reads = global_reads(text)
-    assert [read for read in reads if read[1] not in bound] == []
-    # Each command and each marked helper, through the unmarked helpers it
-    # calls, reads only cli's own names and those of the modules its
-    # @_arrays(...) binds.
-    own = set(vars(cli)) - cli._ARRAY_BOUND | set(dir(builtins))
-    unbound = {}
-    for function, (modules, names) in command_reads(text).items():
-        modules = modules or ()
-        allowed = own | {name for module in modules
-                         for name in cli._ARRAY_NAMES[module]}
-        if "rng" in modules:
-            allowed.add("rng_mod")
-        unbound[function] = sorted(names - allowed)
-    assert unbound == {function: [] for function in unbound}
-    assert sorted(f for f in unbound if not f.startswith("cmd_")) == [
-        "_graph_scored", "_load_log", "_score_file", "_svg", "_write_scored"]
-    assert sum(f.startswith("cmd_") for f in unbound) == len(cli._COMMANDS)
+    assert [read for read in global_reads(text) if read[1] not in bound] == []
 
 
-def test_command_read_guard_sees_each_form():
-    code = ("def _arrays(*modules):\n    return lambda f: f\n"
-            "def helper(x):\n    return g(x) + [k(y) for y in x]\n"
-            "class Out:\n    def write(self):\n        return writer()\n"
-            "@_arrays('c')\ndef marked(cfg):\n    return helper(cfg), m()\n"
-            "@_arrays('a', 'b')\ndef cmd_one(cfg):\n"
-            "    return helper(cfg), Out(), lambda: inner(), marked(cfg)\n"
-            "def cmd_two(cfg):\n    return plain()\n"
-            "@_arrays()\ndef cmd_three(cfg):\n    return cmd_two(cfg)\n")
-    assert command_reads(code) == {
-        "marked": (("c",), {"helper", "g", "k", "m"}),
-        "cmd_one": (("a", "b"), {"helper", "g", "k", "Out", "writer", "inner",
-                                 "marked"}),
-        "cmd_two": (None, {"plain"}),
-        "cmd_three": ((), {"cmd_two", "plain"})}
+def test_traced_names_are_bound_without_loading_a_module(monkeypatch):
+    # lpbench's tracer swaps each name that hasattr finds in cli, before any
+    # command has run: every name cli reads that it wraps is there at import,
+    # and looking it up loads nothing.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]
+                                    / "lpbench"))
+    tracing = importlib.import_module("tracing")
+    names = sorted({name for _, name, _ in tracing._wrappers(tracing.Tracer())})
+    code = f"""
+import json, sys
+from lpeval import cli
+loaded = set(sys.modules)
+found = [name for name in {names!r} if hasattr(cli, name)]
+print(json.dumps([found, sorted(set(sys.modules) - loaded)]))
+"""
+    found, loaded = json.loads(run_child(code))
+    reads = {name for _, name in global_reads(
+        pathlib.Path(cli.__file__).read_text(encoding="utf-8"))}
+    assert loaded == []
+    assert found == sorted(reads & set(names))
+    assert {"Ranking", "build_snapshot", "read_instances_csv",
+            "surrogate_simulation", "variance_experiment"} <= set(found)
 
 
 def test_global_read_guard_sees_each_form():
@@ -1180,6 +1138,68 @@ def test_global_read_guard_sees_each_form():
             "class C:\n    def m(self):\n        return lambda: w\n")
     assert global_reads(code) == [("<lambda>", "w"), ("<listcomp>", "k"),
                                   ("f", "X"), ("f", "g")]
+
+
+def lazy_bindings(text):
+    """``(line, target, module, name)`` for each name that ``text`` binds
+    with ``target, ... = _lazy(module, name, ...)``, from the literal
+    arguments; the target is None where the call is not assigned to names."""
+    tree = ast.parse(text)
+    targets = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            elts = target.elts if isinstance(target, ast.Tuple) else [target]
+            targets[id(node.value)] = [getattr(e, "id", None) for e in elts]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy":
+            module, *names = (arg.value for arg in node.args)
+            bound = targets.get(id(node), [])
+            found += [(node.lineno, bound[i] if i < len(bound) else None,
+                       module, name) for i, name in enumerate(names)]
+    return sorted(found, key=lambda binding: binding[0])
+
+
+def unresolved_lazy_names(text):
+    """``(line, module, name)`` of each binding of :func:`lazy_bindings`
+    that ``lpeval.<module>`` does not define, or that is bound to another
+    name."""
+    unresolved = []
+    for line, target, module, name in lazy_bindings(text):
+        try:
+            defined = hasattr(importlib.import_module(f"lpeval.{module}"), name)
+        except ImportError:
+            defined = False
+        if not defined or target != name:
+            unresolved.append((line, module, name))
+    return sorted(unresolved)
+
+
+def test_lazy_names_exist():
+    # A misspelt module or name would fail only at the binding's first
+    # call; resolve every one up front.
+    src = pathlib.Path(cli.__file__).parent
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted(src.glob("*.py"))}
+    assert {name: unresolved_lazy_names(text) for name, text in texts.items()} \
+        == {name: [] for name in texts}
+    assert [name for name, text in texts.items() if lazy_bindings(text)] == [
+        "cli.py", "experiments.py", "stratify.py"]
+
+
+def test_lazy_name_guard_sees_each_form():
+    code = ('(Ranking,) = _lazy("metrics", "Ranking")\n'
+            'auroc, aupr = _lazy("metrics", "auroc", "aupr")\n'
+            'Rankin, roc_curve = _lazy("metrics", "Rankin", "roc_curve")\n'
+            'pr_curve, write_curve_csv = _lazy("metrics", "write_curve_csv",\n'
+            '                                  "pr_curve")\n'
+            '(x,) = _lazy("no_such_module", "x")\n'
+            'def f():\n    return _lazy("cells", "distance_str")\n')
+    assert unresolved_lazy_names(code) == [
+        (3, "metrics", "Rankin"), (4, "metrics", "pr_curve"),
+        (4, "metrics", "write_curve_csv"), (6, "no_such_module", "x"),
+        (8, "cells", "distance_str")]
 
 
 # The modules that the surrogate command and the config load: none of them
