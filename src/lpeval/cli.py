@@ -62,11 +62,12 @@ from .manifest import (atomic_write, atomic_write_text, sha256_file, write_json,
 
 # The names the commands call from the modules that load at their first call.
 (distance_str,) = _lazy("cells", "distance_str")
-(filtered_negative_eval, kaggle_compare, per_distance_eval, sample_fair,
- sample_kaggle, slice_intervals, temporal_eval, variance_experiment) = _lazy(
-    "experiments", "filtered_negative_eval", "kaggle_compare", "per_distance_eval",
-    "sample_fair", "sample_kaggle", "slice_intervals", "temporal_eval",
-    "variance_experiment")
+(filtered_negative_eval, kaggle_compare, kaggle_repeat_seeds, per_distance_eval,
+ sample_fair, sample_kaggle, slice_intervals, temporal_eval,
+ variance_experiment) = _lazy(
+    "experiments", "filtered_negative_eval", "kaggle_compare", "kaggle_repeat_seeds",
+    "per_distance_eval", "sample_fair", "sample_kaggle", "slice_intervals",
+    "temporal_eval", "variance_experiment")
 build_snapshot, ingest_events, write_snapshot_csv = _lazy(
     "graphstore", "build_snapshot", "ingest_events", "write_snapshot_csv")
 Ranking, pr_curve, roc_curve, write_curve_csv, write_curve_json = _lazy(
@@ -349,12 +350,10 @@ def cmd_surrogate(cfg):
 def cmd_kaggle_compare(cfg):
     """Fair random sampling vs. per-distance-bucket balanced sampling."""
     # Ranked before the first draw imports numpy.random, so that the
-    # rankings' temporaries do not add to the memory that module holds.
+    # rankings' temporaries do not add to the memory that module holds; the
+    # draw's own call compiles experiments before it imports numpy.random.
     ranks, digest = _rankings(cfg)
-    from .rng import STREAM_KAGGLE_SAMPLE, substream
-
-    master = substream(cfg.seed, STREAM_KAGGLE_SAMPLE, 999)
-    repeat_seeds = master.integers(0, 2 ** 62, size=cfg.kaggle_repeats)
+    repeat_seeds = kaggle_repeat_seeds(cfg.seed, cfg.kaggle_repeats)
     rows = []
     detail = {}
     for name in sorted(ranks):

@@ -292,6 +292,14 @@ class KaggleCompareReport(NamedTuple):
                 "kaggle_values": list(self.kaggle_values)}
 
 
+def kaggle_repeat_seeds(seed, repeats):
+    """The ``repeats`` seeds of :func:`kaggle_compare`'s repeats under
+    ``seed``: one draw from the ``(seed, STREAM_KAGGLE_SAMPLE, 999)``
+    substream, which no repeat's own draws use."""
+    master = substream(seed, rng_mod.STREAM_KAGGLE_SAMPLE, 999)
+    return master.integers(0, 2 ** 62, size=repeats)
+
+
 def kaggle_compare(rank, rate, repeat_seeds):
     """Fair sampling at ``rate`` vs. per-distance-bucket balanced sampling.
 

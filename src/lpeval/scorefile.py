@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 import warnings
 
 import numpy as np
@@ -95,24 +94,36 @@ def _distinct_rows(words):
     return index, words[row]
 
 
+def _float_cell(text):
+    """A score cell as np.loadtxt reads a float64 column: blanks around
+    ASCII text that float() reads, with no '_' (which float() takes between
+    digits)."""
+    digits = text.strip()
+    if not digits.isascii() or "_" in digits:
+        raise ValueError(f"invalid float cell {text!r}")
+    return float(digits)
+
+
 def _cell_values(cells):
-    """The distance and label of a row's byte cells, or why it has none."""
+    """The distance and label of a row's two text cells, or why it has none."""
     values = []
     parsers = (parse_distance, _label_cell)
-    for name, raw, parse in zip(_CELL_DTYPE.names, cells, parsers):
-        if len(raw) == _CELL_DTYPE[name].itemsize:
-            return f"{name} cell {raw!r}... is too long"
+    for name, text, parse in zip(_CELL_DTYPE.names, cells, parsers):
+        size = _CELL_DTYPE[name].itemsize
+        if len(text) >= size:
+            return f"{name} cell {text[:size]!r}... is too long"
+        if not text.isascii():
+            return f"{name} cell {text!r} is not ASCII"
         try:
-            values.append(parse(raw.decode("ascii")))
-        except UnicodeDecodeError:
-            return f"{name} cell {raw!r} is not ASCII"
+            values.append(parse(text))
         except ValueError:
-            return f"cannot read {name} cell {raw.decode('ascii')!r}"
+            return f"cannot read {name} cell {text!r}"
     return tuple(values)
 
 
-def _decode_cells(rows, start, known, sink, width=2):
-    """Decode the byte cells of ``rows``, records ``start`` on, for ``sink``.
+def _decode_cells(rows, known, sink, width=2):
+    """Decode the byte cells of ``rows`` for ``sink``, and return whether
+    every cell could be read.
 
     Blocks of _DECODE_ROWS rows are decoded in order. Each block's rows
     are grouped by their first ``width`` 8-byte words from the distance
@@ -120,10 +131,10 @@ def _decode_cells(rows, start, known, sink, width=2):
     many score columns as follow them. Each distinct pair of cells is
     parsed once: ``known`` holds the values of every pair parsed so far, or
     why it has none. ``sink(first, index, cells)`` takes each block's first
-    record, each of its rows' index among its distinct rows, and those
+    row, each of its rows' index among its distinct rows, and those
     distinct rows as int64 columns: distance, label (1, 0, or -1 for an
-    empty cell), then the score bit patterns. Returns the first record with
-    a cell that cannot be read and why, or None.
+    empty cell), then the score bit patterns. A block with a cell that
+    cannot be read ends the decoding before it reaches the sink.
     """
     words = rows.view(np.dtype({"names": ["cells"], "formats": [(np.uint64, (width,))],
                                 "offsets": [rows.dtype.fields["distance"][1]],
@@ -137,17 +148,14 @@ def _decode_cells(rows, start, known, sink, width=2):
             pair, pairs = np.arange(len(distinct)), distinct
         values = []
         for cells in pairs.view(_CELL_DTYPE).ravel().tolist():
-            if cells not in known:
-                known[cells] = _cell_values(cells)
+            if cells not in known:  # latin-1: one character a byte
+                known[cells] = _cell_values([c.decode("latin-1") for c in cells])
             values.append(known[cells])
-        failed = np.array([isinstance(v, str) for v in values])
-        if failed.any():
-            row = int(np.argmax(failed[pair[index]]))
-            return start + lo + row, values[pair[index[row]]]
-        sink(start + lo, index,
-             np.column_stack([np.array(values, dtype=np.int64)[pair],
-                              distinct[:, 2:].view(np.int64)]))
-    return None
+        if any(isinstance(v, str) for v in values):
+            return False
+        sink(lo, index, np.column_stack([np.array(values, dtype=np.int64)[pair],
+                                         distinct[:, 2:].view(np.int64)]))
+    return True
 
 
 class _CellCounts:
@@ -265,7 +273,7 @@ def _count_blocks(src, body, fields, dtype, known, table):
 
     Once _READ_ROWS rows are read and more than half of them are their
     block's distinct tails, as in a continuous score column, the rest of
-    the body is read by :func:`_count_records`; None if it finds a
+    the body is read by :func:`_count_records`, which raises at a
     malformed record. Grouping such rows saves few parses: on 1M rows of
     one continuous column the block path alone reads about a quarter
     slower than the loadtxt path (``BENCH_27.json``, ``switch``).
@@ -287,7 +295,7 @@ def _count_blocks(src, body, fields, dtype, known, table):
             table.add(cells, np.bincount(index, count[first:first + len(index)],
                                          len(cells)).astype(np.int64))
 
-        if _decode_cells(parsed, 0, known, put, table.width) is not None:
+        if not _decode_cells(parsed, known, put, table.width):
             return False
         del parsed, count  # before the table is merged
         table.settle()
@@ -323,55 +331,63 @@ def _count_blocks(src, body, fields, dtype, known, table):
             # record holds them: its merges then come when that read's do.
             rest = _CellCounts(table.width)
             rest.add(*table.merge())
-            try:
-                return _count_records(src, body, _ID_DTYPE.descr + dtype, known,
-                                      rest, rows)
-            except IngestError:
-                return None
+            return _count_records(src, body, _ID_DTYPE.descr + dtype, known, rest,
+                                  rows)
     if tails and not parse():
         return None
     return table.merge()
 
 
-def _record_line(fh, body, record):
-    """1-based line on which data record ``record`` starts.
+def _fault(row, fields):
+    """Why a record's csv row is malformed by the fast paths' grammar, or
+    None."""
+    if len(row) != fields:
+        return f"expected {fields} fields, found {len(row)}"
+    for name, cell in zip("uv", row):
+        if cell == "":
+            return f"empty {name} cell"
+    values = _cell_values(row[2:4])
+    if isinstance(values, str):
+        return values
+    for column, cell in enumerate(row[4:], 5):
+        try:
+            _float_cell(cell)
+        except ValueError:
+            return f"could not convert string {cell!r} to float64 at column {column}"
+    return None
 
-    Records count from 0 after the header line and skip blank lines, as
-    ``np.loadtxt`` counts them; the body is re-read from offset ``body``.
+
+def _malformed(src, body, fields, first, why):
+    """The IngestError of a read that failed: the first malformed record,
+    from record ``first`` on, with the line it starts on; failing that, the
+    first empty label of a labeled column; failing that, ``why``.
+
+    The body, from offset ``body``, is read once by ``csv.reader``. Records
+    count from 0 and skip blank lines, as ``np.loadtxt`` counts them; the
+    records before ``first`` were read, so their cells are not checked.
     """
-    fh.seek(body)
-    reader = csv.reader(fh)
-    start, seen = 0, 0
+    src.seek(body)
+    reader = csv.reader(src)
+    line = record = 0  # the lines and records before the next row
+    empty, labeled = None, False
     try:
         for row in reader:
             if row:
-                if seen == record:
-                    return start + 2
-                seen += 1
-            start = reader.line_num
+                if record >= first:
+                    fault = _fault(row, fields)
+                    if fault is not None:
+                        return IngestError(fault, line=line + 2)
+                label = row[3] if len(row) > 3 else None
+                if label == "" and empty is None:
+                    empty = line + 2
+                labeled = labeled or bool(label)
+                record += 1
+            line = reader.line_num
     except csv.Error:
         pass
-    return record + 2
-
-
-# How np.loadtxt names the row a ValueError is about: a data record (blank
-# lines not counted), from 0 for a cell it cannot convert and from 1 for a
-# wrong field count.
-_CELL_ERROR = re.compile(r" at row (\d+), ")
-_WIDTH_ERROR = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
-
-
-def _loadtxt_failure(exc):
-    """The message of a ValueError of ``np.loadtxt`` and the record it
-    names (None if it names none)."""
-    text = str(exc)
-    width = _WIDTH_ERROR.search(text)
-    if width is not None:
-        return f"expected {width[1]} fields, found {width[2]}", int(width[3]) - 1
-    cell = _CELL_ERROR.search(text)
-    if cell is not None:
-        return text[:cell.start()] + " at " + text[cell.end():], int(cell[1])
-    return text, None
+    if empty is not None and labeled:
+        return IngestError("empty label in a labeled score file", line=empty)
+    return IngestError(why)
 
 
 def _not_text(exc):
@@ -392,35 +408,6 @@ def _loadtxt(fh, dtype, **kwargs):
                           comments=None, ndmin=1, **kwargs)
 
 
-def _first_bad_record(rows, start, known, sink, width=2):
-    """The first of ``rows``, records ``start`` on, with an empty id or a
-    cell that cannot be read, and why, or None; ``sink`` takes the decoded
-    cells as of :func:`_decode_cells`."""
-    bad = _decode_cells(rows, start, known, sink, width)
-    empty = np.flatnonzero((rows["u"] == "") | (rows["v"] == ""))
-    if empty.size and (bad is None or start + empty[0] < bad[0]):
-        name = "u" if rows["u"][empty[0]] == "" else "v"
-        return start + int(empty[0]), f"empty {name} cell"
-    return bad
-
-
-def _first_bad_cell(src, body, first, record, known):
-    """The first of records ``first`` to ``record - 1`` with an empty id or
-    a cell that cannot be read, and why, or None. The records are re-read
-    from offset ``body`` in the chunks of the first pass; the chunks before
-    ``first`` are read but not decoded."""
-    src.seek(body)
-    dtype = _ID_DTYPE.descr + _CELL_DTYPE.descr
-    for start in range(0, record, _READ_ROWS):
-        cells = _loadtxt(src, dtype, usecols=(0, 1, 2, 3),
-                         max_rows=min(_READ_ROWS, record - start))
-        if start >= first:
-            bad = _first_bad_record(cells, start, known, lambda *_: None)
-            if bad is not None:
-                return bad
-    return None
-
-
 def _count_records(src, body, dtype, known, table, n=0):
     """Count the records of the body, record ``n`` on, into ``table`` by
     their distinct (distance, label, score...) cells, and return its merged
@@ -430,8 +417,11 @@ def _count_records(src, body, dtype, known, table, n=0):
     ``np.loadtxt`` reads the records in chunks of _READ_ROWS into
     ``dtype``, and each chunk's cells are decoded by :func:`_decode_cells`
     into distinct rows, which the table merges as they come
-    (:class:`_CellCounts`). The first malformed record raises an
-    :class:`~lpeval.errors.IngestError` with its line.
+    (:class:`_CellCounts`). A chunk that ``np.loadtxt`` cannot read, or
+    that has an empty id or a cell that cannot be decoded, only marks the
+    read as failed: it raises the :class:`~lpeval.errors.IngestError` of
+    :func:`_malformed`, which finds the malformed record from the chunk's
+    first on and names its line.
     """
     def put(_, index, cells):
         table.add(cells, np.bincount(index, minlength=len(cells)))
@@ -443,37 +433,15 @@ def _count_records(src, body, dtype, known, table, n=0):
         except UnicodeDecodeError as exc:
             raise _not_text(exc) from None
         except ValueError as exc:
-            message, record = _loadtxt_failure(exc)
-            if record is not None:
-                record += n
-                # The chunk's records before the failed one are not
-                # checked yet; the first malformed record may be there.
-                bad = (_first_bad_cell(src, body, n, record, known)
-                       if record > n else None)
-                if bad is not None:
-                    record, message = bad
-            raise IngestError(message, line=None if record is None
-                              else _record_line(src, body, record)) from None
+            raise _malformed(src, body, len(dtype), n, str(exc)) from None
         read = len(rows)
-        bad = _first_bad_record(rows, n, known, put, table.width)
-        if bad is not None:
-            raise IngestError(bad[1], line=_record_line(src, body, bad[0]))
+        if ((rows["u"] == "") | (rows["v"] == "")).any() \
+                or not _decode_cells(rows, known, put, table.width):
+            raise _malformed(src, body, len(dtype), n, "a cell cannot be read")
         del rows  # before the next chunk is read, or the table merged
         table.settle()
         n += read
     return table.merge()
-
-
-def _first_empty_label(src, body, records):
-    """The first of the ``records`` records of the body, which starts at
-    offset ``body``, whose label cell is empty, or None."""
-    src.seek(body)
-    for start in range(0, records, _READ_ROWS):
-        label = _loadtxt(src, "U1", usecols=3, max_rows=_READ_ROWS)
-        empty = np.flatnonzero(label == "")
-        if empty.size:
-            return start + int(empty[0])
-    return None
 
 
 def read_instances_csv(path_or_file):
@@ -504,16 +472,19 @@ def read_instances_csv(path_or_file):
     ``np.loadtxt`` in chunks of _READ_ROWS, the id cells as one character
     each. A quote, a CR line end or a blank line in a block, and any block
     that cannot be read by bytes (a malformed row, bytes that are not
-    UTF-8), send the whole read back to the first record on this path,
-    which finds the malformed row. Both paths give the same counts. The
-    cells are joint over every score column: with several columns there
-    may be as many as the product of each column's cells, up to one a row.
+    UTF-8), send the whole read back to the first record on this path.
+    Both paths give the same counts. The cells are joint over every score
+    column: with several columns there may be as many as the product of
+    each column's cells, up to one a row.
 
-    A malformed row raises :class:`~lpeval.errors.IngestError` with its
-    line number, the first such row if there are several, and so does a
-    label column that is empty on some rows but not all. A stream that
-    cannot seek is read into memory first, since the read may start over
-    and an error makes second passes over the records.
+    A malformed row raises :class:`~lpeval.errors.IngestError` with the
+    line it starts on, the first such row if there are several, and so
+    does a label column that is empty on some rows but not all. The paths
+    only detect a failure; :func:`_malformed` explains it, in one
+    ``csv.reader`` pass over the body that checks the cells of each record
+    from the failed chunk's first on, with the grammar the paths read them
+    with. A stream that cannot seek is read into memory first, since the
+    read may start over and an error is located by a second pass.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
@@ -546,9 +517,8 @@ def read_instances_csv(path_or_file):
         if label.max(initial=-1) < 0:
             label = None
         elif label.min() < 0:
-            raise IngestError("empty label in a labeled score file",
-                              line=_record_line(src, body, _first_empty_label(
-                                  src, body, int(count.sum()))))
+            raise _malformed(src, body, len(header), int(count.sum()),
+                             "empty label in a labeled score file")
         else:
             label = label.astype(bool)
         scores = {name: np.ascontiguousarray(cells[:, 2 + i]).view(np.float64)

@@ -710,21 +710,74 @@ class TestInstanceCsv:
                 assert sorted(np.repeat(getattr(back, column), back.count).tolist()) \
                     == sorted([first, want])
 
-    @pytest.mark.parametrize("body, line", [
-        (",2,2,1,0.5\n", 2),                            # empty id
-        ("0,1,2,1,0.5\n\n0,,2,0,0.5\n", 4),
-        ("0,1,2,1,0.5\n0,2,far,0,0.5\n", 3),            # bad distance token
-        ("0,1,2,1,0.5\n0,2,99999999999999999999,0,0.5\n", 3),
-        ("0,1,2,1,0.5\n\n\n0,2,2,0\n", 5),              # too few fields
-        ("0,1,2,1,0.5\r\n0,2,2,0,0.5,1\r\n", 3),        # too many fields
-        ("0,1,2,1,0.5\r\n\r\n0,2,2,0,high\r\n", 4),    # unparseable score
-        ("0,1,2,yes,0.5\n", 2),                         # unparseable label
-        ("0,1,2,1,0.5\n0,2,2,,0.5\n", 3),               # partly empty labels
-        ("0,1,2,,0.5\n\n0,2,2,1,0.5\n", 2),
+    @pytest.mark.parametrize("body, line, message", [
+        (",2,2,1,0.5\n", 2, "empty u cell"),            # empty id
+        ("0,1,2,1,0.5\n\n0,,2,0,0.5\n", 4, "empty v cell"),
+        ("0,1,2,1,0.5\n0,2,far,0,0.5\n", 3,             # bad distance token
+         "cannot read distance cell 'far'"),
+        ("0,1,2,1,0.5\n0,2,99999999999999999999,0,0.5\n", 3,
+         "distance cell '9999999999999'... is too long"),
+        ("0,1,2,1,0.5\n\n\n0,2,2,0\n", 5,               # too few fields
+         "expected 5 fields, found 4"),
+        ("0,1,2,1,0.5\r\n0,2,2,0,0.5,1\r\n", 3,         # too many fields
+         "expected 5 fields, found 6"),
+        ("0,1,2,1,0.5\r\n\r\n0,2,2,0,high\r\n", 4,     # unparseable score
+         "could not convert string 'high' to float64 at column 5"),
+        ("0,1,2,yes,0.5\n", 2,                          # unparseable label
+         "label cell 'yes'... is too long"),
+        ("0,1,2,1,0.5\n0,2,2,,0.5\n", 3,                # partly empty labels
+         "empty label in a labeled score file"),
+        ("0,1,2,,0.5\n\n0,2,2,1,0.5\n", 2, "empty label in a labeled score file"),
     ])
-    def test_malformed_row_names_its_line(self, body, line):
+    def test_malformed_row_names_its_line(self, body, line, message):
         exc = ingest_error(lambda: read_instances_csv(io.StringIO(HEADER + body)))
         assert exc.line == line
+        assert message in str(exc)
+
+    @pytest.mark.parametrize("column, cell", [(0, ""), (2, "far"), (4, "high")])
+    def test_error_path_checks_only_the_failed_chunk(self, column, cell):
+        # Chunks of 4 records: the bad record 13 fails the chunk of records
+        # 12-15, and the locator checks the cells of records 12 and 13 only,
+        # in its one csv pass.
+        rows = [[str(i), str(i + 1), "2", str(i % 2), "0.5"] for i in range(20)]
+        rows[13][column] = cell
+        text = HEADER + "".join(",".join(row) + "\n" for row in rows)
+        fault = mock.Mock(wraps=scorefile._fault)
+        with mock.patch.object(scorefile, "_READ_ROWS", 4), \
+                mock.patch.object(scorefile, "_fault", fault):
+            exc = ingest_error(lambda: read_instances_csv(io.StringIO(text)))
+        assert exc.line == 15
+        assert [call.args[0] for call in fault.call_args_list] == rows[12:14]
+
+    def test_locator_without_a_fault_names_no_line(self):
+        # A read that failed where csv finds no malformed record keeps the
+        # failure's own message, and a labeled column's first empty label
+        # comes before it.
+        body = HEADER + "0,1,2,1,0.5\n\n0,2,2,,0.5\n0,3,2,,0.5\n"
+        exc = scorefile._malformed(io.StringIO(body), len(HEADER), 5, 0, "failed")
+        assert (exc.line, str(exc)) == (4, "line 4: empty label in a labeled score file")
+        body = body.replace(",1,0.5", ",,0.5")
+        exc = scorefile._malformed(io.StringIO(body), len(HEADER), 5, 0, "failed")
+        assert (exc.line, str(exc)) == (None, "failed")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(st.sampled_from(list("0123456789+-.eE_infaINF \t\x0b\x0c"
+                                        "\u00a0\x85\x1c\u0663\uff11")), max_size=6))
+    def test_score_cell_grammar_is_loadtxts(self, cell):
+        # The locator reads a score cell as np.loadtxt reads a float64 CSV
+        # column: Python's float() also takes "1_0", "\u0663" and "\uff11".
+        try:
+            want = np.loadtxt(io.StringIO(cell + ",0\n"), dtype=np.float64,
+                              delimiter=",", usecols=0, ndmin=1)[0]
+        except ValueError:
+            want = None
+        try:
+            got = np.float64(scorefile._float_cell(cell))
+        except ValueError:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.view(np.int64) == want.view(np.int64)
 
     @pytest.mark.parametrize("body, line", [
         # A bad distance before a row that np.loadtxt itself rejects.
@@ -780,7 +833,7 @@ class TestInstanceCsv:
 
     def test_loadtxt_converts_only_ids(self):
         # No cell is read through a per-cell Python converter, ids included,
-        # on either path; a failed read's second pass neither.
+        # on either path.
         calls = []
         loadtxt = np.loadtxt
 
@@ -794,9 +847,9 @@ class TestInstanceCsv:
             with pytest.raises(IngestError):
                 read_instances_csv(io.StringIO(HEADER + "0,1,2,1,0.5\n0,2,2,0,x\n"))
         # The first read parses its tails; the quoted one, on the loadtxt
-        # path, one chunk; the failed one its tails, one chunk and the
-        # second pass.
-        assert calls == [{}] * 5
+        # path, one chunk; the failed one its tails and one chunk, and its
+        # error is located by csv, not by a second np.loadtxt pass.
+        assert calls == [{}] * 4
 
     @settings(max_examples=100, deadline=None)
     @given(instance_sets(), st.sampled_from([1, 3, 4096]))
