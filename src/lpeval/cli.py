@@ -1,8 +1,9 @@
 """Command-line surface: reproducible runs from a declarative config file.
 
 Every command validates its configuration up front (exit 2 on config
-errors, exit 3 on data errors), writes artifacts atomically, and finishes
-with a manifest listing each artifact's sha256. Reruns with the same config
+errors, exit 3 on data errors and on running out of memory), writes
+artifacts atomically, and finishes with a manifest listing each artifact's
+sha256. Reruns with the same config
 and inputs produce identical digests. Undefined metrics are written as
 explicit ``undefined`` markers, not errors.
 
@@ -25,11 +26,12 @@ A ``dataset.scores`` file (a third-party predictor's scores in the instance
 CSV format) is read into the counts of its distinct (distance, label,
 score) rows, never into its rows: ``evaluate``, ``variance`` and
 ``kaggle-compare`` rank each score column from those counts. The read
-counts rows by the raw bytes of those cells and parses each block's
-distinct cells once (:func:`~lpeval.scorefile.read_instances_csv`). Its ids
-may be any non-empty strings, so the node labels that ``score`` writes
-read back. ``score`` and ``temporal`` work on candidates, and so need
-``dataset.path``.
+(:func:`~lpeval.scorefile.read_instances_csv`) cuts blocks of the file
+into rows by their bytes and parses each block's distinct cells once; from
+a block it cannot read so, one ``csv.reader`` pass counts the rows and
+names the line of a malformed one. Its ids may be any non-empty strings,
+so the node labels that ``score`` writes read back. ``score`` and
+``temporal`` work on candidates, and so need ``dataset.path``.
 
 A process started as ``lpeval`` or ``python -m lpeval.cli`` enters through
 :func:`run`: once ``main`` has returned its exit code, and stdout and
@@ -458,6 +460,9 @@ def main(argv=None):
         return 2
     except LpevalError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # numpy's _ArrayMemoryError too
+        print(f"data error: {args.command} ran out of memory", file=sys.stderr)
         return 3
     return 0
 

@@ -1,13 +1,23 @@
 """The score-file reader: a file in the instance CSV format read into the
 counts of its distinct (distance, label, score...) rows. No graph code, and
 no graph process loads it; :mod:`~lpeval.stratify` serves
-``read_instances_csv`` from here on first access."""
+``read_instances_csv`` from here on first access.
+
+A body is read on one path, in blocks of about _BLOCK_CHARS characters,
+each to the end of a line. Lines end at '\\n', '\\r\\n' or a lone '\\r' on
+every source, and blank lines are skipped. A block is cut into rows by its
+bytes, and ``np.loadtxt`` parses its distinct tails, the cells from the
+distance on. The first block that cannot be read so (a quote, a NUL, a
+malformed row), and every block after it, is read by one ``csv.reader``
+pass, which counts each record and raises at the first malformed one with
+the line it starts on.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
+import itertools
 
 import numpy as np
 
@@ -26,25 +36,16 @@ def _label_cell(text):
 # most 2; a cell that fills its width may have been cut short, so it is an
 # error.
 _CELL_DTYPE = np.dtype([("distance", "S13"), ("label", "S3")])
-# Records read by one np.loadtxt call of the loadtxt path. Its structured
-# chunk (32 B a record with one score column) is the only copy of the rows,
-# so the read holds one chunk besides the table of distinct rows. The block
-# path parses at most as many distinct tails at once, besides one block's.
+# Lines that wait for one np.loadtxt call, besides one block's, and
+# records that the csv pass counts at a time.
 _READ_ROWS = 1 << 13
-# Rows of a chunk whose cells are decoded at a time: each temporary of a
-# block takes at most 64 KiB, small enough for the allocator to reuse from
-# block to block.
-_DECODE_ROWS = 1 << 12
 # The most distinct values that _ranks finds a value's rank among by a
-# binary search.
+# binary search, and the size of the sample it looks for them in.
 _SEARCH_VALUES = 8
-# The id cells, read only to check that they are there: one character of
-# each (a longer id is cut, an empty cell reads ""). Unlike S1, U1 takes a
-# character outside latin-1.
-_ID_DTYPE = np.dtype([("u", "U1"), ("v", "U1")])
-# Characters of the body that the block path reads at a time, extended to
-# the end of the line they cut. A block's temporaries take a few times its
-# size, so a larger block holds more and reads no faster.
+_SEARCH_SAMPLE = 64
+# Characters of the body read at a time, extended to the end of the line
+# they cut. A block's temporaries take a few times its size, so a larger
+# block holds more and reads no faster.
 _BLOCK_CHARS = 1 << 16
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
@@ -55,11 +56,14 @@ def _ranks(col):
     distinct values there are.
 
     A binary search in a few values takes a few steps; among more, an
-    argsort is several times faster than a search per value.
+    argsort is several times faster than a search per value. A column whose
+    sample of about _SEARCH_SAMPLE values holds more than a few is not
+    sorted for its values first.
     """
-    values = _sorted_unique(col)
-    if values.size <= _SEARCH_VALUES:
-        return np.searchsorted(values, col), values.size
+    if _sorted_unique(col[::max(1, col.size // _SEARCH_SAMPLE)]).size <= _SEARCH_VALUES:
+        values = _sorted_unique(col)
+        if values.size <= _SEARCH_VALUES:
+            return np.searchsorted(values, col), values.size
     order = np.argsort(col)
     ordered = col[order]
     new = np.empty(col.size, dtype=np.int64)
@@ -67,7 +71,7 @@ def _ranks(col):
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     rank = np.empty(col.size, dtype=np.int64)
     rank[order] = np.cumsum(new, out=new)
-    return rank, values.size
+    return rank, int(new[-1]) + 1
 
 
 def _distinct_rows(words):
@@ -92,6 +96,17 @@ def _distinct_rows(words):
     row = np.empty(size, dtype=np.intp)
     row[index] = np.arange(index.size)  # any row of each distinct code
     return index, words[row]
+
+
+def _distinct_words(words):
+    """The distinct values of ``words`` (uint64), ascending, and how many
+    times each occurs: one sort and its run boundaries."""
+    words = np.sort(words)
+    new = np.empty(words.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(words[1:], words[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return words[first], np.diff(first, append=words.size)
 
 
 def _float_cell(text):
@@ -121,41 +136,26 @@ def _cell_values(cells):
     return tuple(values)
 
 
-def _decode_cells(rows, known, sink, width=2):
-    """Decode the byte cells of ``rows`` for ``sink``, and return whether
-    every cell could be read.
+def _decode_cells(words, known):
+    """Each row's index among the distinct rows of ``words``, the 8-byte
+    words of rows as ``np.loadtxt`` parsed them from the byte cells on, and
+    those rows as int64 columns (distance, label: 1, 0 or -1 for an empty
+    cell, then the score bit patterns); None if a byte cell cannot be read.
 
-    Blocks of _DECODE_ROWS rows are decoded in order. Each block's rows
-    are grouped by their first ``width`` 8-byte words from the distance
-    cell on: the two words of the byte cells, then the bit patterns of as
-    many score columns as follow them. Each distinct pair of cells is
-    parsed once: ``known`` holds the values of every pair parsed so far, or
-    why it has none. ``sink(first, index, cells)`` takes each block's first
-    row, each of its rows' index among its distinct rows, and those
-    distinct rows as int64 columns: distance, label (1, 0, or -1 for an
-    empty cell), then the score bit patterns. A block with a cell that
-    cannot be read ends the decoding before it reaches the sink.
+    Each distinct pair of byte cells is parsed once: ``known`` holds the
+    values of every pair parsed so far, or why it has none.
     """
-    words = rows.view(np.dtype({"names": ["cells"], "formats": [(np.uint64, (width,))],
-                                "offsets": [rows.dtype.fields["distance"][1]],
-                                "itemsize": rows.dtype.itemsize}))["cells"]
-    for lo in range(0, len(rows), _DECODE_ROWS):
-        index, distinct = _distinct_rows(
-            np.ascontiguousarray(words[lo:lo + _DECODE_ROWS]))
-        if width > 2:  # the distinct pairs of cells among the distinct rows
-            pair, pairs = _distinct_rows(np.ascontiguousarray(distinct[:, :2]))
-        else:
-            pair, pairs = np.arange(len(distinct)), distinct
-        values = []
-        for cells in pairs.view(_CELL_DTYPE).ravel().tolist():
-            if cells not in known:  # latin-1: one character a byte
-                known[cells] = _cell_values([c.decode("latin-1") for c in cells])
-            values.append(known[cells])
-        if any(isinstance(v, str) for v in values):
-            return False
-        sink(lo, index, np.column_stack([np.array(values, dtype=np.int64)[pair],
-                                         distinct[:, 2:].view(np.int64)]))
-    return True
+    index, distinct = _distinct_rows(words)
+    pair, pairs = _distinct_rows(distinct[:, :2])
+    values = []
+    for cells in pairs.view(_CELL_DTYPE).ravel().tolist():
+        if cells not in known:  # latin-1: one character a byte
+            known[cells] = _cell_values([c.decode("latin-1") for c in cells])
+        values.append(known[cells])
+    if any(isinstance(v, str) for v in values):
+        return None
+    return index, np.column_stack([np.array(values, dtype=np.int64).reshape(-1, 2)[pair],
+                                   distinct[:, 2:].view(np.int64)])
 
 
 class _CellCounts:
@@ -168,23 +168,21 @@ class _CellCounts:
     the waiting rows are three times the table, one doubling later: with
     nearly as many cells as rows, a merge does more work than it saves. So
     n rows cost O(n log n) however many are distinct, and the rows held are
-    at most about four times the distinct rows seen, plus two chunks,
+    at most about four times the distinct rows seen, plus one block's,
     whatever their order.
     """
 
     def __init__(self, width):
-        self.width = width
         self.rows = [np.empty((0, width), dtype=np.int64)]
         self.counts = [np.empty(0, dtype=np.int64)]
         self.waiting, self.due = 0, _READ_ROWS
 
     def add(self, rows, counts):
+        """Add ``rows`` with their counts, and merge if the waiting rows are
+        due."""
         self.rows.append(rows)
         self.counts.append(counts)
         self.waiting += len(rows)
-
-    def settle(self):
-        """Merge the waiting blocks if they are due."""
         if self.waiting > self.due:
             self.merge()
 
@@ -202,11 +200,10 @@ class _CellCounts:
         return rows, counts
 
 
-def _tail_words(data, lo, size):
-    """The bytes ``data[lo:lo + size]`` of each row as little-endian uint64
+def _tail_words(word_at, lo, size):
+    """The bytes ``lo:lo + size`` of each row as little-endian uint64
     columns, 8 bytes a column as far as the longest row, each row's bytes
-    past its end zero. ``data`` ends in 8 bytes that no row holds."""
-    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    past its end zero. ``word_at[i]`` is the word at byte i."""
     words = []
     for j in range(-(-int(size.max()) // 8)):
         at = np.minimum(size, 8 * j)  # a row that has ended keeps no byte
@@ -224,27 +221,42 @@ def _tail_lines(words):
 
 
 def _block_tails(data, fields):
-    """The distinct tails of a block of whole lines, the UTF-8 bytes
-    ``data``, as the cells from the distance on, one line each, and how
-    many rows carry each; None if the block has a quote, a CR or a NUL, a
-    row that has not ``fields`` cells (a blank line has one) or has an
-    empty id, or tails that are not ASCII.
+    """A block of whole lines, the UTF-8 bytes ``data``, as ``(lines,
+    counts, ids)``: the lines to parse, how many rows each stands for, and
+    whether they are the block's rows, ids and all. None if the block has a
+    quote or a NUL, a row that has not ``fields`` cells or has an empty id,
+    or tails that are not ASCII.
 
-    The rows are cut at the bytes ',' and '\\n' and grouped by the bytes of
-    their tails (:func:`_distinct_rows`).
+    CR and CRLF line ends become '\\n' and blank lines are dropped. If the
+    last 8 bytes of the rows (of every 8th row in a block of 64 or more)
+    are mostly distinct, as in a continuous score column, grouping would
+    save few parses, and an ASCII block is its own lines. Otherwise the rows
+    are cut at the bytes ',' and '\\n', and the lines are the block's
+    distinct tails, the cells from the distance on: tails of one word
+    counted by one sort (:func:`_distinct_words`), longer ones grouped by
+    :func:`_distinct_rows`.
     """
-    if b'"' in data or b"\r" in data or b"\0" in data:
+    if b'"' in data or b"\0" in data:
         return None
-    # A last line without a newline gets one, and _tail_words 8 more bytes.
+    if b"\r" in data:  # a CRLF line end becomes a blank line
+        data = data.replace(b"\r", b"\n")
+    # A last line without a newline gets one, and word_at 8 more bytes.
     data += (b"" if data.endswith(b"\n") else b"\n") + bytes(8)
     byte = np.frombuffer(data, dtype=np.uint8, count=len(data) - 8)
     cut = np.flatnonzero((byte == ord(",")) | (byte == ord("\n")))
-    if cut.size % fields:
+    end = cut[byte[cut] == ord("\n")]
+    if end[0] == 0 or (np.diff(end) == 1).any():  # blank lines
+        data = b"\n".join(filter(None, data[:-8].split(b"\n")))
+        return _block_tails(data, fields) if data else \
+            (b"", np.empty(0, dtype=np.int64), False)
+    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    last = np.sort(word_at[(end[::8] if len(end) >= 64 else end) - 8])
+    if 2 * (1 + np.count_nonzero(last[1:] != last[:-1])) > len(last) and data.isascii():
+        return data[:-8], np.ones(len(end), dtype=np.int64), True
+    if cut.size != fields * end.size:
         return None
     cut = cut.reshape(-1, fields)
-    ends = np.full(fields, ord(","), dtype=np.uint8)
-    ends[-1] = ord("\n")
-    if (byte[cut] != ends).any():
+    if (cut[:, -1] != end).any():
         return None  # a row with fewer cells than ``fields`` or more
     end = cut[:, -1]
     if cut[0, 0] == 0 or (cut[1:, 0] == end[:-1] + 1).any() \
@@ -252,142 +264,177 @@ def _block_tails(data, fields):
         return None  # an empty id
     lo = cut[:, 1] + 1
     size = end - lo
-    del cut, end
-    index, rows = _distinct_rows(np.column_stack(_tail_words(data, lo, size)))
-    lines = _tail_lines(rows)
-    return (lines, np.bincount(index)) if lines.isascii() else None
+    del cut
+    words = _tail_words(word_at, lo, size)
+    if len(words) == 1:
+        tails, counts = _distinct_words(words[0])
+        lines = _tail_lines(tails[:, None])
+    else:
+        index, tails = _distinct_rows(np.column_stack(words))
+        lines, counts = _tail_lines(tails), np.bincount(index)
+    return (lines, counts, False) if lines.isascii() else None
 
 
-def _count_blocks(src, body, fields, dtype, known, table):
-    """Count the rows of the body from offset ``body`` on into ``table``
-    by their distinct (distance, label, score...) cells, and return its
-    merged rows and counts, or None if a block cannot be read this way.
+def _texts(src):
+    """The rest of ``src`` in blocks of about _BLOCK_CHARS characters,
+    each to the end of a line. No block is held once the next is read."""
+    def block():
+        text = src.read(_BLOCK_CHARS)
+        return text + src.readline() if text[-1:] not in ("", "\n") else text
 
-    The body is read _BLOCK_CHARS characters at a time, to the end of the
-    line the block cuts, and each block is reduced to its distinct tails
-    (:func:`_block_tails`). Tails wait until the next block's would take
-    them past _READ_ROWS; then ``np.loadtxt`` parses them into ``dtype``,
-    :func:`_decode_cells` decodes them, and each adds the count of its rows
-    to the table. None also stands for bytes that are not UTF-8 and a tail
-    that cannot be read.
-
-    Once _READ_ROWS rows are read and more than half of them are their
-    block's distinct tails, as in a continuous score column, the rest of
-    the body is read by :func:`_count_records`, which raises at a
-    malformed record. Grouping such rows saves few parses: on 1M rows of
-    one continuous column the block path alone reads about a quarter
-    slower than the loadtxt path (``BENCH_27.json``, ``switch``).
-    """
-    tails, counts = [], []  # the blocks' distinct tails, not yet parsed
-    rows = distinct = 0  # the rows read, and their blocks' distinct tails
-
-    def parse():
-        """Parse the waiting tails into the table; False if one cannot be."""
-        count = np.concatenate(counts)
-        try:  # ASCII lines, which np.loadtxt reads from bytes as latin-1
-            parsed = _loadtxt(io.BytesIO(b"".join(tails)), dtype)
-        except ValueError:
-            return False
-        tails.clear()
-        counts.clear()
-
-        def put(first, index, cells):
-            table.add(cells, np.bincount(index, count[first:first + len(index)],
-                                         len(cells)).astype(np.int64))
-
-        if not _decode_cells(parsed, known, put, table.width):
-            return False
-        del parsed, count  # before the table is merged
-        table.settle()
-        return True
-
-    while True:
-        try:
-            text = src.read(_BLOCK_CHARS)
-            if text[-1:] not in ("", "\n"):
-                text += src.readline()
-        except UnicodeDecodeError:
-            return None
-        if not text:
-            break
-        data = text.encode("utf-8")
-        del text
-        block = _block_tails(data, fields)
-        del data
-        if block is None:
-            return None
-        lines, count = block
-        if tails and sum(map(len, counts)) + len(count) > _READ_ROWS \
-                and not parse():
-            return None
-        tails.append(lines)
-        counts.append(count)
-        rows += int(count.sum())
-        distinct += len(count)
-        if rows >= _READ_ROWS and 2 * distinct > rows:
-            if not parse():
-                return None
-            # The cells so far wait in a new table, as a read from the first
-            # record holds them: its merges then come when that read's do.
-            rest = _CellCounts(table.width)
-            rest.add(*table.merge())
-            return _count_records(src, body, _ID_DTYPE.descr + dtype, known, rest,
-                                  rows)
-    if tails and not parse():
-        return None
-    return table.merge()
+    return iter(block, "")
 
 
-def _fault(row, fields):
-    """Why a record's csv row is malformed by the fast paths' grammar, or
-    None."""
+def _line_ends(text):
+    """How many lines ``text`` ends: at '\\n', '\\r\\n' or a lone '\\r'."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _records(src, body, first):
+    """``(line, row)`` of each record of the body, which starts at position
+    ``body`` of ``src`` on line 2, from its block ``first`` on
+    (:func:`_texts`), as ``csv.reader`` reads it with lines ending at
+    '\\n', '\\r\\n' or a lone '\\r'. Blank lines are skipped; a csv error is
+    an IngestError at its record's line."""
+    src.seek(body)
+    texts = _texts(src)
+    line = 2 + sum(map(_line_ends, itertools.islice(texts, first)))
+    reader = csv.reader(part for text in texts for part in io.StringIO(text, newline=""))
+    start = line
+    try:
+        for row in reader:
+            if row:
+                yield start, row
+            start = line + reader.line_num
+    except csv.Error as exc:
+        raise IngestError(str(exc), line=start) from None
+
+
+def _row_values(row, fields, pairs):
+    """A record's csv row as (distance, label, score...), or why it is
+    malformed, by the grammar the block path reads. ``pairs`` holds the
+    values of each (distance, label) pair of cells read so far, or why it
+    has none."""
     if len(row) != fields:
         return f"expected {fields} fields, found {len(row)}"
     for name, cell in zip("uv", row):
         if cell == "":
             return f"empty {name} cell"
-    values = _cell_values(row[2:4])
+        if "\0" in cell:  # no other cell reads with one
+            return f"NUL in {name} cell"
+    cells = (row[2], row[3])
+    if cells not in pairs:
+        pairs[cells] = _cell_values(cells)
+    values = pairs[cells]
     if isinstance(values, str):
         return values
+    scores = []
     for column, cell in enumerate(row[4:], 5):
         try:
-            _float_cell(cell)
+            scores.append(_float_cell(cell))
         except ValueError:
             return f"could not convert string {cell!r} to float64 at column {column}"
-    return None
+    return values + tuple(scores)
 
 
-def _malformed(src, body, fields, first, why):
-    """The IngestError of a read that failed: the first malformed record,
-    from record ``first`` on, with the line it starts on; failing that, the
-    first empty label of a labeled column; failing that, ``why``.
+def _count_csv(src, body, first, fields, table):
+    """Count the records of the body from its block ``first`` on into
+    ``table`` (:func:`_records`), and raise an IngestError at the first
+    malformed one, with the line it starts on."""
+    pairs = {}
 
-    The body, from offset ``body``, is read once by ``csv.reader``. Records
-    count from 0 and skip blank lines, as ``np.loadtxt`` counts them; the
-    records before ``first`` were read, so their cells are not checked.
+    def values(at, row):
+        values = _row_values(row, fields, pairs)
+        if isinstance(values, str):
+            raise IngestError(values, line=at)
+        return values
+
+    records = itertools.starmap(values, _records(src, body, first))
+    while rows := list(itertools.islice(records, _READ_ROWS)):
+        # A distance has at most 12 digits, which float64 holds exactly.
+        cells = np.array(rows, dtype=np.float64)
+        table.add(np.column_stack([cells[:, :2].astype(np.int64),
+                                   cells[:, 2:].view(np.int64)]),
+                  np.ones(len(rows), dtype=np.int64))
+
+
+def _count_body(src, body, fields, dtype, table):
+    """Count the body of ``src``, which starts at its position ``body``,
+    into ``table`` by its distinct (distance, label, score...) rows, and
+    return the index of the first block of the first parse with an empty
+    label cell, or of the csv pass's first block if no parse before it had
+    one; None if neither.
+
+    Each block is cut by :func:`_block_tails`. Its lines wait until the
+    next block's would take them past _READ_ROWS or are of the other kind
+    (tails, or whole rows, whose ids ``np.loadtxt`` reads as one character
+    each, which an empty id leaves empty); then ``np.loadtxt`` parses them
+    into ``dtype``, :func:`_decode_cells` decodes them, and each distinct
+    row adds the count of its rows to the table. If waiting blocks cannot
+    be parsed together, they are parsed one by one up to the first that
+    cannot be. From that block, or from one that cannot be cut,
+    :func:`_count_csv` counts the rest of the body, and raises at a
+    malformed record with its line; no record is counted twice.
     """
-    src.seek(body)
-    reader = csv.reader(src)
-    line = record = 0  # the lines and records before the next row
-    empty, labeled = None, False
-    try:
-        for row in reader:
-            if row:
-                if record >= first:
-                    fault = _fault(row, fields)
-                    if fault is not None:
-                        return IngestError(fault, line=line + 2)
-                label = row[3] if len(row) > 3 else None
-                if label == "" and empty is None:
-                    empty = line + 2
-                labeled = labeled or bool(label)
-                record += 1
-            line = reader.line_num
-    except csv.Error:
-        pass
-    if empty is not None and labeled:
-        return IngestError("empty label in a labeled score file", line=empty)
-    return IngestError(why)
+    known = {}
+    waiting = []  # (index, lines, counts, ids) of the blocks not yet parsed
+    empty = failed = None
+
+    def parse(first, lines, counts, ids):
+        """Count the parsed ``lines`` of the blocks from ``first`` on into
+        the table; False if they cannot be."""
+        nonlocal empty
+        try:  # ASCII lines, which np.loadtxt reads from bytes as latin-1
+            rows = np.loadtxt(io.BytesIO(lines), delimiter=",", comments=None, ndmin=1,
+                              dtype=[("u", "U1"), ("v", "U1")] + dtype if ids else dtype)
+        except ValueError:
+            return False
+        words = rows.view(np.uint64).reshape(len(rows), -1)
+        if ids:
+            if ((rows["u"] == "") | (rows["v"] == "")).any():
+                return False
+            words = words[:, 1:]
+        decoded = _decode_cells(words, known)
+        if decoded is None:
+            return False
+        del rows, words  # before the table is merged
+        index, cells = decoded
+        if empty is None and (cells[:, 1] < 0).any():
+            empty = first
+        table.add(cells, np.bincount(index, counts, len(cells)).astype(np.int64))
+        return True
+
+    def flush():
+        """Parse the waiting blocks; the index of the first that cannot be
+        parsed, or None."""
+        blocks = waiting[:]
+        waiting.clear()
+        if not blocks or parse(blocks[0][0], b"".join(b[1] for b in blocks),
+                               np.concatenate([b[2] for b in blocks]), blocks[0][3]):
+            return None
+        for block in blocks[:-1]:
+            if not parse(*block):
+                return block[0]
+        return blocks[-1][0]  # the blocks fail together, so the last does
+
+    for i, data in enumerate(map(str.encode, _texts(src))):
+        block = _block_tails(data, fields)
+        if block is None or waiting and (
+                block[2] != waiting[0][3]
+                or sum(len(b[2]) for b in waiting) + len(block[1]) > _READ_ROWS):
+            failed = flush()
+            if failed is None and block is None:
+                failed = i
+            if failed is not None:
+                break
+        if len(block[1]):
+            waiting.append((i, *block))
+    else:
+        failed = flush()
+    if failed is not None:
+        _count_csv(src, body, failed, fields, table)
+        empty = failed if empty is None else empty
+    return empty
 
 
 def _not_text(exc):
@@ -395,53 +442,6 @@ def _not_text(exc):
     whichever block of the file was being decoded."""
     return IngestError(f"'{exc.encoding}' codec can't decode "
                        f"{exc.object[exc.start:exc.end]!r}: {exc.reason}")
-
-
-def _loadtxt(fh, dtype, **kwargs):
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        # max_rows counts records, not lines, as the line numbers do.
-        warnings.filterwarnings("ignore", "Input line .* contained no data",
-                                UserWarning)
-        return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                          comments=None, ndmin=1, **kwargs)
-
-
-def _count_records(src, body, dtype, known, table, n=0):
-    """Count the records of the body, record ``n`` on, into ``table`` by
-    their distinct (distance, label, score...) cells, and return its merged
-    rows and counts. ``src`` is at record ``n`` of the body, which starts at
-    offset ``body``.
-
-    ``np.loadtxt`` reads the records in chunks of _READ_ROWS into
-    ``dtype``, and each chunk's cells are decoded by :func:`_decode_cells`
-    into distinct rows, which the table merges as they come
-    (:class:`_CellCounts`). A chunk that ``np.loadtxt`` cannot read, or
-    that has an empty id or a cell that cannot be decoded, only marks the
-    read as failed: it raises the :class:`~lpeval.errors.IngestError` of
-    :func:`_malformed`, which finds the malformed record from the chunk's
-    first on and names its line.
-    """
-    def put(_, index, cells):
-        table.add(cells, np.bincount(index, minlength=len(cells)))
-
-    read = _READ_ROWS
-    while read == _READ_ROWS:
-        try:
-            rows = _loadtxt(src, dtype, max_rows=_READ_ROWS)
-        except UnicodeDecodeError as exc:
-            raise _not_text(exc) from None
-        except ValueError as exc:
-            raise _malformed(src, body, len(dtype), n, str(exc)) from None
-        read = len(rows)
-        if ((rows["u"] == "") | (rows["v"] == "")).any() \
-                or not _decode_cells(rows, known, put, table.width):
-            raise _malformed(src, body, len(dtype), n, "a cell cannot be read")
-        del rows  # before the next chunk is read, or the table merged
-        table.settle()
-        n += read
-    return table.merge()
 
 
 def read_instances_csv(path_or_file):
@@ -454,71 +454,64 @@ def read_instances_csv(path_or_file):
     pipeline. Ids may be any strings (``score`` writes node labels); they
     are checked for presence only, and an empty id cell is an error.
 
-    The block path reads the body in blocks of _BLOCK_CHARS characters,
-    each to the end of the line it cuts (:func:`_count_blocks`). A block's
-    rows are cut at ',' and '\\n' by byte compares and grouped by the raw
-    bytes of their tails, the cells from the distance on, so only each
-    block's distinct tails are parsed, by ``np.loadtxt``: scores into
-    float64, the distance and label cells as ASCII bytes of a fixed width
-    (at most 12 and 2 bytes), which are decoded once per distinct pair of
-    cells (:func:`_decode_cells`). Each tail adds the count of the rows
-    that carry it to a table of distinct rows, which is merged as blocks
-    come (:class:`_CellCounts`) and once more at the end. Once _READ_ROWS
-    rows are read and more than half of them were distinct tails of their
-    block, as in a continuous score column, the rest of the body is read by
-    the loadtxt path.
+    The body is read in blocks of _BLOCK_CHARS characters, each to the end
+    of the line it cuts (:func:`_count_body`). Lines end at '\\n', '\\r\\n'
+    or a lone '\\r', on every source, and blank lines are skipped. A
+    block's rows are cut at ',' and the line ends by byte compares and
+    grouped by the raw bytes of their tails, the cells from the distance
+    on, so only each block's distinct tails are parsed, by ``np.loadtxt``:
+    scores into float64, the distance and label cells as ASCII bytes of a
+    fixed width (at most 12 and 2 bytes), which are decoded once per
+    distinct pair of cells. A block whose tails are mostly distinct, as in
+    a continuous score column, is parsed whole instead. Each row adds its
+    count to a table of distinct rows, which is merged as blocks come
+    (:class:`_CellCounts`) and once more at the end. The cells are joint
+    over every score column: with several columns there may be as many as
+    the product of each column's cells, up to one a row.
 
-    The loadtxt path (:func:`_count_records`) parses every record with
-    ``np.loadtxt`` in chunks of _READ_ROWS, the id cells as one character
-    each. A quote, a CR line end or a blank line in a block, and any block
-    that cannot be read by bytes (a malformed row, bytes that are not
-    UTF-8), send the whole read back to the first record on this path.
-    Both paths give the same counts. The cells are joint over every score
-    column: with several columns there may be as many as the product of
-    each column's cells, up to one a row.
-
-    A malformed row raises :class:`~lpeval.errors.IngestError` with the
-    line it starts on, the first such row if there are several, and so
-    does a label column that is empty on some rows but not all. The paths
-    only detect a failure; :func:`_malformed` explains it, in one
-    ``csv.reader`` pass over the body that checks the cells of each record
-    from the failed chunk's first on, with the grammar the paths read them
-    with. A stream that cannot seek is read into memory first, since the
-    read may start over and an error is located by a second pass.
+    A block with a quote (an id holding ',' or '"'), a NUL or a malformed
+    row, and the rest of the body after it, is read by one ``csv.reader``
+    pass with the same grammar (:func:`_count_csv`), which counts each
+    record and raises :class:`~lpeval.errors.IngestError` at the first
+    malformed one, with the line it starts on; a NUL is an error wherever
+    it is. A label column that is empty on some rows but not all is an
+    error at its first empty label. A stream that cannot seek is read into
+    memory first, since an error is located by reading its block again.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
           else path_or_file)
     try:
         try:
-            first = fh.readline()
             src = fh if fh.seekable() else io.StringIO(fh.read())
+            # The header ends at the first line end of any kind.
+            pos = src.tell()
+            first = next(io.StringIO(src.readline(), newline=""), "")
+            src.seek(pos)
+            src.read(len(first))
+            header = next(csv.reader([first]), None)
+            if header is None or header[:4] != ["u", "v", "distance", "label"] \
+                    or "\0" in first:
+                raise IngestError("expected header u,v,distance,label[,score...]",
+                                  line=1)
+            score_names = [h[6:] if h.startswith("score_") else "score"
+                           for h in header[4:]]
+            # The score columns follow the byte cells, so that rows can be
+            # grouped by the words from the distance cell on.
+            tail = _CELL_DTYPE.descr + [(f"score{i}", np.float64)
+                                        for i in range(len(score_names))]
+            table = _CellCounts(2 + len(score_names))
+            body = src.tell()
+            empty = _count_body(src, body, len(header), tail, table)
         except UnicodeDecodeError as exc:
             raise _not_text(exc) from None
-        body = src.tell()
-        header = next(csv.reader([first]), None)
-        if header is None or header[:4] != ["u", "v", "distance", "label"]:
-            raise IngestError("expected header u,v,distance,label[,score...]", line=1)
-        score_names = [h[6:] if h.startswith("score_") else "score"
-                       for h in header[4:]]
-        # The score columns follow the byte cells, so that rows can be
-        # grouped by the words from the distance cell on.
-        tail = _CELL_DTYPE.descr + [(f"score{i}", np.float64)
-                                    for i in range(len(score_names))]
-        known = {}
-        width = 2 + len(score_names)
-        counted = _count_blocks(src, body, len(header), tail, known, _CellCounts(width))
-        if counted is None:
-            src.seek(body)
-            counted = _count_records(src, body, _ID_DTYPE.descr + tail, known,
-                                     _CellCounts(width))
-        cells, count = counted
+        cells, count = table.merge()
         label = cells[:, 1]
         if label.max(initial=-1) < 0:
             label = None
         elif label.min() < 0:
-            raise _malformed(src, body, len(header), int(count.sum()),
-                             "empty label in a labeled score file")
+            raise IngestError("empty label in a labeled score file", line=next(
+                at for at, row in _records(src, body, empty) if row[3:4] == [""]))
         else:
             label = label.astype(bool)
         scores = {name: np.ascontiguousarray(cells[:, 2 + i]).view(np.float64)

@@ -264,6 +264,10 @@ def test_evaluate_sampling_config_errors_exit_2(tmp_path, capsys, settings, fiel
     ("0,1,2,1,0.5\n0,2,far,0,0.5\n", 3),
     ("0,,2,1,0.5\n", 2),  # an empty id
     ("0,1,2,1,0.5\n0,2,2,,0.5\n", 3),
+    ("0,1,2,1,0.5\n0\0,2,2,0,0.5\n", 3),  # a NUL in an id
+    ("0,1,2,1,0.5\n0,2,2\0,0,0.5\n", 3),  # ... in a distance
+    ("0,1,2,1,0.5\r0,2,2,0,0.5\r0,3,far,1,0.5\r", 4),  # lone CR line ends
+    ("0,1,2,1,0.5\n0,2,2\r,0,0.5\n", 3),  # a lone CR inside a row
 ])
 @pytest.mark.parametrize("command", ["variance", "kaggle-compare"])
 def test_malformed_score_file_exits_3(tmp_path, capsys, command, body, line):
@@ -272,6 +276,26 @@ def test_malformed_score_file_exits_3(tmp_path, capsys, command, body, line):
     assert cli.main([command, "--out", str(tmp_path / "out"),
                      "--set", f"dataset.scores={scores}"]) == 3
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [("evaluate", "generate_test_set"),
+                                           ("score", "write_instances_csv")])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command, name):
+    # numpy's _ArrayMemoryError is a MemoryError: a command that runs out
+    # of memory, before or while it writes an artifact, is a data error
+    # with one line that names the command, and leaves no file behind.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    events = tmp_path / "events.tsv"
+    write_event_file(synthetic_event_log(60, 4.0, 100, seed=3), events)
+    monkeypatch.setattr(cli, name, out_of_memory)
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), "--set", f"dataset.path={events}",
+                     *WINDOWS]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {command} ran out of memory"]
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["variance", "kaggle-compare"])

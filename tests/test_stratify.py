@@ -110,14 +110,11 @@ def empty_id_record(inst, id_labels):
     return None
 
 
-def assert_empty_id_error(read, prefix, name, universal=False):
+def assert_empty_id_error(read, prefix, name):
     """``read()`` raises the error of an empty ``name`` cell on the line of
     the record that follows ``prefix``, the text before it: lines end at
-    '\n', and also at a lone '\r' if ``universal`` (a file opened with
-    ``newline=""``)."""
-    breaks = prefix.count("\n")
-    if universal:
-        breaks += prefix.count("\r") - prefix.count("\r\n")
+    '\n', '\r\n' or a lone '\r', from a file or a stream."""
+    breaks = prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n")
     with pytest.raises(IngestError, match=f"empty {name} cell") as exc:
         read()
     assert exc.value.line == breaks + 1
@@ -566,8 +563,7 @@ class TestInstanceCsv:
             if empty is not None:
                 record, name = empty
                 prefix = instances_csv_text(inst.take(np.arange(record)), id_labels, keys)
-                assert_empty_id_error(read, with_line_ends(prefix, iter(ends)), name,
-                                      universal=from_file)
+                assert_empty_id_error(read, with_line_ends(prefix, iter(ends)), name)
                 return
             cells = read()
         assert_read_as_rows(cells, want)
@@ -575,7 +571,7 @@ class TestInstanceCsv:
     @settings(max_examples=150, deadline=None)
     @given(instance_sets(), st.sampled_from([1, 3, 8192]),
            st.sampled_from([1, 3, 4096]))
-    def test_counted_ranking_equals_row_ranking(self, case, read_rows, decode_rows):
+    def test_counted_ranking_equals_row_ranking(self, case, read_rows, block_chars):
         # Each score column of a file ranks from its counts into the Ranking
         # of the file's rows; a NaN score is refused by both.
         inst, id_labels, keys = case
@@ -585,7 +581,7 @@ class TestInstanceCsv:
             {name: i for i, name in enumerate(id_labels)}
         rows = read_instances_rows(io.StringIO(buf.getvalue()), id_index=index)
         with mock.patch.object(scorefile, "_READ_ROWS", read_rows), \
-                mock.patch.object(scorefile, "_DECODE_ROWS", decode_rows):
+                mock.patch.object(scorefile, "_BLOCK_CHARS", block_chars):
             empty = empty_id_record(inst, id_labels)
             if empty is not None:
                 record, name = empty
@@ -728,37 +724,78 @@ class TestInstanceCsv:
         ("0,1,2,1,0.5\n0,2,2,,0.5\n", 3,                # partly empty labels
          "empty label in a labeled score file"),
         ("0,1,2,,0.5\n\n0,2,2,1,0.5\n", 2, "empty label in a labeled score file"),
+        # A NUL in any cell, on the block path and on the csv pass.
+        ("0,1,2,1,0.5\n0\0,2,2,0,0.5\n", 3, "NUL in u cell"),
+        ("0,1,2,1,0.5\n0,2,2\0,0,0.5\n", 3, "cannot read distance cell '2\\x00'"),
+        ("0,1,2,1,0.5\n0,2,2,\0,0.5\n", 3, "cannot read label cell '\\x00'"),
+        ("0,1,2,1,0.5\n0,2,2,0,0.5\0\n", 3,
+         "could not convert string '0.5\\x00' to float64 at column 5"),
+        ('"a",b,2,1,0.5\n0,2\0,2,0,0.5\n', 3, "NUL in v cell"),
+        # A lone CR ends a line, from a file or a stream.
+        ("0,1,2,1,0.5\r0,2,far,0,0.5\r", 3, "cannot read distance cell 'far'"),
+        ("0,1,2,1,0.5\r\r0,,2,0,0.5\n", 4, "empty v cell"),
+        ("0,1,2,1\r0,2,2,0,0.5\n", 2, "expected 5 fields, found 4"),
+        ("0,1,2,1,0.5\n0,2,2\r,0,0.5\n", 3, "expected 5 fields, found 3"),
+        ("0,1,2,1,0.5\n0,2,2,0,0.5\r1,2,2,,0.5\r", 4,
+         "empty label in a labeled score file"),
     ])
-    def test_malformed_row_names_its_line(self, body, line, message):
-        exc = ingest_error(lambda: read_instances_csv(io.StringIO(HEADER + body)))
-        assert exc.line == line
-        assert message in str(exc)
+    def test_malformed_row_names_its_line(self, tmp_path, body, line, message):
+        path = tmp_path / "scores.csv"
+        path.write_bytes((HEADER + body).encode("utf-8"))
+        for source in (str(path), io.StringIO(HEADER + body), Unseekable(HEADER + body)):
+            exc = ingest_error(lambda: read_instances_csv(source))
+            assert exc.line == line
+            assert message in str(exc)
 
+    @pytest.mark.parametrize("bad", [13, 19])
     @pytest.mark.parametrize("column, cell", [(0, ""), (2, "far"), (4, "high")])
-    def test_error_path_checks_only_the_failed_chunk(self, column, cell):
-        # Chunks of 4 records: the bad record 13 fails the chunk of records
-        # 12-15, and the locator checks the cells of records 12 and 13 only,
-        # in its one csv pass.
+    def test_error_path_checks_only_the_failed_chunk(self, column, cell, bad):
+        # A block a record, parsed 4 at a time: the bad record fails the
+        # parse of its 4 blocks, which are then parsed one by one up to its
+        # own, and the csv pass starts there and checks it alone. Every
+        # record before it is counted once; np.loadtxt sees each record
+        # before the failed 4 once and those at most twice, and the read
+        # never starts over from the first record.
         rows = [[str(i), str(i + 1), "2", str(i % 2), "0.5"] for i in range(20)]
-        rows[13][column] = cell
+        rows[bad][column] = cell
         text = HEADER + "".join(",".join(row) + "\n" for row in rows)
-        fault = mock.Mock(wraps=scorefile._fault)
-        with mock.patch.object(scorefile, "_READ_ROWS", 4), \
-                mock.patch.object(scorefile, "_fault", fault):
-            exc = ingest_error(lambda: read_instances_csv(io.StringIO(text)))
-        assert exc.line == 15
-        assert [call.args[0] for call in fault.call_args_list] == rows[12:14]
+        row_values = mock.Mock(wraps=scorefile._row_values)
+        parsed, counted = [], []
+        loadtxt, add = np.loadtxt, scorefile._CellCounts.add
 
-    def test_locator_without_a_fault_names_no_line(self):
-        # A read that failed where csv finds no malformed record keeps the
-        # failure's own message, and a labeled column's first empty label
-        # comes before it.
-        body = HEADER + "0,1,2,1,0.5\n\n0,2,2,,0.5\n0,3,2,,0.5\n"
-        exc = scorefile._malformed(io.StringIO(body), len(HEADER), 5, 0, "failed")
-        assert (exc.line, str(exc)) == (4, "line 4: empty label in a labeled score file")
-        body = body.replace(",1,0.5", ",,0.5")
-        exc = scorefile._malformed(io.StringIO(body), len(HEADER), 5, 0, "failed")
-        assert (exc.line, str(exc)) == (None, "failed")
+        def spy(fh, *args, **kwargs):
+            parsed.append(fh.getvalue().count(b"\n"))
+            return loadtxt(fh, *args, **kwargs)
+
+        def count(table, cells, counts):
+            counted.append(int(counts.sum()))
+            add(table, cells, counts)
+
+        with mock.patch.object(scorefile, "_BLOCK_CHARS", 1), \
+                mock.patch.object(scorefile, "_READ_ROWS", 4), \
+                mock.patch.object(scorefile, "_row_values", row_values), \
+                mock.patch.object(scorefile._CellCounts, "add", count), \
+                mock.patch.object(scorefile.np, "loadtxt", spy):
+            exc = ingest_error(lambda: read_instances_csv(io.StringIO(text)))
+        assert exc.line == bad + 2
+        assert [call.args[0] for call in row_values.call_args_list] == [rows[bad]]
+        assert sum(counted) == bad
+        assert max(parsed) <= 4 and sum(parsed) <= bad // 4 * 4 + 2 * 4
+
+    @pytest.mark.parametrize("block_chars", [1, 7, None])
+    def test_first_empty_label_names_its_line(self, block_chars):
+        # A labeled column's first empty label is found from the first
+        # parse that holds one, on the block path or the csv pass (after a
+        # quoted id); a column empty on every row reads as unlabeled.
+        body = "0,1,2,1,0.5\n\n0,2,2,,0.5\n0,3,2,,0.5\n"
+        with mock.patch.object(scorefile, "_BLOCK_CHARS",
+                               block_chars or scorefile._BLOCK_CHARS):
+            for text in (HEADER + body, HEADER + '"a",' + body[2:]):
+                exc = ingest_error(lambda: read_instances_csv(io.StringIO(text)))
+                assert (exc.line, str(exc)) == (
+                    4, "line 4: empty label in a labeled score file")
+            text = HEADER + body.replace(",1,0.5", ",,0.5")
+            assert read_instances_csv(io.StringIO(text)).label is None
 
     @settings(max_examples=1000, deadline=None)
     @given(st.text(st.sampled_from(list("0123456789+-.eE_infaINF \t\x0b\x0c"
@@ -793,11 +830,11 @@ class TestInstanceCsv:
         # A bad cell is found before a partly empty label column.
         ("0,1,2,,0.5\n0,2,2,1,0.5\n0,3,far,0,0.5\n", 4),
     ])
-    @pytest.mark.parametrize("decode_rows", [1, 2, 4096])
-    def test_first_malformed_row_wins(self, body, line, decode_rows):
-        # Chunks of 1 and 2 records put each bad row just after a chunk
-        # boundary, and a bad row of one chunk after a good earlier chunk.
-        with mock.patch.object(scorefile, "_DECODE_ROWS", decode_rows):
+    @pytest.mark.parametrize("block_chars", [1, 2, 4096])
+    def test_first_malformed_row_wins(self, body, line, block_chars):
+        # Blocks and parses of 1 and 2 records put each bad row just after a
+        # boundary, and a bad row of one parse after a good earlier parse.
+        with mock.patch.object(scorefile, "_BLOCK_CHARS", block_chars):
             for read_rows, stream in itertools.product([1, 2, 3, 8192],
                                                        (io.StringIO, Unseekable)):
                 with mock.patch.object(scorefile, "_READ_ROWS", read_rows):
@@ -846,20 +883,20 @@ class TestInstanceCsv:
             read_instances_csv(io.StringIO(HEADER + '"a",b,2,,0.5\n'))
             with pytest.raises(IngestError):
                 read_instances_csv(io.StringIO(HEADER + "0,1,2,1,0.5\n0,2,2,0,x\n"))
-        # The first read parses its tails; the quoted one, on the loadtxt
-        # path, one chunk; the failed one its tails and one chunk, and its
-        # error is located by csv, not by a second np.loadtxt pass.
-        assert calls == [{}] * 4
+        # The first read parses its one block; the quoted one is counted by
+        # the csv pass; the failed one parses its block, and its error is
+        # located by csv, not by a second np.loadtxt pass.
+        assert calls == [{}] * 2
 
     @settings(max_examples=100, deadline=None)
     @given(instance_sets(), st.sampled_from([1, 3, 4096]))
-    def test_decode_blocks_match_row_reader(self, case, decode_rows):
+    def test_decode_blocks_match_row_reader(self, case, block_chars):
         inst, id_labels, keys = case
         buf = io.StringIO()
         write_instances_csv(buf, inst, score_keys=keys)
         text = buf.getvalue()
         want = read_instances_rows(io.StringIO(text))
-        with mock.patch.object(scorefile, "_DECODE_ROWS", decode_rows):
+        with mock.patch.object(scorefile, "_BLOCK_CHARS", block_chars):
             got = read_instances_csv(io.StringIO(text))
         assert_read_as_rows(got, want)
 
@@ -945,11 +982,6 @@ class TestInstanceCsv:
         assert buf.getvalue().splitlines()[1].startswith("ann,cat")
 
 
-def loadtxt_path():
-    """Patch the read onto its loadtxt path, every record parsed."""
-    return mock.patch.object(scorefile, "_count_blocks", lambda *_: None)
-
-
 def assert_same_counts(got, want):
     """Two reads give the same InstanceCounts arrays."""
     assert np.array_equal(got.distance, want.distance)
@@ -965,41 +997,38 @@ def assert_same_counts(got, want):
 class TestBlockPath:
     @settings(max_examples=150, deadline=None)
     @given(instance_sets(), st.sampled_from([1, 7, scorefile._BLOCK_CHARS]))
-    def test_blocks_match_loadtxt_path_and_rows(self, case, block_chars):
+    def test_blocks_match_rows(self, case, block_chars):
         # Several score columns, -0.0 and NaN, sentinel buckets, labelled and
         # unlabelled rows; a block of 1 or 7 characters reaches the end of
-        # its first line, so it holds one or a few rows.
+        # its first line, so it holds one or a few rows. Every block size
+        # gives the same counts, those of the rows.
         inst, id_labels, keys = case
         buf = io.StringIO()
         write_instances_csv(buf, inst, id_labels=id_labels, score_keys=keys)
         text = buf.getvalue()
         index = None if id_labels is None else \
             {name: i for i, name in enumerate(id_labels)}
-        records = mock.Mock(wraps=scorefile._count_records)
+        csv_pass = mock.Mock(wraps=scorefile._count_csv)
         empty = empty_id_record(inst, id_labels)
         if empty is not None:
-            # Both paths name the line of the first empty id; the block
-            # path sends the read back to the loadtxt path to find it.
+            # The block that holds the first empty id goes to the csv pass,
+            # which names its line.
             record, name = empty
             prefix = instances_csv_text(inst.take(np.arange(record)), id_labels, keys)
-            with loadtxt_path():
-                assert_empty_id_error(lambda: read_instances_csv(io.StringIO(text)),
-                                      prefix, name)
             with mock.patch.object(scorefile, "_BLOCK_CHARS", block_chars), \
-                    mock.patch.object(scorefile, "_count_records", records):
+                    mock.patch.object(scorefile, "_count_csv", csv_pass):
                 assert_empty_id_error(lambda: read_instances_csv(io.StringIO(text)),
                                       prefix, name)
-            assert records.called
+            assert csv_pass.called
             return
-        with loadtxt_path():
-            want = read_instances_csv(io.StringIO(text))
+        want = read_instances_csv(io.StringIO(text))
         with mock.patch.object(scorefile, "_BLOCK_CHARS", block_chars), \
-                mock.patch.object(scorefile, "_count_records", records):
+                mock.patch.object(scorefile, "_count_csv", csv_pass):
             got = read_instances_csv(io.StringIO(text))
         assert_same_counts(got, want)
         assert_read_as_rows(got, read_instances_rows(io.StringIO(text), id_index=index))
-        # Only a quote or a CR sends these bodies to the loadtxt path.
-        assert records.called == ('"' in text or "\r" in text)
+        # Only a quote sends these bodies to the csv pass.
+        assert csv_pass.called == ('"' in text)
 
     @pytest.mark.parametrize("body, ids", [
         ("0,1,2,1,0.5\r\n0,2,3,0,0.25\r\n1,2,beyond,0,0.5\r\n", None),  # CRLF
@@ -1008,26 +1037,36 @@ class TestBlockPath:
         ("0,1,2,1,0.5\n\n0,2,3,0,0.25\n\n\n1,2,2,0,0.5\n", None),       # blank lines
         ("0,1,2,1,0.5\n0,2,3,0,0.25\n1,2,2,1,0.5", None),               # no last newline
         ("é,ü,2,1,0.5\nü,n00042,3,0,0.25\n€,é,2,1,0.5\n", ["é", "ü", "n00042", "€"]),
+        # Blank lines of every line end, first and last lines among them.
+        ("\r\n0,1,2,1,0.5\r\n\r\n0,2,3,0,0.25\r\n1,2,beyond,0,0.5\r\n\r\n", None),
+        ("\r0,1,2,1,0.5\r\r0,2,3,0,0.25\r1,2,beyond,0,0.5\r\r", None),
+        ("\n\n0,1,2,1,0.5\r\n0,2,3,0,0.25\r\r\n1,2,2,0,0.5\n\r", None),
     ])
     @pytest.mark.parametrize("block_chars", [1, 7, None])
     def test_bodies_read_as_rows(self, tmp_path, body, ids, block_chars):
+        # Every line end is read by bytes on the block path, from a file or
+        # any stream; only quoted ids go to the csv pass.
         text = HEADER + body
         path = tmp_path / "scores.csv"
         path.write_bytes(text.encode("utf-8"))
         index = None if ids is None else {name: i for i, name in enumerate(ids)}
         want = read_instances_rows(io.StringIO(text, newline=""), id_index=index)
+        csv_pass = mock.Mock(wraps=scorefile._count_csv)
         with mock.patch.object(scorefile, "_BLOCK_CHARS",
-                               block_chars or scorefile._BLOCK_CHARS):
-            for source in (str(path), io.StringIO(text, newline="")):
+                               block_chars or scorefile._BLOCK_CHARS), \
+                mock.patch.object(scorefile, "_count_csv", csv_pass):
+            for source in (str(path), io.StringIO(text, newline=""), io.StringIO(text),
+                           Unseekable(text)):
                 got = read_instances_csv(source)
                 assert got.count.sum() == 3
                 assert_read_as_rows(got, want)
+        assert csv_pass.called == ('"' in body)
 
     @pytest.mark.parametrize("read_rows", [1, 2, 5])
     def test_waiting_tails_are_parsed_between_blocks(self, read_rows):
         # About six rows a block, of one or two tails: the tails of a few
         # blocks wait, and are parsed while later blocks are still to be
-        # read; each is counted once, and no read leaves the block path.
+        # read; each is counted once, and no block goes to the csv pass.
         n = 300
         inst = InstanceSet(np.arange(n) + 1000, np.arange(n) + 2000, np.full(n, 2),
                            np.arange(n) % 20 == 0, {"score": np.full(n, 0.5)})
@@ -1041,20 +1080,20 @@ class TestBlockPath:
             parsed.append(len(rows))
             return rows
 
-        records = mock.Mock(wraps=scorefile._count_records)
+        csv_pass = mock.Mock(wraps=scorefile._count_csv)
         with mock.patch.object(scorefile, "_BLOCK_CHARS", 100), \
                 mock.patch.object(scorefile, "_READ_ROWS", read_rows), \
-                mock.patch.object(scorefile, "_count_records", records), \
+                mock.patch.object(scorefile, "_count_csv", csv_pass), \
                 mock.patch.object(scorefile.np, "loadtxt", spy):
             got = read_instances_csv(io.StringIO(buf.getvalue()))
         assert_read_as_rows(got, inst)
-        assert not records.called
+        assert not csv_pass.called
         assert len(parsed) > 2
 
     def test_plain_file_parses_only_distinct_tails(self):
         # 10,000 rows of 2 distances, 2 labels and 11 scores: no np.loadtxt
-        # call parses all the rows, as a silent return to the loadtxt path
-        # would.
+        # call parses more than the blocks' distinct tails, as a block
+        # parsed whole would.
         rng = np.random.default_rng(3)
         n = 10_000
         inst = InstanceSet(rng.integers(0, 500, n), rng.integers(500, 1000, n),
@@ -1076,24 +1115,30 @@ class TestBlockPath:
         blocks = -(-len(buf.getvalue()) // scorefile._BLOCK_CHARS)
         assert 0 < sum(parsed) <= 2 * 2 * 11 * (blocks + 1)
 
-    def test_distinct_tails_move_to_the_loadtxt_path(self, rng):
-        # A continuous score column: once _READ_ROWS rows are read, most of
-        # them distinct, the rest of the body is parsed in loadtxt chunks,
-        # from the record after the last block; a malformed record there
-        # still names its line.
+    def test_mostly_distinct_blocks_are_parsed_whole(self, rng):
+        # A continuous score column: the rows of each block are mostly
+        # distinct, so each block is parsed whole, ids and all, without
+        # grouping; a malformed record in any block names its line.
         n = 3 * scorefile._READ_ROWS
         inst = InstanceSet(np.arange(n), np.arange(n) + 1, np.full(n, 2),
                            rng.random(n) < 0.5, {"score": rng.normal(size=n)})
         buf = io.StringIO()
         write_instances_csv(buf, inst)
         text = buf.getvalue()
-        records = mock.Mock(wraps=scorefile._count_records)
-        with mock.patch.object(scorefile, "_count_records", records):
+        fields = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            fields.append(np.dtype(kwargs["dtype"]).names[0])
+            return loadtxt(*args, **kwargs)
+
+        csv_pass = mock.Mock(wraps=scorefile._count_csv)
+        with mock.patch.object(scorefile.np, "loadtxt", spy), \
+                mock.patch.object(scorefile, "_count_csv", csv_pass):
             got = read_instances_csv(io.StringIO(text))
         assert_read_as_rows(got, inst)
-        (*_, start), _ = records.call_args
-        assert scorefile._READ_ROWS <= start < n
-        for line in (start + 2, n + 1):
+        assert set(fields) == {"u"} and not csv_pass.called
+        for line in (2, n // 2 + 2, n + 1):
             lines = text.splitlines(keepends=True)
             cells = lines[line - 1].split(",")
             lines[line - 1] = ",".join(cells[:2] + ["far"] + cells[3:])
@@ -1116,24 +1161,30 @@ def sampling_shaped_file(path, rows, seed):
     return inst
 
 
-def test_block_path_peaks_no_higher_than_loadtxt_path(tmp_path):
+def test_block_path_peak_does_not_grow_with_the_file(tmp_path):
+    # A sampling-shaped file and four times its rows: the read holds a few
+    # blocks and the table of distinct rows, never the rows, so its peak
+    # grows by under a byte for each row added; no block goes to the csv
+    # pass.
     path = tmp_path / "scores.csv"
     inst = sampling_shaped_file(path, 100_000, 2811)
+    head, _, body = path.read_text(encoding="utf-8").partition("\n")
+    path4 = tmp_path / "scores4.csv"
+    path4.write_text(head + "\n" + body * 4, encoding="utf-8")
     peaks, reads = [], []
-    records = mock.Mock(wraps=scorefile._count_records)
-    for forced in (False, True):
-        with loadtxt_path() if forced else \
-                mock.patch.object(scorefile, "_count_records", records):
+    csv_pass = mock.Mock(wraps=scorefile._count_csv)
+    with mock.patch.object(scorefile, "_count_csv", csv_pass):
+        for source in (path, path4):
             tracemalloc.start()
             try:
-                reads.append(read_instances_csv(str(path)))
+                reads.append(read_instances_csv(str(source)))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    assert not records.called
-    assert_same_counts(*reads)
+    assert not csv_pass.called
     assert_read_as_rows(reads[0], inst)
-    assert peaks[0] <= peaks[1]
+    assert np.array_equal(reads[1].count, 4 * reads[0].count)
+    assert peaks[1] <= peaks[0] + 3 * 100_000
 
 
 def test_score_path_memory_budget(tmp_path):
