@@ -3,9 +3,9 @@
 Every command validates its configuration up front (exit 2 on config
 errors, exit 3 on data errors and on running out of memory), writes
 artifacts atomically, and finishes with a manifest listing each artifact's
-sha256. Reruns with the same config
-and inputs produce identical digests. Undefined metrics are written as
-explicit ``undefined`` markers, not errors.
+sha256. Reruns with the same config and inputs produce identical digests.
+Undefined metrics are written as explicit ``undefined`` markers, not
+errors.
 
 Each command loads only the modules its input needs: the names it calls
 from the array modules, surrogate and render are bound here with

@@ -6,11 +6,11 @@ no graph process loads it; :mod:`~lpeval.stratify` serves
 A body is read on one path, in blocks of about _BLOCK_CHARS characters,
 each to the end of a line. Lines end at '\\n', '\\r\\n' or a lone '\\r' on
 every source, and blank lines are skipped. A block is cut into rows by its
-bytes, and ``np.loadtxt`` parses its distinct tails, the cells from the
-distance on. The first block that cannot be read so (a quote, a NUL, a
-malformed row), and every block after it, is read by one ``csv.reader``
-pass, which counts each record and raises at the first malformed one with
-the line it starts on.
+bytes, quoted ids and all, and ``np.loadtxt`` parses its distinct tails,
+the cells from the distance on. The first block that cannot be read so (a
+NUL, a quote past the ids, a malformed row), and every block after it, is
+read by one ``csv.reader`` pass, which counts each record and raises at the
+first malformed one with the line it starts on.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 
 import numpy as np
 
@@ -49,6 +50,9 @@ _SEARCH_SAMPLE = 64
 _BLOCK_CHARS = 1 << 16
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# A line's two id cells and commas as csv reads them: each quoted, holding
+# no NUL or line end, or unquoted, with no quote either; neither empty.
+_ID_CELLS = re.compile(rb'^(?:(?:"(?:[^"\0\n]|"")+"|[^,"\0\n]+),){2}', re.M)
 
 
 def _ranks(col):
@@ -162,8 +166,10 @@ class _CellCounts:
     """int64 rows, each standing for as many rows as its count, gathered
     from blocks of distinct rows.
 
-    Blocks wait until they hold more rows than the merged table and than
-    _READ_ROWS, and are then merged with it into distinct rows at once. A
+    Blocks wait until they hold more rows than the merged table and than a
+    quarter of _READ_ROWS, and are then merged with it into distinct rows at
+    once: a small table's merges then peak below one parse of _READ_ROWS
+    lines, so the read's peak does not move with where they fall. A
     merge that keeps more than half of its rows puts off the next one until
     the waiting rows are three times the table, one doubling later: with
     nearly as many cells as rows, a merge does more work than it saves. So
@@ -175,7 +181,7 @@ class _CellCounts:
     def __init__(self, width):
         self.rows = [np.empty((0, width), dtype=np.int64)]
         self.counts = [np.empty(0, dtype=np.int64)]
-        self.waiting, self.due = 0, _READ_ROWS
+        self.waiting, self.due = 0, _READ_ROWS // 4
 
     def add(self, rows, counts):
         """Add ``rows`` with their counts, and merge if the waiting rows are
@@ -196,7 +202,7 @@ class _CellCounts:
         self.rows, self.counts = [rows], [counts]
         self.waiting = 0
         self.due = max(len(rows) if 2 * len(rows) <= len(index) else 3 * len(rows),
-                       _READ_ROWS)
+                       _READ_ROWS // 4)
         return rows, counts
 
 
@@ -224,22 +230,26 @@ def _block_tails(data, fields):
     """A block of whole lines, the UTF-8 bytes ``data``, as ``(lines,
     counts, ids)``: the lines to parse, how many rows each stands for, and
     whether they are the block's rows, ids and all. None if the block has a
-    quote or a NUL, a row that has not ``fields`` cells or has an empty id,
-    or tails that are not ASCII.
+    NUL, a quote outside the id cells that :data:`_ID_CELLS` reads, a row
+    that has not ``fields`` cells or has an empty id, or tails that are not
+    ASCII.
 
-    CR and CRLF line ends become '\\n' and blank lines are dropped. If the
-    last 8 bytes of the rows (of every 8th row in a block of 64 or more)
-    are mostly distinct, as in a continuous score column, grouping would
-    save few parses, and an ASCII block is its own lines. Otherwise the rows
-    are cut at the bytes ',' and '\\n', and the lines are the block's
-    distinct tails, the cells from the distance on: tails of one word
-    counted by one sort (:func:`_distinct_words`), longer ones grouped by
+    CR and CRLF line ends become '\\n', blank lines are dropped, and in a
+    block with a quote each line's ids become ``x,x,``. If the last 8 bytes
+    of the rows (of every 8th row in a block of 64 or more) are mostly
+    distinct, as in a continuous score column, grouping would save few
+    parses, and an ASCII block is its own lines. Otherwise the rows are cut
+    at the bytes ',' and '\\n', and the lines are the block's distinct
+    tails, the cells from the distance on: tails of one word counted by one
+    sort (:func:`_distinct_words`), longer ones grouped by
     :func:`_distinct_rows`.
     """
-    if b'"' in data or b"\0" in data:
-        return None
     if b"\r" in data:  # a CRLF line end becomes a blank line
         data = data.replace(b"\r", b"\n")
+    if b'"' in data:  # an id is only checked for presence
+        data = _ID_CELLS.sub(b"x,x,", data)
+    if b'"' in data or b"\0" in data:
+        return None
     # A last line without a newline gets one, and word_at 8 more bytes.
     data += (b"" if data.endswith(b"\n") else b"\n") + bytes(8)
     byte = np.frombuffer(data, dtype=np.uint8, count=len(data) - 8)
@@ -250,7 +260,8 @@ def _block_tails(data, fields):
         return _block_tails(data, fields) if data else \
             (b"", np.empty(0, dtype=np.int64), False)
     word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    last = np.sort(word_at[(end[::8] if len(end) >= 64 else end) - 8])
+    # The first line may be shorter than a word.
+    last = np.sort(word_at[np.maximum((end[::8] if len(end) >= 64 else end) - 8, 0)])
     if 2 * (1 + np.count_nonzero(last[1:] != last[:-1])) > len(last) and data.isascii():
         return data[:-8], np.ones(len(end), dtype=np.int64), True
     if cut.size != fields * end.size:
@@ -310,30 +321,31 @@ def _records(src, body, first):
         raise IngestError(str(exc), line=start) from None
 
 
-def _row_values(row, fields, pairs):
-    """A record's csv row as (distance, label, score...), or why it is
-    malformed, by the grammar the block path reads. ``pairs`` holds the
-    values of each (distance, label) pair of cells read so far, or why it
-    has none."""
+def _row_values(at, row, fields, pairs):
+    """A record's csv row, which starts on line ``at``, as (distance, label,
+    score...) by the grammar the block path reads; an IngestError at that
+    line if it is malformed. ``pairs`` holds the values of each (distance,
+    label) pair of cells read so far, or why it has none."""
     if len(row) != fields:
-        return f"expected {fields} fields, found {len(row)}"
+        raise IngestError(f"expected {fields} fields, found {len(row)}", line=at)
     for name, cell in zip("uv", row):
         if cell == "":
-            return f"empty {name} cell"
+            raise IngestError(f"empty {name} cell", line=at)
         if "\0" in cell:  # no other cell reads with one
-            return f"NUL in {name} cell"
+            raise IngestError(f"NUL in {name} cell", line=at)
     cells = (row[2], row[3])
     if cells not in pairs:
         pairs[cells] = _cell_values(cells)
     values = pairs[cells]
     if isinstance(values, str):
-        return values
+        raise IngestError(values, line=at)
     scores = []
     for column, cell in enumerate(row[4:], 5):
         try:
             scores.append(_float_cell(cell))
         except ValueError:
-            return f"could not convert string {cell!r} to float64 at column {column}"
+            raise IngestError(f"could not convert string {cell!r} to float64 at column "
+                              f"{column}", line=at) from None
     return values + tuple(scores)
 
 
@@ -342,14 +354,7 @@ def _count_csv(src, body, first, fields, table):
     ``table`` (:func:`_records`), and raise an IngestError at the first
     malformed one, with the line it starts on."""
     pairs = {}
-
-    def values(at, row):
-        values = _row_values(row, fields, pairs)
-        if isinstance(values, str):
-            raise IngestError(values, line=at)
-        return values
-
-    records = itertools.starmap(values, _records(src, body, first))
+    records = (_row_values(at, row, fields, pairs) for at, row in _records(src, body, first))
     while rows := list(itertools.islice(records, _READ_ROWS)):
         # A distance has at most 12 digits, which float64 holds exactly.
         cells = np.array(rows, dtype=np.float64)
@@ -437,13 +442,6 @@ def _count_body(src, body, fields, dtype, table):
     return empty
 
 
-def _not_text(exc):
-    """The IngestError of a UnicodeDecodeError, without its position in
-    whichever block of the file was being decoded."""
-    return IngestError(f"'{exc.encoding}' codec can't decode "
-                       f"{exc.object[exc.start:exc.end]!r}: {exc.reason}")
-
-
 def read_instances_csv(path_or_file):
     """The :class:`InstanceCounts` of the instances in a file written by
     :func:`~lpeval.stratify.write_instances_csv`: its distinct (distance,
@@ -457,26 +455,23 @@ def read_instances_csv(path_or_file):
     The body is read in blocks of _BLOCK_CHARS characters, each to the end
     of the line it cuts (:func:`_count_body`). Lines end at '\\n', '\\r\\n'
     or a lone '\\r', on every source, and blank lines are skipped. A
-    block's rows are cut at ',' and the line ends by byte compares and
-    grouped by the raw bytes of their tails, the cells from the distance
-    on, so only each block's distinct tails are parsed, by ``np.loadtxt``:
-    scores into float64, the distance and label cells as ASCII bytes of a
-    fixed width (at most 12 and 2 bytes), which are decoded once per
-    distinct pair of cells. A block whose tails are mostly distinct, as in
-    a continuous score column, is parsed whole instead. Each row adds its
-    count to a table of distinct rows, which is merged as blocks come
-    (:class:`_CellCounts`) and once more at the end. The cells are joint
-    over every score column: with several columns there may be as many as
-    the product of each column's cells, up to one a row.
+    block's rows, quoted ids and all, are cut at ',' and the line ends by
+    byte compares and grouped by the raw bytes of their tails, the cells
+    from the distance on, so that ``np.loadtxt`` parses only each block's
+    distinct tails (:func:`_block_tails`); a block whose tails are mostly
+    distinct, as in a continuous score column, is parsed whole. Each row
+    adds its count to a table of distinct rows (:class:`_CellCounts`). The
+    cells are joint over every score column: with several columns there may
+    be as many as the product of each column's cells, up to one a row.
 
-    A block with a quote (an id holding ',' or '"'), a NUL or a malformed
-    row, and the rest of the body after it, is read by one ``csv.reader``
-    pass with the same grammar (:func:`_count_csv`), which counts each
-    record and raises :class:`~lpeval.errors.IngestError` at the first
-    malformed one, with the line it starts on; a NUL is an error wherever
-    it is. A label column that is empty on some rows but not all is an
-    error at its first empty label. A stream that cannot seek is read into
-    memory first, since an error is located by reading its block again.
+    A block with a NUL, a quoted cell past the ids or with a line end, or a
+    malformed row, and the rest of the body after it, is read by one
+    ``csv.reader`` pass with the same grammar (:func:`_count_csv`), which
+    counts each record and raises :class:`~lpeval.errors.IngestError` at
+    the first malformed one, with the line it starts on; a NUL is an error
+    wherever it is. A label column that is empty on some rows but not all
+    is an error at its first empty label. A stream that cannot seek is read
+    into memory first, since an error is located by reading its block again.
     """
     close = not hasattr(path_or_file, "read")
     fh = (open(path_or_file, "r", encoding="utf-8", newline="") if close
@@ -503,8 +498,9 @@ def read_instances_csv(path_or_file):
             table = _CellCounts(2 + len(score_names))
             body = src.tell()
             empty = _count_body(src, body, len(header), tail, table)
-        except UnicodeDecodeError as exc:
-            raise _not_text(exc) from None
+        except UnicodeDecodeError as exc:  # without its position in a block
+            raise IngestError(f"'{exc.encoding}' codec can't decode "
+                              f"{exc.object[exc.start:exc.end]!r}: {exc.reason}") from None
         cells, count = table.merge()
         label = cells[:, 1]
         if label.max(initial=-1) < 0:
